@@ -68,17 +68,6 @@ def _resolve_seed(args) -> int:
         raise ParseError(f"GFRAMEMOD_SEED must be an integer, got {env!r}") from exc
 
 
-def _digest(named_paths) -> str:
-    sha = hashlib.sha256()
-    for _, path in named_paths:
-        try:
-            with open(path, "rb") as handle:
-                sha.update(handle.read())
-        except OSError as exc:
-            raise ParseError(f"cannot read {path}: {exc}") from exc
-    return sha.hexdigest()
-
-
 def _emit(report: dict, output) -> None:
     text = dumps_canonical(report)
     if output:
@@ -100,7 +89,8 @@ def _report(command: str, seed: int, digest: str, results: dict, caveats) -> dic
 
 def _cmd_analyze(args) -> int:
     seed = _resolve_seed(args)
-    frame = load_frame(args.frame)
+    sha = hashlib.sha256()
+    frame = load_frame(args.frame, sha)
     tight_tol = args.tol if args.tol is not None else 1e-9
     dual_tol = args.tol if args.tol is not None else 1e-8
     lower, upper = frame_bounds(frame)
@@ -114,14 +104,15 @@ def _cmd_analyze(args) -> int:
         "tightness_gap": (upper - lower) / upper,
         "dual": {"reconstruction_residual": residual, "verified": verified},
     }
-    report = _report("analyze", seed, _digest([("frame", args.frame)]), results, [])
+    report = _report("analyze", seed, sha.hexdigest(), results, [])
     _emit(report, args.output)
     return 0 if verified else 3
 
 
 def _cmd_represent(args) -> int:
     seed = _resolve_seed(args)
-    frame = load_frame(args.frame)
+    sha = hashlib.sha256()
+    frame = load_frame(args.frame, sha)
     tol = args.tol if args.tol is not None else 1e-8
     rep = solve_representation(frame, args.convention, tol)
     caveats = [CYCLIC_CAVEAT if rep.convention == "cyclic" else LINEAR_CAVEAT]
@@ -171,7 +162,7 @@ def _cmd_represent(args) -> int:
         if not cert.degenerate:
             failed = failed or not (cert.isometry_ok and cert.constant_norms_ok
                                     and cert.norm_bounds_ok)
-    report = _report("represent", seed, _digest([("frame", args.frame)]), results, caveats)
+    report = _report("represent", seed, sha.hexdigest(), results, caveats)
     _emit(report, args.output)
     return 3 if failed else 0
 
@@ -188,8 +179,9 @@ def _witness_json(witness) -> dict:
 
 def _cmd_perturb(args) -> int:
     seed = _resolve_seed(args)
-    frame = load_frame(args.frame)
-    perturbed = load_frame(args.perturbed)
+    sha = hashlib.sha256()
+    frame = load_frame(args.frame, sha)
+    perturbed = load_frame(args.perturbed, sha)
     try:
         params = PerturbationParams(args.eta, args.beta)
     except ValueError as exc:
@@ -213,7 +205,7 @@ def _cmd_perturb(args) -> int:
         "independence_transfer": None,
     }
     caveats = list(verdict.caveats)
-    digest = _digest([("frame", args.frame), ("perturbed", args.perturbed)])
+    digest = sha.hexdigest()
     if not verdict.inequality_holds:
         report = _report("perturb", seed, digest, results, caveats)
         _emit(report, args.output)
@@ -263,7 +255,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_independence(args) -> int:
     seed = _resolve_seed(args)
-    frame = load_frame(args.frame)
+    sha = hashlib.sha256()
+    frame = load_frame(args.frame, sha)
     tol = args.tol if args.tol is not None else 1e-10
     try:
         rep = solve_representation(frame) if len(frame) >= 2 else None
@@ -291,7 +284,7 @@ def _cmd_independence(args) -> int:
             "ok": inv.ok,
         }
         failed = not inv.ok
-    report = _report("independence", seed, _digest([("frame", args.frame)]), results, [])
+    report = _report("independence", seed, sha.hexdigest(), results, [])
     _emit(report, args.output)
     return 3 if failed else 0
 

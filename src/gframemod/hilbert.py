@@ -201,6 +201,29 @@ def operator_norm_module(op: ModuleOperator) -> float:
     return float(np.linalg.norm(op.matrix, 2))
 
 
+def spectral_norms(blocks) -> np.ndarray:
+    """Largest singular value of each matrix in a stack, as the square root
+    of the top eigenvalue of its row Gram (d x d for a d x (n*d) block)."""
+    gram = blocks @ blocks.conj().swapaxes(-1, -2)
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+
+
+def contained(flats, projections, tol: float = 1e-10) -> np.ndarray:
+    """The membership rule ||t - t P||_2 <= tol * (1 + ||t||_2) for every
+    flattened term t in a stack against its projection P.
+
+    ||r||_2 <= ||r||_F, so when every residual is within tol in Frobenius
+    norm all terms pass without taking spectral norms.
+    """
+    residual = flats @ projections
+    np.subtract(flats, residual, out=residual)
+    parts = residual.view(np.float64)
+    screened = np.sum(parts * parts, axis=(-2, -1)) <= tol * tol
+    if screened.all():
+        return screened
+    return spectral_norms(residual) <= tol * (1.0 + spectral_norms(flats))
+
+
 def orthonormal_rows(rows, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis (as rows) of the row space of `rows`."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.complex128))
@@ -245,8 +268,7 @@ class Submodule:
         return cls(ModuleOperator.identity(n, d))
 
     def contains(self, f: ModuleVector, tol: float = 1e-10) -> bool:
-        residual = f.flat - f.flat @ self.projection.matrix
-        return float(np.linalg.norm(residual, 2)) <= tol * (1.0 + f.norm())
+        return bool(contained(f.flat, self.projection.matrix, tol))
 
     def project(self, f: ModuleVector) -> ModuleVector:
         return apply(self.projection, f)

@@ -23,20 +23,20 @@ import numpy as np
 from .exceptions import (
     DegenerateSpan,
     HypothesisViolation,
-    MembershipViolation,
     NotInvertible,
     NotRepresentable,
     NotTight,
 )
-from .frames import GFusionFrame, frame_bounds, is_tight, synthesis
+from .frames import GFusionFrame, frame_bounds, is_tight
 from .hilbert import (
     ModuleOperator,
     ModuleSequence,
     ModuleVector,
     Submodule,
     _check_convention,
-    right_shift,
+    contained,
     span_of_submodules,
+    spectral_norms,
 )
 
 PINV_RCOND = 1e-10  # relative singular-value cutoff of the solver
@@ -143,25 +143,48 @@ def _restrict_to_span(x: np.ndarray, span: Submodule) -> np.ndarray:
 
 
 def _kernel_row_basis(frame: GFusionFrame):
-    """Row-level synthesis map and an orthonormal basis of its kernel.
+    """Row-level synthesis map and an orthonormal basis of its range.
 
     The synthesis operator acts on each of the d rows of a sequence's terms
     independently, so its kernel is fully described at the level of single
     rows: coordinates y (one slot of dimension rank(N_xi) per term) map to
     sum_xi y_xi (R_xi B_xi^H), and the module kernel consists of sequences
-    whose rows all lie in the left null space of that stacked matrix.
+    whose rows all satisfy y M = 0 for that stacked matrix M.  Those rows
+    are the orthogonal complement of M's column space, so the thin basis Q
+    of that column space (at most n*d columns) describes the kernel:
+    y = z - (z Q) Q^H projects any z into it.
     """
     basis_list = [sub.basis_rows for sub in frame.submodules()]
     blocks = [rows @ element.operator.matrix.conj().T
               for rows, element in zip(basis_list, frame.elements)]
-    m_syn = np.vstack(blocks) if blocks else np.zeros((0, frame.n * frame.d))
+    m_syn = np.vstack(blocks)
     if m_syn.shape[0] == 0:
         return basis_list, m_syn, np.zeros((0, 0), dtype=np.complex128), 0.0
-    u, s, _ = np.linalg.svd(m_syn, full_matrices=True)
+    u, s, _ = np.linalg.svd(m_syn, full_matrices=False)
     top = float(s[0]) if s.size else 0.0
     rank = int(np.sum(s > 1e-12 * top)) if top > 0.0 else 0
-    null_rows = u[:, rank:].conj().T
-    return basis_list, m_syn, null_rows, top
+    return basis_list, m_syn, u[:, :rank], top
+
+
+def _kernel_terms(frame: GFusionFrame, kernel_basis, count: int, seed: int):
+    """Seeded random unit-norm elements of N(U) as one array of flattened
+    terms, shape (count, m, d, n*d); None when the kernel is trivial."""
+    basis_list, _, q, _ = kernel_basis
+    sizes = [rows.shape[0] for rows in basis_list]
+    total = sum(sizes)
+    if total == q.shape[1]:
+        return None
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((count, frame.d, total, 2)).view(np.complex128)[..., 0]
+    y -= (y @ q) @ q.conj().T
+    # the basis rows are orthonormal, so the sequence norm is ||y||_2
+    norms = spectral_norms(y)
+    y /= np.where(norms > 0.0, norms, 1.0)[:, None, None]
+    terms = np.empty((count, len(basis_list), frame.d, frame.n * frame.d), dtype=np.complex128)
+    offsets = np.cumsum([0] + sizes)
+    for xi, rows in enumerate(basis_list):
+        terms[:, xi] = y[..., offsets[xi]:offsets[xi + 1]] @ rows
+    return terms
 
 
 def sample_synthesis_kernel(frame: GFusionFrame, count: int, seed: int = 0):
@@ -170,26 +193,13 @@ def sample_synthesis_kernel(frame: GFusionFrame, count: int, seed: int = 0):
     Returns fewer than `count` sequences only when the kernel is trivial
     (then it returns an empty list).
     """
-    basis_list, _, null_rows, _ = _kernel_row_basis(frame)
-    k = null_rows.shape[0]
-    if k == 0:
+    terms = _kernel_terms(frame, _kernel_row_basis(frame), count, seed)
+    if terms is None:
         return []
-    rng = np.random.default_rng(seed)
-    sizes = [rows.shape[0] for rows in basis_list]
-    offsets = np.cumsum([0] + sizes)
-    out = []
-    for _ in range(count):
-        coeff = rng.standard_normal((frame.d, k)) + 1j * rng.standard_normal((frame.d, k))
-        y = coeff @ null_rows  # (d, sum of ranks)
-        terms = []
-        for xi, rows in enumerate(basis_list):
-            chunk = y[:, offsets[xi]:offsets[xi + 1]]
-            flat = chunk @ rows if rows.shape[0] else np.zeros((frame.d, frame.n * frame.d))
-            terms.append(ModuleVector(flat, frame.n, frame.d))
-        seq = ModuleSequence(terms, frame.index_convention, frame.submodules())
-        nrm = seq.norm()
-        out.append(seq.scaled(1.0 / nrm) if nrm > 0 else seq)
-    return out
+    submodules = frame.submodules()
+    return [ModuleSequence([ModuleVector(t, frame.n, frame.d) for t in sample],
+                           frame.index_convention, submodules)
+            for sample in terms]
 
 
 # ---------------------------------------------------------------------------
@@ -227,22 +237,32 @@ def check_representation_bounds(frame: GFusionFrame, rep: RepresentationResult,
     bound_upper = math.sqrt(upper / lower)
     caveats = [CYCLIC_CAVEAT if rep.convention == "cyclic" else LINEAR_CAVEAT]
 
-    _, m_syn, _, syn_top = _kernel_row_basis(frame)
+    kernel_basis = _kernel_row_basis(frame)
+    syn_top = kernel_basis[3]
     kernel_defect = 0.0
     kernel_ok = True
-    seqs = sample_synthesis_kernel(frame, samples, seed)
-    if not seqs:
+    terms = _kernel_terms(frame, kernel_basis, samples, seed)
+    kernel_samples = 0 if terms is None else samples
+    if terms is None:
         caveats.append("synthesis kernel is trivial; the invariance check is vacuous")
-    for seq in seqs:
-        try:
-            shifted = right_shift(seq)
-        except MembershipViolation:
+    else:
+        # the right shift moves term xi+1 into slot xi, so term j is tested
+        # against N_{j-1} and synthesized by Y_{j-1}; the linear shift drops
+        # term 0 and pads with a zero term, which contributes nothing
+        m = len(frame)
+        if frame.index_convention == "cyclic":
+            moved, targets = terms, np.roll(np.arange(m), 1)
+        else:
+            moved, targets = terms[:, 1:], np.arange(m - 1)
+        projections = np.stack([sub.projection.matrix for sub in frame.submodules()])
+        if not contained(moved, projections[targets]).all():
             kernel_defect = math.inf
             kernel_ok = False
             caveats.append("a shifted kernel element leaves the submodule family")
-            break
-        image = synthesis(frame, shifted, membership_tol=None)
-        kernel_defect = max(kernel_defect, image.norm() / max(syn_top, 1.0))
+        else:
+            mats = frame.operator_matrices()[targets]
+            images = np.tensordot(moved, mats.conj(), axes=([1, 3], [0, 2]))
+            kernel_defect = float(spectral_norms(images).max()) / max(syn_top, 1.0)
     if kernel_defect > tol:
         kernel_ok = False
     return ShiftBoundsReport(
@@ -251,7 +271,7 @@ def check_representation_bounds(frame: GFusionFrame, rep: RepresentationResult,
         bound_upper=bound_upper,
         lower_ok=rep.norm_T >= 1.0 - tol,
         upper_ok=rep.norm_T <= bound_upper + tol,
-        kernel_samples=len(seqs),
+        kernel_samples=kernel_samples,
         kernel_defect=kernel_defect,
         kernel_ok=kernel_ok,
         caveats=tuple(caveats),

@@ -28,6 +28,9 @@ from .frames import GFusionFrame
 from .hilbert import ModuleOperator, ModuleVector, Submodule
 
 FORMAT_VERSION = "1"
+# largest accepted |re| or |im| of a matrix entry: squares and the sums of
+# squares in Gram and frame-operator matrices stay far from overflow
+MAX_ABS_ENTRY = 1e100
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +117,14 @@ def json_to_matrix(rows, shape, what: str) -> np.ndarray:
                     or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)):
                 raise ParseError(f"{what}: entry ({i}, {j}) must be a [re, im] pair")
             matrix[i, j] = complex(entry[0], entry[1])
+    parts = matrix.reshape(-1).view(np.float64)
+    usable = np.abs(parts) <= MAX_ABS_ENTRY  # false for NaN and infinities too
+    if not usable.all():
+        k = int(np.argmin(usable))
+        i, j = divmod(k // 2, shape[1])
+        problem = (f"exceeds {MAX_ABS_ENTRY:.0e} in magnitude" if math.isfinite(parts[k])
+                   else "is not finite")
+        raise ParseError(f"{what}: entry ({i}, {j}) {problem}")
     return matrix
 
 
@@ -174,16 +185,25 @@ def document_to_frame(doc: dict) -> GFusionFrame:
         raise ParseError(f"document does not describe a valid frame: {exc}") from exc
 
 
-def load_frame(path) -> GFusionFrame:
-    return document_to_frame(_load_json(path))
+def load_frame(path, sha=None) -> GFusionFrame:
+    return document_to_frame(_load_json(path, sha))
 
 
-def _load_json(path):
+def _load_json(path, sha=None):
+    """Read `path` once and parse it.  When a hashlib object `sha` is given
+    it is fed the same bytes, so its digest describes exactly what was
+    parsed."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        with open(path, "rb") as handle:
+            raw = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    if sha is not None:
+        sha.update(raw)
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 

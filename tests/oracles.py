@@ -100,3 +100,85 @@ class PlainScalarFrame:
             for a, b in pairs
         )
         return x, residual
+
+
+def _shift_slots(m: int, convention: str):
+    """(j, target) pairs: the right shift moves term j into slot target."""
+    if convention == "cyclic":
+        return [(j, (j - 1) % m) for j in range(m)]
+    return [(j, j - 1) for j in range(1, m)]
+
+
+def exact_kernel_shift_defects(frame):
+    """Exact shift invariance of the synthesis kernel, with no sampling.
+
+    In row coordinates the kernel is {y : y M = 0}, M the stacked blocks
+    R_xi Y_xi^H (R_xi orthonormal rows of N_xi, recomputed here from the
+    projection's eigenvectors).  With U_r the range basis of M and
+    Pi = I - U_r U_r^H, every kernel row is z Pi.  The shift moves slot j of
+    y to slot j-1, so invariance means Pi M' = 0 for the shifted synthesis
+    matrix M' (block j = R_j Y_{j-1}^H) and Pi D = 0 for the membership
+    defects D (block j = R_j (I - P_{j-1}), block-diagonal).
+
+    Returns (membership defect, synthesis defect / max(||M||, 1)), both the
+    suprema over unit-norm kernel elements.
+    """
+    rows, mats, projs = [], [], []
+    for sub, op in frame.elements:
+        p = sub.projection.matrix
+        w, v = np.linalg.eigh((p + p.conj().T) / 2.0)
+        rows.append(v[:, w > 0.5].conj().T)
+        mats.append(op.matrix)
+        projs.append(p)
+    nd = frame.n * frame.d
+    sizes = [r.shape[0] for r in rows]
+    offsets = np.cumsum([0] + sizes)
+    m_syn = np.vstack([r @ y.conj().T for r, y in zip(rows, mats)])
+    u, s, _ = np.linalg.svd(m_syn, full_matrices=True)
+    top = float(s[0]) if s.size else 0.0
+    rank = int(np.sum(s > 1e-12 * top)) if top > 0.0 else 0
+    pi = np.eye(m_syn.shape[0]) - u[:, :rank] @ u[:, :rank].conj().T
+    shifted = np.zeros_like(m_syn)
+    membership = np.zeros((m_syn.shape[0], len(rows) * nd), dtype=np.complex128)
+    for j, target in _shift_slots(len(rows), frame.index_convention):
+        block = slice(offsets[j], offsets[j + 1])
+        shifted[block] = rows[j] @ mats[target].conj().T
+        membership[block, target * nd:(target + 1) * nd] = rows[j] @ (np.eye(nd) - projs[target])
+    return (float(np.linalg.norm(pi @ membership, 2)),
+            float(np.linalg.norm(pi @ shifted, 2)) / max(top, 1.0))
+
+
+def reference_kernel_check(frame, samples: int, seed: int, tol: float = 1e-8):
+    """The per-sample kernel-invariance loop the library used to run, kept
+    as a reference: draw coefficients on the full-SVD null basis one sample
+    at a time, normalize, shift with membership checks, synthesize.
+
+    Returns (samples drawn, defect, ok) like the kernel half of
+    `check_representation_bounds`.
+    """
+    from gframemod.exceptions import MembershipViolation
+    from gframemod.frames import synthesis
+    from gframemod.hilbert import ModuleSequence, ModuleVector, right_shift
+
+    null_rows = synthesis_nullspace(frame)
+    k = null_rows.shape[0]
+    if k == 0:
+        return 0, 0.0, True
+    basis_list = [sub.basis_rows for sub in frame.submodules()]
+    top = float(np.linalg.norm(np.vstack([r @ e.operator.matrix.conj().T
+                                          for r, e in zip(basis_list, frame.elements)]), 2))
+    offsets = np.cumsum([0] + [r.shape[0] for r in basis_list])
+    rng = np.random.default_rng(seed)
+    defect = 0.0
+    for _ in range(samples):
+        y = (rng.standard_normal((frame.d, k)) + 1j * rng.standard_normal((frame.d, k))) @ null_rows
+        terms = [ModuleVector(y[:, offsets[xi]:offsets[xi + 1]] @ rows, frame.n, frame.d)
+                 for xi, rows in enumerate(basis_list)]
+        seq = ModuleSequence(terms, frame.index_convention, frame.submodules())
+        seq = seq.scaled(1.0 / seq.norm())
+        try:
+            shifted = right_shift(seq)
+        except MembershipViolation:
+            return samples, float("inf"), False
+        defect = max(defect, synthesis(frame, shifted, membership_tol=None).norm() / max(top, 1.0))
+    return samples, defect, defect <= tol

@@ -1,8 +1,10 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from gframemod import cli
 from gframemod.cli import main
 from gframemod.frames import GFusionFrame
 from gframemod.serialize import dumps_canonical, frame_to_document, load_frame, write_atomic
@@ -267,3 +269,42 @@ def test_stdout_report_when_no_output(capsys):
     assert run(["analyze", CORPUS / "fusion_parseval_m2.json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["command"] == "analyze"
+
+
+def test_digest_hashes_the_bytes_that_were_parsed(tmp_path, monkeypatch):
+    original = (CORPUS / "unitary_orbit_m4.json").read_bytes()
+    docs = [tmp_path / "a.json", tmp_path / "b.json"]
+    real_load = cli.load_frame
+
+    def load_then_rewrite(path, *args):
+        frame = real_load(path, *args)
+        with open(path, "ab") as handle:  # the file changes once it is parsed
+            handle.write(b" ")
+        return frame
+
+    monkeypatch.setattr(cli, "load_frame", load_then_rewrite)
+    for args, inputs in ((["analyze", docs[0]], 1), (["represent", docs[0]], 1),
+                         (["independence", docs[0]], 1),
+                         (["perturb", docs[0], docs[1], "--eta", 0.2], 2)):
+        for doc in docs:
+            doc.write_bytes(original)
+        _, report = run_report(args, tmp_path)
+        assert report["inputs_digest"] == hashlib.sha256(original * inputs).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# numerically unusable entries
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e308],
+                         ids=["NaN", "Infinity", "1e308"])
+@pytest.mark.parametrize("command", ["analyze", "represent", "independence"])
+def test_unusable_entries_exit_1_at_parse(tmp_path, capsys, command, value):
+    doc = json.loads((CORPUS / "unitary_orbit_m4.json").read_text())
+    doc["elements"][1]["operator"][2][3][1] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))  # NaN, Infinity and 1e+308 as json.dumps writes them
+    assert run([command, path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gframemod: error: element 1 operator: entry (2, 3) ")
+    assert "Traceback" not in err

@@ -9,11 +9,13 @@ from gframemod.hilbert import (
     Submodule,
     apply,
     compose,
+    contained,
     inner_product,
     operator_adjoint,
     operator_norm_module,
     right_shift,
     span_of_submodules,
+    spectral_norms,
     submodule_from_generators,
 )
 
@@ -293,6 +295,23 @@ def test_right_shift_keeps_synthesis_kernel_linear_window(rng):
     assert synthesis(frame, seq).norm() <= 1e-12
     shifted = right_shift(seq)
     assert synthesis(frame, shifted).norm() <= 1e-8
+
+
+def test_spectral_norms_match_svd(rng):
+    blocks = rng.standard_normal((5, 3, 2, 6)) + 1j * rng.standard_normal((5, 3, 2, 6))
+    np.testing.assert_allclose(spectral_norms(blocks), np.linalg.norm(blocks, 2, axis=(-2, -1)),
+                               rtol=1e-12)
+
+
+def test_batched_membership_matches_contains(rng):
+    subs = [submodule_from_generators([random_vector(rng, 2, 2)]) for _ in range(3)]
+    inside = [sub.project(random_vector(rng, 2, 2)) for sub in subs]
+    outside = [random_vector(rng, 2, 2) for _ in subs]
+    flats = np.stack([[t.flat for t in inside], [t.flat for t in outside]])
+    projections = np.stack([sub.projection.matrix for sub in subs])
+    mask = contained(flats, projections)
+    expected = [[sub.contains(t) for sub, t in zip(subs, row)] for row in (inside, outside)]
+    assert mask.tolist() == expected == [[True] * 3, [False] * 3]
 
 
 def test_sequence_norm(rng):

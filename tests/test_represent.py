@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -254,6 +257,81 @@ def test_bound_check_requires_representability():
     rep = solve_representation(frame)
     with pytest.raises(NotRepresentable):
         check_representation_bounds(frame, rep)
+
+
+# ---------------------------------------------------------------------------
+# kernel invariance against the exact oracle and the reference sampler
+
+
+def _graded_frame(convention):
+    """Y_0 = A, Y_1 = P, Y_2 = P A^-1 P for a positive definite A and a
+    rank-2 projection P: T = A^-1 P represents it exactly under the linear
+    convention, and the ranks fall from 4 to 2.  Read cyclically, term 0 of
+    a kernel element lies in N A^-1, so the wrap into N_2 = N leaves it."""
+    rng = np.random.default_rng(31)
+    sub = Submodule.from_basis_rows(rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)), 2, 2)
+    p = sub.projection.matrix
+    b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    a = b @ b.conj().T + np.eye(4)
+    full = Submodule.full(2, 2)
+    ops = [a, p, p @ np.linalg.inv(a) @ p]
+    return GFusionFrame([(s, ModuleOperator((y + y.conj().T) / 2.0, 2, 2))
+                         for s, y in zip([full, sub, sub], ops)], convention)
+
+
+def _kernel_cases():
+    cases = []
+    for convention in ("linear", "cyclic"):
+        for n, d, m in ((2, 1, 4), (2, 2, 4), (1, 2, 6)):
+            for name, make in (("orbit", unitary_orbit_frame), ("dilation", dilation_frame)):
+                base = make(n, d, m, seed=40 + m)
+                cases.append((f"{name}-{n}-{d}-{m}-{convention}",
+                              GFusionFrame(base.elements, convention)))
+        cases.append((f"identity-{convention}",
+                      _full_frame([ModuleOperator.identity(2, 1)] * 3, 2, 1, convention)))
+        cases.append((f"graded-{convention}", _graded_frame(convention)))
+    return cases
+
+
+@pytest.mark.parametrize("frame", [pytest.param(frame, id=name) for name, frame in _kernel_cases()])
+def test_kernel_check_agrees_with_exact_oracle_and_reference_sampler(frame):
+    membership, defect = oracles.exact_kernel_shift_defects(frame)
+    if 1e-12 <= membership <= 1e-8 or 1e-10 <= defect <= 1e-6:
+        pytest.skip(f"exact defects ({membership:.1e}, {defect:.1e}) too close to the cutoffs")
+    exact_ok = membership < 1e-12 and defect < 1e-10
+    rep = solve_representation(frame, "linear")
+    report = check_representation_bounds(frame, rep, samples=100, seed=3)
+    samples, ref_defect, ref_ok = oracles.reference_kernel_check(frame, 100, seed=3)
+    assert report.kernel_ok == exact_ok == ref_ok
+    assert report.kernel_samples == samples == 100
+    if membership >= 1e-12:
+        assert report.kernel_defect == ref_defect == math.inf
+    else:
+        # a sampled defect never exceeds the supremum over the kernel
+        assert report.kernel_defect <= defect * (1.0 + 1e-9) + 1e-15
+        assert ref_defect <= defect * (1.0 + 1e-9) + 1e-15
+
+
+def test_kernel_cases_cover_both_verdicts_and_the_membership_failure():
+    verdicts = set()
+    for _, frame in _kernel_cases():
+        membership, defect = oracles.exact_kernel_shift_defects(frame)
+        verdicts.add("leaves" if membership >= 1e-8 else "ok" if defect < 1e-10 else "fails")
+    assert verdicts == {"ok", "fails", "leaves"}
+
+
+def test_kernel_check_memory_is_linear_in_m():
+    peaks = []
+    for m in (64, 128):
+        frame = unitary_orbit_frame(4, 4, m, seed=5)  # n*d = 16
+        rep = solve_representation(frame)
+        tracemalloc.start()
+        try:
+            check_representation_bounds(frame, rep)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] / peaks[0] < 2.5
 
 
 # ---------------------------------------------------------------------------

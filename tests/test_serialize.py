@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from gframemod.exceptions import ParseError
 from gframemod.families import random_frame, random_vector, unitary_orbit_frame
 from gframemod.serialize import (
+    MAX_ABS_ENTRY,
     document_to_frame,
     document_to_vector,
     dumps_canonical,
@@ -83,3 +85,18 @@ def test_invalid_projection_raises_parse_error():
 def test_non_finite_floats_rejected():
     with pytest.raises(ValueError):
         dumps_canonical({"x": float("nan")})
+
+
+@pytest.mark.parametrize("value,problem", [(float("nan"), "is not finite"),
+                                           (float("-inf"), "is not finite"),
+                                           (-1e101, "exceeds 1e+100 in magnitude")])
+def test_unusable_entries_named_by_position(value, problem):
+    rows = matrix_to_json(np.eye(3))
+    rows[1][2] = [0.0, value]
+    with pytest.raises(ParseError, match=re.escape(f"block: entry (1, 2) {problem}")):
+        json_to_matrix(rows, (3, 3), "block")
+
+
+def test_entries_at_the_magnitude_bound_are_accepted():
+    rows = [[[MAX_ABS_ENTRY, -MAX_ABS_ENTRY]]]
+    assert json_to_matrix(rows, (1, 1), "block")[0, 0] == complex(MAX_ABS_ENTRY, -MAX_ABS_ENTRY)
