@@ -120,20 +120,24 @@ def commuting_orbit_frame(n: int, d: int, m: int, seed: int = 0,
     return GFusionFrame(elements, "cyclic")
 
 
-def random_family_frame(n: int, d: int, m: int, seed: int = 0) -> GFusionFrame:
-    """Seeded dense operators projected into random submodules; may fail the
-    frame inequality (that is a legitimate outcome for analysis commands)."""
-    _validate(n, d, m)
-    rng = np.random.default_rng(seed)
+def _random_elements(rng, n: int, d: int, count: int) -> list:
+    """`count` seeded dense operators, each projected into a random submodule."""
     nd = n * d
     elements = []
-    for _ in range(m):
+    for _ in range(count):
         rank = int(rng.integers(1, nd + 1))
         basis = random_unitary(rng, nd).conj().T[:rank]
         sub = Submodule.from_basis_rows(basis, n, d)
         op = random_complex(rng, nd, nd) @ sub.projection.matrix
         elements.append((sub, ModuleOperator(op, n, d)))
-    return GFusionFrame(elements, "linear")
+    return elements
+
+
+def random_family_frame(n: int, d: int, m: int, seed: int = 0) -> GFusionFrame:
+    """Seeded dense operators projected into random submodules; may fail the
+    frame inequality (that is a legitimate outcome for analysis commands)."""
+    _validate(n, d, m)
+    return GFusionFrame(_random_elements(np.random.default_rng(seed), n, d, m), "linear")
 
 
 def random_frame(n: int, d: int, m: int, seed: int = 0, max_cond: float = 1e8,
@@ -150,13 +154,7 @@ def random_frame(n: int, d: int, m: int, seed: int = 0, max_cond: float = 1e8,
     for attempt in range(attempts):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
         elements = [(full, ModuleOperator(random_complex(rng, nd, nd), n, d))]
-        for _ in range(m - 1):
-            rank = int(rng.integers(1, nd + 1))
-            basis = random_unitary(rng, nd).conj().T[:rank]
-            sub = Submodule.from_basis_rows(basis, n, d)
-            op = random_complex(rng, nd, nd) @ sub.projection.matrix
-            elements.append((sub, ModuleOperator(op, n, d)))
-        frame = GFusionFrame(elements, "linear")
+        frame = GFusionFrame(elements + _random_elements(rng, n, d, m - 1), "linear")
         try:
             lower, upper = frame_bounds(frame)
         except NotAFrame:

@@ -127,16 +127,6 @@ class ModuleOperator:
     def zero(cls, n: int, d: int) -> "ModuleOperator":
         return cls(np.zeros((n * d, n * d), dtype=np.complex128), n, d)
 
-    @classmethod
-    def from_blocks(cls, blocks) -> "ModuleOperator":
-        """Assemble from an n x n array of d x d algebra elements."""
-        rows = [np.hstack([np.asarray(b, dtype=np.complex128) for b in row]) for row in blocks]
-        matrix = np.vstack(rows)
-        n = len(blocks)
-        if matrix.shape[0] % n != 0:
-            raise DimensionMismatch("ragged block structure")
-        return cls(matrix, n, matrix.shape[0] // n)
-
     def block(self, i: int, j: int) -> np.ndarray:
         d = self.d
         return self.matrix[i * d : (i + 1) * d, j * d : (j + 1) * d]
@@ -206,6 +196,27 @@ def spectral_norms(blocks) -> np.ndarray:
     of the top eigenvalue of its row Gram (d x d for a d x (n*d) block)."""
     gram = blocks @ blocks.conj().swapaxes(-1, -2)
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+
+
+def gram_sum(a, b) -> np.ndarray:
+    """sum_k A_k B_k^H over two stacks of equal shape (m, r, c)."""
+    return np.einsum("kij,klj->il", a, b.conj())
+
+
+def null_combinations(stack, tol: float):
+    """Rank of a stack of m arrays read as m vectors, and orthonormal rows
+    c (one per null direction) with sum_k c_k stack_k = 0.
+
+    The right singular basis is taken in full only when m exceeds the
+    vector length, since only then does the thin one miss the null space.
+    An all-zero stack has rank 0 and every row is null.
+    """
+    m = stack.shape[0]
+    columns = stack.reshape(m, -1).T
+    _, s, vh = np.linalg.svd(columns, full_matrices=m > columns.shape[0])
+    top = float(s[0]) if s.size else 0.0
+    rank = int(np.sum(s > tol * top)) if top > 0.0 else 0
+    return rank, vh[rank:].conj()
 
 
 def contained(flats, projections, tol: float = 1e-10) -> np.ndarray:

@@ -31,7 +31,7 @@ from .exceptions import (
     NotAFrame,
 )
 from .frames import FrameBounds, GFusionFrame, frame_bounds
-from .hilbert import ModuleVector, inner_product
+from .hilbert import ModuleVector, gram_sum, inner_product, null_combinations
 from .represent import independence_analysis
 
 DEFAULT_SEQ_SAMPLES = 256
@@ -111,7 +111,7 @@ def _batch_margins(alphas: np.ndarray, terms: np.ndarray, terms_hat: np.ndarray,
 
 
 def _applied_terms(frame: GFusionFrame, f: ModuleVector) -> np.ndarray:
-    return np.einsum("ij,mjk->mik", f.flat, frame.operator_matrices())
+    return np.einsum("ij,mjk->mik", f.flat, frame.operators)
 
 
 def inequality_margin(frame: GFusionFrame, perturbed: GFusionFrame,
@@ -126,26 +126,15 @@ def inequality_margin(frame: GFusionFrame, perturbed: GFusionFrame,
     return float(lhs[0]), float(rhs[0])
 
 
-def _null_coefficients(mats: np.ndarray, rtol: float = 1e-10, cap: int = 8):
-    """Unit null combinations of the family's vectorized operators, if any."""
-    m = mats.shape[0]
-    stacked = mats.reshape(m, -1).T
-    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return [np.eye(m, dtype=np.complex128)[0]]
-    rank = int(np.sum(s > rtol * s[0]))
-    return [vh[k].conj() for k in range(rank, min(m, rank + cap))]
-
-
 def _candidate_sequences(frame, perturbed, seq_samples: int, rng) -> np.ndarray:
     m = len(frame)
-    rows = [np.eye(m, dtype=np.complex128)]  # every standard-basis sequence
-    mats = frame.operator_matrices()
-    hmats = perturbed.operator_matrices()
-    targeted = (_null_coefficients(mats) + _null_coefficients(hmats)
-                + _null_coefficients(mats - hmats))
-    if targeted:
-        rows.append(np.vstack(targeted))
+    eye = np.eye(m, dtype=np.complex128)
+    rows = [eye]  # every standard-basis sequence
+    # up to 8 unit null combinations of either family and of their
+    # difference; an all-zero family contributes only e_0
+    for mats in (frame.operators, perturbed.operators, frame.operators - perturbed.operators):
+        rank, null = null_combinations(mats, 1e-10)
+        rows.append(null[:8] if rank else eye[:1])
     extra = max(0, seq_samples - m)
     if extra:
         dense = rng.standard_normal((extra, m)) + 1j * rng.standard_normal((extra, m))
@@ -253,15 +242,11 @@ def derived_bounds(bounds, params: PerturbationParams):
 
 
 def _middle_matrix(frame: GFusionFrame, perturbed: GFusionFrame, interpretation: str):
-    hmats = perturbed.operator_matrices()
     if interpretation == HAT_HAT:
-        mid = np.einsum("kij,klj->il", hmats, hmats.conj())
-    elif interpretation == HAT_ORIGINAL:
-        mats = frame.operator_matrices()
-        mid = np.einsum("kij,klj->il", hmats, mats.conj())
-    else:
-        raise ValueError(f"interpretation must be {HAT_HAT!r} or {HAT_ORIGINAL!r}")
-    return mid
+        return gram_sum(perturbed.operators, perturbed.operators)
+    if interpretation == HAT_ORIGINAL:
+        return gram_sum(perturbed.operators, frame.operators)
+    raise ValueError(f"interpretation must be {HAT_HAT!r} or {HAT_ORIGINAL!r}")
 
 
 def verify_perturbed_frame(frame: GFusionFrame, perturbed: GFusionFrame,
@@ -345,8 +330,7 @@ def independence_transfer(frame: GFusionFrame, perturbed: GFusionFrame,
     report = independence_analysis(perturbed, tol)
     if report.verdict == "independent":
         return True
-    mats = frame.operator_matrices()
-    combo = float(np.linalg.norm(np.einsum("k,kij->ij", report.coefficients, mats), 2))
+    combo = float(np.linalg.norm(np.einsum("k,kij->ij", report.coefficients, frame.operators), 2))
     scale = max(frame.max_operator_norm(), 1e-300)
     if combo > tol * scale * len(frame):
         raise InequalityNotVerified(

@@ -22,12 +22,13 @@ import numpy as np
 
 from .exceptions import (
     DegenerateSpan,
+    DimensionMismatch,
     HypothesisViolation,
     NotInvertible,
     NotRepresentable,
     NotTight,
 )
-from .frames import GFusionFrame, frame_bounds, is_tight
+from .frames import TIGHT_TOL, GFusionFrame, frame_bounds
 from .hilbert import (
     ModuleOperator,
     ModuleSequence,
@@ -35,6 +36,7 @@ from .hilbert import (
     Submodule,
     _check_convention,
     contained,
+    null_combinations,
     span_of_submodules,
     spectral_norms,
 )
@@ -85,7 +87,7 @@ def solve_representation(frame: GFusionFrame, convention: Optional[str] = None,
     span = span_of_submodules(frame.submodules())
     if span.rank == 0:
         raise DegenerateSpan("span of the submodule family has rank zero")
-    mats = frame.operator_matrices()
+    mats = frame.operators
     pairs = _constraint_pairs(len(frame), convention)
     lhs = np.vstack([mats[a] for a, _ in pairs])
     rhs = np.vstack([mats[b] for _, b in pairs])
@@ -155,9 +157,7 @@ def _kernel_row_basis(frame: GFusionFrame):
     y = z - (z Q) Q^H projects any z into it.
     """
     basis_list = [sub.basis_rows for sub in frame.submodules()]
-    blocks = [rows @ element.operator.matrix.conj().T
-              for rows, element in zip(basis_list, frame.elements)]
-    m_syn = np.vstack(blocks)
+    m_syn = np.vstack([rows @ y.conj().T for rows, y in zip(basis_list, frame.operators)])
     if m_syn.shape[0] == 0:
         return basis_list, m_syn, np.zeros((0, 0), dtype=np.complex128), 0.0
     u, s, _ = np.linalg.svd(m_syn, full_matrices=False)
@@ -202,6 +202,34 @@ def sample_synthesis_kernel(frame: GFusionFrame, count: int, seed: int = 0):
             for sample in terms]
 
 
+def kernel_invariance(frame: GFusionFrame, convention: str, samples: int = 100,
+                      tol: float = 1e-8, seed: int = 0):
+    """Sampled invariance of the synthesis kernel under the right shift of
+    `convention`: (samples drawn, defect, ok, caveats).
+
+    The defect is the largest synthesis norm of a shifted unit-norm kernel
+    sample over max(||M||, 1); it is inf, and the check fails, when a
+    shifted term leaves its new submodule.
+    """
+    kernel_basis = _kernel_row_basis(frame)
+    terms = _kernel_terms(frame, kernel_basis, samples, seed)
+    if terms is None:
+        return 0, 0.0, True, ["synthesis kernel is trivial; the invariance check is vacuous"]
+    # the right shift moves term xi+1 into slot xi, so term j is tested
+    # against N_{j-1} and synthesized by Y_{j-1}; the linear shift drops
+    # term 0 and pads with a zero term, which contributes nothing
+    m = len(frame)
+    if _check_convention(convention) == "cyclic":
+        moved, targets = terms, np.roll(np.arange(m), 1)
+    else:
+        moved, targets = terms[:, 1:], np.arange(m - 1)
+    if not contained(moved, frame.projections[targets]).all():
+        return samples, math.inf, False, ["a shifted kernel element leaves the submodule family"]
+    images = np.tensordot(moved, frame.operators[targets].conj(), axes=([1, 3], [0, 2]))
+    defect = float(spectral_norms(images).max()) / max(kernel_basis[3], 1.0)
+    return samples, defect, defect <= tol, []
+
+
 # ---------------------------------------------------------------------------
 # norm bounds and kernel invariance of the representing operator
 
@@ -236,35 +264,9 @@ def check_representation_bounds(frame: GFusionFrame, rep: RepresentationResult,
     lower, upper = frame_bounds(frame)
     bound_upper = math.sqrt(upper / lower)
     caveats = [CYCLIC_CAVEAT if rep.convention == "cyclic" else LINEAR_CAVEAT]
-
-    kernel_basis = _kernel_row_basis(frame)
-    syn_top = kernel_basis[3]
-    kernel_defect = 0.0
-    kernel_ok = True
-    terms = _kernel_terms(frame, kernel_basis, samples, seed)
-    kernel_samples = 0 if terms is None else samples
-    if terms is None:
-        caveats.append("synthesis kernel is trivial; the invariance check is vacuous")
-    else:
-        # the right shift moves term xi+1 into slot xi, so term j is tested
-        # against N_{j-1} and synthesized by Y_{j-1}; the linear shift drops
-        # term 0 and pads with a zero term, which contributes nothing
-        m = len(frame)
-        if frame.index_convention == "cyclic":
-            moved, targets = terms, np.roll(np.arange(m), 1)
-        else:
-            moved, targets = terms[:, 1:], np.arange(m - 1)
-        projections = np.stack([sub.projection.matrix for sub in frame.submodules()])
-        if not contained(moved, projections[targets]).all():
-            kernel_defect = math.inf
-            kernel_ok = False
-            caveats.append("a shifted kernel element leaves the submodule family")
-        else:
-            mats = frame.operator_matrices()[targets]
-            images = np.tensordot(moved, mats.conj(), axes=([1, 3], [0, 2]))
-            kernel_defect = float(spectral_norms(images).max()) / max(syn_top, 1.0)
-    if kernel_defect > tol:
-        kernel_ok = False
+    kernel_samples, kernel_defect, kernel_ok, kernel_caveats = kernel_invariance(
+        frame, rep.convention, samples, tol, seed)
+    caveats.extend(kernel_caveats)
     return ShiftBoundsReport(
         norm_T=rep.norm_T,
         bound_lower=1.0,
@@ -318,9 +320,11 @@ class TightnessCertificate:
 
 def tightness_contradiction_certificate(frame: GFusionFrame, rep: RepresentationResult,
                                         f: ModuleVector, tol: float = 1e-8) -> TightnessCertificate:
-    if not is_tight(frame):
+    if (f.n, f.d) != (frame.n, frame.d):
+        raise DimensionMismatch("vector shape does not match the frame")
+    lower, upper = bounds = frame_bounds(frame)
+    if bounds.gap > TIGHT_TOL:
         raise NotTight("certificate requires a tight frame")
-    lower, upper = frame_bounds(frame)
     if not rep.is_representable(tol):
         raise NotRepresentable(
             f"residual {rep.residual:.3e} exceeds {tol:.1e} * scale {rep.scale:.3e}"
@@ -337,10 +341,7 @@ def tightness_contradiction_certificate(frame: GFusionFrame, rep: Representation
     norm_bounds_ok = all(1.0 - tol <= v <= bound + tol for v in (norm_t, norm_t_inv))
     isometry_ok = abs(norm_t - 1.0) <= tol and abs(norm_t_inv - 1.0) <= tol
 
-    term_norms = tuple(
-        float(np.linalg.norm(f.flat @ element.operator.matrix, 2))
-        for element in frame.elements
-    )
+    term_norms = tuple(float(np.linalg.norm(f.flat @ y, 2)) for y in frame.operators)
     base = term_norms[0]
     constant_ok = all(abs(v - base) <= tol * (1.0 + base) for v in term_norms)
 
@@ -394,25 +395,21 @@ def independence_analysis(frame: GFusionFrame, tol: float = 1e-10,
     checked for invariance under T (and under its inverse on the span, when
     that exists).
     """
-    mats = frame.operator_matrices()
-    m = mats.shape[0]
-    stacked = mats.reshape(m, -1).T  # columns are vectorized operators
-    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
-    top = float(s[0]) if s.size else 0.0
-    rank = int(np.sum(s > tol * top)) if top > 0.0 else 0
-    if rank == m:
+    mats = frame.operators
+    rank, null = null_combinations(mats, tol)
+    if rank == len(frame):
         return IndependenceReport("independent", None, rank, None, None)
-    delta = vh[-1].conj()
+    delta = null[-1]
     pivot = int(np.argmax(np.abs(delta)))
     delta = delta / delta[pivot]  # max-modulus entry becomes exactly 1
-    scale = max(float(np.abs(np.linalg.norm(mats, 2, axis=(1, 2))).max()), 1e-300)
+    scale = max(frame.max_operator_norm(), 1e-300)
     null_norm = float(np.linalg.norm(np.einsum("k,kij->ij", delta, mats), 2)) / scale
 
     invariance = None
     if rep is not None and rep.is_representable():
         support = np.flatnonzero(np.abs(delta) > 1e-8)
         alpha, b = int(support[0]), int(support[-1])
-        window = stacked[:, alpha:b + 1]
+        window = mats[alpha:b + 1].reshape(b + 1 - alpha, -1).T
         u, sw, _ = np.linalg.svd(window, full_matrices=False)
         wrank = int(np.sum(sw > 1e-12 * sw[0])) if sw.size and sw[0] > 0 else 0
         basis = u[:, :wrank]
@@ -448,7 +445,7 @@ def solve_adjoint_shift_extension(frame: GFusionFrame,
     """Minimal-norm solution of extension o Y_xi^* = Y_{xi+1}^* over the
     convention's index pairs (the adjoint counterpart of the shift solve)."""
     convention = _check_convention(convention or frame.index_convention)
-    mats = frame.operator_matrices()
+    mats = frame.operators
     pairs = _constraint_pairs(len(frame), convention)
     lhs = np.vstack([mats[a].conj().T for a, _ in pairs])
     rhs = np.vstack([mats[b].conj().T for _, b in pairs])
@@ -458,9 +455,10 @@ def solve_adjoint_shift_extension(frame: GFusionFrame,
 
 def verify_shift_reconstruction_identity(frame: GFusionFrame, dual: GFusionFrame,
                                          extension_T: ModuleOperator, j: int,
-                                         tol: float = 1e-8, samples: int = 32,
-                                         seed: int = 0) -> bool:
-    """Check Y_{j+1} f = sum_xi Y_{xi+1}^* G_xi Y_j f on sampled vectors.
+                                         tol: float = 1e-8) -> bool:
+    """Check Y_{j+1} f = sum_xi Y_{xi+1}^* G_xi Y_j f for every f, exactly:
+    with Delta = Y_j D - Y_{j+1}, sup ||f Delta|| / ||f|| is ||Delta||_2
+    (attained on a rank-one row block), so the test is ||Delta||_2 <= tol.
 
     The extension property (extension_T o Y_xi^* = Y_{xi+1}^*) is enforced
     first and raises HypothesisViolation when it fails; the dual is taken as
@@ -472,8 +470,8 @@ def verify_shift_reconstruction_identity(frame: GFusionFrame, dual: GFusionFrame
     pairs = _constraint_pairs(m, frame.index_convention)
     if frame.index_convention == "linear" and not 0 <= j <= m - 2:
         raise ValueError(f"j must lie in [0, {m - 2}] for the linear convention")
-    mats = frame.operator_matrices()
-    dmats = dual.operator_matrices()
+    mats = frame.operators
+    dmats = dual.operators
     x = extension_T.matrix
     scale = 1.0 + frame.max_operator_norm()
     for a, b in pairs:
@@ -484,12 +482,4 @@ def verify_shift_reconstruction_identity(frame: GFusionFrame, dual: GFusionFrame
             )
     d_mat = sum(dmats[a] @ mats[b].conj().T for a, b in pairs)
     j_next = (j + 1) % m if frame.index_convention == "cyclic" else j + 1
-    delta = mats[j] @ d_mat - mats[j_next]
-    rng = np.random.default_rng(seed)
-    nd = frame.n * frame.d
-    for _ in range(samples):
-        flat = (rng.standard_normal((frame.d, nd)) + 1j * rng.standard_normal((frame.d, nd)))
-        f = ModuleVector(flat, frame.n, frame.d)
-        if float(np.linalg.norm(f.flat @ delta, 2)) > tol * f.norm():
-            return False
-    return True
+    return float(np.linalg.norm(mats[j] @ d_mat - mats[j_next], 2)) <= tol

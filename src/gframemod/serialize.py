@@ -232,5 +232,5 @@ def document_to_vector(doc: dict) -> ModuleVector:
     return ModuleVector.from_components(blocks)
 
 
-def load_vector(path) -> ModuleVector:
-    return document_to_vector(_load_json(path))
+def load_vector(path, sha=None) -> ModuleVector:
+    return document_to_vector(_load_json(path, sha))

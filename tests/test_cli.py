@@ -2,6 +2,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gframemod import cli
@@ -124,6 +125,31 @@ def test_certificate_on_non_tight_frame_exits_2(tmp_path):
     assert code == 2
 
 
+def test_certificate_digest_covers_the_vector(tmp_path):
+    doc = CORPUS / "unitary_orbit_m4.json"
+    vectors = [CORPUS / "unit_vector_n2_d2.json", tmp_path / "other_vector.json"]
+    other = json.loads(vectors[0].read_text())
+    other["components"][0][0][0] = [0.5, 0.25]
+    vectors[1].write_text(json.dumps(other))
+    digests = []
+    for vector in vectors:
+        _, report = run_report(["represent", doc, "--tight-certificate", "--vector", vector],
+                               tmp_path)
+        expected = hashlib.sha256(doc.read_bytes() + vector.read_bytes()).hexdigest()
+        assert report["inputs_digest"] == expected
+        digests.append(report["inputs_digest"])
+    assert digests[0] != digests[1]
+
+
+def test_certificate_with_mismatched_vector_exits_2(capsys):
+    code = run(["represent", CORPUS / "dilation_m3.json", "--tight-certificate",
+                "--vector", CORPUS / "unit_vector_n2_d2.json"])  # n*d = 2 against 4
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("gframemod: error: vector shape does not match the frame")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # perturb
 
@@ -232,6 +258,40 @@ def test_independence_dilation_with_span_invariance(tmp_path):
     assert results["invariant_span_dim"] == 1
     assert results["span_invariance"]["ok"] is True
     assert len(results["coefficients"]) == 3
+
+
+# More members than the (n*d)^2 dimensions of the operator space: the
+# family is dependent, and its null combinations lie outside the thin SVD's
+# right basis.
+WIDE_DOCUMENTS = [("random", 2, 1, 6, 1), ("dilation", 1, 1, 3, 0)]
+
+
+def _gen(tmp_path, kind, n, d, m, seed):
+    path = tmp_path / f"{kind}-{n}-{d}-{m}.json"
+    assert run(["gen", "--kind", kind, "--n", n, "--d", d, "--m", m, "--seed", seed, path]) == 0
+    return path
+
+
+@pytest.mark.parametrize("spec", WIDE_DOCUMENTS, ids=lambda spec: spec[0])
+def test_independence_with_more_members_than_operator_dimensions(tmp_path, spec):
+    doc = _gen(tmp_path, *spec)
+    code, report = run_report(["independence", doc], tmp_path)
+    assert code == 0
+    results = report["results"]
+    assert results["verdict"] == "dependent"
+    assert results["null_combination_norm"] <= 1e-8
+    coefficients = np.array([complex(re, im) for re, im in results["coefficients"]])
+    operators = [e.operator.matrix for e in load_frame(doc).elements]
+    combination = sum(c * y for c, y in zip(coefficients, operators))
+    assert np.linalg.norm(combination, 2) <= 1e-8 * max(np.linalg.norm(y, 2) for y in operators)
+
+
+def test_perturb_with_more_members_than_operator_dimensions(tmp_path, capsys):
+    doc = _gen(tmp_path, *WIDE_DOCUMENTS[1])
+    code, report = run_report(["perturb", doc, doc], tmp_path)
+    assert code == 0
+    assert report["results"]["inequality_holds"] is True
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

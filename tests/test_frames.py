@@ -159,6 +159,26 @@ def test_frame_rejects_range_violation():
         GFusionFrame([(p0, off_range)])
 
 
+def test_violation_names_the_first_offending_element():
+    p0, p1 = _orthogonal_pair()
+    inside = ModuleOperator(np.diag([2.0, 0.0]).astype(complex), 2, 1)
+    off_range = ModuleOperator(np.diag([0.0, 1.0]).astype(complex), 2, 1)
+    with pytest.raises(MembershipViolation, match="element 1:"):
+        GFusionFrame([(p0, inside), (p0, off_range), (p1, inside)])
+
+
+def test_stacks_match_the_elements():
+    frame = random_frame(2, 2, 5, seed=4)
+    assert frame.operators.shape == frame.projections.shape == (5, 4, 4)
+    for k, (sub, op) in enumerate(frame.elements):
+        assert np.array_equal(frame.operators[k], op.matrix)
+        assert np.array_equal(frame.projections[k], sub.projection.matrix)
+    # the batched norms equal the per-element ones bit for bit
+    assert frame.max_operator_norm() == max(np.linalg.norm(op.matrix, 2) for _, op in frame.elements)
+    with pytest.raises(ValueError):
+        frame.operators[0, 0, 0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # tightness
 

@@ -32,6 +32,7 @@ from gframemod.represent import (
     check_representation_bounds,
     divergence_window,
     independence_analysis,
+    kernel_invariance,
     sample_synthesis_kernel,
     solve_adjoint_shift_extension,
     solve_representation,
@@ -299,16 +300,16 @@ def test_kernel_check_agrees_with_exact_oracle_and_reference_sampler(frame):
     if 1e-12 <= membership <= 1e-8 or 1e-10 <= defect <= 1e-6:
         pytest.skip(f"exact defects ({membership:.1e}, {defect:.1e}) too close to the cutoffs")
     exact_ok = membership < 1e-12 and defect < 1e-10
-    rep = solve_representation(frame, "linear")
-    report = check_representation_bounds(frame, rep, samples=100, seed=3)
+    drawn, kernel_defect, kernel_ok, _ = kernel_invariance(frame, frame.index_convention,
+                                                           samples=100, seed=3)
     samples, ref_defect, ref_ok = oracles.reference_kernel_check(frame, 100, seed=3)
-    assert report.kernel_ok == exact_ok == ref_ok
-    assert report.kernel_samples == samples == 100
+    assert kernel_ok == exact_ok == ref_ok
+    assert drawn == samples == 100
     if membership >= 1e-12:
-        assert report.kernel_defect == ref_defect == math.inf
+        assert kernel_defect == ref_defect == math.inf
     else:
         # a sampled defect never exceeds the supremum over the kernel
-        assert report.kernel_defect <= defect * (1.0 + 1e-9) + 1e-15
+        assert kernel_defect <= defect * (1.0 + 1e-9) + 1e-15
         assert ref_defect <= defect * (1.0 + 1e-9) + 1e-15
 
 
@@ -318,6 +319,30 @@ def test_kernel_cases_cover_both_verdicts_and_the_membership_failure():
         membership, defect = oracles.exact_kernel_shift_defects(frame)
         verdicts.add("leaves" if membership >= 1e-8 else "ok" if defect < 1e-10 else "fails")
     assert verdicts == {"ok", "fails", "leaves"}
+
+
+@pytest.mark.parametrize("make", [unitary_orbit_frame, dilation_frame], ids=["orbit", "dilation"])
+@pytest.mark.parametrize("convention", ["linear", "cyclic"])
+def test_kernel_check_shifts_by_the_representation_convention(make, convention):
+    """The kernel is shifted under the convention T was solved for, not the
+    one the document carries (they differ under `represent --convention`)."""
+    base = make(2, 2, 4, seed=3)
+    own = GFusionFrame(base.elements, convention)
+    membership, defect = oracles.exact_kernel_shift_defects(own)
+    exact_ok = membership < 1e-12 and defect < 1e-10
+    reports = []
+    for document in ("linear", "cyclic"):
+        frame = GFusionFrame(base.elements, document)
+        rep = solve_representation(frame, convention)
+        if not rep.is_representable():  # the dilation read cyclically
+            with pytest.raises(NotRepresentable):
+                check_representation_bounds(frame, rep)
+            continue
+        report = check_representation_bounds(frame, rep, samples=100, seed=3)
+        assert report.kernel_ok == exact_ok
+        assert report.kernel_defect <= defect * (1.0 + 1e-9) + 1e-15
+        reports.append(report)
+    assert len({(r.kernel_defect, r.kernel_ok) for r in reports}) <= 1
 
 
 def test_kernel_check_memory_is_linear_in_m():
