@@ -182,6 +182,8 @@ def _cmd_perturb(args) -> int:
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     seq_samples = args.samples
+    if seq_samples < 1:
+        raise ParseError(f"--samples must be at least 1, got {seq_samples}")
     vec_samples = max(8, seq_samples // 4)
     slack = args.tol if args.tol is not None else 1e-10
     verdict = check_perturbation_inequality(
@@ -326,8 +328,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--interpretation", choices=(HAT_HAT, HAT_ORIGINAL), default=HAT_HAT)
     p.add_argument("--samples", type=int, default=256,
-                   help="coefficient-sequence samples; vector samples are "
-                        "max(8, samples // 4)")
+                   help="coefficient-sequence samples, at least 1; vector "
+                        "samples are max(8, samples // 4)")
     p.set_defaults(func=_cmd_perturb)
 
     p = sub.add_parser("gen", help="write a deterministic frame document")

@@ -28,6 +28,7 @@ from .hilbert import (
     _check_convention,
     apply,
     gram_sum,
+    norms_within,
 )
 
 RANK_TOL = 1e-10  # S is treated as singular below this relative eigenvalue
@@ -71,11 +72,30 @@ class GFusionFrame:
         for sub, op in elements:
             if (sub.n, sub.d) != (n, d) or (op.n, op.d) != (n, d):
                 raise DimensionMismatch("all frame elements must share (n, d)")
-        operators = np.stack([op.matrix for _, op in elements])
-        projections = np.stack([sub.projection.matrix for sub, _ in elements])
+        self._adopt(elements, np.stack([sub.projection.matrix for sub, _ in elements]),
+                    np.stack([op.matrix for _, op in elements]), index_convention,
+                    containment_tol)
+
+    @classmethod
+    def from_stacks(cls, projections, operators, n: int, d: int,
+                    index_convention: str = "linear",
+                    containment_tol: float = 1e-8) -> "GFusionFrame":
+        """The frame of an (m, n*d, n*d) projection stack and an operator
+        stack of the same shape, validated in one batch and kept as the
+        frame's arrays without restacking.  A matrix that is not a
+        projection raises ValueError naming its element."""
+        submodules = Submodule.from_stack(projections, n, d)
+        elements = [FrameElement(sub, ModuleOperator(y, n, d))
+                    for sub, y in zip(submodules, operators)]
+        frame = cls.__new__(cls)
+        frame._adopt(elements, projections, operators, index_convention, containment_tol)
+        return frame
+
+    def _adopt(self, elements, projections, operators, index_convention, containment_tol):
         norms = np.linalg.norm(operators, 2, axis=(1, 2))
-        defects = np.linalg.norm(operators @ projections - operators, 2, axis=(1, 2))
-        outside = np.flatnonzero(defects > containment_tol * (1.0 + norms))
+        contained = norms_within(operators @ projections - operators,
+                                 containment_tol * (1.0 + norms))
+        outside = np.flatnonzero(~contained)
         if outside.size:
             raise MembershipViolation(
                 f"element {outside[0]}: operator range is not contained in its submodule"
@@ -87,8 +107,8 @@ class GFusionFrame:
         self._operator_norms = norms
         self.elements = tuple(elements)
         self.index_convention = _check_convention(index_convention)
-        self.n = n
-        self.d = d
+        self.n = elements[0].operator.n
+        self.d = elements[0].operator.d
 
     def __len__(self):
         return len(self.elements)

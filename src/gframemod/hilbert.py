@@ -238,11 +238,49 @@ def contained(flats, projections, tol: float = 1e-10) -> np.ndarray:
 def orthonormal_rows(rows, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis (as rows) of the row space of `rows`."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.complex128))
-    u, s, vh = np.linalg.svd(rows, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((0, rows.shape[1]), dtype=np.complex128)
-    rank = int(np.sum(s > rank_tol * s[0]))
-    return vh[:rank]
+    _, s, vh = np.linalg.svd(rows[None], full_matrices=False)
+    return _row_bases(s, vh, rank_tol)[0]
+
+
+def _row_bases(s, vh, rank_tol: float) -> list:
+    """From a stack's batched SVD, each matrix's right singular rows above
+    rank_tol times its top singular value (none for a zero matrix)."""
+    ranks = np.count_nonzero(s > rank_tol * s[..., :1], axis=-1)
+    return [v[:r] for v, r in zip(vh, ranks.tolist())]
+
+
+def norms_within(residuals, bounds) -> np.ndarray:
+    """||r_k||_2 <= bound_k for each matrix of a stack.
+
+    ||r||_2 <= ||r||_F, so spectral norms are taken only when some
+    residual fails the Frobenius screen.
+    """
+    parts = residuals.view(np.float64)
+    within = np.sum(parts * parts, axis=(-2, -1)) <= bounds * bounds
+    if within.all():
+        return within
+    return spectral_norms(residuals) <= bounds
+
+
+def checked_projections(stack, tol: float):
+    """Validate a stack of would-be orthogonal projections in one batch.
+
+    Returns the (index, problem) of the first matrix q that is not
+    self-adjoint or not idempotent within tol * (1 + ||q||_2), or None, and
+    the row basis of every matrix.  One batched SVD gives both the bases
+    and the norms ||q||_2.
+    """
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
+    scale = tol * (1.0 + s[:, 0])
+    adjoint_ok = norms_within(stack - stack.conj().swapaxes(-1, -2), scale)
+    idempotent_ok = norms_within(stack @ stack - stack, scale)
+    bad = np.flatnonzero(~(adjoint_ok & idempotent_ok))
+    fault = None
+    if bad.size:
+        k = int(bad[0])
+        problem = "self-adjoint" if not adjoint_ok[k] else "idempotent"
+        fault = (k, f"projection is not {problem} within tolerance")
+    return fault, _row_bases(s, vh, RANK_TOL)
 
 
 class Submodule:
@@ -255,18 +293,33 @@ class Submodule:
     __slots__ = ("projection", "basis_rows", "rank", "n", "d")
 
     def __init__(self, projection: ModuleOperator, tol: float = 1e-8):
-        q = projection.matrix
-        scale = 1.0 + float(np.linalg.norm(q, 2))
-        if np.linalg.norm(q - q.conj().T, 2) > tol * scale:
-            raise ValueError("projection is not self-adjoint within tolerance")
-        if np.linalg.norm(q @ q - q, 2) > tol * scale:
-            raise ValueError("projection is not idempotent within tolerance")
+        fault, (basis,) = checked_projections(projection.matrix[None], tol)
+        if fault is not None:
+            raise ValueError(fault[1])
+        self._adopt(projection, basis)
+
+    def _adopt(self, projection: ModuleOperator, basis_rows: np.ndarray):
+        basis_rows.setflags(write=False)
         self.projection = projection
-        self.basis_rows = orthonormal_rows(q) if np.any(q) else np.zeros((0, q.shape[0]), dtype=np.complex128)
-        self.basis_rows.setflags(write=False)
-        self.rank = self.basis_rows.shape[0]
+        self.basis_rows = basis_rows
+        self.rank = basis_rows.shape[0]
         self.n = projection.n
         self.d = projection.d
+
+    @classmethod
+    def from_stack(cls, projections, n: int, d: int, tol: float = 1e-8) -> tuple:
+        """One submodule per matrix of an (m, n*d, n*d) projection stack,
+        validated in one batch by the rule of `__init__`; a failure raises
+        ValueError naming its element."""
+        fault, bases = checked_projections(projections, tol)
+        if fault is not None:
+            raise ValueError("element %d: %s" % fault)
+        submodules = []
+        for q, basis in zip(projections, bases):
+            sub = cls.__new__(cls)
+            sub._adopt(ModuleOperator(q, n, d), basis)
+            submodules.append(sub)
+        return tuple(submodules)
 
     @classmethod
     def from_basis_rows(cls, rows, n: int, d: int) -> "Submodule":

@@ -30,7 +30,7 @@ from .exceptions import (
     LengthMismatch,
     NotAFrame,
 )
-from .frames import FrameBounds, GFusionFrame, frame_bounds
+from .frames import GFusionFrame, frame_bounds
 from .hilbert import ModuleVector, gram_sum, inner_product, null_combinations
 from .represent import independence_analysis
 
@@ -261,7 +261,8 @@ def verify_perturbed_frame(frame: GFusionFrame, perturbed: GFusionFrame,
     Under hat_hat the empirical bounds are exactly the frame bounds of the
     perturbed family; under hat_original they are the extreme eigenvalues of
     the Hermitized mixed matrix.  Raises InequalityNotVerified when the
-    inequality check (run here when not supplied) failed.
+    inequality check (run here when not supplied) failed.  The derived
+    bounds are the check's own when it ran with the same params.
     """
     _check_shapes(frame, perturbed)
     if inequality is None:
@@ -270,8 +271,10 @@ def verify_perturbed_frame(frame: GFusionFrame, perturbed: GFusionFrame,
         raise InequalityNotVerified(
             f"inequality violated by margin {inequality.witness.margin:.3e}"
         )
-    lower, upper = frame_bounds(frame)
-    d_lo, d_hi = derived_bounds(FrameBounds(lower, upper), params)
+    if inequality.derived_lower is None or inequality.params != params:
+        d_lo, d_hi = derived_bounds(frame_bounds(frame), params)  # NotAFrame when S is singular
+    else:
+        d_lo, d_hi = inequality.derived_lower, inequality.derived_upper
     mid = _middle_matrix(frame, perturbed, interpretation)
     mid_h = (mid + mid.conj().T) / 2.0
     eigs = np.linalg.eigvalsh(mid_h)

@@ -16,21 +16,29 @@ where matrices are the flattened (n*d) x (n*d) forms.  A vector file is
 { "d": int, "n": int, "components": [ d x d matrix, ... ] }.
 """
 
+import functools
 import json
 import math
 import os
 import tempfile
+from itertools import chain
 
 import numpy as np
 
 from .exceptions import ParseError
 from .frames import GFusionFrame
-from .hilbert import ModuleOperator, ModuleVector, Submodule
+from .hilbert import ModuleVector
 
 FORMAT_VERSION = "1"
 # largest accepted |re| or |im| of a matrix entry: squares and the sums of
 # squares in Gram and frame-operator matrices stay far from overflow
 MAX_ABS_ENTRY = 1e100
+# smallest accepted largest |re| or |im| over a frame's operators, unless
+# all are zero: the frame operator's entries (products of two entries) stay
+# far from underflow
+MIN_OPERATOR_SCALE = 1e-100
+# the types of a JSON number (bool, a subclass of int, is not one)
+_NUMBER_TYPES = {int, float}
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +67,8 @@ def _write(obj, out, indent):
             _write(item, out, indent + 1)
             out.append(",\n" if k + 1 < len(obj) else "\n")
         out.append(pad + "]")
+    elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "c" and obj.size:
+        _write_matrix(obj, out, indent)
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -74,6 +84,26 @@ def _write(obj, out, indent):
         out.append(pad + "}")
     else:
         raise ValueError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _write_matrix(matrix, out, indent):
+    """A complex matrix as rows of [re, im] pairs, byte for byte what the
+    generic path writes for its nested lists of floats: '%.17g' and
+    format(x, '.17g') share one C routine."""
+    parts = np.stack((matrix.real, matrix.imag), axis=-1).ravel()
+    if not np.isfinite(parts).all():
+        raise ValueError("non-finite floats are not representable in reports")
+    out.append(_matrix_template(*matrix.shape, indent) % tuple(parts.tolist()))
+
+
+@functools.lru_cache(maxsize=32)
+def _matrix_template(rows: int, cols: int, indent: int) -> str:
+    """The generic writer's layout of a rows x cols matrix at `indent`,
+    with a %.17g slot for every real and imaginary part."""
+    pad = "  " * indent
+    entry = f"[\n{pad}      %.17g,\n{pad}      %.17g\n{pad}    ]"
+    row = f"[\n{pad}    " + f",\n{pad}    ".join([entry] * cols) + f"\n{pad}  ]"
+    return f"[\n{pad}  " + f",\n{pad}  ".join([row] * rows) + f"\n{pad}]"
 
 
 def dumps_canonical(obj) -> str:
@@ -106,26 +136,67 @@ def matrix_to_json(matrix) -> list:
 
 
 def json_to_matrix(rows, shape, what: str) -> np.ndarray:
-    if not isinstance(rows, list) or len(rows) != shape[0]:
-        raise ParseError(f"{what}: expected {shape[0]} rows")
-    matrix = np.empty(shape, dtype=np.complex128)
+    """One complex matrix of `shape` from rows of [re, im] pairs; `what`
+    names it in error messages."""
+    return _parse_matrices([rows], shape, [what])[0][0]
+
+
+def _parse_matrices(blocks, shape, names):
+    """Stack of len(blocks) complex matrices of `shape` from rows of
+    [re, im] pairs, and each matrix's largest |re| or |im|.
+
+    The structure and number types are checked at C level over the chained
+    entries, the numbers converted by one np.array call and their
+    magnitudes tested over the whole stack.  Only when a check fails does
+    `_first_fault` scan entry by entry to name the first bad one.
+    """
+    count, (r, c) = len(blocks), shape
+    values = _flat_numbers(blocks, r, c)
+    try:
+        parts = None if values is None else np.array(values, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        parts = None
+    if parts is not None:
+        peaks = np.abs(parts.reshape(count, -1)).max(axis=1)
+        if (peaks <= MAX_ABS_ENTRY).all():  # false for NaN and infinities too
+            return parts.view(np.complex128).reshape(count, r, c), peaks
+    for rows, what in zip(blocks, names):
+        problem = _first_fault(rows, r, c)
+        if problem:
+            raise ParseError(f"{what}: {problem}")
+    raise AssertionError("a failed batch check left no entry to blame")
+
+
+def _flat_numbers(blocks, r: int, c: int):
+    """Every number of the blocks in order when each block is r lists of c
+    lists of 2 JSON numbers, else None."""
+    if not all(type(rows) is list and len(rows) == r for rows in blocks):
+        return None
+    level = list(chain.from_iterable(blocks))
+    for width in (c, 2):
+        if set(map(type, level)) != {list} or set(map(len, level)) != {width}:
+            return None
+        level = list(chain.from_iterable(level))
+    return level if set(map(type, level)) <= _NUMBER_TYPES else None
+
+
+def _first_fault(rows, r: int, c: int):
+    """What is wrong with the first bad row or entry of one matrix, or None."""
+    if type(rows) is not list or len(rows) != r:
+        return f"expected {r} rows"
     for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != shape[1]:
-            raise ParseError(f"{what}: row {i} must have {shape[1]} entries")
+        if type(row) is not list or len(row) != c:
+            return f"row {i} must have {c} entries"
         for j, entry in enumerate(row):
-            if (not isinstance(entry, list) or len(entry) != 2
-                    or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)):
-                raise ParseError(f"{what}: entry ({i}, {j}) must be a [re, im] pair")
-            matrix[i, j] = complex(entry[0], entry[1])
-    parts = matrix.reshape(-1).view(np.float64)
-    usable = np.abs(parts) <= MAX_ABS_ENTRY  # false for NaN and infinities too
-    if not usable.all():
-        k = int(np.argmin(usable))
-        i, j = divmod(k // 2, shape[1])
-        problem = (f"exceeds {MAX_ABS_ENTRY:.0e} in magnitude" if math.isfinite(parts[k])
-                   else "is not finite")
-        raise ParseError(f"{what}: entry ({i}, {j}) {problem}")
-    return matrix
+            if (type(entry) is not list or len(entry) != 2
+                    or not set(map(type, entry)) <= _NUMBER_TYPES):
+                return f"entry ({i}, {j}) must be a [re, im] pair"
+            for v in entry:
+                if not abs(v) <= MAX_ABS_ENTRY:  # true for NaN
+                    if isinstance(v, float) and not math.isfinite(v):
+                        return f"entry ({i}, {j}) is not finite"
+                    return f"entry ({i}, {j}) exceeds {MAX_ABS_ENTRY:.0e} in magnitude"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +218,8 @@ def frame_to_document(frame: GFusionFrame, metadata=None) -> dict:
         "n": frame.n,
         "index_convention": frame.index_convention,
         "elements": [
-            {
-                "projection": matrix_to_json(e.submodule.projection.matrix),
-                "operator": matrix_to_json(e.operator.matrix),
-            }
-            for e in frame.elements
+            {"projection": projection, "operator": operator}
+            for projection, operator in zip(frame.projections, frame.operators)
         ],
         "metadata": {str(k): str(v) for k, v in (metadata or {}).items()},
     }
@@ -168,19 +236,25 @@ def document_to_frame(doc: dict) -> GFusionFrame:
         raise ParseError("elements must be a nonempty list")
     if not isinstance(doc["metadata"], dict):
         raise ParseError("metadata must be an object")
-    nd = n * d
-    elements = []
+    nd, m = n * d, len(doc["elements"])
+    blocks, names = [], []
     for k, entry in enumerate(doc["elements"]):
         _require_keys(entry, ("projection", "operator"), f"element {k}")
-        proj = json_to_matrix(entry["projection"], (nd, nd), f"element {k} projection")
-        oper = json_to_matrix(entry["operator"], (nd, nd), f"element {k} operator")
-        try:
-            sub = Submodule(ModuleOperator(proj, n, d))
-        except ValueError as exc:
-            raise ParseError(f"element {k}: {exc}") from exc
-        elements.append((sub, ModuleOperator(oper, n, d)))
+        blocks += (entry["projection"], entry["operator"])
+        names += (f"element {k} projection", f"element {k} operator")
+    stack, peaks = _parse_matrices(blocks, (nd, nd), names)
+    largest = float(peaks[1::2].max())
+    if 0.0 < largest < MIN_OPERATOR_SCALE:
+        raise ParseError(
+            f"largest operator entry {largest:.3e} is below {MIN_OPERATOR_SCALE:.0e} in "
+            "magnitude; the frame operator would underflow"
+        )
+    # document order interleaves the two stacks; one copy separates them
+    projections, operators = stack.reshape(m, 2, nd, nd).swapaxes(0, 1).copy()
     try:
-        return GFusionFrame(elements, doc["index_convention"])
+        return GFusionFrame.from_stacks(projections, operators, n, d, doc["index_convention"])
+    except ValueError as exc:  # a projection fails; the message names its element
+        raise ParseError(str(exc)) from exc
     except Exception as exc:
         raise ParseError(f"document does not describe a valid frame: {exc}") from exc
 
@@ -216,7 +290,7 @@ def vector_to_document(vector: ModuleVector) -> dict:
     return {
         "d": vector.d,
         "n": vector.n,
-        "components": [matrix_to_json(vector.component(i)) for i in range(vector.n)],
+        "components": vector.components(),
     }
 
 

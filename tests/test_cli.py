@@ -368,3 +368,45 @@ def test_unusable_entries_exit_1_at_parse(tmp_path, capsys, command, value):
     err = capsys.readouterr().err
     assert err.startswith("gframemod: error: element 1 operator: entry (2, 3) ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_perturb_rejects_nonpositive_samples(capsys, samples):
+    doc = CORPUS / "unitary_orbit_m4.json"
+    assert run(["perturb", doc, doc, "--samples", samples]) == 1
+    assert capsys.readouterr().err == f"gframemod: error: --samples must be at least 1, got {samples}\n"
+    assert run(["perturb", doc, doc, "--samples", 1]) == 0
+
+
+def test_perturb_on_a_family_that_is_not_a_frame_exits_2(capsys):
+    doc = CORPUS / "single_submodule.json"
+    assert run(["perturb", doc, doc]) == 2
+    assert capsys.readouterr().err.startswith("gframemod: error: frame operator is singular")
+
+
+def _operators_scaled(tmp_path, factor):
+    doc = json.loads((CORPUS / "unitary_orbit_m4.json").read_text())
+    for element in doc["elements"]:
+        element["operator"] = [[[factor * re, factor * im] for re, im in row]
+                               for row in element["operator"]]
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("args", [["analyze"], ["represent", "--check-theorem21"],
+                                  ["independence"], ["perturb"]],
+                         ids=["analyze", "represent", "independence", "perturb"])
+def test_tiny_magnitude_family_exits_1_at_parse(tmp_path, capsys, args):
+    # every S entry of this tight frame (bounds 4) would underflow to 0
+    path = _operators_scaled(tmp_path, 1e-200)
+    paths = [path, path] if args[0] == "perturb" else [path]
+    assert run([args[0], *paths, *args[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gframemod: error: largest operator entry 1.000e-200 is below 1e-100")
+    assert "Traceback" not in err
+
+
+def test_all_zero_family_still_exits_2(tmp_path, capsys):
+    assert run(["analyze", _operators_scaled(tmp_path, 0.0)]) == 2
+    assert capsys.readouterr().err.startswith("gframemod: error: frame operator is singular")

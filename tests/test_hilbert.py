@@ -8,11 +8,13 @@ from gframemod.hilbert import (
     ModuleVector,
     Submodule,
     apply,
+    checked_projections,
     compose,
     contained,
     inner_product,
     operator_adjoint,
     operator_norm_module,
+    orthonormal_rows,
     right_shift,
     span_of_submodules,
     spectral_norms,
@@ -206,6 +208,54 @@ def test_submodule_fixes_generators_and_algebra_orbit(rng):
 def test_submodule_rejects_non_projection():
     with pytest.raises(ValueError):
         Submodule(ModuleOperator(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), 2, 1))
+
+
+def _projection_stack(rng, n, d, ranks):
+    nd = n * d
+    out = []
+    for r in ranks:
+        rows = orthonormal_rows(rng.standard_normal((r, nd)) + 1j * rng.standard_normal((r, nd)))
+        out.append(rows.conj().T @ rows if r else np.zeros((nd, nd), dtype=complex))
+    return np.stack(out)
+
+
+def test_submodule_stack_matches_one_by_one(rng):
+    stack = _projection_stack(rng, 2, 3, [1, 0, 6, 3, 2])
+    batch = Submodule.from_stack(stack, 2, 3)
+    for q, sub in zip(stack, batch):
+        single = Submodule(ModuleOperator(q, 2, 3))
+        assert sub.rank == single.rank
+        np.testing.assert_array_equal(sub.basis_rows, single.basis_rows)
+        np.testing.assert_array_equal(sub.projection.matrix, q)
+        assert not sub.basis_rows.flags.writeable
+    assert [sub.rank for sub in batch] == [1, 0, 6, 3, 2]
+
+
+@pytest.mark.parametrize("k,defect,problem", [
+    (1, lambda q: q + np.triu(np.ones_like(q), 1) * 0.1, "self-adjoint"),
+    (2, lambda q: 2.0 * q, "idempotent"),
+])
+def test_submodule_stack_names_the_first_failing_element(rng, k, defect, problem):
+    stack = _projection_stack(rng, 2, 2, [1, 2, 3, 2])
+    stack[k] = defect(stack[k])
+    stack[3] = 3.0 * stack[3]  # a later failure is not the one named
+    with pytest.raises(ValueError, match=f"^element {k}: projection is not {problem} within"):
+        Submodule.from_stack(stack, 2, 2)
+    with pytest.raises(ValueError, match=f"^projection is not {problem} within"):
+        Submodule(ModuleOperator(stack[k], 2, 2))
+    fault, bases = checked_projections(stack, 1e-8)
+    assert fault[0] == k and len(bases) == 4
+
+
+def test_projection_check_takes_spectral_norms_past_the_screen():
+    # the idempotency defect has spectral norm 4e-9 and Frobenius norm
+    # 5.7e-9; the bound is tol * (1 + ||q||_2) = 2 tol
+    q = np.diag([1.0, 1.0, 4e-9, 4e-9]).astype(complex)
+    defect = q @ q - q
+    assert np.linalg.norm(defect, 2) < 2 * 2.5e-9 < np.linalg.norm(defect)
+    assert checked_projections(q[None], 2.5e-9)[0] is None
+    assert checked_projections(q[None], 1.5e-9)[0] == (
+        0, "projection is not idempotent within tolerance")
 
 
 def test_orthogonal_complementation(rng):

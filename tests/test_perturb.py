@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from gframemod.exceptions import BaseNotIndependent, InequalityNotVerified, LengthMismatch
+from gframemod import perturb
+from gframemod.exceptions import (
+    BaseNotIndependent,
+    InequalityNotVerified,
+    LengthMismatch,
+    NotAFrame,
+)
 from gframemod.families import random_frame, random_unitary, random_vector, unitary_orbit_frame
 from gframemod.frames import FrameBounds, GFusionFrame, frame_bounds
 from gframemod.hilbert import ModuleOperator, ModuleVector, Submodule
@@ -140,6 +146,36 @@ def test_hat_original_interpretation_on_identical_families():
     assert verdict.empirical_lower == pytest.approx(lower, rel=1e-12)
     assert verdict.empirical_upper == pytest.approx(upper, rel=1e-12)
     assert any("hat_original" in c for c in verdict.caveats)
+
+
+def test_verify_reuses_the_checked_bounds(monkeypatch):
+    frame = random_frame(2, 2, 3, seed=7)
+    scaled = frame.scaled(1.05)
+    params = PerturbationParams(0.1, 0.0)
+    expected = derived_bounds(frame_bounds(frame), params)
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return frame_bounds(f)
+
+    monkeypatch.setattr(perturb, "frame_bounds", counted)
+    verdict = check_perturbation_inequality(frame, scaled, params, seed=1)
+    checked = verify_perturbed_frame(frame, scaled, params, seed=1, inequality=verdict)
+    assert len(calls) == 1
+    assert (checked.derived_lower, checked.derived_upper) == expected
+    # a verdict taken under other params is not reused
+    verify_perturbed_frame(frame, scaled, PerturbationParams(0.2, 0.0), seed=1, inequality=verdict)
+    assert len(calls) == 2
+
+
+def test_verify_still_rejects_a_family_that_is_not_a_frame():
+    p0 = Submodule(ModuleOperator(np.diag([1.0, 0.0]).astype(complex), 2, 1))
+    single = GFusionFrame([(p0, p0.projection)])
+    verdict = check_perturbation_inequality(single, single, PerturbationParams(0.0, 0.0))
+    assert verdict.inequality_holds and verdict.derived_lower is None
+    with pytest.raises(NotAFrame):
+        verify_perturbed_frame(single, single, PerturbationParams(0.0, 0.0), inequality=verdict)
 
 
 def test_verify_raises_when_inequality_fails():

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from gframemod.exceptions import ParseError
-from gframemod.families import random_frame, random_vector, unitary_orbit_frame
+from gframemod.families import KINDS, generate, random_frame, random_vector, unitary_orbit_frame
+from gframemod.hilbert import ModuleVector
 from gframemod.serialize import (
     MAX_ABS_ENTRY,
+    MIN_OPERATOR_SCALE,
     document_to_frame,
     document_to_vector,
     dumps_canonical,
@@ -32,11 +34,45 @@ def test_canonical_floats_round_trip_exactly():
 
 
 def test_canonical_output_is_stable_under_reparse():
-    frame = random_frame(2, 2, 3, seed=0)
-    doc = frame_to_document(frame, {"kind": "test"})
-    text = dumps_canonical(doc)
-    text2 = dumps_canonical(json.loads(text))
-    assert text == text2
+    # every kind at a small, a wide and a dense size; a fusion decomposition
+    # needs m <= n*d, so it has no wide case
+    for n, d, m in [(2, 2, 3), (2, 2, 16), (8, 2, 3)]:
+        for kind in KINDS:
+            if kind == "fusion" and m > n * d:
+                continue
+            frame = generate(kind, n, d, m, 7)
+            # the array writer (matrices are ndarrays here) against the
+            # generic writer (nested lists of floats after the reparse)
+            text = dumps_canonical(frame_to_document(frame, {"kind": kind}))
+            assert dumps_canonical(json.loads(text)) == text, (kind, n, d, m)
+            rebuilt = document_to_frame(json.loads(text))
+            assert dumps_canonical(frame_to_document(rebuilt, {"kind": kind})) == text
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e100, -1e100, 2.0, -3.0, 1e16, 1 / 3,
+               2.0**-52, 123456.789, 2.2250738585072014e-308]
+
+
+def test_array_writer_matches_list_writer_on_edge_floats():
+    parts = np.array(EDGE_FLOATS + EDGE_FLOATS[::-1] + EDGE_FLOATS[:10])  # 36 = 3 x 6 x 2
+    matrix = parts.view(np.complex128).reshape(3, 6)
+    as_lists = [[[float(re), float(im)] for re, im in row] for row in parts.reshape(3, 6, 2)]
+    for indent_depth in range(3):
+        wrap = lambda x: {"m": x} if indent_depth == 1 else ({"a": [{"m": x}]} if indent_depth else x)
+        assert dumps_canonical(wrap(matrix)) == dumps_canonical(wrap(as_lists))
+    # non-contiguous component views write as their values do
+    vector = ModuleVector(matrix, 2, 3)
+    listed = dict(vector_to_document(vector),
+                  components=[matrix_to_json(c) for c in vector.components()])
+    assert dumps_canonical(vector_to_document(vector)) == dumps_canonical(listed)
+
+
+def test_array_writer_rejects_non_finite_values():
+    for bad in (np.nan, np.inf):
+        matrix = np.eye(2, dtype=complex)
+        matrix[1, 0] = complex(0.0, bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps_canonical({"m": matrix})
 
 
 def test_frame_document_round_trip_bit_identical():
@@ -65,6 +101,13 @@ def test_vector_document_round_trip(rng):
     lambda d: d["elements"][0].pop("projection"),
     lambda d: d["elements"][0]["operator"][0].pop(0),
     lambda d: d["elements"][0]["operator"][0].__setitem__(0, [1.0]),
+    # np.array alone would read each of these as a number
+    lambda d: d["elements"][0]["operator"][0].__setitem__(0, [True, 0.0]),
+    lambda d: d["elements"][0]["operator"][0].__setitem__(0, ["1", 0]),
+    lambda d: d["elements"][0]["operator"][0].__setitem__(0, None),
+    lambda d: d["elements"][0]["operator"][0].__setitem__(0, [0.0, None]),
+    lambda d: d["elements"][1]["projection"].__setitem__(1, "ab"),
+    lambda d: d["elements"][1]["projection"].__setitem__(1, {"0": [0.0, 0.0], "1": [1.0, 0.0]}),
 ])
 def test_malformed_documents_raise_parse_error(mutate):
     frame = random_frame(2, 1, 2, seed=2)
@@ -100,3 +143,70 @@ def test_unusable_entries_named_by_position(value, problem):
 def test_entries_at_the_magnitude_bound_are_accepted():
     rows = [[[MAX_ABS_ENTRY, -MAX_ABS_ENTRY]]]
     assert json_to_matrix(rows, (1, 1), "block")[0, 0] == complex(MAX_ABS_ENTRY, -MAX_ABS_ENTRY)
+
+
+@pytest.mark.parametrize("bad,problem", [
+    ([0.5, True], "entry (1, 3) must be a [re, im] pair"),
+    ([float("nan"), 0.0], "entry (1, 3) is not finite"),
+    ([0.0, -2e100], "entry (1, 3) exceeds 1e+100 in magnitude"),
+    ([10**400, 0], "entry (1, 3) exceeds 1e+100 in magnitude"),
+])
+def test_bad_entry_in_a_later_element_is_named(bad, problem):
+    frame = random_frame(2, 2, 3, seed=5)
+    doc = json.loads(dumps_canonical(frame_to_document(frame)))
+    doc["elements"][2]["operator"][1][3] = bad
+    with pytest.raises(ParseError, match=re.escape(f"element 2 operator: {problem}")):
+        document_to_frame(doc)
+
+
+def test_row_of_wrong_length_in_a_later_element_is_named():
+    frame = random_frame(2, 2, 3, seed=5)
+    doc = json.loads(dumps_canonical(frame_to_document(frame)))
+    doc["elements"][1]["projection"][2].append([0.0, 0.0])
+    with pytest.raises(ParseError, match=re.escape("element 1 projection: row 2 must have 4 entries")):
+        document_to_frame(doc)
+
+
+def test_invalid_projection_in_a_later_element_is_named():
+    frame = random_frame(2, 1, 3, seed=3)
+    doc = json.loads(dumps_canonical(frame_to_document(frame)))
+    doc["elements"][2]["projection"] = [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    with pytest.raises(ParseError, match=re.escape(
+            "element 2: projection is not self-adjoint within tolerance")):
+        document_to_frame(doc)
+
+
+def _scaled_operators(doc, factor):
+    for element in doc["elements"]:
+        element["operator"] = [[[factor * re, factor * im] for re, im in row]
+                               for row in element["operator"]]
+    return doc
+
+
+def test_operators_below_the_floor_are_rejected():
+    doc = json.loads(dumps_canonical(frame_to_document(unitary_orbit_frame(2, 2, 4, seed=1))))
+    with pytest.raises(ParseError, match=re.escape(f"below {MIN_OPERATOR_SCALE:.0e}")):
+        document_to_frame(_scaled_operators(doc, 1e-200))
+
+
+def test_operators_at_the_floor_and_all_zero_are_accepted():
+    doc = json.loads(dumps_canonical(frame_to_document(unitary_orbit_frame(2, 2, 4, seed=1))))
+    largest = max(abs(v) for e in doc["elements"] for row in e["operator"]
+                  for entry in row for v in entry)
+    at_floor = document_to_frame(_scaled_operators(json.loads(json.dumps(doc)),
+                                                   MIN_OPERATOR_SCALE / largest))
+    assert at_floor.max_operator_norm() > 0.0
+    zero = document_to_frame(_scaled_operators(doc, 0.0))
+    assert not zero.operators.any()
+
+
+def test_parsed_stacks_become_the_frame_arrays():
+    frame = random_frame(2, 2, 4, seed=6)
+    rebuilt = document_to_frame(json.loads(dumps_canonical(frame_to_document(frame))))
+    assert rebuilt.operators.flags.c_contiguous and rebuilt.projections.flags.c_contiguous
+    np.testing.assert_array_equal(rebuilt.operators, frame.operators)
+    np.testing.assert_array_equal(rebuilt.projections, frame.projections)
+    for k, (sub, op) in enumerate(rebuilt.elements):
+        np.testing.assert_array_equal(op.matrix, rebuilt.operators[k])
+        np.testing.assert_array_equal(sub.projection.matrix, rebuilt.projections[k])
+        np.testing.assert_array_equal(sub.basis_rows, frame.elements[k].submodule.basis_rows)
