@@ -57,8 +57,8 @@ def test_array_writer_matches_list_writer_on_edge_floats():
     parts = np.array(EDGE_FLOATS + EDGE_FLOATS[::-1] + EDGE_FLOATS[:10])  # 36 = 3 x 6 x 2
     matrix = parts.view(np.complex128).reshape(3, 6)
     as_lists = [[[float(re), float(im)] for re, im in row] for row in parts.reshape(3, 6, 2)]
-    for indent_depth in range(3):
-        wrap = lambda x: {"m": x} if indent_depth == 1 else ({"a": [{"m": x}]} if indent_depth else x)
+    # at indents 0, 1 and 3
+    for wrap in (lambda x: x, lambda x: {"m": x}, lambda x: {"a": [{"m": x}]}):
         assert dumps_canonical(wrap(matrix)) == dumps_canonical(wrap(as_lists))
     # non-contiguous component views write as their values do
     vector = ModuleVector(matrix, 2, 3)
