@@ -18,7 +18,7 @@ frame operator of the perturbed family) is the default; `hat_original`
 evaluates the printed pairing, Hermitized before eigen-analysis.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -88,6 +88,8 @@ class PerturbationVerdict:
     bounds_contained: Optional[bool] = None
     sample_failures: Optional[int] = None
     caveats: tuple = ()
+    # the frame whose bounds gave derived_lower/upper
+    frame: Optional[GFusionFrame] = field(default=None, repr=False, compare=False)
 
 
 def _check_shapes(frame: GFusionFrame, perturbed: GFusionFrame):
@@ -229,7 +231,7 @@ def check_perturbation_inequality(frame: GFusionFrame, perturbed: GFusionFrame,
         params=params, inequality_holds=holds, witness=witness,
         n_sequences=alphas.shape[0], n_vectors=max(1, vec_samples),
         derived_lower=derived_lower, derived_upper=derived_upper,
-        caveats=(SAMPLING_CAVEAT,) if holds else (),
+        caveats=(SAMPLING_CAVEAT,) if holds else (), frame=frame,
     )
 
 
@@ -262,7 +264,8 @@ def verify_perturbed_frame(frame: GFusionFrame, perturbed: GFusionFrame,
     perturbed family; under hat_original they are the extreme eigenvalues of
     the Hermitized mixed matrix.  Raises InequalityNotVerified when the
     inequality check (run here when not supplied) failed.  The derived
-    bounds are the check's own when it ran with the same params.
+    bounds are the check's own when it ran on this same frame object with
+    the same params; otherwise they are computed from `frame` here.
     """
     _check_shapes(frame, perturbed)
     if inequality is None:
@@ -271,7 +274,8 @@ def verify_perturbed_frame(frame: GFusionFrame, perturbed: GFusionFrame,
         raise InequalityNotVerified(
             f"inequality violated by margin {inequality.witness.margin:.3e}"
         )
-    if inequality.derived_lower is None or inequality.params != params:
+    if (inequality.derived_lower is None or inequality.frame is not frame
+            or inequality.params != params):
         d_lo, d_hi = derived_bounds(frame_bounds(frame), params)  # NotAFrame when S is singular
     else:
         d_lo, d_hi = inequality.derived_lower, inequality.derived_upper
@@ -303,7 +307,7 @@ def verify_perturbed_frame(frame: GFusionFrame, perturbed: GFusionFrame,
         derived_lower=d_lo, derived_upper=d_hi,
         empirical_lower=e_lo, empirical_upper=e_hi,
         interpretation=interpretation, bounds_contained=contained,
-        sample_failures=failures, caveats=tuple(caveats),
+        sample_failures=failures, caveats=tuple(caveats), frame=frame,
     )
 
 

@@ -14,6 +14,12 @@ array.  A frame document is
 
 where matrices are the flattened (n*d) x (n*d) forms.  A vector file is
 { "d": int, "n": int, "components": [ d x d matrix, ... ] }.
+
+`frame_to_document` and `vector_to_document` build the in-memory form of
+these documents for `dumps_canonical`: their matrices are complex ndarrays,
+which the canonical writer prints as the nested [re, im] lists above, so
+`json.dump` cannot take them.  A caller who wants plain JSON values reads
+them back with `json.loads(dumps_canonical(doc))`.
 """
 
 import functools
@@ -213,6 +219,9 @@ def _require_keys(doc: dict, keys, what: str):
 
 
 def frame_to_document(frame: GFusionFrame, metadata=None) -> dict:
+    """The frame's document for `dumps_canonical`; its matrices are the
+    frame's read-only complex arrays, not JSON lists (see the module
+    docstring)."""
     return {
         "d": frame.d,
         "n": frame.n,
@@ -287,6 +296,8 @@ def _load_json(path, sha=None):
 
 
 def vector_to_document(vector: ModuleVector) -> dict:
+    """The vector's document for `dumps_canonical`; its components are
+    complex arrays, not JSON lists (see the module docstring)."""
     return {
         "d": vector.d,
         "n": vector.n,

@@ -169,6 +169,16 @@ def test_verify_reuses_the_checked_bounds(monkeypatch):
     assert len(calls) == 2
 
 
+def test_verify_does_not_reuse_another_frames_bounds():
+    frame = random_frame(2, 2, 3, seed=7)
+    other = frame.scaled(2.0)
+    params = PerturbationParams(0.1, 0.0)
+    verdict = check_perturbation_inequality(frame, frame, params, seed=1)
+    checked = verify_perturbed_frame(other, other, params, seed=1, inequality=verdict)
+    assert (checked.derived_lower, checked.derived_upper) == derived_bounds(frame_bounds(other), params)
+    assert checked.derived_upper != verdict.derived_upper
+
+
 def test_verify_still_rejects_a_family_that_is_not_a_frame():
     p0 = Submodule(ModuleOperator(np.diag([1.0, 0.0]).astype(complex), 2, 1))
     single = GFusionFrame([(p0, p0.projection)])

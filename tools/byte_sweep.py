@@ -1,6 +1,6 @@
 """Compare two gframemod source trees invocation by invocation.
 
-    python3 tools/byte_sweep.py OLD_SRC NEW_SRC [--jobs 2] [--seeds 1 2]
+    python3 tools/byte_sweep.py OLD_SRC NEW_SRC
 
 Every invocation runs twice as a subprocess, `python3 -m gframemod.cli ...`
 with PYTHONPATH set to one tree's `src/` directory and BLAS on one thread.
@@ -18,15 +18,21 @@ Invocations:
   pair;
 * `perturb --samples 0` and `--samples -3`, and the orbit document with
   every operator entry scaled by 1e-200 under every command;
-* `gen` of every kind at the benchmark sizes for each seed (the written
-  documents are compared), and every command above on each document that
-  the old tree wrote, with a unit vector of its shape for the certificate.
+* `gen` of every kind at the benchmark sizes, with seeds 1 and 2 (the
+  written documents are compared), and every command above on each
+  document that the old tree wrote, with a unit vector of its shape for the
+  certificate.
+
+The kinds, the (n, d, m) sizes and the perturbation size are read from
+`perfbench/workloads.py`, so the sweep covers what the benchmark runs.
+Two invocations run at once.
 
 Derived documents (pairs, scaled copies, vectors) are built with the
 standard library from the JSON lists, so the sweep imports no numpy.
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import shutil
@@ -37,9 +43,25 @@ from concurrent.futures import ThreadPoolExecutor
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS = os.path.join(ROOT, "corpus")
-KINDS = ("fusion", "dilation", "unitary-orbit", "random")
-SIZES = ((2, 2, 4), (4, 4, 64), (16, 4, 4))  # (n, d, m) of the benchmark workloads
-ETA = 0.1
+
+
+def _load_workloads():
+    """perfbench/workloads.py, loaded by path (it imports only the standard
+    library at load time)."""
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+_WORKLOADS = _load_workloads()
+KINDS = _WORKLOADS.KINDS
+SIZES = sorted({(w.n, w.d, w.m) for w in _WORKLOADS.WORKLOADS.values()})
+ETA = _WORKLOADS.ETA
+SEEDS = (1, 2)
+JOBS = 2
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -104,7 +126,7 @@ def _is_frame(path: str) -> bool:
         return "elements" in json.load(handle)
 
 
-def plan(old_src: str, work: str, seeds) -> list:
+def plan(old_src: str, work: str) -> list:
     """(argv, written document path or None) of every invocation.  The
     documents the commands read are written once, by the old tree, here;
     the compared `gen` invocations write beside them."""
@@ -123,7 +145,7 @@ def plan(old_src: str, work: str, seeds) -> list:
     for n, d, m in SIZES:
         vector = _write_json(os.path.join(work, f"vector_n{n}_d{d}.json"), _unit_vector(n, d))
         for kind in KINDS:
-            for seed in seeds:
+            for seed in SEEDS:
                 doc = os.path.join(work, f"gen_{kind}_n{n}_d{d}_m{m}_s{seed}.json")
                 gen = ["gen", "--kind", kind, "--n", str(n), "--d", str(d), "--m", str(m),
                        "--seed", str(seed)]
@@ -138,21 +160,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src", help="the reference tree's src/ directory")
     parser.add_argument("new_src", help="the changed tree's src/ directory")
-    parser.add_argument("--jobs", type=int, default=2, help="invocations run at once (default 2)")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2],
-                        help="generator seeds of the gen documents (default 1 2)")
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
     work = tempfile.mkdtemp(prefix="byte-sweep-")
     try:
-        invocations = plan(args.old_src, work, args.seeds)
+        invocations = plan(args.old_src, work)
 
         def compare(item):
             argv, written = item
             return argv, run(args.old_src, argv, written), run(args.new_src, argv, written)
 
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        with ThreadPoolExecutor(max_workers=JOBS) as pool:
             results = list(pool.map(compare, invocations))
     finally:
         shutil.rmtree(work, ignore_errors=True)
