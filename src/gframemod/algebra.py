@@ -40,20 +40,29 @@ def absolute_value(eta) -> np.ndarray:
     return (v * w) @ v.conj().T
 
 
+def _norms(x) -> np.ndarray:
+    """Spectral norm of an element, or of each element of a stack."""
+    return np.linalg.norm(x, 2, axis=(-2, -1))
+
+
+def _hermitian(x, tol: float) -> np.ndarray:
+    return _norms(x - x.conj().swapaxes(-1, -2)) <= tol * (1.0 + _norms(x))
+
+
+def _positive(x, tol: float) -> np.ndarray:
+    lo = np.linalg.eigvalsh((x + x.conj().swapaxes(-1, -2)) / 2.0)[..., 0]
+    return _hermitian(x, tol) & (lo >= -tol * (1.0 + _norms(x)))
+
+
 def is_hermitian(u, tol: float = DEFAULT_TOL) -> bool:
-    u = as_algebra_element(u)
-    return operator_norm(u - u.conj().T) <= tol * (1.0 + operator_norm(u))
+    return bool(_hermitian(as_algebra_element(u), tol))
 
 
 def is_positive(u, tol: float = DEFAULT_TOL) -> bool:
     """Hermitian within tol, with min eigenvalue >= -tol * (1 + ||u||)."""
-    u = as_algebra_element(u)
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    if not is_hermitian(u, tol):
-        return False
-    lo = float(np.linalg.eigvalsh((u + u.conj().T) / 2.0)[0])
-    return lo >= -tol * (1.0 + operator_norm(u))
+    return bool(_positive(as_algebra_element(u), tol))
 
 
 def psd_leq(u, v, tol: float = DEFAULT_TOL) -> bool:
@@ -62,9 +71,13 @@ def psd_leq(u, v, tol: float = DEFAULT_TOL) -> bool:
     Non-Hermitian operands are an error, not False; silently symmetrizing
     would mask bugs upstream.
     """
-    u = as_algebra_element(u)
-    v = as_algebra_element(v)
+    return bool(psd_leq_stack(as_algebra_element(u), as_algebra_element(v), tol))
+
+
+def psd_leq_stack(u, v, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """psd_leq pair by pair over two stacks of elements, with one batched
+    eigvalsh; a non-Hermitian element in either stack raises NonHermitian."""
     for side, x in (("left", u), ("right", v)):
-        if not is_hermitian(x, tol):
+        if not np.all(_hermitian(x, tol)):
             raise NonHermitian(f"{side} operand of psd_leq is not Hermitian within {tol}")
-    return is_positive(v - u, tol)
+    return _positive(v - u, tol)

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import psd_leq
+from .algebra import psd_leq_stack
 from .exceptions import (
     BaseNotIndependent,
     InequalityNotVerified,
@@ -31,7 +31,7 @@ from .exceptions import (
     NotAFrame,
 )
 from .frames import GFusionFrame, frame_bounds
-from .hilbert import ModuleVector, gram_sum, inner_product, null_combinations
+from .hilbert import ModuleVector, gram_sum, null_combinations, spectral_norms
 from .represent import independence_analysis
 
 DEFAULT_SEQ_SAMPLES = 256
@@ -102,18 +102,25 @@ def _check_shapes(frame: GFusionFrame, perturbed: GFusionFrame):
 def _batch_margins(alphas: np.ndarray, terms: np.ndarray, terms_hat: np.ndarray,
                    params: PerturbationParams):
     """lhs and rhs of the inequality for a batch of coefficient rows against
-    fixed per-member applied vectors of shape (m, d, n*d)."""
-    diff = np.einsum("sm,mik->sik", alphas, terms - terms_hat)
-    base = np.einsum("sm,mik->sik", alphas, terms)
-    hat = np.einsum("sm,mik->sik", alphas, terms_hat)
-    lhs = np.linalg.norm(diff, ord=2, axis=(1, 2))
-    rhs = params.eta * np.linalg.norm(base, ord=2, axis=(1, 2)) \
-        + params.beta * np.linalg.norm(hat, ord=2, axis=(1, 2))
+    fixed per-member applied vectors of shape (m, d, n*d): one matmul per
+    combination over the terms read as (m, d*n*d), norms from d x d Grams."""
+    m, d, nd = terms.shape
+    flat, flat_hat = terms.reshape(m, d * nd), terms_hat.reshape(m, d * nd)
+    lhs = spectral_norms((alphas @ (flat - flat_hat)).reshape(-1, d, nd))
+    rhs = params.eta * spectral_norms((alphas @ flat).reshape(-1, d, nd))
+    if params.beta != 0.0:
+        rhs = rhs + params.beta * spectral_norms((alphas @ flat_hat).reshape(-1, d, nd))
     return lhs, rhs
 
 
 def _applied_terms(frame: GFusionFrame, f: ModuleVector) -> np.ndarray:
-    return np.einsum("ij,mjk->mik", f.flat, frame.operators)
+    return f.flat @ frame.operators
+
+
+def _random_blocks(rng, count: int, frame: GFusionFrame) -> np.ndarray:
+    """count complex d x n*d blocks, each drawn real part first."""
+    draw = rng.standard_normal((count, 2, frame.d, frame.n * frame.d))
+    return draw[:, 0] + 1j * draw[:, 1]
 
 
 def inequality_margin(frame: GFusionFrame, perturbed: GFusionFrame,
@@ -199,17 +206,18 @@ def check_perturbation_inequality(frame: GFusionFrame, perturbed: GFusionFrame,
     _check_shapes(frame, perturbed)
     rng = np.random.default_rng(seed)
     alphas = _candidate_sequences(frame, perturbed, seq_samples, rng)
-    nd = frame.n * frame.d
+    n_vectors = max(1, vec_samples)
+    flats = _random_blocks(rng, n_vectors, frame)
+    flats /= np.maximum(np.linalg.norm(flats, 2, axis=(1, 2)), 1e-300)[:, None, None]
+    terms = flats[:, None] @ frame.operators[None]  # (vectors, m, d, n*d)
+    terms_hat = flats[:, None] @ perturbed.operators[None]
     worst = None  # (normalized margin, witness)
-    for _ in range(max(1, vec_samples)):
-        flat = rng.standard_normal((frame.d, nd)) + 1j * rng.standard_normal((frame.d, nd))
-        f = ModuleVector(flat / max(np.linalg.norm(flat, 2), 1e-300), frame.n, frame.d)
-        terms = _applied_terms(frame, f)
-        terms_hat = _applied_terms(perturbed, f)
-        lhs, rhs = _batch_margins(alphas, terms, terms_hat, params)
+    for flat, vec_terms, vec_terms_hat in zip(flats, terms, terms_hat):
+        lhs, rhs = _batch_margins(alphas, vec_terms, vec_terms_hat, params)
         normalized = (lhs - rhs) / (1.0 + rhs)
         k = int(np.argmax(normalized))
         if worst is None or normalized[k] > worst[0]:
+            f = ModuleVector(flat, frame.n, frame.d)
             worst = (float(normalized[k]),
                      InequalityWitness(alphas[k].copy(), f, float(lhs[k]), float(rhs[k])))
     margin, witness = worst
@@ -229,7 +237,7 @@ def check_perturbation_inequality(frame: GFusionFrame, perturbed: GFusionFrame,
         pass
     return PerturbationVerdict(
         params=params, inequality_holds=holds, witness=witness,
-        n_sequences=alphas.shape[0], n_vectors=max(1, vec_samples),
+        n_sequences=alphas.shape[0], n_vectors=n_vectors,
         derived_lower=derived_lower, derived_upper=derived_upper,
         caveats=(SAMPLING_CAVEAT,) if holds else (), frame=frame,
     )
@@ -286,17 +294,15 @@ def verify_perturbed_frame(frame: GFusionFrame, perturbed: GFusionFrame,
     contained = (d_lo <= e_lo + slack * (1.0 + abs(e_lo))
                  and e_hi <= d_hi + slack * (1.0 + abs(e_hi)))
 
-    rng = np.random.default_rng(seed)
-    nd = frame.n * frame.d
-    failures = 0
-    for _ in range(vec_samples):
-        flat = rng.standard_normal((frame.d, nd)) + 1j * rng.standard_normal((frame.d, nd))
-        f = ModuleVector(flat, frame.n, frame.d)
-        gram = inner_product(f, f)
-        value = f.flat @ mid @ f.flat.conj().T
-        value = (value + value.conj().T) / 2.0
-        if not psd_leq(d_lo * gram, value, 1e-9) or not psd_leq(value, d_hi * gram, 1e-9):
-            failures += 1
+    flats = _random_blocks(np.random.default_rng(seed), max(0, vec_samples), frame)
+    adjoints = flats.conj().swapaxes(1, 2)
+    grams = flats @ adjoints
+    values = flats @ mid @ adjoints
+    values = (values + values.conj().swapaxes(1, 2)) / 2.0
+    # the upper side is checked only where the lower held (a per-sample `and`)
+    lower = psd_leq_stack(d_lo * grams, values, 1e-9)
+    upper = psd_leq_stack(values[lower], d_hi * grams[lower], 1e-9)
+    failures = len(flats) - int(np.count_nonzero(upper))
 
     caveats = list(inequality.caveats)
     if interpretation == HAT_ORIGINAL:

@@ -60,7 +60,7 @@ def _write(obj, out, indent):
     elif isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError("non-finite floats are not representable in reports")
-        out.append(format(obj, ".17g"))
+        out.append(format(obj + 0.0, ".17g"))  # -0.0 as 0, which reads back as 0.0
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=True))
     elif isinstance(obj, (list, tuple)):
@@ -96,7 +96,7 @@ def _write_matrix(matrix, out, indent):
     """A complex matrix as rows of [re, im] pairs, byte for byte what the
     generic path writes for its nested lists of floats: '%.17g' and
     format(x, '.17g') share one C routine."""
-    parts = np.stack((matrix.real, matrix.imag), axis=-1).ravel()
+    parts = np.stack((matrix.real, matrix.imag), axis=-1).ravel() + 0.0  # no -0
     if not np.isfinite(parts).all():
         raise ValueError("non-finite floats are not representable in reports")
     out.append(_matrix_template(*matrix.shape, indent) % tuple(parts.tolist()))

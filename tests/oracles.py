@@ -182,3 +182,17 @@ def reference_kernel_check(frame, samples: int, seed: int, tol: float = 1e-8):
             return samples, float("inf"), False
         defect = max(defect, synthesis(frame, shifted, membership_tol=None).norm() / max(top, 1.0))
     return samples, defect, defect <= tol
+
+
+def reference_margins(alphas, terms, terms_hat, eta: float, beta: float):
+    """lhs and rhs of the perturbation inequality for coefficient rows
+    against applied terms of shape (m, d, n*d): einsum combinations, all
+    three always formed, and spectral norms from a full SVD of each
+    d x (n*d) block."""
+    diff = np.einsum("sm,mik->sik", alphas, terms - terms_hat)
+    base = np.einsum("sm,mik->sik", alphas, terms)
+    hat = np.einsum("sm,mik->sik", alphas, terms_hat)
+    lhs = np.linalg.norm(diff, ord=2, axis=(1, 2))
+    rhs = eta * np.linalg.norm(base, ord=2, axis=(1, 2)) \
+        + beta * np.linalg.norm(hat, ord=2, axis=(1, 2))
+    return lhs, rhs

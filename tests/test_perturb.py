@@ -1,14 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gframemod import perturb
+from gframemod.algebra import psd_leq
 from gframemod.exceptions import (
     BaseNotIndependent,
     InequalityNotVerified,
     LengthMismatch,
     NotAFrame,
 )
-from gframemod.families import random_frame, random_unitary, random_vector, unitary_orbit_frame
+from gframemod.families import (
+    KINDS,
+    generate,
+    random_frame,
+    random_unitary,
+    random_vector,
+    unitary_orbit_frame,
+)
 from gframemod.frames import FrameBounds, GFusionFrame, frame_bounds
 from gframemod.hilbert import ModuleOperator, ModuleVector, Submodule
 from gframemod.perturb import (
@@ -20,6 +30,8 @@ from gframemod.perturb import (
     inequality_margin,
     verify_perturbed_frame,
 )
+
+import oracles
 
 
 def test_params_validation():
@@ -81,6 +93,70 @@ def test_large_displacement_violates_with_basis_witness():
     verdict = check_perturbation_inequality(frame, perturbed, PerturbationParams(0.1, 0.1),
                                             seq_samples=0, vec_samples=8, seed=0)
     assert not verdict.inequality_holds  # basis sequences alone expose it
+
+
+# every kind at the benchmark's small, wide and dense (n, d, m); a fusion
+# decomposition needs m <= n*d, so it has no wide case
+@pytest.mark.parametrize("kind,n,d,m", [
+    (kind, n, d, m) for n, d, m in [(2, 2, 4), (4, 4, 64), (16, 4, 4)] for kind in KINDS
+    if kind != "fusion" or m <= n * d
+])
+def test_batch_margins_match_the_reference_kernel(kind, n, d, m):
+    rng = np.random.default_rng(21)
+    frame = generate(kind, n, d, m, seed=3)
+    bump = rng.standard_normal(frame.operators.shape) + 1j * rng.standard_normal(frame.operators.shape)
+    hat_operators = 1.05 * frame.operators + 0.01 * bump
+    f = random_vector(rng, n, d)
+    terms, terms_hat = f.flat @ frame.operators, f.flat @ hat_operators
+    dense = rng.standard_normal((24, m)) + 1j * rng.standard_normal((24, m))
+    alphas = np.vstack([np.eye(m), dense])
+    largest = max(np.linalg.norm(frame.operators, 2, axis=(1, 2)).max(),
+                  np.linalg.norm(hat_operators, 2, axis=(1, 2)).max())
+    scale = np.linalg.norm(f.flat, 2) * np.abs(alphas).sum(axis=1) * largest
+    for beta in (0.0, 0.3):
+        params = PerturbationParams(0.1, beta)
+        lhs, rhs = perturb._batch_margins(alphas, terms, terms_hat, params)
+        ref_lhs, ref_rhs = oracles.reference_margins(alphas, terms, terms_hat, params.eta, beta)
+        assert np.all(np.abs(lhs - ref_lhs) <= 1e-12 * scale), (kind, beta)
+        assert np.all(np.abs(rhs - ref_rhs) <= 1e-12 * scale), (kind, beta)
+
+
+def _per_sample_failures(frame, perturbed, lower, upper, vec_samples, seed):
+    """sample_failures counted one vector at a time with psd_leq."""
+    mid = perturbed.operators.conj().swapaxes(1, 2)
+    mid = np.einsum("kij,kjl->il", perturbed.operators, mid)
+    rng = np.random.default_rng(seed)
+    failures = 0
+    for _ in range(vec_samples):
+        flat = (rng.standard_normal((frame.d, frame.n * frame.d))
+                + 1j * rng.standard_normal((frame.d, frame.n * frame.d)))
+        gram = flat @ flat.conj().T
+        value = flat @ mid @ flat.conj().T
+        value = (value + value.conj().T) / 2.0
+        if not psd_leq(lower * gram, value, 1e-9) or not psd_leq(value, upper * gram, 1e-9):
+            failures += 1
+    return failures
+
+
+def test_batched_sample_failures_match_per_sample_psd_leq():
+    frame = random_frame(2, 2, 3, seed=7)
+    scaled = frame.scaled(1.05)
+    params = PerturbationParams(0.1, 0.0)
+    verdict = check_perturbation_inequality(frame, scaled, params, seed=1)
+    checked = verify_perturbed_frame(frame, scaled, params, vec_samples=40, seed=2,
+                                     inequality=verdict)
+    assert checked.sample_failures == 0
+    assert checked.sample_failures == _per_sample_failures(
+        frame, scaled, checked.derived_lower, checked.derived_upper, 40, 2)
+    # a derived lower bound above the true one makes some samples fail
+    lower = 1.05 ** 2 * frame_bounds(frame).lower * 1.5
+    raised = dataclasses.replace(verdict, derived_lower=lower)
+    checked = verify_perturbed_frame(frame, scaled, params, vec_samples=40, seed=2,
+                                     inequality=raised)
+    assert checked.derived_lower == lower
+    expected = _per_sample_failures(frame, scaled, lower, checked.derived_upper, 40, 2)
+    assert 0 < expected < 40
+    assert checked.sample_failures == expected
 
 
 def test_derived_bounds_values():

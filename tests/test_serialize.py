@@ -86,6 +86,18 @@ def test_frame_document_round_trip_bit_identical():
         np.testing.assert_array_equal(a.submodule.projection.matrix, b.submodule.projection.matrix)
 
 
+def test_negative_zero_round_trips():
+    # json.loads reads a written "-0" as the integer 0, so both writers print
+    # a negative zero as 0
+    doc = json.loads(dumps_canonical(frame_to_document(unitary_orbit_frame(2, 2, 4, seed=1))))
+    doc["elements"][0]["operator"][0][1] = [-0.0, 0.0]
+    text = dumps_canonical(doc)  # the list writer
+    frame = document_to_frame(doc)
+    assert np.signbit(frame.operators[0, 0, 1].real)
+    assert dumps_canonical(frame_to_document(frame)) == text  # the array writer
+    assert dumps_canonical(frame_to_document(document_to_frame(json.loads(text)))) == text
+
+
 def test_vector_document_round_trip(rng):
     v = random_vector(rng, 3, 2)
     doc = vector_to_document(v)

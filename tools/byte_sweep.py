@@ -6,8 +6,11 @@ Every invocation runs twice as a subprocess, `python3 -m gframemod.cli ...`
 with PYTHONPATH set to one tree's `src/` directory and BLAS on one thread.
 The sweep compares exit codes, standard output, standard error (with the
 tree's path replaced by a placeholder) and any document written, then
-prints every invocation whose results differ and a summary line.  It exits
-1 when any differ.
+prints every invocation whose results differ and a summary line.  Where
+both trees wrote JSON (a report on standard output, or a document) that
+differs, it also prints the dotted key paths at which the two differ, for
+example `results.witness.lhs`; numbers are compared as written, so `-0`
+and `0` differ.  It exits 1 when any differ.
 
 Invocations:
 
@@ -156,6 +159,29 @@ def plan(old_src: str, work: str) -> list:
     return invocations
 
 
+def _as_json(data):
+    """The JSON value of some bytes, with every number kept as its text, or
+    None when they are not JSON."""
+    try:
+        return json.loads(data, parse_float=str, parse_int=str)
+    except (TypeError, ValueError):
+        return None
+
+
+def differing_keys(old, new, path: str = "") -> list:
+    """Dotted key paths at which two JSON values differ; lists are leaves."""
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return [] if old == new else [path or "<root>"]
+    out = []
+    for key in sorted(old.keys() | new.keys()):
+        sub = f"{path}.{key}" if path else key
+        if key in old and key in new:
+            out += differing_keys(old[key], new[key], sub)
+        else:
+            out.append(sub)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src", help="the reference tree's src/ directory")
@@ -182,6 +208,10 @@ def main(argv=None) -> int:
                  if a != b]
         shown = " ".join(os.path.relpath(a, work) if a.startswith(work) else a for a in argv)
         print(f"DIFFERS ({', '.join(parts)}; exit {old[0]} -> {new[0]}): {shown}")
+        for name, a, b in (("stdout", old[1], new[1]), ("document", old[3], new[3])):
+            a, b = _as_json(a), _as_json(b)
+            if a is not None and b is not None and a != b:
+                print(f"    {name} keys: {', '.join(differing_keys(a, b))}")
         if old[2] != new[2]:
             print(f"    old stderr: {old[2].decode(errors='replace').strip()}")
             print(f"    new stderr: {new[2].decode(errors='replace').strip()}")
