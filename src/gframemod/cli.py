@@ -328,8 +328,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--interpretation", choices=(HAT_HAT, HAT_ORIGINAL), default=HAT_HAT)
     p.add_argument("--samples", type=int, default=256,
-                   help="coefficient-sequence samples, at least 1; vector "
-                        "samples are max(8, samples // 4)")
+                   help="coefficient-sequence samples, at least 1; "
+                        "max(8, samples // 4) vectors are drawn, each probed "
+                        "through its d rows")
     p.set_defaults(func=_cmd_perturb)
 
     p = sub.add_parser("gen", help="write a deterministic frame document")

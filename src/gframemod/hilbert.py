@@ -192,8 +192,11 @@ def operator_norm_module(op: ModuleOperator) -> float:
 
 
 def spectral_norms(blocks) -> np.ndarray:
-    """Largest singular value of each matrix in a stack, as the square root
-    of the top eigenvalue of its row Gram (d x d for a d x (n*d) block)."""
+    """Largest singular value of each matrix in a stack: a row's Euclidean
+    norm, else the root of the top eigenvalue of its row Gram (r x r)."""
+    if blocks.shape[-2] == 1:
+        parts = np.ascontiguousarray(blocks[..., 0, :], dtype=np.complex128).view(np.float64)
+        return np.sqrt(np.einsum("...i,...i->...", parts, parts))
     gram = blocks @ blocks.conj().swapaxes(-1, -2)
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
 

@@ -11,6 +11,12 @@ sequence, seeded random dense sequences, targeted null combinations of
 either family, and a local ascent from the worst witness.  A pass therefore
 means "not falsified at N samples".
 
+The worst f can always be one row g = u f (u a unit row with ||g X|| =
+||f X||, X = sum a_xi (Y_xi - Yhat_xi)): the right side cannot grow.  So
+each drawn vector is probed through its d rows, with Euclidean norms; the
+first (vector, row, sequence) triple within 1e-12 relative of the worst
+margin is the witness, with its phases fixed, so rounding cannot pick it.
+
 The derived frame bounds of the perturbed family use the middle term in two
 switchable readings, because the as-printed pairing <Yhat f, Y f> is not
 sign-definite: `hat_hat` (the standard perturbation reading, equal to the
@@ -102,19 +108,16 @@ def _check_shapes(frame: GFusionFrame, perturbed: GFusionFrame):
 def _batch_margins(alphas: np.ndarray, terms: np.ndarray, terms_hat: np.ndarray,
                    params: PerturbationParams):
     """lhs and rhs of the inequality for a batch of coefficient rows against
-    fixed per-member applied vectors of shape (m, d, n*d): one matmul per
-    combination over the terms read as (m, d*n*d), norms from d x d Grams."""
-    m, d, nd = terms.shape
-    flat, flat_hat = terms.reshape(m, d * nd), terms_hat.reshape(m, d * nd)
-    lhs = spectral_norms((alphas @ (flat - flat_hat)).reshape(-1, d, nd))
-    rhs = params.eta * spectral_norms((alphas @ flat).reshape(-1, d, nd))
+    fixed per-member applied vectors of shape (m, ..., r, n*d): one matmul
+    per combination over the terms read as (m, -1), and the spectral norm of
+    each r x n*d block (Euclidean for rows).  Margins have shape (S, ...)."""
+    m, shape = terms.shape[0], terms.shape[1:]
+    flat, flat_hat = terms.reshape(m, -1), terms_hat.reshape(m, -1)
+    lhs = spectral_norms((alphas @ (flat - flat_hat)).reshape(-1, *shape))
+    rhs = params.eta * spectral_norms((alphas @ flat).reshape(-1, *shape))
     if params.beta != 0.0:
-        rhs = rhs + params.beta * spectral_norms((alphas @ flat_hat).reshape(-1, d, nd))
+        rhs = rhs + params.beta * spectral_norms((alphas @ flat_hat).reshape(-1, *shape))
     return lhs, rhs
-
-
-def _applied_terms(frame: GFusionFrame, f: ModuleVector) -> np.ndarray:
-    return f.flat @ frame.operators
 
 
 def _random_blocks(rng, count: int, frame: GFusionFrame) -> np.ndarray:
@@ -130,8 +133,8 @@ def inequality_margin(frame: GFusionFrame, perturbed: GFusionFrame,
     alphas = np.asarray(coefficients, dtype=np.complex128).reshape(1, -1)
     if alphas.shape[1] != len(frame):
         raise LengthMismatch("one coefficient per family member is required")
-    lhs, rhs = _batch_margins(alphas, _applied_terms(frame, f),
-                              _applied_terms(perturbed, f), params)
+    lhs, rhs = _batch_margins(alphas, f.flat @ frame.operators,
+                              f.flat @ perturbed.operators, params)
     return float(lhs[0]), float(rhs[0])
 
 
@@ -190,6 +193,14 @@ def _ascend_coefficients(alpha: np.ndarray, terms, terms_hat,
     return alpha, best
 
 
+def _phase_fixed(z: np.ndarray) -> np.ndarray:
+    """z turned by the phase that makes its first largest-modulus entry > 0."""
+    j = int(np.argmax(np.abs(z)))
+    out = z * (np.conj(z[j]) / max(abs(z[j]), 1e-300))
+    out[j] = abs(z[j])
+    return out
+
+
 def check_perturbation_inequality(frame: GFusionFrame, perturbed: GFusionFrame,
                                   params: PerturbationParams,
                                   seq_samples: int = DEFAULT_SEQ_SAMPLES,
@@ -199,36 +210,38 @@ def check_perturbation_inequality(frame: GFusionFrame, perturbed: GFusionFrame,
                                   refine: bool = True) -> PerturbationVerdict:
     """Sample the two-family inequality and report the worst-margin witness.
 
-    `inequality_holds` is True when no (sequence, vector) pair violates the
-    inequality beyond `slack` relative slack, including after the local
-    ascent refinement of the worst witness.
+    `inequality_holds` is True when no (sequence, row) pair, over the d rows
+    of each drawn vector, violates the inequality beyond `slack` relative
+    slack, including after the local ascent refinement of the worst witness.
     """
     _check_shapes(frame, perturbed)
     rng = np.random.default_rng(seed)
     alphas = _candidate_sequences(frame, perturbed, seq_samples, rng)
     n_vectors = max(1, vec_samples)
-    flats = _random_blocks(rng, n_vectors, frame)
-    flats /= np.maximum(np.linalg.norm(flats, 2, axis=(1, 2)), 1e-300)[:, None, None]
-    terms = flats[:, None] @ frame.operators[None]  # (vectors, m, d, n*d)
-    terms_hat = flats[:, None] @ perturbed.operators[None]
-    worst = None  # (normalized margin, witness)
-    for flat, vec_terms, vec_terms_hat in zip(flats, terms, terms_hat):
-        lhs, rhs = _batch_margins(alphas, vec_terms, vec_terms_hat, params)
-        normalized = (lhs - rhs) / (1.0 + rhs)
-        k = int(np.argmax(normalized))
-        if worst is None or normalized[k] > worst[0]:
-            f = ModuleVector(flat, frame.n, frame.d)
-            worst = (float(normalized[k]),
-                     InequalityWitness(alphas[k].copy(), f, float(lhs[k]), float(rhs[k])))
-    margin, witness = worst
+    rows = _random_blocks(rng, n_vectors, frame)
+    rows /= np.maximum(np.linalg.norm(rows, axis=2), 1e-300)[:, :, None]
+    terms = rows[:, None] @ frame.operators[None]  # (vectors, m, d, n*d)
+    terms_hat = rows[:, None] @ perturbed.operators[None]
+    normalized = np.empty((n_vectors, frame.d, alphas.shape[0]))
+    for v, (vec_terms, vec_terms_hat) in enumerate(zip(terms, terms_hat)):
+        lhs, rhs = _batch_margins(alphas, vec_terms[:, :, None], vec_terms_hat[:, :, None], params)
+        normalized[v] = ((lhs - rhs) / (1.0 + rhs)).T
+    margin = float(normalized.max())
+    ties = normalized >= margin - 1e-12 * abs(margin)
+    v, r, k = np.unravel_index(np.argmax(ties), ties.shape)
+    alpha, row = alphas[k], rows[v, r]
     if refine and margin <= slack:
-        terms = _applied_terms(frame, witness.vector)
-        terms_hat = _applied_terms(perturbed, witness.vector)
-        alpha, refined = _ascend_coefficients(witness.coefficients, terms, terms_hat, params)
+        ascended, refined = _ascend_coefficients(alpha, terms[v][:, r:r + 1],
+                                                 terms_hat[v][:, r:r + 1], params)
         if refined > margin:
-            lhs, rhs = _batch_margins(alpha.reshape(1, -1), terms, terms_hat, params)
-            margin = refined
-            witness = InequalityWitness(alpha, witness.vector, float(lhs[0]), float(rhs[0]))
+            alpha, margin = ascended, refined
+    alpha, row = _phase_fixed(alpha), _phase_fixed(row)
+    lhs, rhs = _batch_margins(alpha[None], row @ frame.operators[:, None],
+                              row @ perturbed.operators[:, None], params)
+    block = np.zeros_like(rows[v])
+    block[r] = row
+    witness = InequalityWitness(alpha, ModuleVector(block, frame.n, frame.d),
+                                float(lhs[0]), float(rhs[0]))
     holds = margin <= slack
     derived_lower = derived_upper = None
     try:

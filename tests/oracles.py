@@ -186,13 +186,13 @@ def reference_kernel_check(frame, samples: int, seed: int, tol: float = 1e-8):
 
 def reference_margins(alphas, terms, terms_hat, eta: float, beta: float):
     """lhs and rhs of the perturbation inequality for coefficient rows
-    against applied terms of shape (m, d, n*d): einsum combinations, all
-    three always formed, and spectral norms from a full SVD of each
-    d x (n*d) block."""
-    diff = np.einsum("sm,mik->sik", alphas, terms - terms_hat)
-    base = np.einsum("sm,mik->sik", alphas, terms)
-    hat = np.einsum("sm,mik->sik", alphas, terms_hat)
-    lhs = np.linalg.norm(diff, ord=2, axis=(1, 2))
-    rhs = eta * np.linalg.norm(base, ord=2, axis=(1, 2)) \
-        + beta * np.linalg.norm(hat, ord=2, axis=(1, 2))
+    against applied terms of shape (m, ..., r, n*d): einsum combinations,
+    all three always formed, and spectral norms from a full SVD of each
+    r x (n*d) block, giving margins of shape (sequences, ...)."""
+    diff = np.einsum("sm,m...->s...", alphas, terms - terms_hat)
+    base = np.einsum("sm,m...->s...", alphas, terms)
+    hat = np.einsum("sm,m...->s...", alphas, terms_hat)
+    lhs = np.linalg.norm(diff, ord=2, axis=(-2, -1))
+    rhs = eta * np.linalg.norm(base, ord=2, axis=(-2, -1)) \
+        + beta * np.linalg.norm(hat, ord=2, axis=(-2, -1))
     return lhs, rhs

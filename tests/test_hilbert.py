@@ -353,6 +353,16 @@ def test_spectral_norms_match_svd(rng):
                                rtol=1e-12)
 
 
+def test_spectral_norms_of_one_row_blocks_are_euclidean(rng):
+    rows = rng.standard_normal((5, 3, 1, 6)) + 1j * rng.standard_normal((5, 3, 1, 6))
+    np.testing.assert_allclose(spectral_norms(rows), np.linalg.norm(rows, axis=-1)[..., 0],
+                               rtol=1e-15)
+    np.testing.assert_allclose(spectral_norms(rows.real), np.linalg.norm(rows.real, axis=-1)[..., 0],
+                               rtol=1e-15)
+    np.testing.assert_allclose(spectral_norms(rows), np.linalg.norm(rows, 2, axis=(-2, -1)),
+                               rtol=1e-12)
+
+
 def test_batched_membership_matches_contains(rng):
     subs = [submodule_from_generators([random_vector(rng, 2, 2)]) for _ in range(3)]
     inside = [sub.project(random_vector(rng, 2, 2)) for sub in subs]

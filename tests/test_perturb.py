@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gframemod import perturb
 from gframemod.algebra import psd_leq
@@ -119,6 +120,62 @@ def test_batch_margins_match_the_reference_kernel(kind, n, d, m):
         ref_lhs, ref_rhs = oracles.reference_margins(alphas, terms, terms_hat, params.eta, beta)
         assert np.all(np.abs(lhs - ref_lhs) <= 1e-12 * scale), (kind, beta)
         assert np.all(np.abs(rhs - ref_rhs) <= 1e-12 * scale), (kind, beta)
+
+
+def _complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), d=st.integers(1, 4),
+       m=st.integers(1, 5))
+def test_a_single_row_attains_the_worst_vector(seed, n, d, m):
+    # g = u f with u the top left singular vector of f X keeps ||f X|| and
+    # lowers neither norm on the right, so probing rows loses nothing
+    rng = np.random.default_rng(seed)
+    f, a = _complex(rng, d, n * d), _complex(rng, m)
+    ys = _complex(rng, m, n * d, n * d)
+    ys_hat = ys + 0.3 * _complex(rng, m, n * d, n * d)
+    x = np.einsum("k,kij->ij", a, ys - ys_hat)
+    u = np.linalg.svd(f @ x)[0][:, 0]
+    g = u.conj() @ f
+    top = np.linalg.norm(f @ x, 2)
+    assert abs(np.linalg.norm(g @ x) - top) <= 1e-12 * top
+    for stack in (ys, ys_hat):
+        z = np.einsum("k,kij->ij", a, stack)
+        assert np.linalg.norm(g @ z) <= (1.0 + 1e-12) * np.linalg.norm(f @ z, 2)
+
+
+def _reference_batch_margins(alphas, terms, terms_hat, params):
+    return oracles.reference_margins(alphas, terms, terms_hat, params.eta, params.beta)
+
+
+# a dilation base against a scaled copy: in exact arithmetic every unit row
+# gives the same margin for a sequence, so only the tie rule picks the witness
+@pytest.mark.parametrize("n,d,m,seed", [(2, 2, 4, 1), (2, 2, 4, 2), (4, 4, 64, 1), (4, 4, 64, 2)])
+@pytest.mark.parametrize("beta", [0.0, 0.05])
+def test_witness_does_not_depend_on_the_margin_kernel(monkeypatch, n, d, m, seed, beta):
+    frame = generate("dilation", n, d, m, seed=seed)
+    params = PerturbationParams(0.1, beta)
+
+    def witness():
+        verdict = check_perturbation_inequality(frame, frame.scaled(1.2), params,
+                                                seq_samples=64, vec_samples=16, seed=0)
+        assert not verdict.inequality_holds
+        return verdict.witness
+
+    batched = witness()
+    monkeypatch.setattr(perturb, "_batch_margins", _reference_batch_margins)
+    reference = witness()
+    assert batched.coefficients.tobytes() == reference.coefficients.tobytes()
+    assert batched.vector.flat.tobytes() == reference.vector.flat.tobytes()
+    assert batched.lhs == pytest.approx(reference.lhs, rel=1e-12)
+    assert batched.rhs == pytest.approx(reference.rhs, rel=1e-12)
+    # a rank-one vector, both phases fixed
+    assert np.count_nonzero(np.abs(batched.vector.flat).sum(axis=1)) == 1
+    for z in (batched.coefficients, batched.vector.flat.reshape(-1)):
+        top = z[np.argmax(np.abs(z))]
+        assert top.imag == 0.0 and top.real > 0.0
 
 
 def _per_sample_failures(frame, perturbed, lower, upper, vec_samples, seed):

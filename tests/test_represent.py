@@ -12,9 +12,11 @@ from gframemod.exceptions import (
     NotTight,
 )
 from gframemod.families import (
+    KINDS,
     commuting_orbit_frame,
     dilation_frame,
     fusion_decomposition_frame,
+    generate,
     random_family_frame,
     random_frame,
     random_unitary,
@@ -169,6 +171,48 @@ def test_zero_action_on_nonzero_submodule_fails_hypotheses():
     sub = Submodule.from_basis_rows(basis, 2, 2)
     frame = GFusionFrame([(sub, ModuleOperator.zero(2, 2))], "linear")
     assert not verify_hypotheses(frame)
+
+
+def _per_element_hypotheses(frame, tol=1e-9):
+    """verify_hypotheses one element at a time with SVD-based norms."""
+    for element in frame.elements:
+        b = element.operator.matrix
+        if np.linalg.norm(b - b.conj().T, 2) > tol * (1.0 + np.linalg.norm(b, 2)):
+            return False
+        rows = element.submodule.basis_rows
+        if rows.shape[0] == 0:
+            continue
+        s = np.linalg.svd(rows @ b, compute_uv=False)
+        if int(np.sum(s > max(tol, 1e-12) * s[0])) != element.submodule.rank:
+            return False
+    return True
+
+
+def _mixed_rank_frame(fixes_the_plane: bool):
+    # a rank-1 and a rank-2 submodule; the rank-2 one is either fixed by its
+    # projection or moved onto a line inside it
+    rng = np.random.default_rng(8)
+    basis = random_unitary(rng, 4).conj().T
+    line = Submodule.from_basis_rows(basis[2:3], 2, 2)
+    plane = Submodule.from_basis_rows(basis[:2], 2, 2)
+    kept = basis[:2] if fixes_the_plane else basis[:1]
+    return GFusionFrame([(line, line.projection), (plane, ModuleOperator(kept.conj().T @ kept, 2, 2)),
+                         (line, line.projection)], "linear")
+
+
+@pytest.mark.parametrize("frame", [
+    *[pytest.param(generate(kind, n, d, m, seed=seed), id=f"{kind}-n{n}-d{d}-m{m}-s{seed}")
+      for kind in KINDS for n, d, m in [(2, 2, 4), (4, 4, 16)] for seed in (1, 2)
+      if kind != "fusion" or m <= n * d],
+    pytest.param(_orthogonal_projection_frame(), id="orthogonal-projections"),
+    pytest.param(_full_frame([ModuleOperator.identity(2, 1),
+                              ModuleOperator(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
+                                             2, 1)], 2, 1), id="not-self-adjoint"),
+    pytest.param(_mixed_rank_frame(True), id="mixed-ranks"),
+    pytest.param(_mixed_rank_frame(False), id="mixed-ranks-rank-deficient"),
+])
+def test_batched_hypotheses_match_the_per_element_loop(frame):
+    assert verify_hypotheses(frame) == _per_element_hypotheses(frame)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ Invocations:
   `represent` (plain and `--check-theorem21`, each with no, linear and
   cyclic `--convention`), `represent --tight-certificate` with the corpus
   unit vector, and `perturb` against itself, a pass pair and a witness
-  pair;
+  pair, and the pass pair once more with `--beta 0.05`;
 * `perturb --samples 0` and `--samples -3`, and the orbit document with
   every operator entry scaled by 1e-200 under every command;
 * `gen` of every kind at the benchmark sizes, with seeds 1 and 2 (the
@@ -63,6 +63,7 @@ _WORKLOADS = _load_workloads()
 KINDS = _WORKLOADS.KINDS
 SIZES = sorted({(w.n, w.d, w.m) for w in _WORKLOADS.WORKLOADS.values()})
 ETA = _WORKLOADS.ETA
+BETA = 0.05  # the corpus pass pairs also run with beta > 0
 SEEDS = (1, 2)
 JOBS = 2
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -105,8 +106,9 @@ def _write_json(path: str, doc: dict) -> str:
     return path
 
 
-def frame_invocations(path: str, work: str, vector: str, samples=None) -> list:
-    """Every command on one frame document, as argv lists."""
+def frame_invocations(path: str, work: str, vector: str, samples=None, beta=None) -> list:
+    """Every command on one frame document, as argv lists; with `beta`, the
+    pass pair runs once more with that `--beta`."""
     with open(path, encoding="utf-8") as handle:
         doc = json.load(handle)
     stem = os.path.join(work, os.path.basename(path)[:-5])
@@ -121,6 +123,8 @@ def frame_invocations(path: str, work: str, vector: str, samples=None) -> list:
     out.append(["perturb", path, path, *sampling])
     for other in (passed, witness):
         out.append(["perturb", path, other, "--eta", str(ETA), *sampling])
+    if beta is not None:
+        out.append(["perturb", path, passed, "--eta", str(ETA), "--beta", str(beta), *sampling])
     return out
 
 
@@ -138,7 +142,8 @@ def plan(old_src: str, work: str) -> list:
                     if name.endswith(".json") and _is_frame(os.path.join(CORPUS, name)))
     invocations = []
     for path in frames:
-        invocations += [(argv, None) for argv in frame_invocations(path, work, corpus_vector)]
+        invocations += [(argv, None)
+                        for argv in frame_invocations(path, work, corpus_vector, beta=BETA)]
     orbit = os.path.join(CORPUS, "unitary_orbit_m4.json")
     for samples in ("0", "-3"):
         invocations.append((["perturb", orbit, orbit, "--samples", samples], None))
