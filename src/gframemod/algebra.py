@@ -2,15 +2,15 @@
 involution and the spectral norm.
 
 Elements are plain numpy arrays of shape (d, d), dtype complex128. The
-positivity tolerance is relative (min eigenvalue >= -tol * (1 + norm)) so that
-PSD verdicts are invariant under frame scaling.
+Hermitian and positivity tests scale with the operands (min eigenvalue
+>= -tol * max(||u||, ||v||)), so PSD verdicts do not change when both
+operands are multiplied by c > 0.
 """
 
 import numpy as np
 
 from .exceptions import NonHermitian
-
-DEFAULT_TOL = 1e-9
+from .numerics import HERMITIAN_TOL, norms_within, spectral_norms
 
 
 def as_algebra_element(u) -> np.ndarray:
@@ -40,32 +40,25 @@ def absolute_value(eta) -> np.ndarray:
     return (v * w) @ v.conj().T
 
 
-def _norms(x) -> np.ndarray:
-    """Spectral norm of an element, or of each element of a stack."""
-    return np.linalg.norm(x, 2, axis=(-2, -1))
+def _hermitian(x, bounds) -> np.ndarray:
+    """||x - x^H||_2 <= bound for each element of a stack."""
+    return norms_within(x - x.conj().swapaxes(-1, -2), bounds)
 
 
-def _hermitian(x, tol: float) -> np.ndarray:
-    return _norms(x - x.conj().swapaxes(-1, -2)) <= tol * (1.0 + _norms(x))
-
-
-def _positive(x, tol: float) -> np.ndarray:
+def _positive(x, tol: float, scale) -> np.ndarray:
     lo = np.linalg.eigvalsh((x + x.conj().swapaxes(-1, -2)) / 2.0)[..., 0]
-    return _hermitian(x, tol) & (lo >= -tol * (1.0 + _norms(x)))
+    return _hermitian(x, tol * scale) & (lo >= -tol * scale)
 
 
-def is_hermitian(u, tol: float = DEFAULT_TOL) -> bool:
-    return bool(_hermitian(as_algebra_element(u), tol))
-
-
-def is_positive(u, tol: float = DEFAULT_TOL) -> bool:
-    """Hermitian within tol, with min eigenvalue >= -tol * (1 + ||u||)."""
+def is_positive(u, tol: float = HERMITIAN_TOL) -> bool:
+    """Hermitian within tol * ||u||, with min eigenvalue >= -tol * ||u||."""
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    return bool(_positive(as_algebra_element(u), tol))
+    u = as_algebra_element(u)
+    return bool(_positive(u, tol, spectral_norms(u)))
 
 
-def psd_leq(u, v, tol: float = DEFAULT_TOL) -> bool:
+def psd_leq(u, v, tol: float = HERMITIAN_TOL) -> bool:
     """u <= v in the PSD order on Hermitian elements.
 
     Non-Hermitian operands are an error, not False; silently symmetrizing
@@ -74,10 +67,12 @@ def psd_leq(u, v, tol: float = DEFAULT_TOL) -> bool:
     return bool(psd_leq_stack(as_algebra_element(u), as_algebra_element(v), tol))
 
 
-def psd_leq_stack(u, v, tol: float = DEFAULT_TOL) -> np.ndarray:
+def psd_leq_stack(u, v, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """psd_leq pair by pair over two stacks of elements, with one batched
-    eigvalsh; a non-Hermitian element in either stack raises NonHermitian."""
+    eigvalsh; a non-Hermitian element in either stack raises NonHermitian.
+    Each pair is judged at the scale max(||u||, ||v||)."""
+    scale = np.maximum(spectral_norms(u), spectral_norms(v))
     for side, x in (("left", u), ("right", v)):
-        if not np.all(_hermitian(x, tol)):
+        if not np.all(_hermitian(x, tol * scale)):
             raise NonHermitian(f"{side} operand of psd_leq is not Hermitian within {tol}")
-    return _positive(v - u, tol)
+    return _positive(v - u, tol, scale)

@@ -8,6 +8,7 @@ across runs given identical inputs, flags, and seed.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import math
 import os
@@ -23,6 +24,7 @@ from .exceptions import (
 )
 from .families import KINDS, generate
 from .frames import canonical_dual, frame_bounds, reconstruction_residual
+from .numerics import DUAL_TOL, MARGIN_TOL, RANK_TOL, REPRESENT_TOL, TIGHT_TOL
 from .perturb import (
     HAT_HAT,
     HAT_ORIGINAL,
@@ -85,8 +87,8 @@ def _cmd_analyze(args) -> int:
     seed = _resolve_seed(args)
     sha = hashlib.sha256()
     frame = load_frame(args.frame, sha)
-    tight_tol = args.tol if args.tol is not None else 1e-9
-    dual_tol = args.tol if args.tol is not None else 1e-8
+    tight_tol = args.tol if args.tol is not None else TIGHT_TOL
+    dual_tol = args.tol if args.tol is not None else DUAL_TOL
     bounds = frame_bounds(frame)
     dual = canonical_dual(frame)
     residual = reconstruction_residual(frame, dual)
@@ -108,8 +110,8 @@ def _cmd_represent(args) -> int:
     seed = _resolve_seed(args)
     sha = hashlib.sha256()
     frame = load_frame(args.frame, sha)
-    tol = args.tol if args.tol is not None else 1e-8
-    rep = solve_representation(frame, args.convention, tol)
+    tol = args.tol if args.tol is not None else REPRESENT_TOL
+    rep = solve_representation(frame, args.convention)
     caveats = [CYCLIC_CAVEAT if rep.convention == "cyclic" else LINEAR_CAVEAT]
     results = {
         "convention": rep.convention,
@@ -142,18 +144,7 @@ def _cmd_represent(args) -> int:
             raise ParseError("--tight-certificate requires --vector")
         f = load_vector(args.vector, sha)
         cert = tightness_contradiction_certificate(frame, rep, f, tol)
-        results["certificate"] = {
-            "norm_T": cert.norm_T,
-            "norm_T_inverse": cert.norm_T_inverse,
-            "isometry_ok": cert.isometry_ok,
-            "norm_bounds_ok": cert.norm_bounds_ok,
-            "term_norms": list(cert.term_norms),
-            "constant_norms_ok": cert.constant_norms_ok,
-            "degenerate": cert.degenerate,
-            "window": cert.window,
-            "ratio": cert.ratio,
-            "upper_bound": cert.upper_bound,
-        }
+        results["certificate"] = dataclasses.asdict(cert)
         if not cert.degenerate:
             failed = failed or not (cert.isometry_ok and cert.constant_norms_ok
                                     and cert.norm_bounds_ok)
@@ -185,7 +176,7 @@ def _cmd_perturb(args) -> int:
     if seq_samples < 1:
         raise ParseError(f"--samples must be at least 1, got {seq_samples}")
     vec_samples = max(8, seq_samples // 4)
-    slack = args.tol if args.tol is not None else 1e-10
+    slack = args.tol if args.tol is not None else MARGIN_TOL
     verdict = check_perturbation_inequality(
         frame, perturbed, params, seq_samples=seq_samples,
         vec_samples=vec_samples, seed=seed, slack=slack,
@@ -254,7 +245,7 @@ def _cmd_independence(args) -> int:
     seed = _resolve_seed(args)
     sha = hashlib.sha256()
     frame = load_frame(args.frame, sha)
-    tol = args.tol if args.tol is not None else 1e-10
+    tol = args.tol if args.tol is not None else RANK_TOL
     try:
         rep = solve_representation(frame) if len(frame) >= 2 else None
     except DegenerateSpan:
@@ -272,15 +263,8 @@ def _cmd_independence(args) -> int:
                                    for z in report_data.coefficients]
     failed = False
     if report_data.span_invariance is not None:
-        inv = report_data.span_invariance
-        results["span_invariance"] = {
-            "alpha": inv.alpha,
-            "b": inv.b,
-            "max_defect": inv.max_defect,
-            "max_defect_inverse": inv.max_defect_inverse,
-            "ok": inv.ok,
-        }
-        failed = not inv.ok
+        results["span_invariance"] = dataclasses.asdict(report_data.span_invariance)
+        failed = not report_data.span_invariance.ok
     report = _report("independence", seed, sha.hexdigest(), results, [])
     _emit(report, args.output)
     return 3 if failed else 0

@@ -27,13 +27,18 @@ from .hilbert import (
     Submodule,
     _check_convention,
     apply,
+    contained,
     gram_sum,
-    norms_within,
 )
-
-RANK_TOL = 1e-10  # S is treated as singular below this relative eigenvalue
-COND_LIMIT = 1e-12  # refuse to invert S past this relative conditioning
-TIGHT_TOL = 1e-9  # default relative gap for tightness
+from .numerics import (
+    CONTAINMENT_TOL,
+    DUAL_TOL,
+    INVERT_TOL,
+    MEMBERSHIP_TOL,
+    TIGHT_TOL,
+    rank,
+    spectral_norms,
+)
 
 
 class FrameElement(NamedTuple):
@@ -61,7 +66,7 @@ class GFusionFrame:
     __slots__ = ("elements", "index_convention", "n", "d", "operators", "projections",
                  "_operator_norms")
 
-    def __init__(self, elements, index_convention: str = "linear", containment_tol: float = 1e-8):
+    def __init__(self, elements, index_convention: str = "linear"):
         elements = [FrameElement(sub, op) for sub, op in elements]
         if not elements:
             raise DimensionMismatch("a frame needs at least one element")
@@ -73,13 +78,11 @@ class GFusionFrame:
             if (sub.n, sub.d) != (n, d) or (op.n, op.d) != (n, d):
                 raise DimensionMismatch("all frame elements must share (n, d)")
         self._adopt(elements, np.stack([sub.projection.matrix for sub, _ in elements]),
-                    np.stack([op.matrix for _, op in elements]), index_convention,
-                    containment_tol)
+                    np.stack([op.matrix for _, op in elements]), index_convention)
 
     @classmethod
     def from_stacks(cls, projections, operators, n: int, d: int,
-                    index_convention: str = "linear",
-                    containment_tol: float = 1e-8) -> "GFusionFrame":
+                    index_convention: str = "linear") -> "GFusionFrame":
         """The frame of an (m, n*d, n*d) projection stack and an operator
         stack of the same shape, validated in one batch and kept as the
         frame's arrays without restacking.  A matrix that is not a
@@ -88,14 +91,13 @@ class GFusionFrame:
         elements = [FrameElement(sub, ModuleOperator(y, n, d))
                     for sub, y in zip(submodules, operators)]
         frame = cls.__new__(cls)
-        frame._adopt(elements, projections, operators, index_convention, containment_tol)
+        frame._adopt(elements, projections, operators, index_convention)
         return frame
 
-    def _adopt(self, elements, projections, operators, index_convention, containment_tol):
+    def _adopt(self, elements, projections, operators, index_convention):
         norms = np.linalg.norm(operators, 2, axis=(1, 2))
-        contained = norms_within(operators @ projections - operators,
-                                 containment_tol * (1.0 + norms))
-        outside = np.flatnonzero(~contained)
+        # the range of Y_k lies in N_k when every row of Y_k is a member
+        outside = np.flatnonzero(~contained(operators, projections, CONTAINMENT_TOL * norms))
         if outside.size:
             raise MembershipViolation(
                 f"element {outside[0]}: operator range is not contained in its submodule"
@@ -142,7 +144,7 @@ def frame_operator(frame: GFusionFrame) -> ModuleOperator:
     return ModuleOperator((s + s.conj().T) / 2.0, frame.n, frame.d)
 
 
-def frame_bounds(frame: GFusionFrame, rank_tol: float = RANK_TOL) -> FrameBounds:
+def frame_bounds(frame: GFusionFrame) -> FrameBounds:
     """Optimal bounds (A, B): extreme eigenvalues of the flattened S.
 
     Raises NotAFrame when S is numerically singular (no positive lower
@@ -150,16 +152,16 @@ def frame_bounds(frame: GFusionFrame, rank_tol: float = RANK_TOL) -> FrameBounds
     """
     eigs = np.linalg.eigvalsh(frame_operator(frame).matrix)
     lower, upper = float(eigs[0]), float(eigs[-1])
-    if upper <= 0.0 or lower <= rank_tol * upper:
+    if rank(eigs[::-1]) < len(eigs):
         raise NotAFrame(
             f"frame operator is singular (extreme eigenvalues {lower:.3e}, {upper:.3e})"
         )
     return FrameBounds(lower, upper)
 
 
-def is_tight(frame: GFusionFrame, tol: float = TIGHT_TOL) -> bool:
-    """True when the optimal bounds agree to relative gap `tol`."""
-    return frame_bounds(frame).gap <= tol
+def is_tight(frame: GFusionFrame) -> bool:
+    """True when the optimal bounds agree to relative gap TIGHT_TOL."""
+    return frame_bounds(frame).gap <= TIGHT_TOL
 
 
 def analysis(frame: GFusionFrame, f: ModuleVector) -> ModuleSequence:
@@ -170,7 +172,8 @@ def analysis(frame: GFusionFrame, f: ModuleVector) -> ModuleSequence:
     return ModuleSequence(terms, frame.index_convention, frame.submodules())
 
 
-def synthesis(frame: GFusionFrame, seq: ModuleSequence, membership_tol=1e-8) -> ModuleVector:
+def synthesis(frame: GFusionFrame, seq: ModuleSequence,
+              membership_tol=MEMBERSHIP_TOL) -> ModuleVector:
     """{f_xi} |-> sum_xi Y_xi^* f_xi, the adjoint of analysis.
 
     Pass membership_tol=None to skip the term-membership check.
@@ -179,26 +182,15 @@ def synthesis(frame: GFusionFrame, seq: ModuleSequence, membership_tol=1e-8) -> 
         raise LengthMismatch(f"sequence has {len(seq)} terms, frame has {len(frame)}")
     if (seq.n, seq.d) != (frame.n, frame.d):
         raise DimensionMismatch("sequence shape does not match the frame")
-    if membership_tol is not None:
-        for xi, (term, element) in enumerate(zip(seq.terms, frame.elements)):
-            if not element.submodule.contains(term, membership_tol):
-                raise MembershipViolation(f"sequence term {xi} is not in its submodule")
-    acc = np.zeros((frame.d, frame.n * frame.d), dtype=np.complex128)
-    for term, element in zip(seq.terms, frame.elements):
-        acc += term.flat @ element.operator.matrix.conj().T
-    return ModuleVector(acc, frame.n, frame.d)
+    flats = np.stack([term.flat for term in seq.terms])
+    if membership_tol is not None:  # the rule of Submodule.contains, for every term at once
+        inside = contained(flats, frame.projections, membership_tol * spectral_norms(flats))
+        if not inside.all():
+            raise MembershipViolation(f"sequence term {np.argmin(inside)} is not in its submodule")
+    return ModuleVector(gram_sum(flats, frame.operators), frame.n, frame.d)
 
 
-def _mixed_frame_matrix(frame: GFusionFrame, dual: GFusionFrame) -> np.ndarray:
-    """Flattened matrix of sum_xi Y_xi^* G_xi (identity for a true dual)."""
-    if len(frame) != len(dual):
-        raise LengthMismatch("frame and dual have different lengths")
-    if (frame.n, frame.d) != (dual.n, dual.d):
-        raise DimensionMismatch("frame and dual shapes differ")
-    return gram_sum(dual.operators, frame.operators)
-
-
-def canonical_dual(frame: GFusionFrame, cond_limit: float = COND_LIMIT) -> GFusionFrame:
+def canonical_dual(frame: GFusionFrame) -> GFusionFrame:
     """The dual family {(N_xi, Y_xi S^{-1})}.
 
     S is inverted through its Hermitian eigendecomposition with a
@@ -206,7 +198,7 @@ def canonical_dual(frame: GFusionFrame, cond_limit: float = COND_LIMIT) -> GFusi
     """
     s = frame_operator(frame).matrix
     w, v = np.linalg.eigh(s)
-    if w[-1] <= 0.0 or w[0] <= cond_limit * w[-1]:
+    if rank(w[::-1], INVERT_TOL) < len(w):
         raise NotAFrame(
             f"frame operator too ill-conditioned to invert (eigenvalues {w[0]:.3e}, {w[-1]:.3e})"
         )
@@ -216,19 +208,24 @@ def canonical_dual(frame: GFusionFrame, cond_limit: float = COND_LIMIT) -> GFusi
     return GFusionFrame(duals, frame.index_convention)
 
 
-def verify_dual(frame: GFusionFrame, dual: GFusionFrame, tol: float = 1e-8) -> bool:
+def verify_dual(frame: GFusionFrame, dual: GFusionFrame) -> bool:
     """Check f = sum_xi Y_xi^* G_xi f for every f, exactly.
 
     Analysis by the dual followed by synthesis maps f to f M with M the
     mixed frame matrix, and the module norm is attained on a rank-one row
     block, so sup ||f M - f|| / ||f|| is the operator norm of M - Id.
     """
-    return reconstruction_residual(frame, dual) <= tol
+    return reconstruction_residual(frame, dual) <= DUAL_TOL
 
 
 def reconstruction_residual(frame: GFusionFrame, dual: GFusionFrame) -> float:
-    """Operator norm of sum_xi Y_xi^* G_xi - Id."""
-    mixed = _mixed_frame_matrix(frame, dual)
+    """Operator norm of sum_xi Y_xi^* G_xi - Id (the mixed frame matrix is
+    the identity for a true dual)."""
+    if len(frame) != len(dual):
+        raise LengthMismatch("frame and dual have different lengths")
+    if (frame.n, frame.d) != (dual.n, dual.d):
+        raise DimensionMismatch("frame and dual shapes differ")
+    mixed = gram_sum(dual.operators, frame.operators)
     return float(np.linalg.norm(mixed - np.eye(frame.n * frame.d), 2))
 
 

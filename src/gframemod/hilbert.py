@@ -23,8 +23,7 @@ orthogonal projection onto V applied on the right.
 import numpy as np
 
 from .exceptions import DimensionMismatch, MembershipViolation
-
-RANK_TOL = 1e-10  # relative singular-value cutoff for all rank decisions
+from .numerics import MEMBERSHIP_TOL, PROJECTION_TOL, norms_within, rank
 
 _CONVENTIONS = ("linear", "cyclic")
 
@@ -191,16 +190,6 @@ def operator_norm_module(op: ModuleOperator) -> float:
     return float(np.linalg.norm(op.matrix, 2))
 
 
-def spectral_norms(blocks) -> np.ndarray:
-    """Largest singular value of each matrix in a stack: a row's Euclidean
-    norm, else the root of the top eigenvalue of its row Gram (r x r)."""
-    if blocks.shape[-2] == 1:
-        parts = np.ascontiguousarray(blocks[..., 0, :], dtype=np.complex128).view(np.float64)
-        return np.sqrt(np.einsum("...i,...i->...", parts, parts))
-    gram = blocks @ blocks.conj().swapaxes(-1, -2)
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
-
-
 def gram_sum(a, b) -> np.ndarray:
     """sum_k A_k B_k^H over two stacks of equal shape (m, r, c)."""
     return np.einsum("kij,klj->il", a, b.conj())
@@ -217,73 +206,43 @@ def null_combinations(stack, tol: float):
     m = stack.shape[0]
     columns = stack.reshape(m, -1).T
     _, s, vh = np.linalg.svd(columns, full_matrices=m > columns.shape[0])
-    top = float(s[0]) if s.size else 0.0
-    rank = int(np.sum(s > tol * top)) if top > 0.0 else 0
-    return rank, vh[rank:].conj()
+    r = int(rank(s, tol))
+    return r, vh[r:].conj()
 
 
-def contained(flats, projections, tol: float = 1e-10) -> np.ndarray:
-    """The membership rule ||t - t P||_2 <= tol * (1 + ||t||_2) for every
-    flattened term t in a stack against its projection P.
-
-    ||r||_2 <= ||r||_F, so when every residual is within tol in Frobenius
-    norm all terms pass without taking spectral norms.
-    """
+def contained(flats, projections, bounds) -> np.ndarray:
+    """||t - t P||_2 <= bound for every flattened term t in a stack against
+    its projection P."""
     residual = flats @ projections
     np.subtract(flats, residual, out=residual)
-    parts = residual.view(np.float64)
-    screened = np.sum(parts * parts, axis=(-2, -1)) <= tol * tol
-    if screened.all():
-        return screened
-    return spectral_norms(residual) <= tol * (1.0 + spectral_norms(flats))
+    return norms_within(residual, bounds)
 
 
-def orthonormal_rows(rows, rank_tol: float = RANK_TOL) -> np.ndarray:
+def orthonormal_rows(rows) -> np.ndarray:
     """Orthonormal basis (as rows) of the row space of `rows`."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.complex128))
-    _, s, vh = np.linalg.svd(rows[None], full_matrices=False)
-    return _row_bases(s, vh, rank_tol)[0]
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    return vh[:rank(s)]
 
 
-def _row_bases(s, vh, rank_tol: float) -> list:
-    """From a stack's batched SVD, each matrix's right singular rows above
-    rank_tol times its top singular value (none for a zero matrix)."""
-    ranks = np.count_nonzero(s > rank_tol * s[..., :1], axis=-1)
-    return [v[:r] for v, r in zip(vh, ranks.tolist())]
-
-
-def norms_within(residuals, bounds) -> np.ndarray:
-    """||r_k||_2 <= bound_k for each matrix of a stack.
-
-    ||r||_2 <= ||r||_F, so spectral norms are taken only when some
-    residual fails the Frobenius screen.
-    """
-    parts = residuals.view(np.float64)
-    within = np.sum(parts * parts, axis=(-2, -1)) <= bounds * bounds
-    if within.all():
-        return within
-    return spectral_norms(residuals) <= bounds
-
-
-def checked_projections(stack, tol: float):
+def checked_projections(stack, tol: float = PROJECTION_TOL):
     """Validate a stack of would-be orthogonal projections in one batch.
 
     Returns the (index, problem) of the first matrix q that is not
-    self-adjoint or not idempotent within tol * (1 + ||q||_2), or None, and
-    the row basis of every matrix.  One batched SVD gives both the bases
-    and the norms ||q||_2.
+    self-adjoint or not idempotent within tol in spectral norm (a
+    projection has no scale), or None, and the row basis of every matrix
+    from one batched SVD.
     """
     _, s, vh = np.linalg.svd(stack, full_matrices=False)
-    scale = tol * (1.0 + s[:, 0])
-    adjoint_ok = norms_within(stack - stack.conj().swapaxes(-1, -2), scale)
-    idempotent_ok = norms_within(stack @ stack - stack, scale)
+    adjoint_ok = norms_within(stack - stack.conj().swapaxes(-1, -2), tol)
+    idempotent_ok = norms_within(stack @ stack - stack, tol)
     bad = np.flatnonzero(~(adjoint_ok & idempotent_ok))
     fault = None
     if bad.size:
         k = int(bad[0])
         problem = "self-adjoint" if not adjoint_ok[k] else "idempotent"
         fault = (k, f"projection is not {problem} within tolerance")
-    return fault, _row_bases(s, vh, RANK_TOL)
+    return fault, [v[:r] for v, r in zip(vh, rank(s).tolist())]
 
 
 class Submodule:
@@ -295,8 +254,8 @@ class Submodule:
 
     __slots__ = ("projection", "basis_rows", "rank", "n", "d")
 
-    def __init__(self, projection: ModuleOperator, tol: float = 1e-8):
-        fault, (basis,) = checked_projections(projection.matrix[None], tol)
+    def __init__(self, projection: ModuleOperator):
+        fault, (basis,) = checked_projections(projection.matrix[None])
         if fault is not None:
             raise ValueError(fault[1])
         self._adopt(projection, basis)
@@ -310,11 +269,11 @@ class Submodule:
         self.d = projection.d
 
     @classmethod
-    def from_stack(cls, projections, n: int, d: int, tol: float = 1e-8) -> tuple:
+    def from_stack(cls, projections, n: int, d: int) -> tuple:
         """One submodule per matrix of an (m, n*d, n*d) projection stack,
         validated in one batch by the rule of `__init__`; a failure raises
         ValueError naming its element."""
-        fault, bases = checked_projections(projections, tol)
+        fault, bases = checked_projections(projections)
         if fault is not None:
             raise ValueError("element %d: %s" % fault)
         submodules = []
@@ -327,15 +286,15 @@ class Submodule:
     @classmethod
     def from_basis_rows(cls, rows, n: int, d: int) -> "Submodule":
         rows = orthonormal_rows(rows)
-        q = rows.conj().T @ rows if rows.size else np.zeros((n * d, n * d), dtype=np.complex128)
-        return cls(ModuleOperator(q, n, d))
+        return cls(ModuleOperator(rows.conj().T @ rows, n, d))  # zero for no rows
 
     @classmethod
     def full(cls, n: int, d: int) -> "Submodule":
         return cls(ModuleOperator.identity(n, d))
 
-    def contains(self, f: ModuleVector, tol: float = 1e-10) -> bool:
-        return bool(contained(f.flat, self.projection.matrix, tol))
+    def contains(self, f: ModuleVector, tol: float = MEMBERSHIP_TOL) -> bool:
+        """||f - f P||_2 <= tol * ||f||."""
+        return bool(contained(f.flat, self.projection.matrix, tol * f.norm()))
 
     def project(self, f: ModuleVector) -> ModuleVector:
         return apply(self.projection, f)
@@ -344,7 +303,7 @@ class Submodule:
         return f"Submodule(rank={self.rank}, n={self.n}, d={self.d})"
 
 
-def submodule_from_generators(generators, rank_tol: float = RANK_TOL) -> Submodule:
+def submodule_from_generators(generators) -> Submodule:
     """Projection onto the smallest A-submodule containing the generators.
 
     The A-orbit of a vector spans exactly the complex row space of its
@@ -359,7 +318,7 @@ def submodule_from_generators(generators, rank_tol: float = RANK_TOL) -> Submodu
         if (g.n, g.d) != (n, d):
             raise DimensionMismatch("generators of different shape")
     stacked = np.vstack([g.flat for g in generators])
-    return Submodule.from_basis_rows(orthonormal_rows(stacked, rank_tol), n, d)
+    return Submodule.from_basis_rows(orthonormal_rows(stacked), n, d)
 
 
 def span_of_submodules(submodules) -> Submodule:
@@ -371,10 +330,7 @@ def span_of_submodules(submodules) -> Submodule:
     for s in submodules:
         if (s.n, s.d) != (n, d):
             raise DimensionMismatch("submodules of different shape")
-    stacked = np.vstack([s.basis_rows for s in submodules if s.rank > 0])
-    if stacked.size == 0:
-        return Submodule.from_basis_rows(np.zeros((0, n * d)), n, d)
-    return Submodule.from_basis_rows(stacked, n, d)
+    return Submodule.from_basis_rows(np.vstack([s.basis_rows for s in submodules]), n, d)
 
 
 class ModuleSequence:
@@ -432,12 +388,12 @@ def sequence_inner_product(f: ModuleSequence, g: ModuleSequence) -> np.ndarray:
     return sum(inner_product(a, b) for a, b in zip(f.terms, g.terms))
 
 
-def right_shift(seq: ModuleSequence, repair: bool = False, tol: float = 1e-10) -> ModuleSequence:
+def right_shift(seq: ModuleSequence, repair: bool = False) -> ModuleSequence:
     """The sequence whose term xi is the input's term xi+1.
 
     Cyclic convention rotates; linear drops the leading term and appends a
     zero.  When target submodules are attached, a shifted term that leaves
-    its new target by more than `tol` raises MembershipViolation, unless
+    its new target (`Submodule.contains`) raises MembershipViolation, unless
     `repair=True`, in which case it is orthogonally projected back.
     """
     m = len(seq)
@@ -449,7 +405,7 @@ def right_shift(seq: ModuleSequence, repair: bool = False, tol: float = 1e-10) -
         return ModuleSequence(shifted, seq.index_convention)
     out = []
     for xi, (term, target) in enumerate(zip(shifted, seq.submodules)):
-        if target.contains(term, tol):
+        if target.contains(term):
             out.append(term)
         elif repair:
             out.append(target.project(term))

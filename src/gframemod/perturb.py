@@ -13,9 +13,12 @@ means "not falsified at N samples".
 
 The worst f can always be one row g = u f (u a unit row with ||g X|| =
 ||f X||, X = sum a_xi (Y_xi - Yhat_xi)): the right side cannot grow.  So
-each drawn vector is probed through its d rows, with Euclidean norms; the
-first (vector, row, sequence) triple within 1e-12 relative of the worst
-margin is the witness, with its phases fixed, so rounding cannot pick it.
+each drawn vector is probed through its d rows, with Euclidean norms.  A
+margin lhs - rhs is normalised by sum |a_xi| max(max ||Y||, max ||Yhat||),
+the size both sides can reach for a unit row, so verdicts do not depend on
+the families' scale.  The first (vector, row, sequence) triple within
+TIE_TOL relative of the worst normalised margin is the witness, with its
+phases fixed, so rounding cannot pick it.
 
 The derived frame bounds of the perturbed family use the middle term in two
 switchable readings, because the as-printed pairing <Yhat f, Y f> is not
@@ -24,7 +27,7 @@ frame operator of the perturbed family) is the default; `hat_original`
 evaluates the printed pairing, Hermitized before eigen-analysis.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -37,12 +40,12 @@ from .exceptions import (
     NotAFrame,
 )
 from .frames import GFusionFrame, frame_bounds
-from .hilbert import ModuleVector, gram_sum, null_combinations, spectral_norms
+from .hilbert import ModuleVector, gram_sum, null_combinations
+from .numerics import BOUNDS_TOL, MARGIN_TOL, RANK_TOL, TIE_TOL, spectral_norms
 from .represent import independence_analysis
 
 DEFAULT_SEQ_SAMPLES = 256
 DEFAULT_VEC_SAMPLES = 64
-VIOLATION_SLACK = 1e-10
 HAT_HAT = "hat_hat"
 HAT_ORIGINAL = "hat_original"
 
@@ -145,7 +148,7 @@ def _candidate_sequences(frame, perturbed, seq_samples: int, rng) -> np.ndarray:
     # up to 8 unit null combinations of either family and of their
     # difference; an all-zero family contributes only e_0
     for mats in (frame.operators, perturbed.operators, frame.operators - perturbed.operators):
-        rank, null = null_combinations(mats, 1e-10)
+        rank, null = null_combinations(mats, RANK_TOL)
         rows.append(null[:8] if rank else eye[:1])
     extra = max(0, seq_samples - m)
     if extra:
@@ -155,16 +158,19 @@ def _candidate_sequences(frame, perturbed, seq_samples: int, rng) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _ascend_coefficients(alpha: np.ndarray, terms, terms_hat,
-                         params: PerturbationParams, steps: int = 24):
-    """Local finite-difference ascent of the normalized margin over the
-    coefficient sequence, starting from the worst sampled witness."""
+def _normalized_margins(alphas, terms, terms_hat, params: PerturbationParams, size: float):
+    """(lhs - rhs) / (sum |a| * size) for each coefficient row, on the last
+    axis, with `size` the families' largest operator norm (see the module
+    docstring)."""
+    lhs, rhs = _batch_margins(alphas, terms, terms_hat, params)
+    return (lhs - rhs).T / np.maximum(np.abs(alphas).sum(axis=1) * size, 1e-300)
+
+
+def _ascend_coefficients(alpha: np.ndarray, normalized_margin, steps: int = 24):
+    """Local finite-difference ascent of the normalized margin (a function
+    of a batch of coefficient rows) over the coefficient sequence, starting
+    from the worst sampled witness."""
     m = alpha.shape[0]
-
-    def normalized_margin(batch):
-        lhs, rhs = _batch_margins(batch, terms, terms_hat, params)
-        return (lhs - rhs) / (1.0 + rhs)
-
     alpha = alpha / max(np.linalg.norm(alpha), 1e-300)
     best = float(normalized_margin(alpha.reshape(1, -1))[0])
     lr = 0.25
@@ -206,15 +212,16 @@ def check_perturbation_inequality(frame: GFusionFrame, perturbed: GFusionFrame,
                                   seq_samples: int = DEFAULT_SEQ_SAMPLES,
                                   vec_samples: int = DEFAULT_VEC_SAMPLES,
                                   seed: int = 0,
-                                  slack: float = VIOLATION_SLACK,
-                                  refine: bool = True) -> PerturbationVerdict:
+                                  slack: float = MARGIN_TOL) -> PerturbationVerdict:
     """Sample the two-family inequality and report the worst-margin witness.
 
     `inequality_holds` is True when no (sequence, row) pair, over the d rows
-    of each drawn vector, violates the inequality beyond `slack` relative
-    slack, including after the local ascent refinement of the worst witness.
+    of each drawn vector, has a normalised margin (lhs - rhs over
+    sum |a_xi| max(max ||Y||, max ||Yhat||)) above `slack`, including after
+    the local ascent refinement of the worst witness.
     """
     _check_shapes(frame, perturbed)
+    size = max(frame.max_operator_norm(), perturbed.max_operator_norm())
     rng = np.random.default_rng(seed)
     alphas = _candidate_sequences(frame, perturbed, seq_samples, rng)
     n_vectors = max(1, vec_samples)
@@ -224,15 +231,15 @@ def check_perturbation_inequality(frame: GFusionFrame, perturbed: GFusionFrame,
     terms_hat = rows[:, None] @ perturbed.operators[None]
     normalized = np.empty((n_vectors, frame.d, alphas.shape[0]))
     for v, (vec_terms, vec_terms_hat) in enumerate(zip(terms, terms_hat)):
-        lhs, rhs = _batch_margins(alphas, vec_terms[:, :, None], vec_terms_hat[:, :, None], params)
-        normalized[v] = ((lhs - rhs) / (1.0 + rhs)).T
+        normalized[v] = _normalized_margins(alphas, vec_terms[:, :, None],
+                                            vec_terms_hat[:, :, None], params, size)
     margin = float(normalized.max())
-    ties = normalized >= margin - 1e-12 * abs(margin)
+    ties = normalized >= margin - TIE_TOL * abs(margin)
     v, r, k = np.unravel_index(np.argmax(ties), ties.shape)
     alpha, row = alphas[k], rows[v, r]
-    if refine and margin <= slack:
-        ascended, refined = _ascend_coefficients(alpha, terms[v][:, r:r + 1],
-                                                 terms_hat[v][:, r:r + 1], params)
+    if margin <= slack:
+        ascended, refined = _ascend_coefficients(alpha, lambda batch: _normalized_margins(
+            batch, terms[v][:, r:r + 1], terms_hat[v][:, r:r + 1], params, size))
         if refined > margin:
             alpha, margin = ascended, refined
     alpha, row = _phase_fixed(alpha), _phase_fixed(row)
@@ -264,6 +271,19 @@ def derived_bounds(bounds, params: PerturbationParams):
     return lo, hi
 
 
+def _verified(frame, perturbed, params, seed, inequality) -> PerturbationVerdict:
+    """The inequality check, run here when not supplied; InequalityNotVerified
+    when it failed."""
+    _check_shapes(frame, perturbed)
+    if inequality is None:
+        inequality = check_perturbation_inequality(frame, perturbed, params, seed=seed)
+    if not inequality.inequality_holds:
+        raise InequalityNotVerified(
+            f"inequality violated by margin {inequality.witness.margin:.3e}"
+        )
+    return inequality
+
+
 def _middle_matrix(frame: GFusionFrame, perturbed: GFusionFrame, interpretation: str):
     if interpretation == HAT_HAT:
         return gram_sum(perturbed.operators, perturbed.operators)
@@ -277,7 +297,6 @@ def verify_perturbed_frame(frame: GFusionFrame, perturbed: GFusionFrame,
                            interpretation: str = HAT_HAT,
                            vec_samples: int = DEFAULT_VEC_SAMPLES,
                            seed: int = 0,
-                           slack: float = 1e-8,
                            inequality: Optional[PerturbationVerdict] = None) -> PerturbationVerdict:
     """Empirical optimal bounds of the middle term against the derived ones.
 
@@ -286,15 +305,11 @@ def verify_perturbed_frame(frame: GFusionFrame, perturbed: GFusionFrame,
     the Hermitized mixed matrix.  Raises InequalityNotVerified when the
     inequality check (run here when not supplied) failed.  The derived
     bounds are the check's own when it ran on this same frame object with
-    the same params; otherwise they are computed from `frame` here.
+    the same params; otherwise they are computed from `frame` here.  The
+    empirical bounds are contained when within BOUNDS_TOL times the derived
+    upper bound of the derived ones.
     """
-    _check_shapes(frame, perturbed)
-    if inequality is None:
-        inequality = check_perturbation_inequality(frame, perturbed, params, seed=seed)
-    if not inequality.inequality_holds:
-        raise InequalityNotVerified(
-            f"inequality violated by margin {inequality.witness.margin:.3e}"
-        )
+    inequality = _verified(frame, perturbed, params, seed, inequality)
     if (inequality.derived_lower is None or inequality.frame is not frame
             or inequality.params != params):
         d_lo, d_hi = derived_bounds(frame_bounds(frame), params)  # NotAFrame when S is singular
@@ -304,8 +319,7 @@ def verify_perturbed_frame(frame: GFusionFrame, perturbed: GFusionFrame,
     mid_h = (mid + mid.conj().T) / 2.0
     eigs = np.linalg.eigvalsh(mid_h)
     e_lo, e_hi = float(eigs[0]), float(eigs[-1])
-    contained = (d_lo <= e_lo + slack * (1.0 + abs(e_lo))
-                 and e_hi <= d_hi + slack * (1.0 + abs(e_hi)))
+    contained = d_lo <= e_lo + BOUNDS_TOL * d_hi and e_hi <= d_hi + BOUNDS_TOL * d_hi
 
     flats = _random_blocks(np.random.default_rng(seed), max(0, vec_samples), frame)
     adjoints = flats.conj().swapaxes(1, 2)
@@ -313,26 +327,22 @@ def verify_perturbed_frame(frame: GFusionFrame, perturbed: GFusionFrame,
     values = flats @ mid @ adjoints
     values = (values + values.conj().swapaxes(1, 2)) / 2.0
     # the upper side is checked only where the lower held (a per-sample `and`)
-    lower = psd_leq_stack(d_lo * grams, values, 1e-9)
-    upper = psd_leq_stack(values[lower], d_hi * grams[lower], 1e-9)
+    lower = psd_leq_stack(d_lo * grams, values)
+    upper = psd_leq_stack(values[lower], d_hi * grams[lower])
     failures = len(flats) - int(np.count_nonzero(upper))
 
     caveats = list(inequality.caveats)
     if interpretation == HAT_ORIGINAL:
         caveats.append(HAT_ORIGINAL_CAVEAT)
-    return PerturbationVerdict(
-        params=params, inequality_holds=True, witness=inequality.witness,
-        n_sequences=inequality.n_sequences, n_vectors=inequality.n_vectors,
-        derived_lower=d_lo, derived_upper=d_hi,
-        empirical_lower=e_lo, empirical_upper=e_hi,
-        interpretation=interpretation, bounds_contained=contained,
-        sample_failures=failures, caveats=tuple(caveats), frame=frame,
+    return replace(  # the verified check's witness and sample counts
+        inequality, params=params, derived_lower=d_lo, derived_upper=d_hi,
+        empirical_lower=e_lo, empirical_upper=e_hi, interpretation=interpretation,
+        bounds_contained=contained, sample_failures=failures, caveats=tuple(caveats), frame=frame,
     )
 
 
 def independence_transfer(frame: GFusionFrame, perturbed: GFusionFrame,
-                          params: PerturbationParams, tol: float = 1e-10,
-                          seed: int = 0,
+                          params: PerturbationParams, seed: int = 0,
                           inequality: Optional[PerturbationVerdict] = None) -> bool:
     """Independence verdict of the perturbed family, given an independent
     base family and a verified inequality.
@@ -343,22 +353,16 @@ def independence_transfer(frame: GFusionFrame, perturbed: GFusionFrame,
     a verified inequality and a dependent perturbed family cannot coexist;
     the inconsistency is raised as InequalityNotVerified.
     """
-    _check_shapes(frame, perturbed)
-    if inequality is None:
-        inequality = check_perturbation_inequality(frame, perturbed, params, seed=seed)
-    if not inequality.inequality_holds:
-        raise InequalityNotVerified(
-            f"inequality violated by margin {inequality.witness.margin:.3e}"
-        )
-    base = independence_analysis(frame, tol)
+    _verified(frame, perturbed, params, seed, inequality)
+    base = independence_analysis(frame)
     if base.verdict != "independent":
         raise BaseNotIndependent("the unperturbed family is linearly dependent")
-    report = independence_analysis(perturbed, tol)
+    report = independence_analysis(perturbed)
     if report.verdict == "independent":
         return True
     combo = float(np.linalg.norm(np.einsum("k,kij->ij", report.coefficients, frame.operators), 2))
     scale = max(frame.max_operator_norm(), 1e-300)
-    if combo > tol * scale * len(frame):
+    if combo > RANK_TOL * scale * len(frame):
         raise InequalityNotVerified(
             "a null combination of the perturbed family fails to annihilate "
             "the base family; the sampled inequality pass was a miss"

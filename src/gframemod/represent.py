@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from .algebra import _hermitian
 from .exceptions import (
     DegenerateSpan,
     DimensionMismatch,
@@ -28,7 +29,7 @@ from .exceptions import (
     NotRepresentable,
     NotTight,
 )
-from .frames import TIGHT_TOL, GFusionFrame, frame_bounds
+from .frames import GFusionFrame, frame_bounds
 from .hilbert import (
     ModuleOperator,
     ModuleSequence,
@@ -36,15 +37,22 @@ from .hilbert import (
     Submodule,
     _check_convention,
     contained,
-    norms_within,
+    gram_sum,
     null_combinations,
     span_of_submodules,
+)
+from .numerics import (
+    HERMITIAN_TOL,
+    INVARIANCE_TOL,
+    INVERT_TOL,
+    MEMBERSHIP_TOL,
+    RANK_TOL,
+    REPRESENT_TOL,
+    SNAP_TOL,
+    TIGHT_TOL,
+    rank,
     spectral_norms,
 )
-
-PINV_RCOND = 1e-10  # relative singular-value cutoff of the solver
-REPRESENTABLE_TOL = 1e-8  # residual <= tol * max ||Y_xi|| is "representable"
-INVERT_COND_LIMIT = 1e-12
 
 LINEAR_CAVEAT = (
     "linear index window: the shift constraint stops at the window edge, so "
@@ -57,9 +65,18 @@ CYCLIC_CAVEAT = (
 
 
 def _constraint_pairs(m: int, convention: str):
-    if convention == "cyclic":
-        return [(xi, (xi + 1) % m) for xi in range(m)]
-    return [(xi, xi + 1) for xi in range(m - 1)]
+    """Index arrays (a, b) of the constraints T Y_a = Y_b."""
+    a = np.arange(m if convention == "cyclic" else m - 1)
+    return a, (a + 1) % m
+
+
+def _shift_solve(mats, pairs):
+    """The two sides of mats[a] X = mats[b] stacked over the index pairs
+    (a, b), and the minimal-norm least-squares X from one pinv of the left
+    side."""
+    lhs, rhs = mats[pairs[0]], mats[pairs[1]]
+    nd = mats.shape[-1]
+    return lhs, rhs, np.linalg.pinv(lhs.reshape(-1, nd), rcond=RANK_TOL) @ rhs.reshape(-1, nd)
 
 
 @dataclass(frozen=True)
@@ -74,34 +91,29 @@ class RepresentationResult:
     convention: str
     scale: float  # max ||Y_xi||, the residual's natural reference
 
-    def is_representable(self, tol: float = REPRESENTABLE_TOL) -> bool:
+    def is_representable(self, tol: float = REPRESENT_TOL) -> bool:
         return self.residual <= tol * max(self.scale, 1e-300)
 
 
-def solve_representation(frame: GFusionFrame, convention: Optional[str] = None,
-                         tol: float = REPRESENTABLE_TOL) -> RepresentationResult:
+def solve_representation(frame: GFusionFrame,
+                         convention: Optional[str] = None) -> RepresentationResult:
     """Minimal-norm T minimizing sum ||T Y_xi - Y_{xi+1}||^2 over the index
-    pairs of the convention (default: the frame's own)."""
+    pairs of the convention (default: the frame's own).  Every residual
+    comes from one stacked difference Y_a T - Y_b."""
     if len(frame) < 2:
         raise DegenerateSpan("representation needs at least two family members")
     convention = _check_convention(convention or frame.index_convention)
     span = span_of_submodules(frame.submodules())
     if span.rank == 0:
         raise DegenerateSpan("span of the submodule family has rank zero")
-    mats = frame.operators
-    pairs = _constraint_pairs(len(frame), convention)
-    lhs = np.vstack([mats[a] for a, _ in pairs])
-    rhs = np.vstack([mats[b] for _, b in pairs])
-    x = np.linalg.pinv(lhs, rcond=PINV_RCOND) @ rhs
+    lhs, rhs, x = _shift_solve(frame.operators, _constraint_pairs(len(frame), convention))
     q = span.projection.matrix
     x = q @ x @ q  # pin T to the span; the minimal-norm solution lives there
-    residuals = [float(np.linalg.norm(mats[a] @ x - mats[b], 2)) for a, b in pairs]
-    frob = math.sqrt(sum(float(np.linalg.norm(mats[a] @ x - mats[b], "fro")) ** 2
-                         for a, b in pairs))
+    difference = lhs @ x - rhs
     return RepresentationResult(
         operator_T=ModuleOperator(x, frame.n, frame.d),
-        residual=max(residuals),
-        residual_frobenius=frob,
+        residual=float(spectral_norms(difference).max()),
+        residual_frobenius=float(np.linalg.norm(difference)),
         norm_T=float(np.linalg.norm(x, 2)),
         span_projection=span,
         convention=convention,
@@ -109,7 +121,7 @@ def solve_representation(frame: GFusionFrame, convention: Optional[str] = None,
     )
 
 
-def verify_hypotheses(frame: GFusionFrame, tol: float = 1e-9) -> bool:
+def verify_hypotheses(frame: GFusionFrame) -> bool:
     """Every Y_xi self-adjoint and Y_xi(N_xi) = N_xi.
 
     Range containment Y_xi(H) in N_xi already holds by the frame invariant,
@@ -118,26 +130,27 @@ def verify_hypotheses(frame: GFusionFrame, tol: float = 1e-9) -> bool:
     the ranks take one batched SVD per distinct submodule rank.
     """
     operators = frame.operators
-    if not norms_within(operators - operators.conj().swapaxes(1, 2),
-                        tol * (1.0 + frame._operator_norms)).all():
+    if not _hermitian(operators, HERMITIAN_TOL * frame._operator_norms).all():
         return False
     submodules = frame.submodules()
     ranks = np.array([sub.rank for sub in submodules])
-    for rank in sorted(set(ranks.tolist()) - {0}):
-        members = np.flatnonzero(ranks == rank)
+    for r in sorted(set(ranks.tolist()) - {0}):
+        members = np.flatnonzero(ranks == r)
         images = np.stack([submodules[k].basis_rows for k in members]) @ operators[members]
-        s = np.linalg.svd(images, compute_uv=False)
         # rank relative to each image's own top singular value: any nonzero
         # multiple of an action that fixes the submodule still fixes it
-        if np.any(np.sum(s > max(tol, 1e-12) * s[:, :1], axis=1) != rank):
+        if np.any(rank(np.linalg.svd(images, compute_uv=False)) != r):
             return False
     return True
 
 
-def _restrict_to_span(x: np.ndarray, span: Submodule) -> np.ndarray:
-    """Matrix of T acting on the span, in the span's orthonormal row basis."""
-    rows = span.basis_rows
-    return rows @ x @ rows.conj().T
+def _span_operator(rep: RepresentationResult):
+    """T on the span in the span's orthonormal row basis, its singular
+    values, and whether it is invertible there."""
+    rows = rep.span_projection.basis_rows
+    t_span = rows @ rep.operator_T.matrix @ rows.conj().T
+    sing = np.linalg.svd(t_span, compute_uv=False)
+    return t_span, sing, sing.size > 0 and rank(sing, INVERT_TOL) == sing.size
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +171,8 @@ def _kernel_row_basis(frame: GFusionFrame):
     """
     basis_list = [sub.basis_rows for sub in frame.submodules()]
     m_syn = np.vstack([rows @ y.conj().T for rows, y in zip(basis_list, frame.operators)])
-    if m_syn.shape[0] == 0:
-        return basis_list, m_syn, np.zeros((0, 0), dtype=np.complex128), 0.0
     u, s, _ = np.linalg.svd(m_syn, full_matrices=False)
-    top = float(s[0]) if s.size else 0.0
-    rank = int(np.sum(s > 1e-12 * top)) if top > 0.0 else 0
-    return basis_list, m_syn, u[:, :rank], top
+    return basis_list, m_syn, u[:, :rank(s, INVERT_TOL)], float(s[0]) if s.size else 0.0
 
 
 def _kernel_terms(frame: GFusionFrame, kernel_basis, count: int, seed: int):
@@ -203,13 +212,14 @@ def sample_synthesis_kernel(frame: GFusionFrame, count: int, seed: int = 0):
 
 
 def kernel_invariance(frame: GFusionFrame, convention: str, samples: int = 100,
-                      tol: float = 1e-8, seed: int = 0):
+                      tol: float = REPRESENT_TOL, seed: int = 0):
     """Sampled invariance of the synthesis kernel under the right shift of
     `convention`: (samples drawn, defect, ok, caveats).
 
     The defect is the largest synthesis norm of a shifted unit-norm kernel
-    sample over max(||M||, 1); it is inf, and the check fails, when a
-    shifted term leaves its new submodule.
+    sample over ||M||; it is inf, and the check fails, when a shifted term
+    leaves its new submodule by more than MEMBERSHIP_TOL times the sample's
+    unit norm.
     """
     kernel_basis = _kernel_row_basis(frame)
     terms = _kernel_terms(frame, kernel_basis, samples, seed)
@@ -223,10 +233,10 @@ def kernel_invariance(frame: GFusionFrame, convention: str, samples: int = 100,
         moved, targets = terms, np.roll(np.arange(m), 1)
     else:
         moved, targets = terms[:, 1:], np.arange(m - 1)
-    if not contained(moved, frame.projections[targets]).all():
+    if not contained(moved, frame.projections[targets], MEMBERSHIP_TOL).all():
         return samples, math.inf, False, ["a shifted kernel element leaves the submodule family"]
     images = np.tensordot(moved, frame.operators[targets].conj(), axes=([1, 3], [0, 2]))
-    defect = float(spectral_norms(images).max()) / max(kernel_basis[3], 1.0)
+    defect = float(spectral_norms(images).max()) / max(kernel_basis[3], 1e-300)
     return samples, defect, defect <= tol, []
 
 
@@ -248,7 +258,7 @@ class ShiftBoundsReport:
 
 
 def check_representation_bounds(frame: GFusionFrame, rep: RepresentationResult,
-                                samples: int = 100, tol: float = 1e-8,
+                                samples: int = 100, tol: float = REPRESENT_TOL,
                                 seed: int = 0) -> ShiftBoundsReport:
     """Check 1 <= ||T|| <= sqrt(B/A) and invariance of the synthesis kernel
     under the right shift, for a representable family satisfying the
@@ -289,12 +299,12 @@ def divergence_window(upper_bound: float, vector_gram_norm: float,
     """ceil(B ||<f,f>|| / ||<Y_0 f, Y_0 f>||), the window size at which the
     constant-norm series crosses the upper frame bound.
 
-    The ratio is snapped to the nearest integer when within 1e-9 relative
-    before taking the ceiling, absorbing eigenvalue rounding in B.
+    The ratio is snapped to the nearest integer when within SNAP_TOL
+    relative before taking the ceiling, absorbing eigenvalue rounding in B.
     """
     ratio = upper_bound * vector_gram_norm / term_gram_norm
     nearest = round(ratio)
-    if nearest > 0 and abs(ratio - nearest) <= 1e-9 * ratio:
+    if nearest > 0 and abs(ratio - nearest) <= SNAP_TOL * ratio:
         return int(nearest)
     return int(math.ceil(ratio))
 
@@ -319,7 +329,8 @@ class TightnessCertificate:
 
 
 def tightness_contradiction_certificate(frame: GFusionFrame, rep: RepresentationResult,
-                                        f: ModuleVector, tol: float = 1e-8) -> TightnessCertificate:
+                                        f: ModuleVector,
+                                        tol: float = REPRESENT_TOL) -> TightnessCertificate:
     if (f.n, f.d) != (frame.n, frame.d):
         raise DimensionMismatch("vector shape does not match the frame")
     lower, upper = bounds = frame_bounds(frame)
@@ -329,11 +340,10 @@ def tightness_contradiction_certificate(frame: GFusionFrame, rep: Representation
         raise NotRepresentable(
             f"residual {rep.residual:.3e} exceeds {tol:.1e} * scale {rep.scale:.3e}"
         )
-    t_span = _restrict_to_span(rep.operator_T.matrix, rep.span_projection)
+    t_span, sing, invertible = _span_operator(rep)
     if t_span.size == 0:
         raise DegenerateSpan("span of the submodule family has rank zero")
-    sing = np.linalg.svd(t_span, compute_uv=False)
-    if sing[-1] <= INVERT_COND_LIMIT * sing[0]:
+    if not invertible:
         raise NotInvertible("representing operator is singular on the span")
     norm_t = float(sing[0])
     norm_t_inv = 1.0 / float(sing[-1])
@@ -341,25 +351,18 @@ def tightness_contradiction_certificate(frame: GFusionFrame, rep: Representation
     norm_bounds_ok = all(1.0 - tol <= v <= bound + tol for v in (norm_t, norm_t_inv))
     isometry_ok = abs(norm_t - 1.0) <= tol and abs(norm_t_inv - 1.0) <= tol
 
-    term_norms = tuple(float(np.linalg.norm(f.flat @ y, 2)) for y in frame.operators)
+    term_norms = tuple(spectral_norms(f.flat @ frame.operators).tolist())
     base = term_norms[0]
-    constant_ok = all(abs(v - base) <= tol * (1.0 + base) for v in term_norms)
-
     f_norm = f.norm()
-    if base <= tol * (1.0 + f_norm):
-        return TightnessCertificate(
-            norm_T=norm_t, norm_T_inverse=norm_t_inv, isometry_ok=isometry_ok,
-            norm_bounds_ok=norm_bounds_ok, term_norms=term_norms,
-            constant_norms_ok=constant_ok, degenerate=True,
-            window=None, ratio=None, upper_bound=upper,
-        )
-    ratio = upper * f_norm ** 2 / base ** 2
+    size = tol * f_norm * frame.max_operator_norm()  # the scale of every term norm
+    degenerate = base <= size
     return TightnessCertificate(
         norm_T=norm_t, norm_T_inverse=norm_t_inv, isometry_ok=isometry_ok,
         norm_bounds_ok=norm_bounds_ok, term_norms=term_norms,
-        constant_norms_ok=constant_ok, degenerate=False,
-        window=divergence_window(upper, f_norm ** 2, base ** 2),
-        ratio=ratio, upper_bound=upper,
+        constant_norms_ok=all(abs(v - base) <= size for v in term_norms),
+        degenerate=degenerate,
+        window=None if degenerate else divergence_window(upper, f_norm ** 2, base ** 2),
+        ratio=None if degenerate else upper * f_norm ** 2 / base ** 2, upper_bound=upper,
     )
 
 
@@ -385,21 +388,32 @@ class IndependenceReport:
     span_invariance: Optional[SpanInvariance]
 
 
-def independence_analysis(frame: GFusionFrame, tol: float = 1e-10,
-                          rep: Optional[RepresentationResult] = None,
-                          invariance_tol: float = 1e-8) -> IndependenceReport:
+def _first_dependency(null):
+    """The null combination of members Y_0 .. Y_b with b as small as the
+    null space allows.  One null direction is left there, so the choice
+    does not depend on the basis that rounding picks for a larger null
+    space.  `null` has orthonormal rows, so ranks are taken relative to 1."""
+    k, m = null.shape
+    # the null directions that vanish past b span k - rank(null[:, b + 1:])
+    b = next(b for b in range(m)
+             if rank(np.linalg.svd(null[:, b + 1:], compute_uv=False), top=1.0) < k)
+    return np.linalg.svd(null[:, b + 1:])[0][:, -1].conj() @ null
+
+
+def independence_analysis(frame: GFusionFrame, tol: float = RANK_TOL,
+                          rep: Optional[RepresentationResult] = None) -> IndependenceReport:
     """Linear independence of {Y_xi} as vectors in the (n*d)^2 operator space.
 
     When a representation is supplied and the family is dependent, the span
     of the members between the first and last nonzero null coefficients is
     checked for invariance under T (and under its inverse on the span, when
-    that exists).
+    that exists), one batched projection per operator.
     """
     mats = frame.operators
-    rank, null = null_combinations(mats, tol)
-    if rank == len(frame):
-        return IndependenceReport("independent", None, rank, None, None)
-    delta = null[-1]
+    r, null = null_combinations(mats, tol)
+    if r == len(frame):
+        return IndependenceReport("independent", None, r, None, None)
+    delta = _first_dependency(null)
     pivot = int(np.argmax(np.abs(delta)))
     delta = delta / delta[pivot]  # max-modulus entry becomes exactly 1
     scale = max(frame.max_operator_norm(), 1e-300)
@@ -407,33 +421,28 @@ def independence_analysis(frame: GFusionFrame, tol: float = 1e-10,
 
     invariance = None
     if rep is not None and rep.is_representable():
-        support = np.flatnonzero(np.abs(delta) > 1e-8)
+        support = np.flatnonzero(np.abs(delta) > INVARIANCE_TOL)
         alpha, b = int(support[0]), int(support[-1])
-        window = mats[alpha:b + 1].reshape(b + 1 - alpha, -1).T
-        u, sw, _ = np.linalg.svd(window, full_matrices=False)
-        wrank = int(np.sum(sw > 1e-12 * sw[0])) if sw.size and sw[0] > 0 else 0
-        basis = u[:, :wrank]
-        x = rep.operator_T.matrix
-        candidates = [x]
-        t_span = _restrict_to_span(x, rep.span_projection)
-        sing = np.linalg.svd(t_span, compute_uv=False)
-        if sing.size and sing[-1] > INVERT_COND_LIMIT * sing[0]:
+        window = mats[alpha:b + 1]
+        u, sw, _ = np.linalg.svd(window.reshape(len(window), -1).T, full_matrices=False)
+        basis = u[:, :rank(sw, INVERT_TOL)]
+        candidates = [rep.operator_T.matrix]
+        t_span, _, invertible = _span_operator(rep)
+        if invertible:
             rows = rep.span_projection.basis_rows
             candidates.append(rows.conj().T @ np.linalg.inv(t_span) @ rows)
         defects = []
         for op in candidates:
-            worst = 0.0
-            for xi in range(alpha, b + 1):
-                w = (mats[xi] @ op).reshape(-1)
-                resid = w - basis @ (basis.conj().T @ w)
-                worst = max(worst, float(np.linalg.norm(resid)) / max(float(np.linalg.norm(w)), 1e-300))
-            defects.append(worst)
+            w = (window @ op).reshape(len(window), -1).T  # one column per member
+            resid = w - basis @ (basis.conj().T @ w)
+            defects.append(float(np.max(np.linalg.norm(resid, axis=0)
+                                        / np.maximum(np.linalg.norm(w, axis=0), 1e-300))))
         inv_defect = defects[1] if len(defects) > 1 else None
         invariance = SpanInvariance(
             alpha=alpha, b=b, max_defect=defects[0], max_defect_inverse=inv_defect,
-            ok=all(v <= invariance_tol for v in defects),
+            ok=all(v <= INVARIANCE_TOL for v in defects),
         )
-    return IndependenceReport("dependent", delta, rank, null_norm, invariance)
+    return IndependenceReport("dependent", delta, r, null_norm, invariance)
 
 
 # ---------------------------------------------------------------------------
@@ -445,41 +454,38 @@ def solve_adjoint_shift_extension(frame: GFusionFrame,
     """Minimal-norm solution of extension o Y_xi^* = Y_{xi+1}^* over the
     convention's index pairs (the adjoint counterpart of the shift solve)."""
     convention = _check_convention(convention or frame.index_convention)
-    mats = frame.operators
-    pairs = _constraint_pairs(len(frame), convention)
-    lhs = np.vstack([mats[a].conj().T for a, _ in pairs])
-    rhs = np.vstack([mats[b].conj().T for _, b in pairs])
-    x = np.linalg.pinv(lhs, rcond=PINV_RCOND) @ rhs
+    adjoints = frame.operators.conj().swapaxes(1, 2)
+    _, _, x = _shift_solve(adjoints, _constraint_pairs(len(frame), convention))
     return ModuleOperator(x, frame.n, frame.d)
 
 
 def verify_shift_reconstruction_identity(frame: GFusionFrame, dual: GFusionFrame,
-                                         extension_T: ModuleOperator, j: int,
-                                         tol: float = 1e-8) -> bool:
+                                         extension_T: ModuleOperator, j: int) -> bool:
     """Check Y_{j+1} f = sum_xi Y_{xi+1}^* G_xi Y_j f for every f, exactly:
     with Delta = Y_j D - Y_{j+1}, sup ||f Delta|| / ||f|| is ||Delta||_2
-    (attained on a rank-one row block), so the test is ||Delta||_2 <= tol.
+    (attained on a rank-one row block), so the test is ||Delta||_2 <=
+    REPRESENT_TOL * max ||Y_xi||.
 
-    The extension property (extension_T o Y_xi^* = Y_{xi+1}^*) is enforced
-    first and raises HypothesisViolation when it fails; the dual is taken as
-    given, so a mismatched dual simply makes the identity evaluate false.
+    The extension property (extension_T o Y_xi^* = Y_{xi+1}^*, every pair
+    from one stacked product, within the same bound) is enforced first and
+    raises HypothesisViolation when it fails; the dual is taken as given,
+    so a mismatched dual simply makes the identity evaluate false.
     """
     m = len(frame)
     if len(dual) != m or (frame.n, frame.d) != (dual.n, dual.d):
         raise HypothesisViolation("frame and dual must have equal lengths and shape")
-    pairs = _constraint_pairs(m, frame.index_convention)
+    a, b = _constraint_pairs(m, frame.index_convention)
     if frame.index_convention == "linear" and not 0 <= j <= m - 2:
         raise ValueError(f"j must lie in [0, {m - 2}] for the linear convention")
     mats = frame.operators
-    dmats = dual.operators
-    x = extension_T.matrix
-    scale = 1.0 + frame.max_operator_norm()
-    for a, b in pairs:
-        defect = float(np.linalg.norm(mats[a].conj().T @ x - mats[b].conj().T, 2))
-        if defect > tol * scale:
-            raise HypothesisViolation(
-                f"extension does not map adjoint {a} to adjoint {b} (defect {defect:.3e})"
-            )
-    d_mat = sum(dmats[a] @ mats[b].conj().T for a, b in pairs)
-    j_next = (j + 1) % m if frame.index_convention == "cyclic" else j + 1
-    return float(np.linalg.norm(mats[j] @ d_mat - mats[j_next], 2)) <= tol
+    adjoints = mats.conj().swapaxes(1, 2)
+    bound = REPRESENT_TOL * frame.max_operator_norm()
+    defects = spectral_norms(adjoints[a] @ extension_T.matrix - adjoints[b])
+    bad = np.flatnonzero(defects > bound)
+    if bad.size:
+        k = bad[0]
+        raise HypothesisViolation(
+            f"extension does not map adjoint {a[k]} to adjoint {b[k]} (defect {defects[k]:.3e})"
+        )
+    d_mat = gram_sum(dual.operators[a], mats[b])
+    return float(np.linalg.norm(mats[j] @ d_mat - mats[(j + 1) % m], 2)) <= bound

@@ -145,7 +145,7 @@ def exact_kernel_shift_defects(frame):
         shifted[block] = rows[j] @ mats[target].conj().T
         membership[block, target * nd:(target + 1) * nd] = rows[j] @ (np.eye(nd) - projs[target])
     return (float(np.linalg.norm(pi @ membership, 2)),
-            float(np.linalg.norm(pi @ shifted, 2)) / max(top, 1.0))
+            float(np.linalg.norm(pi @ shifted, 2)) / max(top, 1e-300))
 
 
 def reference_kernel_check(frame, samples: int, seed: int, tol: float = 1e-8):
@@ -180,7 +180,7 @@ def reference_kernel_check(frame, samples: int, seed: int, tol: float = 1e-8):
             shifted = right_shift(seq)
         except MembershipViolation:
             return samples, float("inf"), False
-        defect = max(defect, synthesis(frame, shifted, membership_tol=None).norm() / max(top, 1.0))
+        defect = max(defect, synthesis(frame, shifted, membership_tol=None).norm() / max(top, 1e-300))
     return samples, defect, defect <= tol
 
 

@@ -17,9 +17,9 @@ from gframemod.hilbert import (
     orthonormal_rows,
     right_shift,
     span_of_submodules,
-    spectral_norms,
     submodule_from_generators,
 )
+from gframemod.numerics import MEMBERSHIP_TOL, spectral_norms
 
 import oracles
 
@@ -249,12 +249,12 @@ def test_submodule_stack_names_the_first_failing_element(rng, k, defect, problem
 
 def test_projection_check_takes_spectral_norms_past_the_screen():
     # the idempotency defect has spectral norm 4e-9 and Frobenius norm
-    # 5.7e-9; the bound is tol * (1 + ||q||_2) = 2 tol
+    # 5.7e-9; a projection has no scale, so the bound is tol itself
     q = np.diag([1.0, 1.0, 4e-9, 4e-9]).astype(complex)
     defect = q @ q - q
-    assert np.linalg.norm(defect, 2) < 2 * 2.5e-9 < np.linalg.norm(defect)
-    assert checked_projections(q[None], 2.5e-9)[0] is None
-    assert checked_projections(q[None], 1.5e-9)[0] == (
+    assert np.linalg.norm(defect, 2) < 5e-9 < np.linalg.norm(defect)
+    assert checked_projections(q[None], 5e-9)[0] is None
+    assert checked_projections(q[None], 3e-9)[0] == (
         0, "projection is not idempotent within tolerance")
 
 
@@ -369,7 +369,7 @@ def test_batched_membership_matches_contains(rng):
     outside = [random_vector(rng, 2, 2) for _ in subs]
     flats = np.stack([[t.flat for t in inside], [t.flat for t in outside]])
     projections = np.stack([sub.projection.matrix for sub in subs])
-    mask = contained(flats, projections)
+    mask = contained(flats, projections, MEMBERSHIP_TOL * spectral_norms(flats))
     expected = [[sub.contains(t) for sub, t in zip(subs, row)] for row in (inside, outside)]
     assert mask.tolist() == expected == [[True] * 3, [False] * 3]
 
