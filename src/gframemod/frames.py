@@ -26,6 +26,7 @@ from .hilbert import (
     ModuleVector,
     Submodule,
     _check_convention,
+    _common_shape,
     apply,
     contained,
     gram_sum,
@@ -34,10 +35,8 @@ from .numerics import (
     CONTAINMENT_TOL,
     DUAL_TOL,
     INVERT_TOL,
-    MEMBERSHIP_TOL,
     TIGHT_TOL,
     rank,
-    spectral_norms,
 )
 
 
@@ -68,15 +67,10 @@ class GFusionFrame:
 
     def __init__(self, elements, index_convention: str = "linear"):
         elements = [FrameElement(sub, op) for sub, op in elements]
-        if not elements:
-            raise DimensionMismatch("a frame needs at least one element")
         for sub, _ in elements:
             if not isinstance(sub, Submodule):
                 raise TypeError(f"frame elements pair a Submodule with an operator, got {type(sub).__name__}")
-        n, d = elements[0].operator.n, elements[0].operator.d
-        for sub, op in elements:
-            if (sub.n, sub.d) != (n, d) or (op.n, op.d) != (n, d):
-                raise DimensionMismatch("all frame elements must share (n, d)")
+        _common_shape([part for element in elements for part in element], "frame element")
         self._adopt(elements, np.stack([sub.projection.matrix for sub, _ in elements]),
                     np.stack([op.matrix for _, op in elements]), index_convention)
 
@@ -173,18 +167,22 @@ def analysis(frame: GFusionFrame, f: ModuleVector) -> ModuleSequence:
 
 
 def synthesis(frame: GFusionFrame, seq: ModuleSequence,
-              membership_tol=MEMBERSHIP_TOL) -> ModuleVector:
+              membership_tol=CONTAINMENT_TOL) -> ModuleVector:
     """{f_xi} |-> sum_xi Y_xi^* f_xi, the adjoint of analysis.
 
-    Pass membership_tol=None to skip the term-membership check.
+    Each term must lie in its submodule within membership_tol times the
+    sequence norm: by default the relative defect a frame's operators may
+    carry, so their analysis terms pass, and a term that is rounding noise
+    is not judged against its own size.  Pass membership_tol=None to skip
+    the check.
     """
     if len(seq) != len(frame):
         raise LengthMismatch(f"sequence has {len(seq)} terms, frame has {len(frame)}")
     if (seq.n, seq.d) != (frame.n, frame.d):
         raise DimensionMismatch("sequence shape does not match the frame")
     flats = np.stack([term.flat for term in seq.terms])
-    if membership_tol is not None:  # the rule of Submodule.contains, for every term at once
-        inside = contained(flats, frame.projections, membership_tol * spectral_norms(flats))
+    if membership_tol is not None:
+        inside = contained(flats, frame.projections, membership_tol * seq.norm())
         if not inside.all():
             raise MembershipViolation(f"sequence term {np.argmin(inside)} is not in its submodule")
     return ModuleVector(gram_sum(flats, frame.operators), frame.n, frame.d)

@@ -34,6 +34,15 @@ def _check_convention(convention: str) -> str:
     return convention
 
 
+def _common_shape(items, what: str):
+    """The (n, d) that every object of a nonempty list shares."""
+    if not items:
+        raise DimensionMismatch(f"at least one {what} is required")
+    if len({(x.n, x.d) for x in items}) > 1:
+        raise DimensionMismatch(f"{what}s of different shape")
+    return items[0].n, items[0].d
+
+
 class ModuleVector:
     """Element of A^n in flattened row-block form."""
 
@@ -199,15 +208,31 @@ def null_combinations(stack, tol: float):
     """Rank of a stack of m arrays read as m vectors, and orthonormal rows
     c (one per null direction) with sum_k c_k stack_k = 0.
 
-    The right singular basis is taken in full only when m exceeds the
-    vector length, since only then does the thin one miss the null space.
-    An all-zero stack has rank 0 and every row is null.
+    The rows are in echelon form from the last member: taking b from m - 1
+    down, a row is the unit projection of e_b onto the null combinations
+    that vanish past b, whenever that projection exceeds tol.  So they do
+    not depend on the basis the SVD picks for a null space of more than one
+    direction, and the last row is the dependency among members 0 .. b with
+    b smallest.  The right singular basis is taken in full only when m
+    exceeds the vector length, since only then does the thin one miss the
+    null space.  An all-zero stack has rank 0 and every row is null.
     """
     m = stack.shape[0]
     columns = stack.reshape(m, -1).T
     _, s, vh = np.linalg.svd(columns, full_matrices=m > columns.shape[0])
     r = int(rank(s, tol))
-    return r, vh[r:].conj()
+    null = vh[r:].conj()
+    # a QR of the columns from the last member down, less each one whose
+    # remainder past the kept ones is at most tol, gives one pivot per row
+    cols = list(range(m - 1, -1, -1))
+    while True:
+        q, tri = np.linalg.qr(null[:, cols])
+        small = np.flatnonzero(np.abs(np.diagonal(tri)) <= tol)
+        if not small.size:
+            break
+        del cols[small[0]]
+    pivots = np.diagonal(tri)  # null has orthonormal rows, so tol is relative to 1
+    return r, (pivots.conj() / np.abs(pivots))[:, None] * (q.conj().T @ null)
 
 
 def contained(flats, projections, bounds) -> np.ndarray:
@@ -311,25 +336,14 @@ def submodule_from_generators(generators) -> Submodule:
     all rows of all generators are stacked.
     """
     generators = list(generators)
-    if not generators:
-        raise DimensionMismatch("at least one generator is required")
-    n, d = generators[0].n, generators[0].d
-    for g in generators:
-        if (g.n, g.d) != (n, d):
-            raise DimensionMismatch("generators of different shape")
-    stacked = np.vstack([g.flat for g in generators])
-    return Submodule.from_basis_rows(orthonormal_rows(stacked), n, d)
+    n, d = _common_shape(generators, "generator")
+    return Submodule.from_basis_rows(np.vstack([g.flat for g in generators]), n, d)
 
 
 def span_of_submodules(submodules) -> Submodule:
     """Projection onto the closed submodule generated by the union of ranges."""
     submodules = list(submodules)
-    if not submodules:
-        raise DimensionMismatch("at least one submodule is required")
-    n, d = submodules[0].n, submodules[0].d
-    for s in submodules:
-        if (s.n, s.d) != (n, d):
-            raise DimensionMismatch("submodules of different shape")
+    n, d = _common_shape(submodules, "submodule")
     return Submodule.from_basis_rows(np.vstack([s.basis_rows for s in submodules]), n, d)
 
 
@@ -344,12 +358,7 @@ class ModuleSequence:
 
     def __init__(self, terms, index_convention: str = "linear", submodules=None):
         terms = list(terms)
-        if not terms:
-            raise DimensionMismatch("a sequence needs at least one term")
-        n, d = terms[0].n, terms[0].d
-        for t in terms:
-            if (t.n, t.d) != (n, d):
-                raise DimensionMismatch("sequence terms of different shape")
+        _common_shape(terms, "sequence term")
         if submodules is not None:
             submodules = tuple(submodules)
             if len(submodules) != len(terms):
@@ -374,8 +383,7 @@ class ModuleSequence:
 
     def norm(self) -> float:
         """||sum_xi <f_xi, f_xi>||^(1/2), the l2 norm of the sequence."""
-        gram = sum(inner_product(t, t) for t in self.terms)
-        return float(np.sqrt(max(np.linalg.norm(gram, 2), 0.0)))
+        return float(np.sqrt(np.linalg.norm(sequence_inner_product(self, self), 2)))
 
     def scaled(self, scalar) -> "ModuleSequence":
         return ModuleSequence([t * scalar for t in self.terms], self.index_convention, self.submodules)
@@ -393,25 +401,22 @@ def right_shift(seq: ModuleSequence, repair: bool = False) -> ModuleSequence:
 
     Cyclic convention rotates; linear drops the leading term and appends a
     zero.  When target submodules are attached, a shifted term that leaves
-    its new target (`Submodule.contains`) raises MembershipViolation, unless
-    `repair=True`, in which case it is orthogonally projected back.
+    its new target by more than MEMBERSHIP_TOL times the sequence norm
+    raises MembershipViolation, unless `repair=True`, in which case it is
+    orthogonally projected back.  The scale is the sequence's, not the
+    term's own, so a term that is rounding noise passes.
     """
-    m = len(seq)
-    if seq.index_convention == "cyclic":
-        shifted = [seq.terms[(xi + 1) % m] for xi in range(m)]
-    else:
-        shifted = list(seq.terms[1:]) + [ModuleVector.zero(seq.n, seq.d)]
+    wrapped = seq.terms[:1] if seq.index_convention == "cyclic" else (ModuleVector.zero(seq.n, seq.d),)
+    shifted = seq.terms[1:] + wrapped
     if seq.submodules is None:
         return ModuleSequence(shifted, seq.index_convention)
-    out = []
-    for xi, (term, target) in enumerate(zip(shifted, seq.submodules)):
-        if target.contains(term):
-            out.append(term)
-        elif repair:
-            out.append(target.project(term))
-        else:
-            raise MembershipViolation(
-                f"shifted term {xi} leaves its target submodule; "
-                "pass repair=True to project it back"
-            )
+    inside = contained(np.stack([t.flat for t in shifted]),
+                       np.stack([s.projection.matrix for s in seq.submodules]),
+                       MEMBERSHIP_TOL * seq.norm())
+    if not (repair or inside.all()):
+        raise MembershipViolation(
+            f"shifted term {np.argmin(inside)} leaves its target submodule; "
+            "pass repair=True to project it back"
+        )
+    out = [t if ok else s.project(t) for t, s, ok in zip(shifted, seq.submodules, inside)]
     return ModuleSequence(out, seq.index_convention, seq.submodules)

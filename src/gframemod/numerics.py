@@ -13,9 +13,10 @@ import numpy as np
 RANK_TOL = 1e-10  # x the top singular value (top eigenvalue of S; m max ||Y|| for a combination)
 INVERT_TOL = 1e-12  # x the top singular value: S or T singular; synthesis-range and window ranks
 PROJECTION_TOL = 1e-8  # x 1: ||Q - Q^H|| and ||Q^2 - Q|| of a projection
-CONTAINMENT_TOL = 1e-8  # x ||Y_k||: ||Y_k P_k - Y_k||, the range of Y_k inside N_k
-MEMBERSHIP_TOL = 1e-10  # x ||t|| (1 for a unit kernel sample): ||t - t P|| of a term t
+CONTAINMENT_TOL = 1e-8  # x ||Y_k||: ||Y_k P_k - Y_k||, the range of Y_k inside N_k; synthesis's default
+MEMBERSHIP_TOL = 1e-10  # x ||seq|| (||f|| for one vector, 1 for a unit kernel sample): ||t - t P|| of a term t
 HERMITIAN_TOL = 1e-9  # x the operands' max(||u||, ||v||): Hermitian and PSD-order tests
+HYPOTHESIS_TOL = 1e-9  # x ||Y_k||, and Y_k's top singular value on N_k for its rank: verify_hypotheses
 TIGHT_TOL = 1e-9  # x 1: the gap (B - A) / B (analyze --tol)
 DUAL_TOL = 1e-8  # x 1: verify_dual's ||sum Y_k^* G_k - Id|| (analyze --tol)
 REPRESENT_TOL = 1e-8  # represent --tol: x max ||Y||, ||M||, ||f|| max ||Y|| or 1 (||T||), by check
@@ -26,11 +27,10 @@ TIE_TOL = 1e-12  # x |worst margin|: perturbation witnesses this close tie
 BOUNDS_TOL = 1e-8  # x the derived upper bound: empirical bounds inside the derived ones
 
 
-def rank(s, tol: float = RANK_TOL, top=None):
-    """Number of singular values above tol times `top` (by default the
-    largest), along the last axis of a (stack of) descending spectra; a zero
-    matrix has rank 0."""
-    return np.count_nonzero(s > tol * (s[..., :1] if top is None else top), axis=-1)
+def rank(s, tol: float = RANK_TOL):
+    """Number of singular values above tol times the largest, along the last
+    axis of a (stack of) descending spectra; a zero matrix has rank 0."""
+    return np.count_nonzero(s > tol * s[..., :1], axis=-1)
 
 
 def spectral_norms(blocks) -> np.ndarray:

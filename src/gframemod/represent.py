@@ -42,7 +42,7 @@ from .hilbert import (
     span_of_submodules,
 )
 from .numerics import (
-    HERMITIAN_TOL,
+    HYPOTHESIS_TOL,
     INVARIANCE_TOL,
     INVERT_TOL,
     MEMBERSHIP_TOL,
@@ -126,22 +126,17 @@ def verify_hypotheses(frame: GFusionFrame) -> bool:
 
     Range containment Y_xi(H) in N_xi already holds by the frame invariant,
     so surjectivity onto N_xi reduces to a rank equality of the flattened
-    Y_xi restricted to N_xi.  Self-adjointness is one batched norm test;
-    the ranks take one batched SVD per distinct submodule rank.
+    Y_xi restricted to N_xi.  Self-adjointness is one batched norm test,
+    the ranks one batched SVD.
     """
     operators = frame.operators
-    if not _hermitian(operators, HERMITIAN_TOL * frame._operator_norms).all():
+    if not _hermitian(operators, HYPOTHESIS_TOL * frame._operator_norms).all():
         return False
-    submodules = frame.submodules()
-    ranks = np.array([sub.rank for sub in submodules])
-    for r in sorted(set(ranks.tolist()) - {0}):
-        members = np.flatnonzero(ranks == r)
-        images = np.stack([submodules[k].basis_rows for k in members]) @ operators[members]
-        # rank relative to each image's own top singular value: any nonzero
-        # multiple of an action that fixes the submodule still fixes it
-        if np.any(rank(np.linalg.svd(images, compute_uv=False)) != r):
-            return False
-    return True
+    ranks = [sub.rank for sub in frame.submodules()]
+    # the image of N_k is the range of P_k Y_k, its rank relative to its own
+    # top singular value: any nonzero multiple of an action fixing N_k does too
+    images = np.linalg.svd(frame.projections @ operators, compute_uv=False)
+    return bool(np.array_equal(rank(images, HYPOTHESIS_TOL), ranks))
 
 
 def _span_operator(rep: RepresentationResult):
@@ -150,7 +145,7 @@ def _span_operator(rep: RepresentationResult):
     rows = rep.span_projection.basis_rows
     t_span = rows @ rep.operator_T.matrix @ rows.conj().T
     sing = np.linalg.svd(t_span, compute_uv=False)
-    return t_span, sing, sing.size > 0 and rank(sing, INVERT_TOL) == sing.size
+    return t_span, sing, rank(sing, INVERT_TOL) == sing.size
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +335,7 @@ def tightness_contradiction_certificate(frame: GFusionFrame, rep: Representation
         raise NotRepresentable(
             f"residual {rep.residual:.3e} exceeds {tol:.1e} * scale {rep.scale:.3e}"
         )
-    t_span, sing, invertible = _span_operator(rep)
-    if t_span.size == 0:
-        raise DegenerateSpan("span of the submodule family has rank zero")
+    _, sing, invertible = _span_operator(rep)
     if not invertible:
         raise NotInvertible("representing operator is singular on the span")
     norm_t = float(sing[0])
@@ -388,18 +381,6 @@ class IndependenceReport:
     span_invariance: Optional[SpanInvariance]
 
 
-def _first_dependency(null):
-    """The null combination of members Y_0 .. Y_b with b as small as the
-    null space allows.  One null direction is left there, so the choice
-    does not depend on the basis that rounding picks for a larger null
-    space.  `null` has orthonormal rows, so ranks are taken relative to 1."""
-    k, m = null.shape
-    # the null directions that vanish past b span k - rank(null[:, b + 1:])
-    b = next(b for b in range(m)
-             if rank(np.linalg.svd(null[:, b + 1:], compute_uv=False), top=1.0) < k)
-    return np.linalg.svd(null[:, b + 1:])[0][:, -1].conj() @ null
-
-
 def independence_analysis(frame: GFusionFrame, tol: float = RANK_TOL,
                           rep: Optional[RepresentationResult] = None) -> IndependenceReport:
     """Linear independence of {Y_xi} as vectors in the (n*d)^2 operator space.
@@ -413,7 +394,7 @@ def independence_analysis(frame: GFusionFrame, tol: float = RANK_TOL,
     r, null = null_combinations(mats, tol)
     if r == len(frame):
         return IndependenceReport("independent", None, r, None, None)
-    delta = _first_dependency(null)
+    delta = null[-1]  # the first dependency: members 0 .. b with b smallest
     pivot = int(np.argmax(np.abs(delta)))
     delta = delta / delta[pivot]  # max-modulus entry becomes exactly 1
     scale = max(frame.max_operator_norm(), 1e-300)

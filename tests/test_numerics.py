@@ -11,10 +11,16 @@ import pytest
 
 from gframemod.cli import main
 from gframemod.exceptions import HypothesisViolation, MembershipViolation
-from gframemod.families import KINDS, dilation_frame, random_family_frame, unitary_orbit_frame
-from gframemod.frames import GFusionFrame, canonical_dual
-from gframemod.hilbert import ModuleOperator, ModuleVector, Submodule
-from gframemod.numerics import rank
+from gframemod.families import (
+    KINDS,
+    dilation_frame,
+    random_family_frame,
+    random_unitary,
+    unitary_orbit_frame,
+)
+from gframemod.frames import GFusionFrame, analysis, canonical_dual, synthesis
+from gframemod.hilbert import ModuleOperator, ModuleVector, Submodule, null_combinations, right_shift
+from gframemod.numerics import RANK_TOL, rank
 from gframemod.perturb import PerturbationParams, check_perturbation_inequality
 from gframemod.represent import (
     kernel_invariance,
@@ -126,6 +132,78 @@ def test_certificate_window_does_not_depend_on_the_scale(c):
     cert = tightness_contradiction_certificate(frame, solve_representation(frame), f)
     assert not cert.degenerate and cert.window == 4
     assert cert.isometry_ok and cert.constant_norms_ok and cert.norm_bounds_ok
+
+
+def _rotated_lines_frame(defect=0.0):
+    """n=2, d=1: the whole space with Id, then two non-axis-aligned lines
+    with their projections, the last pushed out of its line by `defect`
+    times a unit rank-one map onto the orthogonal line."""
+    u = random_unitary(np.random.default_rng(3), 2)
+    line, other = u[:1], u[1:]
+    full = Submodule.full(2, 1)
+    sub = Submodule.from_basis_rows(line, 2, 1)
+    push = ModuleOperator(defect * other.conj().T @ other, 2, 1)
+    return GFusionFrame([(full, full.projection), (sub, sub.projection),
+                         (sub, sub.projection + push)], "linear"), other
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_noise_level_terms_are_members_at_every_scale(c):
+    # f is orthogonal to both lines, so terms 1 and 2 are rounding noise that
+    # is not parallel to the line: judged against its own size it leaves it
+    frame, other = _rotated_lines_frame()
+    frame = frame.scaled(c)
+    seq = analysis(frame, ModuleVector(c * other, 2, 1))
+    assert synthesis(frame, seq).norm() == pytest.approx(c ** 3, rel=1e-9)
+    shifted = right_shift(seq)
+    assert [t.norm() for t in shifted.terms[1:]] == pytest.approx([0.0, 0.0], abs=1e-12 * c * c)
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_synthesis_accepts_the_analysis_of_every_accepted_frame(c):
+    # a range-containment defect of 5e-9 ||Y_k|| is accepted by the frame, so
+    # its analysis terms carry it and synthesis must take them
+    frame, _ = _rotated_lines_frame(defect=5e-9)
+    frame = frame.scaled(c)
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        f = ModuleVector(c * (rng.standard_normal((1, 2)) + 1j * rng.standard_normal((1, 2))), 2, 1)
+        synthesis(frame, analysis(frame, f))
+    with pytest.raises(MembershipViolation):
+        synthesis(frame, analysis(frame, f), membership_tol=1e-10)
+
+
+@pytest.mark.parametrize("small,fixes", [(5e-10, False), (5e-9, True)])
+def test_hypothesis_rank_cutoff_is_1e_9_of_the_top_singular_value(small, fixes):
+    # Y = B^H diag(1, small) B on a rank-2 submodule with rows B: self-adjoint,
+    # range inside, and it fixes the submodule only if small counts as rank
+    basis = random_unitary(np.random.default_rng(5), 4)[:2]
+    plane = Submodule.from_basis_rows(basis, 2, 2)
+    y = ModuleOperator(basis.conj().T @ np.diag([1.0, small]) @ basis, 2, 2)
+    full = Submodule.full(2, 2)
+    frame = GFusionFrame([(plane, y), (full, full.projection)])
+    assert [verify_hypotheses(frame.scaled(c)) for c in SCALES] == [fixes] * len(SCALES)
+
+
+def test_null_combinations_do_not_depend_on_the_scale():
+    # a null space of two directions, whose SVD basis follows rounding
+    for frame in (dilation_frame(2, 2, 4, seed=1), unitary_orbit_frame(2, 2, 4, seed=1)):
+        first = null_combinations(frame.operators, RANK_TOL)[1]
+        assert first.shape[0] > 1
+        np.testing.assert_allclose(first @ first.conj().T, np.eye(len(first)), atol=1e-12)
+        for c in SCALES:
+            np.testing.assert_allclose(null_combinations(frame.scaled(c).operators, RANK_TOL)[1],
+                                       first, atol=1e-9)
+
+
+def test_last_null_combination_is_the_first_dependency():
+    rng = np.random.default_rng(6)
+    y0, y1 = rng.standard_normal((2, 4, 4))
+    _, null = null_combinations(np.stack([y0, y1, y0 + y1, 2 * y0]), RANK_TOL)
+    assert null.shape == (2, 4)
+    expected = np.array([1.0, 1.0, -1.0, 0.0]) / 3 ** 0.5  # members 0 .. 2, not 0 .. 3
+    np.testing.assert_allclose(null[-1] * np.sign(null[-1, 0]), expected, atol=1e-12)
+    np.testing.assert_allclose(null[0, -1], abs(null[0, -1]))  # echelon entry is positive
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from gframemod.hilbert import (
     Submodule,
     submodule_from_generators,
 )
-from gframemod.numerics import HERMITIAN_TOL, RANK_TOL
+from gframemod.numerics import HYPOTHESIS_TOL
 from gframemod.represent import (
     check_representation_bounds,
     divergence_window,
@@ -178,13 +178,13 @@ def _per_element_hypotheses(frame):
     """verify_hypotheses one element at a time with SVD-based norms."""
     for element in frame.elements:
         b = element.operator.matrix
-        if np.linalg.norm(b - b.conj().T, 2) > HERMITIAN_TOL * np.linalg.norm(b, 2):
+        if np.linalg.norm(b - b.conj().T, 2) > HYPOTHESIS_TOL * np.linalg.norm(b, 2):
             return False
         rows = element.submodule.basis_rows
         if rows.shape[0] == 0:
             continue
         s = np.linalg.svd(rows @ b, compute_uv=False)
-        if int(np.sum(s > RANK_TOL * s[0])) != element.submodule.rank:
+        if int(np.sum(s > HYPOTHESIS_TOL * s[0])) != element.submodule.rank:
             return False
     return True
 
