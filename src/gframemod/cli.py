@@ -24,7 +24,7 @@ from .exceptions import (
 )
 from .families import KINDS, generate
 from .frames import canonical_dual, frame_bounds, reconstruction_residual
-from .numerics import DUAL_TOL, MARGIN_TOL, RANK_TOL, REPRESENT_TOL, TIGHT_TOL
+from .numerics import DUAL_TOL, TIGHT_TOL
 from .perturb import (
     HAT_HAT,
     HAT_ORIGINAL,
@@ -64,53 +64,57 @@ def _resolve_seed(args) -> int:
         raise ParseError(f"GFRAMEMOD_SEED must be an integer, got {env!r}") from exc
 
 
-def _emit(report: dict, output) -> None:
-    text = dumps_canonical(report)
-    if output:
-        write_atomic(output, text)
-    else:
-        sys.stdout.write(text)
+def _reporting(compute):
+    """The command that runs compute(args, seed, sha) -> (results, caveats,
+    exit code), with sha the digest its loads update, and writes the report."""
+    def command(args) -> int:
+        seed = _resolve_seed(args)
+        sha = hashlib.sha256()
+        results, caveats, code = compute(args, seed, sha)
+        text = dumps_canonical({
+            "command": args.command,
+            "version": __version__,
+            "seed": seed,
+            "inputs_digest": sha.hexdigest(),
+            "results": results,
+            "caveats": caveats,
+        })
+        if args.output:
+            write_atomic(args.output, text)
+        else:
+            sys.stdout.write(text)
+        return code
+    return command
 
 
-def _report(command: str, seed: int, digest: str, results: dict, caveats) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
-        "seed": seed,
-        "inputs_digest": digest,
-        "results": results,
-        "caveats": list(caveats),
-    }
+def _merge(caveats: list, extra) -> None:
+    """Append each caveat of `extra` that `caveats` lacks."""
+    for caveat in extra:
+        if caveat not in caveats:
+            caveats.append(caveat)
 
 
-def _cmd_analyze(args) -> int:
-    seed = _resolve_seed(args)
-    sha = hashlib.sha256()
+@_reporting
+def _cmd_analyze(args, seed, sha):
     frame = load_frame(args.frame, sha)
-    tight_tol = args.tol if args.tol is not None else TIGHT_TOL
-    dual_tol = args.tol if args.tol is not None else DUAL_TOL
     bounds = frame_bounds(frame)
     dual = canonical_dual(frame)
     residual = reconstruction_residual(frame, dual)
     # verify_dual's exact test, on the residual already in hand
-    verified = residual <= dual_tol
+    verified = residual <= DUAL_TOL
     results = {
         "bounds": {"lower": bounds.lower, "upper": bounds.upper},
         "condition_number": bounds.upper / bounds.lower,
-        "tight": bounds.gap <= tight_tol,
+        "tight": bounds.gap <= TIGHT_TOL,
         "tightness_gap": bounds.gap,
         "dual": {"reconstruction_residual": residual, "verified": verified},
     }
-    report = _report("analyze", seed, sha.hexdigest(), results, [])
-    _emit(report, args.output)
-    return 0 if verified else 3
+    return results, [], 0 if verified else 3
 
 
-def _cmd_represent(args) -> int:
-    seed = _resolve_seed(args)
-    sha = hashlib.sha256()
+@_reporting
+def _cmd_represent(args, seed, sha):
     frame = load_frame(args.frame, sha)
-    tol = args.tol if args.tol is not None else REPRESENT_TOL
     rep = solve_representation(frame, args.convention)
     caveats = [CYCLIC_CAVEAT if rep.convention == "cyclic" else LINEAR_CAVEAT]
     results = {
@@ -119,12 +123,12 @@ def _cmd_represent(args) -> int:
         "residual_frobenius": rep.residual_frobenius,
         "norm_T": rep.norm_T,
         "scale": rep.scale,
-        "representable": rep.is_representable(tol),
+        "representable": rep.is_representable(),
         "span_rank": rep.span_projection.rank,
     }
     failed = False
     if args.check_theorem21:
-        check = check_representation_bounds(frame, rep, samples=100, tol=tol, seed=seed)
+        check = check_representation_bounds(frame, rep, samples=100, seed=seed)
         results["bound_checks"] = {
             "norm_T": check.norm_T,
             "lower": {"bound": check.bound_lower, "ok": check.lower_ok},
@@ -135,22 +139,18 @@ def _cmd_represent(args) -> int:
             "defect": check.kernel_defect if math.isfinite(check.kernel_defect) else None,
             "ok": check.kernel_ok,
         }
-        for caveat in check.caveats:
-            if caveat not in caveats:
-                caveats.append(caveat)
+        _merge(caveats, check.caveats)
         failed = failed or not (check.lower_ok and check.upper_ok and check.kernel_ok)
     if args.tight_certificate:
         if not args.vector:
             raise ParseError("--tight-certificate requires --vector")
         f = load_vector(args.vector, sha)
-        cert = tightness_contradiction_certificate(frame, rep, f, tol)
+        cert = tightness_contradiction_certificate(frame, rep, f)
         results["certificate"] = dataclasses.asdict(cert)
         if not cert.degenerate:
             failed = failed or not (cert.isometry_ok and cert.constant_norms_ok
                                     and cert.norm_bounds_ok)
-    report = _report("represent", seed, sha.hexdigest(), results, caveats)
-    _emit(report, args.output)
-    return 3 if failed else 0
+    return results, caveats, 3 if failed else 0
 
 
 def _witness_json(witness) -> dict:
@@ -163,9 +163,8 @@ def _witness_json(witness) -> dict:
     }
 
 
-def _cmd_perturb(args) -> int:
-    seed = _resolve_seed(args)
-    sha = hashlib.sha256()
+@_reporting
+def _cmd_perturb(args, seed, sha):
     frame = load_frame(args.frame, sha)
     perturbed = load_frame(args.perturbed, sha)
     try:
@@ -176,10 +175,9 @@ def _cmd_perturb(args) -> int:
     if seq_samples < 1:
         raise ParseError(f"--samples must be at least 1, got {seq_samples}")
     vec_samples = max(8, seq_samples // 4)
-    slack = args.tol if args.tol is not None else MARGIN_TOL
     verdict = check_perturbation_inequality(
         frame, perturbed, params, seq_samples=seq_samples,
-        vec_samples=vec_samples, seed=seed, slack=slack,
+        vec_samples=vec_samples, seed=seed,
     )
     results = {
         "params": {"eta": params.eta, "beta": params.beta},
@@ -193,14 +191,11 @@ def _cmd_perturb(args) -> int:
         "independence_transfer": None,
     }
     caveats = list(verdict.caveats)
-    digest = sha.hexdigest()
     if not verdict.inequality_holds:
-        report = _report("perturb", seed, digest, results, caveats)
-        _emit(report, args.output)
-        return 3
+        return results, caveats, 3
     checked = verify_perturbed_frame(
-        frame, perturbed, params, interpretation=args.interpretation,
-        vec_samples=vec_samples, seed=seed, inequality=verdict,
+        frame, perturbed, params, verdict, interpretation=args.interpretation,
+        vec_samples=vec_samples, seed=seed,
     )
     results["derived_bounds"] = {"lower": checked.derived_lower, "upper": checked.derived_upper}
     results["empirical_bounds"] = {"lower": checked.empirical_lower, "upper": checked.empirical_upper}
@@ -208,12 +203,10 @@ def _cmd_perturb(args) -> int:
         "bounds_contained": checked.bounds_contained,
         "sample_failures": checked.sample_failures,
     }
-    for caveat in checked.caveats:
-        if caveat not in caveats:
-            caveats.append(caveat)
+    _merge(caveats, checked.caveats)
     transfer_failed = False
     try:
-        transferred = independence_transfer(frame, perturbed, params, seed=seed, inequality=verdict)
+        transferred = independence_transfer(frame, perturbed, verdict)
         results["independence_transfer"] = {"checked": True, "independent": transferred}
     except BaseNotIndependent:
         results["independence_transfer"] = {
@@ -223,9 +216,7 @@ def _cmd_perturb(args) -> int:
     except InequalityNotVerified as exc:
         results["independence_transfer"] = {"checked": True, "inconsistent": str(exc)}
         transfer_failed = True
-    report = _report("perturb", seed, digest, results, caveats)
-    _emit(report, args.output)
-    return 0 if checked.bounds_contained and not transfer_failed else 3
+    return results, caveats, 0 if checked.bounds_contained and not transfer_failed else 3
 
 
 def _cmd_gen(args) -> int:
@@ -241,16 +232,14 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_independence(args) -> int:
-    seed = _resolve_seed(args)
-    sha = hashlib.sha256()
+@_reporting
+def _cmd_independence(args, seed, sha):
     frame = load_frame(args.frame, sha)
-    tol = args.tol if args.tol is not None else RANK_TOL
     try:
         rep = solve_representation(frame) if len(frame) >= 2 else None
     except DegenerateSpan:
         rep = None
-    report_data = independence_analysis(frame, tol, rep=rep)
+    report_data = independence_analysis(frame, rep=rep)
     results = {
         "verdict": report_data.verdict,
         "invariant_span_dim": report_data.invariant_span_dim,
@@ -265,15 +254,11 @@ def _cmd_independence(args) -> int:
     if report_data.span_invariance is not None:
         results["span_invariance"] = dataclasses.asdict(report_data.span_invariance)
         failed = not report_data.span_invariance.ok
-    report = _report("independence", seed, sha.hexdigest(), results, [])
-    _emit(report, args.output)
-    return 3 if failed else 0
+    return results, [], 3 if failed else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None,
-                        help="override the command's default verification tolerance")
     common.add_argument("--output", default=None,
                         help="write the JSON report to this path instead of stdout")
     common.add_argument("--seed", type=int, default=None,

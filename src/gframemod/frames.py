@@ -170,9 +170,11 @@ def synthesis(frame: GFusionFrame, seq: ModuleSequence,
               membership_tol=CONTAINMENT_TOL) -> ModuleVector:
     """{f_xi} |-> sum_xi Y_xi^* f_xi, the adjoint of analysis.
 
-    Each term must lie in its submodule within membership_tol times the
-    sequence norm: by default the relative defect a frame's operators may
-    carry, so their analysis terms pass, and a term that is rounding noise
+    Term k must lie in its submodule within membership_tol times
+    ||seq|| ||Y_k|| / sqrt(A), A the lower frame bound (NotAFrame when
+    there is none).  The analysis of f has ||seq|| >= sqrt(A) ||f||, and by
+    default membership_tol is the relative defect a frame's operators may
+    carry, so every analysis sequence passes; a term that is rounding noise
     is not judged against its own size.  Pass membership_tol=None to skip
     the check.
     """
@@ -182,7 +184,9 @@ def synthesis(frame: GFusionFrame, seq: ModuleSequence,
         raise DimensionMismatch("sequence shape does not match the frame")
     flats = np.stack([term.flat for term in seq.terms])
     if membership_tol is not None:
-        inside = contained(flats, frame.projections, membership_tol * seq.norm())
+        scale = seq.norm() / np.sqrt(frame_bounds(frame).lower)  # bounds ||f||
+        inside = contained(flats, frame.projections,
+                           membership_tol * scale * frame._operator_norms)
         if not inside.all():
             raise MembershipViolation(f"sequence term {np.argmin(inside)} is not in its submodule")
     return ModuleVector(gram_sum(flats, frame.operators), frame.n, frame.d)

@@ -23,7 +23,7 @@ orthogonal projection onto V applied on the right.
 import numpy as np
 
 from .exceptions import DimensionMismatch, MembershipViolation
-from .numerics import MEMBERSHIP_TOL, PROJECTION_TOL, norms_within, rank
+from .numerics import MEMBERSHIP_TOL, PROJECTION_TOL, RANK_TOL, norms_within, rank
 
 _CONVENTIONS = ("linear", "cyclic")
 
@@ -204,13 +204,13 @@ def gram_sum(a, b) -> np.ndarray:
     return np.einsum("kij,klj->il", a, b.conj())
 
 
-def null_combinations(stack, tol: float):
+def null_combinations(stack):
     """Rank of a stack of m arrays read as m vectors, and orthonormal rows
     c (one per null direction) with sum_k c_k stack_k = 0.
 
     The rows are in echelon form from the last member: taking b from m - 1
     down, a row is the unit projection of e_b onto the null combinations
-    that vanish past b, whenever that projection exceeds tol.  So they do
+    that vanish past b, whenever that projection exceeds RANK_TOL.  So they do
     not depend on the basis the SVD picks for a null space of more than one
     direction, and the last row is the dependency among members 0 .. b with
     b smallest.  The right singular basis is taken in full only when m
@@ -220,18 +220,18 @@ def null_combinations(stack, tol: float):
     m = stack.shape[0]
     columns = stack.reshape(m, -1).T
     _, s, vh = np.linalg.svd(columns, full_matrices=m > columns.shape[0])
-    r = int(rank(s, tol))
+    r = int(rank(s))
     null = vh[r:].conj()
     # a QR of the columns from the last member down, less each one whose
-    # remainder past the kept ones is at most tol, gives one pivot per row
+    # remainder past the kept ones is at most RANK_TOL, gives one pivot per row
     cols = list(range(m - 1, -1, -1))
     while True:
         q, tri = np.linalg.qr(null[:, cols])
-        small = np.flatnonzero(np.abs(np.diagonal(tri)) <= tol)
+        small = np.flatnonzero(np.abs(np.diagonal(tri)) <= RANK_TOL)
         if not small.size:
             break
         del cols[small[0]]
-    pivots = np.diagonal(tri)  # null has orthonormal rows, so tol is relative to 1
+    pivots = np.diagonal(tri)  # null has orthonormal rows, so RANK_TOL is relative to 1
     return r, (pivots.conj() / np.abs(pivots))[:, None] * (q.conj().T @ null)
 
 
@@ -317,9 +317,9 @@ class Submodule:
     def full(cls, n: int, d: int) -> "Submodule":
         return cls(ModuleOperator.identity(n, d))
 
-    def contains(self, f: ModuleVector, tol: float = MEMBERSHIP_TOL) -> bool:
-        """||f - f P||_2 <= tol * ||f||."""
-        return bool(contained(f.flat, self.projection.matrix, tol * f.norm()))
+    def contains(self, f: ModuleVector) -> bool:
+        """||f - f P||_2 <= MEMBERSHIP_TOL * ||f||."""
+        return bool(contained(f.flat, self.projection.matrix, MEMBERSHIP_TOL * f.norm()))
 
     def project(self, f: ModuleVector) -> ModuleVector:
         return apply(self.projection, f)

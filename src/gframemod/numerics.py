@@ -17,12 +17,12 @@ CONTAINMENT_TOL = 1e-8  # x ||Y_k||: ||Y_k P_k - Y_k||, the range of Y_k inside 
 MEMBERSHIP_TOL = 1e-10  # x ||seq|| (||f|| for one vector, 1 for a unit kernel sample): ||t - t P|| of a term t
 HERMITIAN_TOL = 1e-9  # x the operands' max(||u||, ||v||): Hermitian and PSD-order tests
 HYPOTHESIS_TOL = 1e-9  # x ||Y_k||, and Y_k's top singular value on N_k for its rank: verify_hypotheses
-TIGHT_TOL = 1e-9  # x 1: the gap (B - A) / B (analyze --tol)
-DUAL_TOL = 1e-8  # x 1: verify_dual's ||sum Y_k^* G_k - Id|| (analyze --tol)
-REPRESENT_TOL = 1e-8  # represent --tol: x max ||Y||, ||M||, ||f|| max ||Y|| or 1 (||T||), by check
+TIGHT_TOL = 1e-9  # x 1: the gap (B - A) / B
+DUAL_TOL = 1e-8  # x 1: verify_dual's ||sum Y_k^* G_k - Id||
+REPRESENT_TOL = 1e-8  # x max ||Y||, ||M||, ||f|| max ||Y|| or 1 (||T||), by check
 INVARIANCE_TOL = 1e-8  # x 1: relative span-invariance defects; support of a max-1 null combination
 SNAP_TOL = 1e-9  # x the ratio: the divergence window snaps to an integer this close
-MARGIN_TOL = 1e-10  # x sum |a_k| max(max ||Y||, max ||Yhat||): perturbation margin (perturb --tol)
+MARGIN_TOL = 1e-10  # x sum |a_k| max(max ||Y||, max ||Yhat||): perturbation margin
 TIE_TOL = 1e-12  # x |worst margin|: perturbation witnesses this close tie
 BOUNDS_TOL = 1e-8  # x the derived upper bound: empirical bounds inside the derived ones
 

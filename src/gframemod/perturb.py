@@ -27,7 +27,7 @@ frame operator of the perturbed family) is the default; `hat_original`
 evaluates the printed pairing, Hermitized before eigen-analysis.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -35,9 +35,9 @@ import numpy as np
 from .algebra import psd_leq_stack
 from .exceptions import (
     BaseNotIndependent,
+    DimensionMismatch,
     InequalityNotVerified,
     LengthMismatch,
-    NotAFrame,
 )
 from .frames import GFusionFrame, frame_bounds
 from .hilbert import ModuleVector, gram_sum, null_combinations
@@ -97,15 +97,13 @@ class PerturbationVerdict:
     bounds_contained: Optional[bool] = None
     sample_failures: Optional[int] = None
     caveats: tuple = ()
-    # the frame whose bounds gave derived_lower/upper
-    frame: Optional[GFusionFrame] = field(default=None, repr=False, compare=False)
 
 
 def _check_shapes(frame: GFusionFrame, perturbed: GFusionFrame):
     if len(frame) != len(perturbed):
         raise LengthMismatch("families have different lengths")
     if (frame.n, frame.d) != (perturbed.n, perturbed.d):
-        raise LengthMismatch("families have different (n, d)")
+        raise DimensionMismatch("families have different (n, d)")
 
 
 def _batch_margins(alphas: np.ndarray, terms: np.ndarray, terms_hat: np.ndarray,
@@ -148,7 +146,7 @@ def _candidate_sequences(frame, perturbed, seq_samples: int, rng) -> np.ndarray:
     # up to 8 unit null combinations of either family and of their
     # difference; an all-zero family contributes only e_0
     for mats in (frame.operators, perturbed.operators, frame.operators - perturbed.operators):
-        rank, null = null_combinations(mats, RANK_TOL)
+        rank, null = null_combinations(mats)
         rows.append(null[:8] if rank else eye[:1])
     extra = max(0, seq_samples - m)
     if extra:
@@ -211,13 +209,12 @@ def check_perturbation_inequality(frame: GFusionFrame, perturbed: GFusionFrame,
                                   params: PerturbationParams,
                                   seq_samples: int = DEFAULT_SEQ_SAMPLES,
                                   vec_samples: int = DEFAULT_VEC_SAMPLES,
-                                  seed: int = 0,
-                                  slack: float = MARGIN_TOL) -> PerturbationVerdict:
+                                  seed: int = 0) -> PerturbationVerdict:
     """Sample the two-family inequality and report the worst-margin witness.
 
     `inequality_holds` is True when no (sequence, row) pair, over the d rows
     of each drawn vector, has a normalised margin (lhs - rhs over
-    sum |a_xi| max(max ||Y||, max ||Yhat||)) above `slack`, including after
+    sum |a_xi| max(max ||Y||, max ||Yhat||)) above MARGIN_TOL, including after
     the local ascent refinement of the worst witness.
     """
     _check_shapes(frame, perturbed)
@@ -237,7 +234,7 @@ def check_perturbation_inequality(frame: GFusionFrame, perturbed: GFusionFrame,
     ties = normalized >= margin - TIE_TOL * abs(margin)
     v, r, k = np.unravel_index(np.argmax(ties), ties.shape)
     alpha, row = alphas[k], rows[v, r]
-    if margin <= slack:
+    if margin <= MARGIN_TOL:
         ascended, refined = _ascend_coefficients(alpha, lambda batch: _normalized_margins(
             batch, terms[v][:, r:r + 1], terms_hat[v][:, r:r + 1], params, size))
         if refined > margin:
@@ -249,17 +246,11 @@ def check_perturbation_inequality(frame: GFusionFrame, perturbed: GFusionFrame,
     block[r] = row
     witness = InequalityWitness(alpha, ModuleVector(block, frame.n, frame.d),
                                 float(lhs[0]), float(rhs[0]))
-    holds = margin <= slack
-    derived_lower = derived_upper = None
-    try:
-        derived_lower, derived_upper = derived_bounds(frame_bounds(frame), params)
-    except NotAFrame:
-        pass
+    holds = margin <= MARGIN_TOL
     return PerturbationVerdict(
         params=params, inequality_holds=holds, witness=witness,
         n_sequences=alphas.shape[0], n_vectors=n_vectors,
-        derived_lower=derived_lower, derived_upper=derived_upper,
-        caveats=(SAMPLING_CAVEAT,) if holds else (), frame=frame,
+        caveats=(SAMPLING_CAVEAT,) if holds else (),
     )
 
 
@@ -271,17 +262,13 @@ def derived_bounds(bounds, params: PerturbationParams):
     return lo, hi
 
 
-def _verified(frame, perturbed, params, seed, inequality) -> PerturbationVerdict:
-    """The inequality check, run here when not supplied; InequalityNotVerified
-    when it failed."""
+def _verified(frame, perturbed, inequality: PerturbationVerdict):
+    """InequalityNotVerified unless the check `inequality` passed."""
     _check_shapes(frame, perturbed)
-    if inequality is None:
-        inequality = check_perturbation_inequality(frame, perturbed, params, seed=seed)
     if not inequality.inequality_holds:
         raise InequalityNotVerified(
             f"inequality violated by margin {inequality.witness.margin:.3e}"
         )
-    return inequality
 
 
 def _middle_matrix(frame: GFusionFrame, perturbed: GFusionFrame, interpretation: str):
@@ -294,27 +281,21 @@ def _middle_matrix(frame: GFusionFrame, perturbed: GFusionFrame, interpretation:
 
 def verify_perturbed_frame(frame: GFusionFrame, perturbed: GFusionFrame,
                            params: PerturbationParams,
+                           inequality: PerturbationVerdict,
                            interpretation: str = HAT_HAT,
                            vec_samples: int = DEFAULT_VEC_SAMPLES,
-                           seed: int = 0,
-                           inequality: Optional[PerturbationVerdict] = None) -> PerturbationVerdict:
+                           seed: int = 0) -> PerturbationVerdict:
     """Empirical optimal bounds of the middle term against the derived ones.
 
-    Under hat_hat the empirical bounds are exactly the frame bounds of the
+    `inequality` is the verdict of `check_perturbation_inequality` on the
+    two families; InequalityNotVerified is raised when it failed.  Under
+    hat_hat the empirical bounds are exactly the frame bounds of the
     perturbed family; under hat_original they are the extreme eigenvalues of
-    the Hermitized mixed matrix.  Raises InequalityNotVerified when the
-    inequality check (run here when not supplied) failed.  The derived
-    bounds are the check's own when it ran on this same frame object with
-    the same params; otherwise they are computed from `frame` here.  The
-    empirical bounds are contained when within BOUNDS_TOL times the derived
-    upper bound of the derived ones.
+    the Hermitized mixed matrix.  The empirical bounds are contained when
+    within BOUNDS_TOL times the derived upper bound of the derived ones.
     """
-    inequality = _verified(frame, perturbed, params, seed, inequality)
-    if (inequality.derived_lower is None or inequality.frame is not frame
-            or inequality.params != params):
-        d_lo, d_hi = derived_bounds(frame_bounds(frame), params)  # NotAFrame when S is singular
-    else:
-        d_lo, d_hi = inequality.derived_lower, inequality.derived_upper
+    _verified(frame, perturbed, inequality)
+    d_lo, d_hi = derived_bounds(frame_bounds(frame), params)  # NotAFrame when S is singular
     mid = _middle_matrix(frame, perturbed, interpretation)
     mid_h = (mid + mid.conj().T) / 2.0
     eigs = np.linalg.eigvalsh(mid_h)
@@ -337,15 +318,15 @@ def verify_perturbed_frame(frame: GFusionFrame, perturbed: GFusionFrame,
     return replace(  # the verified check's witness and sample counts
         inequality, params=params, derived_lower=d_lo, derived_upper=d_hi,
         empirical_lower=e_lo, empirical_upper=e_hi, interpretation=interpretation,
-        bounds_contained=contained, sample_failures=failures, caveats=tuple(caveats), frame=frame,
+        bounds_contained=contained, sample_failures=failures, caveats=tuple(caveats),
     )
 
 
 def independence_transfer(frame: GFusionFrame, perturbed: GFusionFrame,
-                          params: PerturbationParams, seed: int = 0,
-                          inequality: Optional[PerturbationVerdict] = None) -> bool:
+                          inequality: PerturbationVerdict) -> bool:
     """Independence verdict of the perturbed family, given an independent
-    base family and a verified inequality.
+    base family and `inequality`, a passing verdict of
+    `check_perturbation_inequality` on the two families.
 
     When the perturbed family comes out dependent, its null combination is
     fed back through the inequality's contrapositive: the same coefficients
@@ -353,7 +334,7 @@ def independence_transfer(frame: GFusionFrame, perturbed: GFusionFrame,
     a verified inequality and a dependent perturbed family cannot coexist;
     the inconsistency is raised as InequalityNotVerified.
     """
-    _verified(frame, perturbed, params, seed, inequality)
+    _verified(frame, perturbed, inequality)
     base = independence_analysis(frame)
     if base.verdict != "independent":
         raise BaseNotIndependent("the unperturbed family is linearly dependent")

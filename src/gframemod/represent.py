@@ -91,8 +91,14 @@ class RepresentationResult:
     convention: str
     scale: float  # max ||Y_xi||, the residual's natural reference
 
-    def is_representable(self, tol: float = REPRESENT_TOL) -> bool:
-        return self.residual <= tol * max(self.scale, 1e-300)
+    def is_representable(self) -> bool:
+        return self.residual <= REPRESENT_TOL * max(self.scale, 1e-300)
+
+
+def _require_representable(rep: RepresentationResult):
+    if not rep.is_representable():
+        raise NotRepresentable(f"residual {rep.residual:.3e} exceeds "
+                               f"{REPRESENT_TOL:.1e} * scale {rep.scale:.3e}")
 
 
 def solve_representation(frame: GFusionFrame,
@@ -207,14 +213,14 @@ def sample_synthesis_kernel(frame: GFusionFrame, count: int, seed: int = 0):
 
 
 def kernel_invariance(frame: GFusionFrame, convention: str, samples: int = 100,
-                      tol: float = REPRESENT_TOL, seed: int = 0):
+                      seed: int = 0):
     """Sampled invariance of the synthesis kernel under the right shift of
     `convention`: (samples drawn, defect, ok, caveats).
 
     The defect is the largest synthesis norm of a shifted unit-norm kernel
-    sample over ||M||; it is inf, and the check fails, when a shifted term
-    leaves its new submodule by more than MEMBERSHIP_TOL times the sample's
-    unit norm.
+    sample over ||M||, and the check passes at or below REPRESENT_TOL; the
+    defect is inf, and the check fails, when a shifted term leaves its new
+    submodule by more than MEMBERSHIP_TOL times the sample's unit norm.
     """
     kernel_basis = _kernel_row_basis(frame)
     terms = _kernel_terms(frame, kernel_basis, samples, seed)
@@ -232,7 +238,7 @@ def kernel_invariance(frame: GFusionFrame, convention: str, samples: int = 100,
         return samples, math.inf, False, ["a shifted kernel element leaves the submodule family"]
     images = np.tensordot(moved, frame.operators[targets].conj(), axes=([1, 3], [0, 2]))
     defect = float(spectral_norms(images).max()) / max(kernel_basis[3], 1e-300)
-    return samples, defect, defect <= tol, []
+    return samples, defect, defect <= REPRESENT_TOL, []
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +259,7 @@ class ShiftBoundsReport:
 
 
 def check_representation_bounds(frame: GFusionFrame, rep: RepresentationResult,
-                                samples: int = 100, tol: float = REPRESENT_TOL,
-                                seed: int = 0) -> ShiftBoundsReport:
+                                samples: int = 100, seed: int = 0) -> ShiftBoundsReport:
     """Check 1 <= ||T|| <= sqrt(B/A) and invariance of the synthesis kernel
     under the right shift, for a representable family satisfying the
     self-adjointness and range-fixing hypotheses."""
@@ -262,22 +267,19 @@ def check_representation_bounds(frame: GFusionFrame, rep: RepresentationResult,
         raise HypothesisViolation(
             "family members must be self-adjoint and fix their submodules"
         )
-    if not rep.is_representable(tol):
-        raise NotRepresentable(
-            f"residual {rep.residual:.3e} exceeds {tol:.1e} * scale {rep.scale:.3e}"
-        )
+    _require_representable(rep)
     lower, upper = frame_bounds(frame)
     bound_upper = math.sqrt(upper / lower)
     caveats = [CYCLIC_CAVEAT if rep.convention == "cyclic" else LINEAR_CAVEAT]
     kernel_samples, kernel_defect, kernel_ok, kernel_caveats = kernel_invariance(
-        frame, rep.convention, samples, tol, seed)
+        frame, rep.convention, samples, seed)
     caveats.extend(kernel_caveats)
     return ShiftBoundsReport(
         norm_T=rep.norm_T,
         bound_lower=1.0,
         bound_upper=bound_upper,
-        lower_ok=rep.norm_T >= 1.0 - tol,
-        upper_ok=rep.norm_T <= bound_upper + tol,
+        lower_ok=rep.norm_T >= 1.0 - REPRESENT_TOL,
+        upper_ok=rep.norm_T <= bound_upper + REPRESENT_TOL,
         kernel_samples=kernel_samples,
         kernel_defect=kernel_defect,
         kernel_ok=kernel_ok,
@@ -324,23 +326,20 @@ class TightnessCertificate:
 
 
 def tightness_contradiction_certificate(frame: GFusionFrame, rep: RepresentationResult,
-                                        f: ModuleVector,
-                                        tol: float = REPRESENT_TOL) -> TightnessCertificate:
+                                        f: ModuleVector) -> TightnessCertificate:
     if (f.n, f.d) != (frame.n, frame.d):
         raise DimensionMismatch("vector shape does not match the frame")
     lower, upper = bounds = frame_bounds(frame)
     if bounds.gap > TIGHT_TOL:
         raise NotTight("certificate requires a tight frame")
-    if not rep.is_representable(tol):
-        raise NotRepresentable(
-            f"residual {rep.residual:.3e} exceeds {tol:.1e} * scale {rep.scale:.3e}"
-        )
+    _require_representable(rep)
     _, sing, invertible = _span_operator(rep)
     if not invertible:
         raise NotInvertible("representing operator is singular on the span")
     norm_t = float(sing[0])
     norm_t_inv = 1.0 / float(sing[-1])
     bound = math.sqrt(upper / lower)
+    tol = REPRESENT_TOL
     norm_bounds_ok = all(1.0 - tol <= v <= bound + tol for v in (norm_t, norm_t_inv))
     isometry_ok = abs(norm_t - 1.0) <= tol and abs(norm_t_inv - 1.0) <= tol
 
@@ -381,7 +380,7 @@ class IndependenceReport:
     span_invariance: Optional[SpanInvariance]
 
 
-def independence_analysis(frame: GFusionFrame, tol: float = RANK_TOL,
+def independence_analysis(frame: GFusionFrame,
                           rep: Optional[RepresentationResult] = None) -> IndependenceReport:
     """Linear independence of {Y_xi} as vectors in the (n*d)^2 operator space.
 
@@ -391,7 +390,7 @@ def independence_analysis(frame: GFusionFrame, tol: float = RANK_TOL,
     that exists), one batched projection per operator.
     """
     mats = frame.operators
-    r, null = null_combinations(mats, tol)
+    r, null = null_combinations(mats)
     if r == len(frame):
         return IndependenceReport("independent", None, r, None, None)
     delta = null[-1]  # the first dependency: members 0 .. b with b smallest
@@ -456,8 +455,9 @@ def verify_shift_reconstruction_identity(frame: GFusionFrame, dual: GFusionFrame
     if len(dual) != m or (frame.n, frame.d) != (dual.n, dual.d):
         raise HypothesisViolation("frame and dual must have equal lengths and shape")
     a, b = _constraint_pairs(m, frame.index_convention)
-    if frame.index_convention == "linear" and not 0 <= j <= m - 2:
-        raise ValueError(f"j must lie in [0, {m - 2}] for the linear convention")
+    if not 0 <= j < len(a):
+        raise ValueError(f"j must lie in [0, {len(a) - 1}] for the "
+                         f"{frame.index_convention} convention")
     mats = frame.operators
     adjoints = mats.conj().swapaxes(1, 2)
     bound = REPRESENT_TOL * frame.max_operator_norm()

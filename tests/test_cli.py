@@ -63,6 +63,15 @@ def test_usage_error_exits_1():
     assert run(["no-such-command"]) == 1
 
 
+@pytest.mark.parametrize("command", ["analyze", "represent", "independence", "perturb"])
+def test_there_is_no_tol_flag(capsys, command):
+    # every verdict is gated by its named constant in gframemod.numerics
+    doc = CORPUS / "unitary_orbit_m4.json"
+    docs = [doc, doc] if command == "perturb" else [doc]
+    assert run([command, *docs, "--tol", "1e-6"]) == 1
+    assert "unrecognized arguments: --tol 1e-6" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # represent
 
@@ -198,6 +207,13 @@ def test_perturb_scaled_fails_at_low_eta(tmp_path):
 def test_perturb_rejects_bad_params():
     doc = CORPUS / "fusion_parseval_m2.json"
     assert run(["perturb", doc, doc, "--eta", 1.0]) == 1
+
+
+def test_perturb_families_of_different_shape_exit_2(tmp_path, capsys):
+    base = _gen(tmp_path, "unitary-orbit", 2, 1, 4, 1)
+    other = _gen(tmp_path, "unitary-orbit", 1, 2, 4, 1)  # the same n*d
+    assert run(["perturb", base, other]) == 2
+    assert capsys.readouterr().err == "gframemod: error: families have different (n, d)\n"
 
 
 # ---------------------------------------------------------------------------

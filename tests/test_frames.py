@@ -259,7 +259,7 @@ def test_analysis_terms_live_in_submodules():
     f = random_vector(np.random.default_rng(3), 2, 2)
     seq = analysis(frame, f)
     for term, sub in zip(seq.terms, frame.submodules()):
-        assert sub.contains(term, 1e-10)
+        assert sub.contains(term)
 
 
 def test_synthesis_length_and_membership_errors(rng):

@@ -1,14 +1,19 @@
-"""Tolerance policy: `numerics` is the only home of tolerance literals, and
-no verdict changes when a whole family is multiplied by c > 0."""
+"""Tolerance policy: `numerics` is the only home of tolerance literals, no
+verdict takes a tolerance argument, and no verdict changes when a whole
+family is multiplied by c > 0."""
 
 import ast
+import importlib
+import inspect
 import json
+import pkgutil
 import tokenize
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gframemod
 from gframemod.cli import main
 from gframemod.exceptions import HypothesisViolation, MembershipViolation
 from gframemod.families import (
@@ -18,9 +23,16 @@ from gframemod.families import (
     random_unitary,
     unitary_orbit_frame,
 )
-from gframemod.frames import GFusionFrame, analysis, canonical_dual, synthesis
+from gframemod.frames import (
+    GFusionFrame,
+    analysis,
+    canonical_dual,
+    frame_bounds,
+    frame_operator,
+    synthesis,
+)
 from gframemod.hilbert import ModuleOperator, ModuleVector, Submodule, null_combinations, right_shift
-from gframemod.numerics import RANK_TOL, rank
+from gframemod.numerics import rank
 from gframemod.perturb import PerturbationParams, check_perturbation_inequality
 from gframemod.represent import (
     kernel_invariance,
@@ -62,6 +74,49 @@ def test_the_lint_sees_code_and_skips_comments_and_docstrings(tmp_path):
                     'x = 2.5e-9  # 1e-8 in a comment\n'
                     'y = 1e-300 + 1e-6 + 10_000 + 1j\n')
     assert tolerance_literals(path) == [(2, "2.5e-9")]
+
+
+# ---------------------------------------------------------------------------
+# the lint: no verdict takes a tolerance argument
+
+# the tolerance parameters a caller may set; the rest of the API gates each
+# verdict with its named constant.  `rank`, `psd_leq_stack` and
+# `checked_projections` are the rules themselves, applied at several tolerances.
+TOLERANCE_PARAMETERS = {"is_positive", "psd_leq", "synthesis",
+                        "rank", "psd_leq_stack", "checked_projections"}
+
+
+def _public_callables():
+    """(qualified name, callable) of every name in gframemod.__all__ and of
+    every public function each module defines, with the public methods of
+    their classes."""
+    objects = {name: getattr(gframemod, name) for name in gframemod.__all__}
+    for info in pkgutil.iter_modules(gframemod.__path__):
+        module = importlib.import_module(f"gframemod.{info.name}")
+        objects.update((name, obj) for name, obj in vars(module).items()
+                       if not name.startswith("_")
+                       and getattr(obj, "__module__", None) == module.__name__)
+    for name, obj in objects.items():
+        if inspect.isclass(obj):
+            methods = ((attr, getattr(obj, attr)) for attr in vars(obj)
+                       if not attr.startswith("_"))
+            yield from ((f"{name}.{attr}", member) for attr, member in methods
+                        if inspect.isfunction(member) or inspect.ismethod(member))
+        elif inspect.isfunction(obj):
+            yield name, obj
+
+
+def test_no_public_callable_takes_a_tolerance():
+    callables = dict(_public_callables())
+    for name in ("psd_leq", "Submodule.contains", "Submodule.from_stack",
+                 "RepresentationResult.is_representable", "kernel_invariance",
+                 "null_combinations", "rank"):
+        assert name in callables, name  # the walk reaches exports, methods and helpers
+    found = sorted(f"{name}({param})" for name, obj in callables.items()
+                   for param in inspect.signature(obj).parameters
+                   if (param in ("tol", "slack") or param.endswith("_tol"))
+                   and name not in TOLERANCE_PARAMETERS)
+    assert found == []
 
 
 def test_rank_counts_relative_to_the_largest_singular_value():
@@ -173,6 +228,28 @@ def test_synthesis_accepts_the_analysis_of_every_accepted_frame(c):
         synthesis(frame, analysis(frame, f), membership_tol=1e-10)
 
 
+@pytest.mark.parametrize("c", SCALES)
+def test_synthesis_accepts_the_analysis_of_a_frame_with_a_small_lower_bound(c):
+    # n=2, d=1: (full, 1e-3 Id) and (a rotated line, its projection plus a
+    # 9e-9 push off the line), so A = 1e-6.  For f off the line, term 1's
+    # defect 9e-9 ||f|| exceeds 1e-8 ||seq|| = 1e-11 ||f||, and stays within
+    # the default bound 1e-8 ||seq|| ||Y_1|| / sqrt(A)
+    u = random_unitary(np.random.default_rng(3), 2)
+    line, other = u[:1], u[1:]
+    full = Submodule.full(2, 1)
+    sub = Submodule.from_basis_rows(line, 2, 1)
+    push = ModuleOperator(9e-9 * other.conj().T @ other, 2, 1)
+    frame = GFusionFrame([(full, full.projection * 1e-3), (sub, sub.projection + push)],
+                         "linear").scaled(c)
+    assert frame_bounds(frame).lower == pytest.approx(1e-6 * c * c, rel=1e-6)
+    f = ModuleVector(other, 2, 1)
+    seq = analysis(frame, f)
+    np.testing.assert_allclose(synthesis(frame, seq).flat,
+                               f.flat @ frame_operator(frame).matrix, rtol=1e-9, atol=0)
+    with pytest.raises(MembershipViolation):
+        synthesis(frame, seq, membership_tol=1e-11)
+
+
 @pytest.mark.parametrize("small,fixes", [(5e-10, False), (5e-9, True)])
 def test_hypothesis_rank_cutoff_is_1e_9_of_the_top_singular_value(small, fixes):
     # Y = B^H diag(1, small) B on a rank-2 submodule with rows B: self-adjoint,
@@ -188,18 +265,18 @@ def test_hypothesis_rank_cutoff_is_1e_9_of_the_top_singular_value(small, fixes):
 def test_null_combinations_do_not_depend_on_the_scale():
     # a null space of two directions, whose SVD basis follows rounding
     for frame in (dilation_frame(2, 2, 4, seed=1), unitary_orbit_frame(2, 2, 4, seed=1)):
-        first = null_combinations(frame.operators, RANK_TOL)[1]
+        first = null_combinations(frame.operators)[1]
         assert first.shape[0] > 1
         np.testing.assert_allclose(first @ first.conj().T, np.eye(len(first)), atol=1e-12)
         for c in SCALES:
-            np.testing.assert_allclose(null_combinations(frame.scaled(c).operators, RANK_TOL)[1],
+            np.testing.assert_allclose(null_combinations(frame.scaled(c).operators)[1],
                                        first, atol=1e-9)
 
 
 def test_last_null_combination_is_the_first_dependency():
     rng = np.random.default_rng(6)
     y0, y1 = rng.standard_normal((2, 4, 4))
-    _, null = null_combinations(np.stack([y0, y1, y0 + y1, 2 * y0]), RANK_TOL)
+    _, null = null_combinations(np.stack([y0, y1, y0 + y1, 2 * y0]))
     assert null.shape == (2, 4)
     expected = np.array([1.0, 1.0, -1.0, 0.0]) / 3 ** 0.5  # members 0 .. 2, not 0 .. 3
     np.testing.assert_allclose(null[-1] * np.sign(null[-1, 0]), expected, atol=1e-12)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +6,7 @@ from gframemod import perturb
 from gframemod.algebra import psd_leq
 from gframemod.exceptions import (
     BaseNotIndependent,
+    DimensionMismatch,
     InequalityNotVerified,
     LengthMismatch,
     NotAFrame,
@@ -195,7 +194,7 @@ def _per_sample_failures(frame, perturbed, lower, upper, vec_samples, seed):
     return failures
 
 
-def test_batched_sample_failures_match_per_sample_psd_leq():
+def test_batched_sample_failures_match_per_sample_psd_leq(monkeypatch):
     frame = random_frame(2, 2, 3, seed=7)
     scaled = frame.scaled(1.05)
     params = PerturbationParams(0.1, 0.0)
@@ -207,9 +206,10 @@ def test_batched_sample_failures_match_per_sample_psd_leq():
         frame, scaled, checked.derived_lower, checked.derived_upper, 40, 2)
     # a derived lower bound above the true one makes some samples fail
     lower = 1.05 ** 2 * frame_bounds(frame).lower * 1.5
-    raised = dataclasses.replace(verdict, derived_lower=lower)
+    monkeypatch.setattr(perturb, "derived_bounds",
+                        lambda bounds, p: (lower, derived_bounds(bounds, p)[1]))
     checked = verify_perturbed_frame(frame, scaled, params, vec_samples=40, seed=2,
-                                     inequality=raised)
+                                     inequality=verdict)
     assert checked.derived_lower == lower
     expected = _per_sample_failures(frame, scaled, lower, checked.derived_upper, 40, 2)
     assert 0 < expected < 40
@@ -241,7 +241,9 @@ def test_derived_bounds_monotone_in_params():
 def test_verify_identical_families():
     frame = random_frame(2, 1, 3, seed=6)
     lower, upper = frame_bounds(frame)
-    verdict = verify_perturbed_frame(frame, frame, PerturbationParams(0.0, 0.0), seed=0)
+    params = PerturbationParams(0.0, 0.0)
+    verdict = verify_perturbed_frame(frame, frame, params,
+                                     check_perturbation_inequality(frame, frame, params), seed=0)
     assert verdict.bounds_contained
     assert verdict.derived_lower == pytest.approx(lower, rel=1e-12)
     assert verdict.derived_upper == pytest.approx(upper, rel=1e-12)
@@ -255,7 +257,10 @@ def test_verify_scaled_family_attains_upper_bound():
     frame = random_frame(2, 2, 3, seed=7)
     lower, upper = frame_bounds(frame)
     scaled = frame.scaled(1.0 + eps)
-    verdict = verify_perturbed_frame(frame, scaled, PerturbationParams(eps, 0.0), seed=1)
+    params = PerturbationParams(eps, 0.0)
+    verdict = verify_perturbed_frame(frame, scaled, params,
+                                     check_perturbation_inequality(frame, scaled, params, seed=1),
+                                     seed=1)
     assert verdict.bounds_contained
     assert verdict.empirical_lower == pytest.approx(1.21 * lower, rel=1e-10)
     assert verdict.empirical_upper == pytest.approx(1.21 * upper, rel=1e-10)
@@ -265,7 +270,9 @@ def test_verify_scaled_family_attains_upper_bound():
 def test_hat_hat_matches_perturbed_frame_bounds():
     frame = random_frame(3, 1, 4, seed=8)
     perturbed = frame.scaled(1.02)
-    verdict = verify_perturbed_frame(frame, perturbed, PerturbationParams(0.05, 0.0), seed=0)
+    params = PerturbationParams(0.05, 0.0)
+    inequality = check_perturbation_inequality(frame, perturbed, params)
+    verdict = verify_perturbed_frame(frame, perturbed, params, inequality, seed=0)
     plower, pupper = frame_bounds(perturbed)
     assert verdict.empirical_lower == pytest.approx(plower, rel=1e-10)
     assert verdict.empirical_upper == pytest.approx(pupper, rel=1e-10)
@@ -274,7 +281,9 @@ def test_hat_hat_matches_perturbed_frame_bounds():
 def test_hat_original_interpretation_on_identical_families():
     frame = random_frame(2, 1, 3, seed=9)
     lower, upper = frame_bounds(frame)
-    verdict = verify_perturbed_frame(frame, frame, PerturbationParams(0.0, 0.0),
+    params = PerturbationParams(0.0, 0.0)
+    verdict = verify_perturbed_frame(frame, frame, params,
+                                     check_perturbation_inequality(frame, frame, params),
                                      interpretation=HAT_ORIGINAL, seed=0)
     assert verdict.empirical_lower == pytest.approx(lower, rel=1e-12)
     assert verdict.empirical_upper == pytest.approx(upper, rel=1e-12)
@@ -324,8 +333,10 @@ def test_verify_still_rejects_a_family_that_is_not_a_frame():
 def test_verify_raises_when_inequality_fails():
     frame = random_frame(2, 1, 3, seed=10)
     scaled = frame.scaled(1.1)
+    params = PerturbationParams(0.05, 0.0)
+    verdict = check_perturbation_inequality(frame, scaled, params)
     with pytest.raises(InequalityNotVerified):
-        verify_perturbed_frame(frame, scaled, PerturbationParams(0.05, 0.0), seed=0)
+        verify_perturbed_frame(frame, scaled, params, verdict, seed=0)
 
 
 def test_margin_invariant_under_unitary_conjugation():
@@ -359,6 +370,13 @@ def test_length_mismatch():
         check_perturbation_inequality(a, b, PerturbationParams(0.1, 0.1))
 
 
+def test_shape_mismatch_is_a_dimension_mismatch():
+    a = random_frame(2, 1, 3, seed=13)
+    b = random_frame(1, 2, 3, seed=13)  # the same n*d
+    with pytest.raises(DimensionMismatch, match=r"different \(n, d\)"):
+        check_perturbation_inequality(a, b, PerturbationParams(0.1, 0.1))
+
+
 # ---------------------------------------------------------------------------
 # independence transfer
 
@@ -366,21 +384,23 @@ def test_length_mismatch():
 def test_transfer_on_identical_independent_family():
     frame = random_frame(2, 1, 3, seed=14)
     params = PerturbationParams(0.0, 0.0)
-    assert independence_transfer(frame, frame, params, seed=0)
+    assert independence_transfer(frame, frame, check_perturbation_inequality(frame, frame, params))
 
 
 def test_transfer_on_scaled_family():
     frame = random_frame(2, 1, 3, seed=15)
     params = PerturbationParams(0.1, 0.0)
     scaled = frame.scaled(1.1)
-    assert independence_transfer(frame, scaled, params, seed=0)
+    verdict = check_perturbation_inequality(frame, scaled, params)
+    assert independence_transfer(frame, scaled, verdict)
 
 
 def test_transfer_requires_independent_base():
     frame = unitary_orbit_frame(2, 1, 4, seed=16)  # period-two orbit is dependent
     params = PerturbationParams(0.0, 0.0)
+    verdict = check_perturbation_inequality(frame, frame, params)
     with pytest.raises(BaseNotIndependent):
-        independence_transfer(frame, frame, params, seed=0)
+        independence_transfer(frame, frame, verdict)
 
 
 def test_dependent_perturbation_fails_the_inequality_itself():
@@ -398,4 +418,4 @@ def test_dependent_perturbation_fails_the_inequality_itself():
                                             seq_samples=16, vec_samples=8, seed=0)
     assert not verdict.inequality_holds
     with pytest.raises(InequalityNotVerified):
-        independence_transfer(frame, collapsed, PerturbationParams(0.3, 0.3), seed=0)
+        independence_transfer(frame, collapsed, verdict)

@@ -228,7 +228,7 @@ def test_kernel_samples_are_in_kernel_and_submodules():
         assert seq.norm() == pytest.approx(1.0, abs=1e-10)
         assert synthesis(frame, seq, membership_tol=None).norm() <= 1e-10
         for term, sub in zip(seq.terms, frame.submodules()):
-            assert sub.contains(term, 1e-10)
+            assert sub.contains(term)
 
 
 def test_kernel_matches_independent_nullspace_oracle():
@@ -529,6 +529,16 @@ def test_orbit_family_satisfies_shift_identity():
     ext = solve_adjoint_shift_extension(frame)
     for j in range(4):
         assert verify_shift_reconstruction_identity(frame, dual, ext, j=j)
+
+
+def test_shift_identity_rejects_j_outside_the_cyclic_range():
+    frame = unitary_orbit_frame(2, 2, 4, seed=20)
+    assert frame.index_convention == "cyclic"
+    dual = canonical_dual(frame)
+    ext = solve_adjoint_shift_extension(frame)
+    for j in (-1, 4):
+        with pytest.raises(ValueError, match=r"j must lie in \[0, 3\] for the cyclic convention"):
+            verify_shift_reconstruction_identity(frame, dual, ext, j=j)
 
 
 def test_mismatched_dual_fails_shift_identity():
