@@ -257,26 +257,21 @@ def _cmd_independence(args, seed, sha):
     return results, [], 3 if failed else 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", default=None,
-                        help="write the JSON report to this path instead of stdout")
-    common.add_argument("--seed", type=int, default=None,
-                        help="sampling seed (default: $GFRAMEMOD_SEED, then 0)")
+def _add_common(p) -> None:
+    p.add_argument("--output", default=None,
+                   help="write the JSON report to this path instead of stdout")
+    p.add_argument("--seed", type=int, default=None,
+                   help="sampling seed (default: $GFRAMEMOD_SEED, then 0)")
 
-    parser = argparse.ArgumentParser(
-        prog="gframemod",
-        description="finite-dimensional g-fusion frame analysis over matrix algebras",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common],
-                       help="frame bounds, tightness, canonical dual reconstruction")
+def _add_analyze(p) -> None:
+    _add_common(p)
     p.add_argument("frame", help="frame document (JSON)")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("represent", parents=[common],
-                       help="solve the shift representation and optional checks")
+
+def _add_represent(p) -> None:
+    _add_common(p)
     p.add_argument("frame")
     p.add_argument("--convention", choices=("linear", "cyclic"), default=None,
                    help="index convention override (default: the document's)")
@@ -289,8 +284,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="vector document for the certificate (JSON)")
     p.set_defaults(func=_cmd_represent)
 
-    p = sub.add_parser("perturb", parents=[common],
-                       help="two-family perturbation inequality and derived bounds")
+
+def _add_perturb(p) -> None:
+    _add_common(p)
     p.add_argument("frame")
     p.add_argument("perturbed")
     p.add_argument("--eta", type=float, default=0.0)
@@ -302,7 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "through its d rows")
     p.set_defaults(func=_cmd_perturb)
 
-    p = sub.add_parser("gen", help="write a deterministic frame document")
+
+def _add_gen(p) -> None:
     p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--d", type=int, default=1)
@@ -312,16 +309,46 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_path")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("independence", parents=[common],
-                       help="linear independence of the operator family")
+
+def _add_independence(p) -> None:
+    _add_common(p)
     p.add_argument("frame")
     p.set_defaults(func=_cmd_independence)
 
+
+# (name, help, adds the command's arguments), in the order help lists them
+_COMMANDS = (
+    ("analyze", "frame bounds, tightness, canonical dual reconstruction", _add_analyze),
+    ("represent", "solve the shift representation and optional checks", _add_represent),
+    ("perturb", "two-family perturbation inequality and derived bounds", _add_perturb),
+    ("gen", "write a deterministic frame document", _add_gen),
+    ("independence", "linear independence of the operator family", _add_independence),
+)
+_NAMES = tuple(name for name, _, _ in _COMMANDS)
+
+
+def _build_parser(only=None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the command named `only`.
+
+    A one-command parser shows the full choice list in its usage line; the
+    full parser keeps argparse's default, so its errors name `command`.
+    """
+    parser = argparse.ArgumentParser(
+        prog="gframemod",
+        description="finite-dimensional g-fusion frame analysis over matrix algebras",
+    )
+    metavar = None if only is None else "{" + ",".join(_NAMES) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, add_arguments in _COMMANDS:
+        if only is None or name == only:
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a call that names its command builds that command's parser alone
+    parser = _build_parser(argv[0] if argv and argv[0] in _NAMES else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -46,6 +46,7 @@ from .represent import independence_analysis
 
 DEFAULT_SEQ_SAMPLES = 256
 DEFAULT_VEC_SAMPLES = 64
+_BATCH = 1 << 16  # complex entries of one combination product over the sequences
 HAT_HAT = "hat_hat"
 HAT_ORIGINAL = "hat_original"
 
@@ -161,7 +162,7 @@ def _normalized_margins(alphas, terms, terms_hat, params: PerturbationParams, si
     axis, with `size` the families' largest operator norm (see the module
     docstring)."""
     lhs, rhs = _batch_margins(alphas, terms, terms_hat, params)
-    return (lhs - rhs).T / np.maximum(np.abs(alphas).sum(axis=1) * size, 1e-300)
+    return np.moveaxis(lhs - rhs, 0, -1) / np.maximum(np.abs(alphas).sum(axis=1) * size, 1e-300)
 
 
 def _ascend_coefficients(alpha: np.ndarray, normalized_margin, steps: int = 24):
@@ -224,19 +225,22 @@ def check_perturbation_inequality(frame: GFusionFrame, perturbed: GFusionFrame,
     n_vectors = max(1, vec_samples)
     rows = _random_blocks(rng, n_vectors, frame)
     rows /= np.maximum(np.linalg.norm(rows, axis=2), 1e-300)[:, :, None]
-    terms = rows[:, None] @ frame.operators[None]  # (vectors, m, d, n*d)
-    terms_hat = rows[:, None] @ perturbed.operators[None]
+    terms = rows[None] @ frame.operators[:, None]  # (m, vectors, d, n*d)
+    terms_hat = rows[None] @ perturbed.operators[:, None]
     normalized = np.empty((n_vectors, frame.d, alphas.shape[0]))
-    for v, (vec_terms, vec_terms_hat) in enumerate(zip(terms, terms_hat)):
-        normalized[v] = _normalized_margins(alphas, vec_terms[:, :, None],
-                                            vec_terms_hat[:, :, None], params, size)
+    # each combination product holds at most _BATCH entries, or one vector's
+    step = max(1, _BATCH // (alphas.shape[0] * frame.d * frame.n * frame.d))
+    for v in range(0, n_vectors, step):
+        batch = slice(v, v + step)
+        normalized[batch] = _normalized_margins(alphas, terms[:, batch, :, None],
+                                                terms_hat[:, batch, :, None], params, size)
     margin = float(normalized.max())
     ties = normalized >= margin - TIE_TOL * abs(margin)
     v, r, k = np.unravel_index(np.argmax(ties), ties.shape)
     alpha, row = alphas[k], rows[v, r]
     if margin <= MARGIN_TOL:
         ascended, refined = _ascend_coefficients(alpha, lambda batch: _normalized_margins(
-            batch, terms[v][:, r:r + 1], terms_hat[v][:, r:r + 1], params, size))
+            batch, terms[:, v, r:r + 1], terms_hat[:, v, r:r + 1], params, size))
         if refined > margin:
             alpha, margin = ascended, refined
     alpha, row = _phase_fixed(alpha), _phase_fixed(row)
@@ -288,12 +292,15 @@ def verify_perturbed_frame(frame: GFusionFrame, perturbed: GFusionFrame,
     """Empirical optimal bounds of the middle term against the derived ones.
 
     `inequality` is the verdict of `check_perturbation_inequality` on the
-    two families; InequalityNotVerified is raised when it failed.  Under
+    two families under `params`; ValueError is raised when it was taken
+    under other params, and InequalityNotVerified when it failed.  Under
     hat_hat the empirical bounds are exactly the frame bounds of the
     perturbed family; under hat_original they are the extreme eigenvalues of
     the Hermitized mixed matrix.  The empirical bounds are contained when
     within BOUNDS_TOL times the derived upper bound of the derived ones.
     """
+    if params != inequality.params:
+        raise ValueError(f"the inequality was checked under {inequality.params}, not {params}")
     _verified(frame, perturbed, inequality)
     d_lo, d_hi = derived_bounds(frame_bounds(frame), params)  # NotAFrame when S is singular
     mid = _middle_matrix(frame, perturbed, interpretation)
@@ -316,7 +323,7 @@ def verify_perturbed_frame(frame: GFusionFrame, perturbed: GFusionFrame,
     if interpretation == HAT_ORIGINAL:
         caveats.append(HAT_ORIGINAL_CAVEAT)
     return replace(  # the verified check's witness and sample counts
-        inequality, params=params, derived_lower=d_lo, derived_upper=d_hi,
+        inequality, derived_lower=d_lo, derived_upper=d_hi,
         empirical_lower=e_lo, empirical_upper=e_hi, interpretation=interpretation,
         bounds_contained=contained, sample_failures=failures, caveats=tuple(caveats),
     )

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 from pathlib import Path
@@ -61,6 +62,35 @@ def test_analyze_missing_and_malformed_files(tmp_path):
 def test_usage_error_exits_1():
     assert run(["analyze"]) == 1
     assert run(["no-such-command"]) == 1
+
+
+PARSER_INVOCATIONS = [
+    [], ["-h"], *([name, "-h"] for name in cli._NAMES),
+    ["bogus"], ["ana", "x"], ["--seed", "1", "analyze", "x"],
+    ["analyze", "x", "--tol", "1"], ["analyze"], ["analyze", "--output"],
+    ["represent", "f", "--convention", "zz"], ["gen", "--kind", "fusion", "--n", "x", "o"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_INVOCATIONS, ids=" ".join)
+def test_one_command_parser_matches_the_full_parser(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(argv)
+    out = capsys.readouterr()
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda only=None: full())
+    assert main(argv) == code
+    assert capsys.readouterr() == out
+
+
+def test_one_command_parser_holds_that_command_alone():
+    def commands(parser):
+        sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return list(sub.choices)
+
+    assert commands(cli._build_parser("analyze")) == ["analyze"]
+    assert commands(cli._build_parser()) == list(cli._NAMES)
+    assert cli._build_parser("gen").format_usage() == cli._build_parser().format_usage()
 
 
 @pytest.mark.parametrize("command", ["analyze", "represent", "independence", "perturb"])

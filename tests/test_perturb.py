@@ -121,6 +121,59 @@ def test_batch_margins_match_the_reference_kernel(kind, n, d, m):
         assert np.all(np.abs(rhs - ref_rhs) <= 1e-12 * scale), (kind, beta)
 
 
+def _sampled(monkeypatch, frame, perturbed, params, samples, batch):
+    """The verdict at `_BATCH` = batch and the CLI's vector count for
+    `samples`, and the normalised margins of its sampling pass, one array
+    per `_normalized_margins` call (the ascent's calls, on one row, left
+    out)."""
+    real = perturb._normalized_margins
+    calls = []
+
+    def recorded(alphas, terms, *rest):
+        out = real(alphas, terms, *rest)
+        if terms.ndim == 5:  # (m, vectors, d, 1, n*d)
+            calls.append(out)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(perturb, "_normalized_margins", recorded)
+        patch.setattr(perturb, "_BATCH", batch)
+        verdict = check_perturbation_inequality(frame, perturbed, params, seq_samples=samples,
+                                                vec_samples=max(8, samples // 4), seed=1)
+    return verdict, calls
+
+
+# every kind at the benchmark's small, wide and dense sizes and sample
+# counts, on a pass pair and a witness pair
+@pytest.mark.parametrize("kind,n,d,m,samples", [
+    (kind, n, d, m, samples)
+    for n, d, m, samples in [(2, 2, 4, 128), (4, 4, 64, 64), (16, 4, 4, 128)] for kind in KINDS
+    if kind != "fusion" or m <= n * d
+])
+@pytest.mark.parametrize("factor", [1.05, 1.2])
+def test_vector_batches_match_the_per_vector_loop(monkeypatch, kind, n, d, m, samples, factor):
+    frame = generate(kind, n, d, m, seed=1)
+    perturbed, params = frame.scaled(factor), PerturbationParams(0.1, 0.0)
+    batched, batches = _sampled(monkeypatch, frame, perturbed, params, samples, perturb._BATCH)
+    looped, singles = _sampled(monkeypatch, frame, perturbed, params, samples, 1)
+    vectors = batched.n_vectors
+    step = max(1, perturb._BATCH // (batched.n_sequences * d * n * d))
+    assert [len(b) for b in batches] == [min(step, vectors - v) for v in range(0, vectors, step)]
+    assert len(singles) == vectors
+    # all small vectors in one batch; one dense vector per batch where the
+    # family is dependent, so that null combinations add sequences
+    if n * d == 4:
+        assert len(batches) == 1
+    if n * d == 64 and kind in ("dilation", "unitary-orbit"):
+        assert step == 1
+    assert np.concatenate(batches).tobytes() == np.concatenate(singles).tobytes()
+    assert batched.inequality_holds == looped.inequality_holds
+    assert batched.inequality_holds == (factor < 1.1)
+    assert batched.witness.coefficients.tobytes() == looped.witness.coefficients.tobytes()
+    assert batched.witness.vector.flat.tobytes() == looped.witness.vector.flat.tobytes()
+    assert (batched.witness.lhs, batched.witness.rhs) == (looped.witness.lhs, looped.witness.rhs)
+
+
 def _complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
@@ -290,7 +343,7 @@ def test_hat_original_interpretation_on_identical_families():
     assert any("hat_original" in c for c in verdict.caveats)
 
 
-def test_verify_reuses_the_checked_bounds(monkeypatch):
+def test_verify_takes_the_frame_bounds_once_under_the_passed_params(monkeypatch):
     frame = random_frame(2, 2, 3, seed=7)
     scaled = frame.scaled(1.05)
     params = PerturbationParams(0.1, 0.0)
@@ -306,9 +359,25 @@ def test_verify_reuses_the_checked_bounds(monkeypatch):
     checked = verify_perturbed_frame(frame, scaled, params, seed=1, inequality=verdict)
     assert len(calls) == 1
     assert (checked.derived_lower, checked.derived_upper) == expected
-    # a verdict taken under other params is not reused
-    verify_perturbed_frame(frame, scaled, PerturbationParams(0.2, 0.0), seed=1, inequality=verdict)
-    assert len(calls) == 2
+    # a verdict taken under other params is refused
+    with pytest.raises(ValueError, match="checked under"):
+        verify_perturbed_frame(frame, scaled, PerturbationParams(0.2, 0.0), seed=1,
+                               inequality=verdict)
+    assert len(calls) == 1
+
+
+def test_verify_refuses_a_verdict_taken_under_other_params():
+    # the pair holds at eta 0.2 and fails at 0.05: the 0.2 verdict must not
+    # stand for 0.05
+    frame = random_frame(2, 1, 3, seed=10)
+    scaled = frame.scaled(1.1)
+    loose, tight = PerturbationParams(0.2, 0.0), PerturbationParams(0.05, 0.0)
+    verdict = check_perturbation_inequality(frame, scaled, loose)
+    assert verdict.inequality_holds
+    assert not check_perturbation_inequality(frame, scaled, tight).inequality_holds
+    with pytest.raises(ValueError):
+        verify_perturbed_frame(frame, scaled, tight, verdict, seed=0)
+    assert verify_perturbed_frame(frame, scaled, loose, verdict, seed=0).params == loose
 
 
 def test_verify_does_not_reuse_another_frames_bounds():
@@ -318,7 +387,7 @@ def test_verify_does_not_reuse_another_frames_bounds():
     verdict = check_perturbation_inequality(frame, frame, params, seed=1)
     checked = verify_perturbed_frame(other, other, params, seed=1, inequality=verdict)
     assert (checked.derived_lower, checked.derived_upper) == derived_bounds(frame_bounds(other), params)
-    assert checked.derived_upper != verdict.derived_upper
+    assert checked.derived_upper != derived_bounds(frame_bounds(frame), params)[1]
 
 
 def test_verify_still_rejects_a_family_that_is_not_a_frame():

@@ -24,7 +24,12 @@ Invocations:
 * `gen` of every kind at the benchmark sizes, with seeds 1 and 2 (the
   written documents are compared), and every command above on each
   document that the old tree wrote, with a unit vector of its shape for the
-  certificate.
+  certificate;
+* the parser's help, usage and error output (`PARSER_INVOCATIONS`, at
+  `COLUMNS=80`): no arguments, `-h` and every `<command> -h`, an unknown
+  command, an abbreviated one, a flag before the command, an unknown flag,
+  a missing argument and a missing flag value, a bad choice and a bad
+  integer.
 
 The kinds, the (n, d, m) sizes and the perturbation size are read from
 `perfbench/workloads.py`, so the sweep covers what the benchmark runs.
@@ -66,7 +71,15 @@ ETA = _WORKLOADS.ETA
 BETA = 0.05  # the corpus pass pairs also run with beta > 0
 SEEDS = (1, 2)
 JOBS = 2
-ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+       "COLUMNS": "80"}
+COMMANDS = ("analyze", "represent", "perturb", "gen", "independence")
+PARSER_INVOCATIONS = (
+    [], ["-h"], *([command, "-h"] for command in COMMANDS),
+    ["bogus"], ["ana", "x"], ["--seed", "1", "analyze", "x"],
+    ["analyze", "x", "--tol", "1"], ["analyze"], ["analyze", "--output"],
+    ["represent", "f", "--convention", "zz"], ["gen", "--kind", "fusion", "--n", "x", "o"],
+)
 
 
 def run(src: str, argv, out_path=None):
@@ -140,7 +153,7 @@ def plan(old_src: str, work: str) -> list:
     corpus_vector = os.path.join(CORPUS, "unit_vector_n2_d2.json")
     frames = sorted(os.path.join(CORPUS, name) for name in os.listdir(CORPUS)
                     if name.endswith(".json") and _is_frame(os.path.join(CORPUS, name)))
-    invocations = []
+    invocations = [(argv, None) for argv in PARSER_INVOCATIONS]
     for path in frames:
         invocations += [(argv, None)
                         for argv in frame_invocations(path, work, corpus_vector, beta=BETA)]
