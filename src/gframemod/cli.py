@@ -23,8 +23,8 @@ from .exceptions import (
     ParseError,
 )
 from .families import KINDS, generate
-from .frames import canonical_dual, frame_bounds, reconstruction_residual
-from .numerics import DUAL_TOL, TIGHT_TOL
+from .frames import canonical_dual, frame_bounds, reconstruction_residual, residual_verified
+from .hilbert import CONVENTIONS
 from .perturb import (
     HAT_HAT,
     HAT_ORIGINAL,
@@ -100,12 +100,11 @@ def _cmd_analyze(args, seed, sha):
     bounds = frame_bounds(frame)
     dual = canonical_dual(frame)
     residual = reconstruction_residual(frame, dual)
-    # verify_dual's exact test, on the residual already in hand
-    verified = residual <= DUAL_TOL
+    verified = residual_verified(residual)
     results = {
         "bounds": {"lower": bounds.lower, "upper": bounds.upper},
         "condition_number": bounds.upper / bounds.lower,
-        "tight": bounds.gap <= TIGHT_TOL,
+        "tight": bounds.tight,
         "tightness_gap": bounds.gap,
         "dual": {"reconstruction_residual": residual, "verified": verified},
     }
@@ -273,7 +272,7 @@ def _add_analyze(p) -> None:
 def _add_represent(p) -> None:
     _add_common(p)
     p.add_argument("frame")
-    p.add_argument("--convention", choices=("linear", "cyclic"), default=None,
+    p.add_argument("--convention", choices=CONVENTIONS, default=None,
                    help="index convention override (default: the document's)")
     p.add_argument("--check-theorem21", action="store_true",
                    help="check the representing operator's norm bounds and "

@@ -54,6 +54,12 @@ def random_orthogonal_decomposition(rng, n: int, d: int, m: int):
     return [Submodule.from_basis_rows(basis[a:b], n, d) for a, b in zip(cuts, cuts[1:])]
 
 
+def _full_frame(operators, n: int, d: int, index_convention: str) -> GFusionFrame:
+    """The frame pairing each operator with the whole module."""
+    full = Submodule.full(n, d)
+    return GFusionFrame([(full, ModuleOperator(y, n, d)) for y in operators], index_convention)
+
+
 def fusion_decomposition_frame(n: int, d: int, m: int, seed: int = 0) -> GFusionFrame:
     """Parseval fusion frame: a random orthogonal decomposition, unit weights."""
     _validate(n, d, m)
@@ -66,9 +72,7 @@ def dilation_frame(n: int, d: int, m: int, seed: int = 0, ratio=None) -> GFusion
     _validate(n, d, m)
     rng = np.random.default_rng(seed)
     c = float(rng.uniform(0.3, 0.8)) if ratio is None else float(ratio)
-    full = Submodule.full(n, d)
-    elements = [(full, ModuleOperator.identity(n, d) * (c ** xi)) for xi in range(m)]
-    return GFusionFrame(elements, "linear")
+    return _full_frame([np.eye(n * d) * complex(c ** xi) for xi in range(m)], n, d, "linear")
 
 
 def unitary_orbit_frame(n: int, d: int, m: int, seed: int = 0,
@@ -83,13 +87,10 @@ def unitary_orbit_frame(n: int, d: int, m: int, seed: int = 0,
     rng = np.random.default_rng(seed)
     nd = n * d
     u = random_unitary_involution(rng, nd)
-    full = Submodule.full(n, d)
-    current = np.eye(nd, dtype=np.complex128) if base is None else np.asarray(base, dtype=np.complex128)
-    elements = []
-    for _ in range(m):
-        elements.append((full, ModuleOperator(current, n, d)))
-        current = current @ u
-    return GFusionFrame(elements, "cyclic")
+    operators = [np.asarray(np.eye(nd) if base is None else base, dtype=np.complex128)]
+    for _ in range(m - 1):
+        operators.append(operators[-1] @ u)
+    return _full_frame(operators, n, d, "cyclic")
 
 
 def commuting_orbit_frame(n: int, d: int, m: int, seed: int = 0,
@@ -110,14 +111,10 @@ def commuting_orbit_frame(n: int, d: int, m: int, seed: int = 0,
     u = (v * signs) @ v.conj().T
     diag = rng.uniform(1.0, max(spread, 1.0 + 1e-6), size=nd)
     base = (v * diag) @ v.conj().T
-    base = (base + base.conj().T) / 2.0
-    full = Submodule.full(n, d)
-    current = base
-    elements = []
-    for _ in range(m):
-        elements.append((full, ModuleOperator(current, n, d)))
-        current = u @ current
-    return GFusionFrame(elements, "cyclic")
+    operators = [(base + base.conj().T) / 2.0]
+    for _ in range(m - 1):
+        operators.append(u @ operators[-1])
+    return _full_frame(operators, n, d, "cyclic")
 
 
 def _random_elements(rng, n: int, d: int, count: int) -> list:

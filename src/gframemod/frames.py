@@ -27,7 +27,7 @@ from .hilbert import (
     Submodule,
     _check_convention,
     _common_shape,
-    apply,
+    checked_projections,
     contained,
     gram_sum,
 )
@@ -54,15 +54,23 @@ class FrameBounds(NamedTuple):
         """Relative tightness gap (B - A) / B."""
         return (self.upper - self.lower) / self.upper
 
+    @property
+    def tight(self) -> bool:
+        """The bounds agree to relative gap TIGHT_TOL."""
+        return self.gap <= TIGHT_TOL
+
 
 class GFusionFrame:
     """Ordered family {(N_xi, Y_xi)} with a linear or cyclic index convention.
 
-    `operators` and `projections` hold the flattened Y_xi and P_{N_xi} as
-    read-only (m, n*d, n*d) arrays, stacked and validated once here.
+    The frame is its stacks: `operators` and `projections` hold the
+    flattened Y_xi and P_{N_xi} as read-only (m, n*d, n*d) arrays, and
+    `bases` the orthonormal row basis of each N_xi.  They are stacked and
+    validated once, when the frame is built; `elements` and `submodules()`
+    build the per-element objects on demand.
     """
 
-    __slots__ = ("elements", "index_convention", "n", "d", "operators", "projections",
+    __slots__ = ("index_convention", "n", "d", "operators", "projections", "bases",
                  "_operator_norms")
 
     def __init__(self, elements, index_convention: str = "linear"):
@@ -70,9 +78,10 @@ class GFusionFrame:
         for sub, _ in elements:
             if not isinstance(sub, Submodule):
                 raise TypeError(f"frame elements pair a Submodule with an operator, got {type(sub).__name__}")
-        _common_shape([part for element in elements for part in element], "frame element")
-        self._adopt(elements, np.stack([sub.projection.matrix for sub, _ in elements]),
-                    np.stack([op.matrix for _, op in elements]), index_convention)
+        n, d = _common_shape([part for element in elements for part in element], "frame element")
+        self._adopt(np.stack([sub.projection.matrix for sub, _ in elements]),
+                    np.stack([op.matrix for _, op in elements]),
+                    [sub.basis_rows for sub, _ in elements], n, d, index_convention)
 
     @classmethod
     def from_stacks(cls, projections, operators, n: int, d: int,
@@ -81,14 +90,17 @@ class GFusionFrame:
         stack of the same shape, validated in one batch and kept as the
         frame's arrays without restacking.  A matrix that is not a
         projection raises ValueError naming its element."""
-        submodules = Submodule.from_stack(projections, n, d)
-        elements = [FrameElement(sub, ModuleOperator(y, n, d))
-                    for sub, y in zip(submodules, operators)]
-        frame = cls.__new__(cls)
-        frame._adopt(elements, projections, operators, index_convention)
-        return frame
+        shape = (len(projections), n * d, n * d)
+        if n < 1 or d < 1 or not shape[0] or not projections.shape == operators.shape == shape:
+            raise DimensionMismatch(f"expected two stacks of {shape[1:]} matrices")
+        fault, bases = checked_projections(projections)
+        if fault is not None:
+            raise ValueError("element %d: %s" % fault)
+        return cls.__new__(cls)._adopt(projections, operators, bases, n, d, index_convention)
 
-    def _adopt(self, elements, projections, operators, index_convention):
+    def _adopt(self, projections, operators, bases, n, d, index_convention) -> "GFusionFrame":
+        """Check the range of every Y_k against N_k and keep the stacks: the
+        path every frame is built by."""
         norms = np.linalg.norm(operators, 2, axis=(1, 2))
         # the range of Y_k lies in N_k when every row of Y_k is a member
         outside = np.flatnonzero(~contained(operators, projections, CONTAINMENT_TOL * norms))
@@ -96,34 +108,42 @@ class GFusionFrame:
             raise MembershipViolation(
                 f"element {outside[0]}: operator range is not contained in its submodule"
             )
-        operators.setflags(write=False)
-        projections.setflags(write=False)
+        for array in (operators, projections, *bases):
+            array.setflags(write=False)
         self.operators = operators
         self.projections = projections
+        self.bases = tuple(bases)
         self._operator_norms = norms
-        self.elements = tuple(elements)
         self.index_convention = _check_convention(index_convention)
-        self.n = elements[0].operator.n
-        self.d = elements[0].operator.d
+        self.n, self.d = n, d
+        return self
+
+    def _with_operators(self, operators) -> "GFusionFrame":
+        """The frame of the same submodules with another operator stack."""
+        return GFusionFrame.__new__(GFusionFrame)._adopt(
+            self.projections, operators, self.bases, self.n, self.d, self.index_convention)
+
+    @property
+    def elements(self):
+        return tuple(FrameElement(sub, ModuleOperator(y, self.n, self.d))
+                     for sub, y in zip(self.submodules(), self.operators))
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.operators)
 
     def __iter__(self):
         return iter(self.elements)
 
     def submodules(self):
-        return [e.submodule for e in self.elements]
+        return [Submodule.__new__(Submodule)._adopt(ModuleOperator(q, self.n, self.d), basis)
+                for q, basis in zip(self.projections, self.bases)]
 
     def max_operator_norm(self) -> float:
         return float(self._operator_norms.max())
 
     def scaled(self, scalar) -> "GFusionFrame":
         """Same submodules, every operator multiplied by `scalar`."""
-        return GFusionFrame(
-            [(e.submodule, e.operator * scalar) for e in self.elements],
-            self.index_convention,
-        )
+        return self._with_operators(self.operators * complex(scalar))
 
     def __repr__(self):
         return (
@@ -155,15 +175,14 @@ def frame_bounds(frame: GFusionFrame) -> FrameBounds:
 
 def is_tight(frame: GFusionFrame) -> bool:
     """True when the optimal bounds agree to relative gap TIGHT_TOL."""
-    return frame_bounds(frame).gap <= TIGHT_TOL
+    return frame_bounds(frame).tight
 
 
 def analysis(frame: GFusionFrame, f: ModuleVector) -> ModuleSequence:
     """f |-> {Y_xi f}; each term lies in N_xi by range containment."""
     if (f.n, f.d) != (frame.n, frame.d):
         raise DimensionMismatch("vector shape does not match the frame")
-    terms = [apply(e.operator, f) for e in frame.elements]
-    return ModuleSequence(terms, frame.index_convention, frame.submodules())
+    return ModuleSequence._like(f.flat @ frame.operators, frame)
 
 
 def synthesis(frame: GFusionFrame, seq: ModuleSequence,
@@ -182,14 +201,13 @@ def synthesis(frame: GFusionFrame, seq: ModuleSequence,
         raise LengthMismatch(f"sequence has {len(seq)} terms, frame has {len(frame)}")
     if (seq.n, seq.d) != (frame.n, frame.d):
         raise DimensionMismatch("sequence shape does not match the frame")
-    flats = np.stack([term.flat for term in seq.terms])
     if membership_tol is not None:
         scale = seq.norm() / np.sqrt(frame_bounds(frame).lower)  # bounds ||f||
-        inside = contained(flats, frame.projections,
+        inside = contained(seq.flats, frame.projections,
                            membership_tol * scale * frame._operator_norms)
         if not inside.all():
             raise MembershipViolation(f"sequence term {np.argmin(inside)} is not in its submodule")
-    return ModuleVector(gram_sum(flats, frame.operators), frame.n, frame.d)
+    return ModuleVector(gram_sum(seq.flats, frame.operators), frame.n, frame.d)
 
 
 def canonical_dual(frame: GFusionFrame) -> GFusionFrame:
@@ -205,9 +223,7 @@ def canonical_dual(frame: GFusionFrame) -> GFusionFrame:
             f"frame operator too ill-conditioned to invert (eigenvalues {w[0]:.3e}, {w[-1]:.3e})"
         )
     s_inv = (v / w) @ v.conj().T
-    duals = [(e.submodule, ModuleOperator(s_inv @ y, frame.n, frame.d))
-             for e, y in zip(frame.elements, frame.operators)]
-    return GFusionFrame(duals, frame.index_convention)
+    return frame._with_operators(s_inv @ frame.operators)
 
 
 def verify_dual(frame: GFusionFrame, dual: GFusionFrame) -> bool:
@@ -217,7 +233,12 @@ def verify_dual(frame: GFusionFrame, dual: GFusionFrame) -> bool:
     mixed frame matrix, and the module norm is attained on a rank-one row
     block, so sup ||f M - f|| / ||f|| is the operator norm of M - Id.
     """
-    return reconstruction_residual(frame, dual) <= DUAL_TOL
+    return residual_verified(reconstruction_residual(frame, dual))
+
+
+def residual_verified(residual: float) -> bool:
+    """verify_dual's test on a reconstruction residual already in hand."""
+    return residual <= DUAL_TOL
 
 
 def reconstruction_residual(frame: GFusionFrame, dual: GFusionFrame) -> float:
@@ -240,5 +261,8 @@ def fusion_frame(submodules, weights, index_convention: str = "linear") -> GFusi
     for w in weights:
         if w <= 0.0:
             raise NonpositiveWeight(f"weights must be positive, got {w}")
-    elements = [(s, s.projection * w) for s, w in zip(submodules, weights)]
-    return GFusionFrame(elements, index_convention)
+    n, d = _common_shape(submodules, "frame element")
+    projections = np.stack([s.projection.matrix for s in submodules])
+    operators = projections * np.array(weights, dtype=complex)[:, None, None]
+    return GFusionFrame.__new__(GFusionFrame)._adopt(
+        projections, operators, [s.basis_rows for s in submodules], n, d, index_convention)

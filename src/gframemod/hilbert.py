@@ -25,12 +25,12 @@ import numpy as np
 from .exceptions import DimensionMismatch, MembershipViolation
 from .numerics import MEMBERSHIP_TOL, PROJECTION_TOL, RANK_TOL, norms_within, rank
 
-_CONVENTIONS = ("linear", "cyclic")
+CONVENTIONS = ("linear", "cyclic")
 
 
 def _check_convention(convention: str) -> str:
-    if convention not in _CONVENTIONS:
-        raise ValueError(f"index convention must be one of {_CONVENTIONS}, got {convention!r}")
+    if convention not in CONVENTIONS:
+        raise ValueError(f"index convention must be one of {CONVENTIONS}, got {convention!r}")
     return convention
 
 
@@ -43,10 +43,44 @@ def _common_shape(items, what: str):
     return items[0].n, items[0].d
 
 
-class ModuleVector:
+class _Linear:
+    """The vector-space operations of a ModuleVector or ModuleOperator, on the
+    array its class names in `_ARRAY`, between objects of one class and shape."""
+
+    __slots__ = ()
+
+    def _same_shape(self, other):
+        if type(other) is not type(self) or (self.n, self.d) != (other.n, other.d):
+            raise DimensionMismatch(f"{self._KIND} of different shape")
+
+    def _map(self, fn, *others):
+        for other in others:
+            self._same_shape(other)
+        return type(self)(fn(*(getattr(x, self._ARRAY) for x in (self, *others))), self.n, self.d)
+
+    def __add__(self, other):
+        return self._map(np.add, other)
+
+    def __sub__(self, other):
+        return self._map(np.subtract, other)
+
+    def __mul__(self, scalar):
+        return self._map(lambda a: a * complex(scalar))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self._map(np.negative)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n}, d={self.d})"
+
+
+class ModuleVector(_Linear):
     """Element of A^n in flattened row-block form."""
 
     __slots__ = ("flat", "n", "d")
+    _ARRAY, _KIND = "flat", "module vectors"
 
     def __init__(self, flat, n: int, d: int):
         flat = np.array(flat, dtype=np.complex128)
@@ -89,34 +123,12 @@ class ModuleVector:
             raise DimensionMismatch(f"algebra element must be {self.d} x {self.d}")
         return ModuleVector(a @ self.flat, self.n, self.d)
 
-    def _same_shape(self, other: "ModuleVector"):
-        if not isinstance(other, ModuleVector) or (self.n, self.d) != (other.n, other.d):
-            raise DimensionMismatch("module vectors of different shape")
 
-    def __add__(self, other):
-        self._same_shape(other)
-        return ModuleVector(self.flat + other.flat, self.n, self.d)
-
-    def __sub__(self, other):
-        self._same_shape(other)
-        return ModuleVector(self.flat - other.flat, self.n, self.d)
-
-    def __mul__(self, scalar):
-        return ModuleVector(self.flat * complex(scalar), self.n, self.d)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ModuleVector(-self.flat, self.n, self.d)
-
-    def __repr__(self):
-        return f"ModuleVector(n={self.n}, d={self.d})"
-
-
-class ModuleOperator:
+class ModuleOperator(_Linear):
     """Adjointable A-linear map on A^n as an (n*d) x (n*d) matrix."""
 
     __slots__ = ("matrix", "n", "d")
+    _ARRAY, _KIND = "matrix", "module operators"
 
     def __init__(self, matrix, n: int, d: int):
         matrix = np.array(matrix, dtype=np.complex128)
@@ -141,29 +153,6 @@ class ModuleOperator:
 
     def norm(self) -> float:
         return operator_norm_module(self)
-
-    def _same_shape(self, other: "ModuleOperator"):
-        if not isinstance(other, ModuleOperator) or (self.n, self.d) != (other.n, other.d):
-            raise DimensionMismatch("module operators of different shape")
-
-    def __add__(self, other):
-        self._same_shape(other)
-        return ModuleOperator(self.matrix + other.matrix, self.n, self.d)
-
-    def __sub__(self, other):
-        self._same_shape(other)
-        return ModuleOperator(self.matrix - other.matrix, self.n, self.d)
-
-    def __mul__(self, scalar):
-        return ModuleOperator(self.matrix * complex(scalar), self.n, self.d)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ModuleOperator(-self.matrix, self.n, self.d)
-
-    def __repr__(self):
-        return f"ModuleOperator(n={self.n}, d={self.d})"
 
 
 def inner_product(f: ModuleVector, g: ModuleVector) -> np.ndarray:
@@ -285,28 +274,14 @@ class Submodule:
             raise ValueError(fault[1])
         self._adopt(projection, basis)
 
-    def _adopt(self, projection: ModuleOperator, basis_rows: np.ndarray):
+    def _adopt(self, projection: ModuleOperator, basis_rows: np.ndarray) -> "Submodule":
         basis_rows.setflags(write=False)
         self.projection = projection
         self.basis_rows = basis_rows
         self.rank = basis_rows.shape[0]
         self.n = projection.n
         self.d = projection.d
-
-    @classmethod
-    def from_stack(cls, projections, n: int, d: int) -> tuple:
-        """One submodule per matrix of an (m, n*d, n*d) projection stack,
-        validated in one batch by the rule of `__init__`; a failure raises
-        ValueError naming its element."""
-        fault, bases = checked_projections(projections)
-        if fault is not None:
-            raise ValueError("element %d: %s" % fault)
-        submodules = []
-        for q, basis in zip(projections, bases):
-            sub = cls.__new__(cls)
-            sub._adopt(ModuleOperator(q, n, d), basis)
-            submodules.append(sub)
-        return tuple(submodules)
+        return self
 
     @classmethod
     def from_basis_rows(cls, rows, n: int, d: int) -> "Submodule":
@@ -350,50 +325,62 @@ def span_of_submodules(submodules) -> Submodule:
 class ModuleSequence:
     """Finite sequence {f_xi} with f_xi constrained to a target submodule.
 
-    `submodules` is optional; when present, membership of each term can be
-    checked and the right shift enforces it.
+    Held as a read-only (m, d, n*d) stack `flats` of the flattened terms and,
+    when target submodules are given, the (m, n*d, n*d) stack `projections`
+    of theirs, against which membership of each term can be checked and
+    which the right shift enforces.  `terms` is built on demand.
     """
 
-    __slots__ = ("terms", "index_convention", "submodules")
+    __slots__ = ("flats", "index_convention", "projections", "n", "d")
 
     def __init__(self, terms, index_convention: str = "linear", submodules=None):
         terms = list(terms)
-        _common_shape(terms, "sequence term")
+        self.n, self.d = _common_shape(terms, "sequence term")
+        self.projections = None
         if submodules is not None:
-            submodules = tuple(submodules)
+            submodules = list(submodules)
             if len(submodules) != len(terms):
                 raise DimensionMismatch("one target submodule per term is required")
-        self.terms = tuple(terms)
+            self.projections = np.stack([s.projection.matrix for s in submodules])
+        self.flats = np.stack([t.flat for t in terms])
+        self.flats.setflags(write=False)
         self.index_convention = _check_convention(index_convention)
-        self.submodules = submodules
+
+    @classmethod
+    def _like(cls, flats, source) -> "ModuleSequence":
+        """The sequence of a term stack, kept without copying, with the shape,
+        convention and target projections of `source`, a sequence or a frame."""
+        seq = cls.__new__(cls)
+        flats.setflags(write=False)
+        seq.flats, seq.n, seq.d = flats, source.n, source.d
+        seq.index_convention, seq.projections = source.index_convention, source.projections
+        return seq
+
+    @property
+    def terms(self):
+        return tuple(ModuleVector(t, self.n, self.d) for t in self.flats)
 
     def __len__(self):
-        return len(self.terms)
+        return len(self.flats)
 
     def __iter__(self):
         return iter(self.terms)
-
-    @property
-    def n(self):
-        return self.terms[0].n
-
-    @property
-    def d(self):
-        return self.terms[0].d
 
     def norm(self) -> float:
         """||sum_xi <f_xi, f_xi>||^(1/2), the l2 norm of the sequence."""
         return float(np.sqrt(np.linalg.norm(sequence_inner_product(self, self), 2)))
 
     def scaled(self, scalar) -> "ModuleSequence":
-        return ModuleSequence([t * scalar for t in self.terms], self.index_convention, self.submodules)
+        return ModuleSequence._like(self.flats * complex(scalar), self)
 
 
 def sequence_inner_product(f: ModuleSequence, g: ModuleSequence) -> np.ndarray:
     """sum_xi <f_xi, g_xi>, the A-valued l2 inner product."""
     if len(f) != len(g):
         raise DimensionMismatch("sequences of different length")
-    return sum(inner_product(a, b) for a, b in zip(f.terms, g.terms))
+    if (f.n, f.d) != (g.n, g.d):
+        raise DimensionMismatch("module vectors of different shape")
+    return gram_sum(f.flats, g.flats)
 
 
 def right_shift(seq: ModuleSequence, repair: bool = False) -> ModuleSequence:
@@ -406,17 +393,14 @@ def right_shift(seq: ModuleSequence, repair: bool = False) -> ModuleSequence:
     orthogonally projected back.  The scale is the sequence's, not the
     term's own, so a term that is rounding noise passes.
     """
-    wrapped = seq.terms[:1] if seq.index_convention == "cyclic" else (ModuleVector.zero(seq.n, seq.d),)
-    shifted = seq.terms[1:] + wrapped
-    if seq.submodules is None:
-        return ModuleSequence(shifted, seq.index_convention)
-    inside = contained(np.stack([t.flat for t in shifted]),
-                       np.stack([s.projection.matrix for s in seq.submodules]),
-                       MEMBERSHIP_TOL * seq.norm())
-    if not (repair or inside.all()):
-        raise MembershipViolation(
-            f"shifted term {np.argmin(inside)} leaves its target submodule; "
-            "pass repair=True to project it back"
-        )
-    out = [t if ok else s.project(t) for t, s, ok in zip(shifted, seq.submodules, inside)]
-    return ModuleSequence(out, seq.index_convention, seq.submodules)
+    wrapped = seq.flats[:1] if seq.index_convention == "cyclic" else np.zeros_like(seq.flats[:1])
+    shifted = np.concatenate((seq.flats[1:], wrapped))
+    if seq.projections is not None:
+        inside = contained(shifted, seq.projections, MEMBERSHIP_TOL * seq.norm())
+        if not (repair or inside.all()):
+            raise MembershipViolation(
+                f"shifted term {np.argmin(inside)} leaves its target submodule; "
+                "pass repair=True to project it back"
+            )
+        shifted[~inside] = shifted[~inside] @ seq.projections[~inside]
+    return ModuleSequence._like(shifted, seq)

@@ -39,7 +39,6 @@ from .hilbert import (
     contained,
     gram_sum,
     null_combinations,
-    span_of_submodules,
 )
 from .numerics import (
     HYPOTHESIS_TOL,
@@ -49,7 +48,6 @@ from .numerics import (
     RANK_TOL,
     REPRESENT_TOL,
     SNAP_TOL,
-    TIGHT_TOL,
     rank,
     spectral_norms,
 )
@@ -109,7 +107,7 @@ def solve_representation(frame: GFusionFrame,
     if len(frame) < 2:
         raise DegenerateSpan("representation needs at least two family members")
     convention = _check_convention(convention or frame.index_convention)
-    span = span_of_submodules(frame.submodules())
+    span = Submodule.from_basis_rows(np.vstack(frame.bases), frame.n, frame.d)
     if span.rank == 0:
         raise DegenerateSpan("span of the submodule family has rank zero")
     lhs, rhs, x = _shift_solve(frame.operators, _constraint_pairs(len(frame), convention))
@@ -135,14 +133,12 @@ def verify_hypotheses(frame: GFusionFrame) -> bool:
     Y_xi restricted to N_xi.  Self-adjointness is one batched norm test,
     the ranks one batched SVD.
     """
-    operators = frame.operators
-    if not _hermitian(operators, HYPOTHESIS_TOL * frame._operator_norms).all():
+    if not _hermitian(frame.operators, HYPOTHESIS_TOL * frame._operator_norms).all():
         return False
-    ranks = [sub.rank for sub in frame.submodules()]
     # the image of N_k is the range of P_k Y_k, its rank relative to its own
     # top singular value: any nonzero multiple of an action fixing N_k does too
-    images = np.linalg.svd(frame.projections @ operators, compute_uv=False)
-    return bool(np.array_equal(rank(images, HYPOTHESIS_TOL), ranks))
+    images = np.linalg.svd(frame.projections @ frame.operators, compute_uv=False)
+    return bool(np.array_equal(rank(images, HYPOTHESIS_TOL), [b.shape[0] for b in frame.bases]))
 
 
 def _span_operator(rep: RepresentationResult):
@@ -170,7 +166,7 @@ def _kernel_row_basis(frame: GFusionFrame):
     of that column space (at most n*d columns) describes the kernel:
     y = z - (z Q) Q^H projects any z into it.
     """
-    basis_list = [sub.basis_rows for sub in frame.submodules()]
+    basis_list = frame.bases
     m_syn = np.vstack([rows @ y.conj().T for rows, y in zip(basis_list, frame.operators)])
     u, s, _ = np.linalg.svd(m_syn, full_matrices=False)
     return basis_list, m_syn, u[:, :rank(s, INVERT_TOL)], float(s[0]) if s.size else 0.0
@@ -204,12 +200,7 @@ def sample_synthesis_kernel(frame: GFusionFrame, count: int, seed: int = 0):
     (then it returns an empty list).
     """
     terms = _kernel_terms(frame, _kernel_row_basis(frame), count, seed)
-    if terms is None:
-        return []
-    submodules = frame.submodules()
-    return [ModuleSequence([ModuleVector(t, frame.n, frame.d) for t in sample],
-                           frame.index_convention, submodules)
-            for sample in terms]
+    return [] if terms is None else [ModuleSequence._like(sample, frame) for sample in terms]
 
 
 def kernel_invariance(frame: GFusionFrame, convention: str, samples: int = 100,
@@ -330,7 +321,7 @@ def tightness_contradiction_certificate(frame: GFusionFrame, rep: Representation
     if (f.n, f.d) != (frame.n, frame.d):
         raise DimensionMismatch("vector shape does not match the frame")
     lower, upper = bounds = frame_bounds(frame)
-    if bounds.gap > TIGHT_TOL:
+    if not bounds.tight:
         raise NotTight("certificate requires a tight frame")
     _require_representable(rep)
     _, sing, invertible = _span_operator(rep)

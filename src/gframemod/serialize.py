@@ -33,7 +33,7 @@ import numpy as np
 
 from .exceptions import ParseError
 from .frames import GFusionFrame
-from .hilbert import ModuleVector
+from .hilbert import CONVENTIONS, ModuleVector
 
 FORMAT_VERSION = "1"
 # largest accepted |re| or |im| of a matrix entry: squares and the sums of
@@ -218,6 +218,14 @@ def _require_keys(doc: dict, keys, what: str):
         raise ParseError(f"{what}: missing keys {missing}, unexpected keys {extra}")
 
 
+def _positive_sizes(doc: dict):
+    """The document's d and n, JSON integers of at least 1 (true is not one)."""
+    d, n = doc["d"], doc["n"]
+    if not (type(d) is int and type(n) is int and d >= 1 and n >= 1):
+        raise ParseError("d and n must be positive integers")
+    return d, n
+
+
 def frame_to_document(frame: GFusionFrame, metadata=None) -> dict:
     """The frame's document for `dumps_canonical`; its matrices are the
     frame's read-only complex arrays, not JSON lists (see the module
@@ -236,11 +244,9 @@ def frame_to_document(frame: GFusionFrame, metadata=None) -> dict:
 
 def document_to_frame(doc: dict) -> GFusionFrame:
     _require_keys(doc, ("d", "n", "index_convention", "elements", "metadata"), "frame document")
-    d, n = doc["d"], doc["n"]
-    if not (isinstance(d, int) and isinstance(n, int) and d >= 1 and n >= 1):
-        raise ParseError("d and n must be positive integers")
-    if doc["index_convention"] not in ("linear", "cyclic"):
-        raise ParseError("index_convention must be 'linear' or 'cyclic'")
+    d, n = _positive_sizes(doc)
+    if doc["index_convention"] not in CONVENTIONS:
+        raise ParseError("index_convention must be " + " or ".join(map(repr, CONVENTIONS)))
     if not isinstance(doc["elements"], list) or not doc["elements"]:
         raise ParseError("elements must be a nonempty list")
     if not isinstance(doc["metadata"], dict):
@@ -307,9 +313,7 @@ def vector_to_document(vector: ModuleVector) -> dict:
 
 def document_to_vector(doc: dict) -> ModuleVector:
     _require_keys(doc, ("d", "n", "components"), "vector document")
-    d, n = doc["d"], doc["n"]
-    if not (isinstance(d, int) and isinstance(n, int) and d >= 1 and n >= 1):
-        raise ParseError("d and n must be positive integers")
+    d, n = _positive_sizes(doc)
     if not isinstance(doc["components"], list) or len(doc["components"]) != n:
         raise ParseError(f"components must be a list of {n} blocks")
     blocks = [json_to_matrix(block, (d, d), f"component {i}")

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from gframemod import cli
 from gframemod.cli import main
 from gframemod.frames import GFusionFrame
+from gframemod.hilbert import ModuleOperator, ModuleVector, Submodule
 from gframemod.serialize import dumps_canonical, frame_to_document, load_frame, write_atomic
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -396,6 +398,46 @@ def test_digest_hashes_the_bytes_that_were_parsed(tmp_path, monkeypatch):
             doc.write_bytes(original)
         _, report = run_report(args, tmp_path)
         assert report["inputs_digest"] == hashlib.sha256(original * inputs).hexdigest()
+
+
+@pytest.mark.parametrize("command", ["analyze", "represent", "independence"])
+def test_boolean_size_exits_1(tmp_path, capsys, command):
+    doc = json.loads((CORPUS / "two_projections.json").read_text())
+    assert doc["d"] == 1
+    doc["d"] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    assert run([command, path]) == 1
+    assert capsys.readouterr().err == "gframemod: error: d and n must be positive integers\n"
+
+
+def _count_constructions(monkeypatch) -> Counter:
+    """A counter of the ModuleOperator, ModuleVector and Submodule objects
+    built from now on (every Submodule passes through `_adopt`)."""
+    counts = Counter()
+    for cls, method in ((ModuleOperator, "__init__"), (ModuleVector, "__init__"),
+                        (Submodule, "_adopt")):
+        def counting(self, *args, _original=getattr(cls, method), _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            return _original(self, *args, **kwargs)
+        monkeypatch.setattr(cls, method, counting)
+    return counts
+
+
+@pytest.mark.parametrize("args", [["analyze"], ["represent", "--check-theorem21"],
+                                  ["independence"]],
+                         ids=["analyze", "represent", "independence"])
+def test_per_element_objects_are_not_built_per_member(tmp_path, monkeypatch, args):
+    # the commands read the frame's stacks, so the objects they build do
+    # not grow with the number of members
+    counts = _count_constructions(monkeypatch)
+    built = []
+    for m in (4, 64):
+        doc = _gen(tmp_path, "unitary-orbit", 2, 2, m, 1)
+        counts.clear()
+        assert run_report([args[0], doc, *args[1:]], tmp_path)[0] == 0
+        built.append(dict(counts))
+    assert built[0] == built[1]
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from gframemod.hilbert import (
     apply,
     inner_product,
     operator_adjoint,
+    right_shift,
     sequence_inner_product,
     submodule_from_generators,
 )
@@ -260,6 +261,24 @@ def test_analysis_terms_live_in_submodules():
     seq = analysis(frame, f)
     for term, sub in zip(seq.terms, frame.submodules()):
         assert sub.contains(term)
+
+
+def test_stacked_sequences_match_the_per_term_loops(rng):
+    # the per-term loops that the stacks replaced are the reference
+    frame = random_frame(2, 2, 4, seed=15)
+    f, g = random_vector(rng, 2, 2), random_vector(rng, 2, 2)
+    seq, other = analysis(frame, f), analysis(frame, g)
+    for term, (_, op) in zip(seq.terms, frame.elements):
+        np.testing.assert_array_equal(term.flat, apply(op, f).flat)
+    np.testing.assert_allclose(sequence_inner_product(seq, other),
+                               sum(inner_product(a, b) for a, b in zip(seq.terms, other.terms)),
+                               rtol=0, atol=1e-13 * seq.norm() * other.norm())
+    free = ModuleSequence([random_vector(rng, 2, 2) for _ in range(4)], "cyclic", frame.submodules())
+    with pytest.raises(MembershipViolation):
+        right_shift(free)
+    moved = free.terms[1:] + free.terms[:1]
+    for term, t, sub in zip(right_shift(free, repair=True).terms, moved, frame.submodules()):
+        np.testing.assert_array_equal(term.flat, sub.project(t).flat)
 
 
 def test_synthesis_length_and_membership_errors(rng):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gframemod.exceptions import DimensionMismatch, MembershipViolation
+from gframemod.frames import GFusionFrame
 from gframemod.hilbert import (
     ModuleOperator,
     ModuleSequence,
@@ -221,7 +222,7 @@ def _projection_stack(rng, n, d, ranks):
 
 def test_submodule_stack_matches_one_by_one(rng):
     stack = _projection_stack(rng, 2, 3, [1, 0, 6, 3, 2])
-    batch = Submodule.from_stack(stack, 2, 3)
+    batch = GFusionFrame.from_stacks(stack, stack.copy(), 2, 3).submodules()
     for q, sub in zip(stack, batch):
         single = Submodule(ModuleOperator(q, 2, 3))
         assert sub.rank == single.rank
@@ -240,7 +241,7 @@ def test_submodule_stack_names_the_first_failing_element(rng, k, defect, problem
     stack[k] = defect(stack[k])
     stack[3] = 3.0 * stack[3]  # a later failure is not the one named
     with pytest.raises(ValueError, match=f"^element {k}: projection is not {problem} within"):
-        Submodule.from_stack(stack, 2, 2)
+        GFusionFrame.from_stacks(stack, np.zeros_like(stack), 2, 2)
     with pytest.raises(ValueError, match=f"^projection is not {problem} within"):
         Submodule(ModuleOperator(stack[k], 2, 2))
     fault, bases = checked_projections(stack, 1e-8)

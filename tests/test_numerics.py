@@ -108,7 +108,7 @@ def _public_callables():
 
 def test_no_public_callable_takes_a_tolerance():
     callables = dict(_public_callables())
-    for name in ("psd_leq", "Submodule.contains", "Submodule.from_stack",
+    for name in ("psd_leq", "Submodule.contains", "Submodule.from_basis_rows",
                  "RepresentationResult.is_representable", "kernel_invariance",
                  "null_combinations", "rank"):
         assert name in callables, name  # the walk reaches exports, methods and helpers

@@ -129,6 +129,22 @@ def test_malformed_documents_raise_parse_error(mutate):
         document_to_frame(doc)
 
 
+@pytest.mark.parametrize("key", ["d", "n"])
+@pytest.mark.parametrize("kind", ["frame", "vector"])
+def test_boolean_sizes_raise_parse_error(kind, key):
+    # the key is 1, the integer that true would otherwise pass for
+    n, d = (2, 1) if key == "d" else (1, 2)
+    if kind == "frame":
+        doc, parse = frame_to_document(random_frame(n, d, 2, seed=2)), document_to_frame
+    else:
+        doc, parse = vector_to_document(random_vector(np.random.default_rng(0), n, d)), document_to_vector
+    doc = json.loads(dumps_canonical(doc))
+    parse(doc)
+    doc[key] = True
+    with pytest.raises(ParseError, match="^d and n must be positive integers$"):
+        parse(doc)
+
+
 def test_invalid_projection_raises_parse_error():
     frame = random_frame(2, 1, 2, seed=3)
     doc = json.loads(dumps_canonical(frame_to_document(frame)))
