@@ -7,7 +7,7 @@ flattening conventions everything else builds on.
 
 __version__ = "0.1.0"
 
-from .algebra import absolute_value, adjoint, is_positive, operator_norm, psd_leq
+from .algebra import adjoint, psd_leq
 from .exceptions import (
     BaseNotIndependent,
     DegenerateSpan,
@@ -48,7 +48,6 @@ from .hilbert import (
     compose,
     inner_product,
     operator_adjoint,
-    operator_norm_module,
     right_shift,
     span_of_submodules,
     submodule_from_generators,
@@ -59,7 +58,6 @@ from .perturb import (
     check_perturbation_inequality,
     derived_bounds,
     independence_transfer,
-    inequality_margin,
     verify_perturbed_frame,
 )
 from .represent import (

@@ -116,13 +116,6 @@ class ModuleVector(_Linear):
         """||<f, f>||^(1/2), the module norm."""
         return float(np.linalg.norm(self.flat, 2))
 
-    def algebra_action(self, a) -> "ModuleVector":
-        """Left action a . f of an algebra element on the vector."""
-        a = np.asarray(a, dtype=np.complex128)
-        if a.shape != (self.d, self.d):
-            raise DimensionMismatch(f"algebra element must be {self.d} x {self.d}")
-        return ModuleVector(a @ self.flat, self.n, self.d)
-
 
 class ModuleOperator(_Linear):
     """Adjointable A-linear map on A^n as an (n*d) x (n*d) matrix."""
@@ -152,7 +145,9 @@ class ModuleOperator(_Linear):
         return self.matrix[i * d : (i + 1) * d, j * d : (j + 1) * d]
 
     def norm(self) -> float:
-        return operator_norm_module(self)
+        """Operator norm sup ||op f|| / ||f||, the top singular value of the
+        flattened matrix (attained at a rank-one row-block vector)."""
+        return float(np.linalg.norm(self.matrix, 2))
 
 
 def inner_product(f: ModuleVector, g: ModuleVector) -> np.ndarray:
@@ -180,12 +175,6 @@ def compose(s: ModuleOperator, t: ModuleOperator) -> ModuleOperator:
 def operator_adjoint(op: ModuleOperator) -> ModuleOperator:
     """The unique adjoint: <apply(op, f), g> = <f, apply(adjoint, g)>."""
     return ModuleOperator(op.matrix.conj().T, op.n, op.d)
-
-
-def operator_norm_module(op: ModuleOperator) -> float:
-    """Operator norm sup ||op f|| / ||f||, the top singular value of the
-    flattened matrix (attained at a rank-one row-block vector)."""
-    return float(np.linalg.norm(op.matrix, 2))
 
 
 def gram_sum(a, b) -> np.ndarray:
@@ -239,17 +228,17 @@ def orthonormal_rows(rows) -> np.ndarray:
     return vh[:rank(s)]
 
 
-def checked_projections(stack, tol: float = PROJECTION_TOL):
+def checked_projections(stack):
     """Validate a stack of would-be orthogonal projections in one batch.
 
     Returns the (index, problem) of the first matrix q that is not
-    self-adjoint or not idempotent within tol in spectral norm (a
-    projection has no scale), or None, and the row basis of every matrix
-    from one batched SVD.
+    self-adjoint or not idempotent within PROJECTION_TOL in spectral norm
+    (a projection has no scale), or None, and the row basis of every
+    matrix from one batched SVD.
     """
     _, s, vh = np.linalg.svd(stack, full_matrices=False)
-    adjoint_ok = norms_within(stack - stack.conj().swapaxes(-1, -2), tol)
-    idempotent_ok = norms_within(stack @ stack - stack, tol)
+    adjoint_ok = norms_within(stack - stack.conj().swapaxes(-1, -2), PROJECTION_TOL)
+    idempotent_ok = norms_within(stack @ stack - stack, PROJECTION_TOL)
     bad = np.flatnonzero(~(adjoint_ok & idempotent_ok))
     fault = None
     if bad.size:
@@ -341,6 +330,8 @@ class ModuleSequence:
             submodules = list(submodules)
             if len(submodules) != len(terms):
                 raise DimensionMismatch("one target submodule per term is required")
+            if any((sub.n, sub.d) != (self.n, self.d) for sub in submodules):
+                raise DimensionMismatch("target submodules and terms of different shape")
             self.projections = np.stack([s.projection.matrix for s in submodules])
         self.flats = np.stack([t.flat for t in terms])
         self.flats.setflags(write=False)
@@ -383,24 +374,19 @@ def sequence_inner_product(f: ModuleSequence, g: ModuleSequence) -> np.ndarray:
     return gram_sum(f.flats, g.flats)
 
 
-def right_shift(seq: ModuleSequence, repair: bool = False) -> ModuleSequence:
+def right_shift(seq: ModuleSequence) -> ModuleSequence:
     """The sequence whose term xi is the input's term xi+1.
 
     Cyclic convention rotates; linear drops the leading term and appends a
     zero.  When target submodules are attached, a shifted term that leaves
     its new target by more than MEMBERSHIP_TOL times the sequence norm
-    raises MembershipViolation, unless `repair=True`, in which case it is
-    orthogonally projected back.  The scale is the sequence's, not the
+    raises MembershipViolation.  The scale is the sequence's, not the
     term's own, so a term that is rounding noise passes.
     """
     wrapped = seq.flats[:1] if seq.index_convention == "cyclic" else np.zeros_like(seq.flats[:1])
     shifted = np.concatenate((seq.flats[1:], wrapped))
     if seq.projections is not None:
         inside = contained(shifted, seq.projections, MEMBERSHIP_TOL * seq.norm())
-        if not (repair or inside.all()):
-            raise MembershipViolation(
-                f"shifted term {np.argmin(inside)} leaves its target submodule; "
-                "pass repair=True to project it back"
-            )
-        shifted[~inside] = shifted[~inside] @ seq.projections[~inside]
+        if not inside.all():
+            raise MembershipViolation(f"shifted term {np.argmin(inside)} leaves its target submodule")
     return ModuleSequence._like(shifted, seq)

@@ -128,18 +128,6 @@ def _random_blocks(rng, count: int, frame: GFusionFrame) -> np.ndarray:
     return draw[:, 0] + 1j * draw[:, 1]
 
 
-def inequality_margin(frame: GFusionFrame, perturbed: GFusionFrame,
-                      params: PerturbationParams, coefficients, f: ModuleVector):
-    """(lhs, rhs) of the inequality for one coefficient sequence and vector."""
-    _check_shapes(frame, perturbed)
-    alphas = np.asarray(coefficients, dtype=np.complex128).reshape(1, -1)
-    if alphas.shape[1] != len(frame):
-        raise LengthMismatch("one coefficient per family member is required")
-    lhs, rhs = _batch_margins(alphas, f.flat @ frame.operators,
-                              f.flat @ perturbed.operators, params)
-    return float(lhs[0]), float(rhs[0])
-
-
 def _candidate_sequences(frame, perturbed, seq_samples: int, rng) -> np.ndarray:
     m = len(frame)
     eye = np.eye(m, dtype=np.complex128)

@@ -136,11 +136,6 @@ def write_atomic(path, text: str):
 # matrices
 
 
-def matrix_to_json(matrix) -> list:
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
-
-
 def json_to_matrix(rows, shape, what: str) -> np.ndarray:
     """One complex matrix of `shape` from rows of [re, im] pairs; `what`
     names it in error messages."""

@@ -196,3 +196,17 @@ def reference_margins(alphas, terms, terms_hat, eta: float, beta: float):
     rhs = eta * np.linalg.norm(base, ord=2, axis=(-2, -1)) \
         + beta * np.linalg.norm(hat, ord=2, axis=(-2, -1))
     return lhs, rhs
+
+
+def inequality_sides(frame, perturbed, eta: float, beta: float, coefficients, f):
+    """lhs and rhs of the perturbation inequality for one coefficient
+    sequence and vector, summed member by member from each element's
+    operator, with spectral norms from np.linalg.norm."""
+    def combination(operators):
+        return sum(a * (f.flat @ y) for a, y in zip(coefficients, operators))
+
+    ys = [e.operator.matrix for e in frame.elements]
+    hats = [e.operator.matrix for e in perturbed.elements]
+    lhs = np.linalg.norm(combination([y - h for y, h in zip(ys, hats)]), 2)
+    rhs = eta * np.linalg.norm(combination(ys), 2) + beta * np.linalg.norm(combination(hats), 2)
+    return float(lhs), float(rhs)

@@ -27,7 +27,6 @@ from gframemod.perturb import (
     check_perturbation_inequality,
     derived_bounds,
     independence_transfer,
-    inequality_margin,
     verify_perturbed_frame,
 )
 
@@ -70,11 +69,11 @@ def test_scalar_scaling_closed_form(eps):
     assert not bad.inequality_holds
     # the witness obeys the closed form: lhs = eps * ||sum a Y f|| exactly
     witness = bad.witness
-    base_lhs, _ = inequality_margin(frame, frame, PerturbationParams(0.0, 0.0),
-                                    witness.coefficients, witness.vector)
+    base_lhs, _ = oracles.inequality_sides(frame, frame, 0.0, 0.0,
+                                           witness.coefficients, witness.vector)
     assert base_lhs == 0.0
-    lhs, rhs = inequality_margin(frame, scaled, PerturbationParams(eps * 0.9, 0.0),
-                                 witness.coefficients, witness.vector)
+    lhs, rhs = oracles.inequality_sides(frame, scaled, eps * 0.9, 0.0,
+                                        witness.coefficients, witness.vector)
     assert lhs == pytest.approx(witness.lhs, rel=1e-12)
     assert lhs == pytest.approx(rhs / 0.9, rel=1e-10)  # ratio is exactly eps vs 0.9*eps
 
@@ -426,10 +425,15 @@ def test_margin_invariant_under_unitary_conjugation():
         return GFusionFrame(elements, fr.index_convention)
 
     f_rot = ModuleVector(f.flat @ w, 2, 2)
-    lhs, rhs = inequality_margin(frame, perturbed, params, alpha, f)
-    lhs2, rhs2 = inequality_margin(conjugate(frame), conjugate(perturbed), params, alpha, f_rot)
+    lhs, rhs = oracles.inequality_sides(frame, perturbed, params.eta, params.beta, alpha, f)
+    lhs2, rhs2 = oracles.inequality_sides(conjugate(frame), conjugate(perturbed),
+                                          params.eta, params.beta, alpha, f_rot)
     assert lhs2 == pytest.approx(lhs, rel=1e-10)
     assert rhs2 == pytest.approx(rhs, rel=1e-10)
+    # the batched kernel gives the same sides on the conjugated pair
+    terms = [f_rot.flat @ fr.operators for fr in (conjugate(frame), conjugate(perturbed))]
+    batch = perturb._batch_margins(alpha[None], *terms, params)
+    assert [float(side[0]) for side in batch] == pytest.approx([lhs2, rhs2], rel=1e-10)
 
 
 def test_length_mismatch():
