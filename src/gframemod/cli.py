@@ -2,9 +2,9 @@
 orchestration, and canonical JSON report emission.
 
 Exit codes: 0 success, 1 usage or parse error, 2 violated mathematical
-precondition (NotAFrame and friends), 3 verification failure (inequality
-violated, bound or reconstruction check failed).  Reports are byte-identical
-across runs given identical inputs, flags, and seed.
+precondition (NotAFrame and friends, or numpy's LinAlgError), 3 verification
+failure (inequality violated, bound or reconstruction check failed).  Reports
+are byte-identical across runs given identical inputs, flags, and seed.
 """
 
 import argparse
@@ -13,6 +13,8 @@ import hashlib
 import math
 import os
 import sys
+
+from numpy.linalg import LinAlgError
 
 from . import __version__
 from .exceptions import (
@@ -26,11 +28,13 @@ from .families import KINDS, generate
 from .frames import canonical_dual, frame_bounds, reconstruction_residual, residual_verified
 from .hilbert import CONVENTIONS
 from .perturb import (
+    DEFAULT_SEQ_SAMPLES,
     HAT_HAT,
     HAT_ORIGINAL,
     PerturbationParams,
     check_perturbation_inequality,
     independence_transfer,
+    vector_samples,
     verify_perturbed_frame,
 )
 from .represent import (
@@ -127,7 +131,7 @@ def _cmd_represent(args, seed, sha):
     }
     failed = False
     if args.check_theorem21:
-        check = check_representation_bounds(frame, rep, samples=100, seed=seed)
+        check = check_representation_bounds(frame, rep, seed=seed)
         results["bound_checks"] = {
             "norm_T": check.norm_T,
             "lower": {"bound": check.bound_lower, "ok": check.lower_ok},
@@ -173,7 +177,7 @@ def _cmd_perturb(args, seed, sha):
     seq_samples = args.samples
     if seq_samples < 1:
         raise ParseError(f"--samples must be at least 1, got {seq_samples}")
-    vec_samples = max(8, seq_samples // 4)
+    vec_samples = vector_samples(seq_samples)
     verdict = check_perturbation_inequality(
         frame, perturbed, params, seq_samples=seq_samples,
         vec_samples=vec_samples, seed=seed,
@@ -291,7 +295,7 @@ def _add_perturb(p) -> None:
     p.add_argument("--eta", type=float, default=0.0)
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--interpretation", choices=(HAT_HAT, HAT_ORIGINAL), default=HAT_HAT)
-    p.add_argument("--samples", type=int, default=256,
+    p.add_argument("--samples", type=int, default=DEFAULT_SEQ_SAMPLES,
                    help="coefficient-sequence samples, at least 1; "
                         "max(8, samples // 4) vectors are drawn, each probed "
                         "through its d rows")
@@ -357,6 +361,9 @@ def main(argv=None) -> int:
     except GFrameError as exc:
         print(f"gframemod: error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except LinAlgError as exc:
+        print(f"gframemod: error: linear algebra failed: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from .frames import GFusionFrame, frame_bounds, fusion_frame
 from .hilbert import ModuleOperator, ModuleVector, Submodule
 
 KINDS = ("fusion", "dilation", "unitary-orbit", "random")
+RANDOM_FRAME_ATTEMPTS = 64  # seeds random_frame tries before it gives up
 
 
 def _validate(n: int, d: int, m: int):
@@ -30,14 +31,13 @@ def random_unitary(rng, k: int) -> np.ndarray:
     return q * phases
 
 
-def random_unitary_involution(rng, k: int) -> np.ndarray:
-    """Self-adjoint unitary: Haar eigenbasis with a mixed +-1 spectrum."""
+def _signed_eigenbasis(rng, k: int):
+    """Haar eigenbasis v and v diag(s) v^H for a mixed +-1 spectrum s."""
     v = random_unitary(rng, k)
     signs = rng.choice([-1.0, 1.0], size=k)
     if k >= 2:
         signs[0], signs[-1] = 1.0, -1.0
-    u = (v * signs) @ v.conj().T
-    return (u + u.conj().T) / 2.0
+    return v, (v * signs) @ v.conj().T
 
 
 def random_vector(rng, n: int, d: int) -> ModuleVector:
@@ -67,49 +67,43 @@ def fusion_decomposition_frame(n: int, d: int, m: int, seed: int = 0) -> GFusion
     return fusion_frame(random_orthogonal_decomposition(rng, n, d, m), [1.0] * m)
 
 
-def dilation_frame(n: int, d: int, m: int, seed: int = 0, ratio=None) -> GFusionFrame:
+def dilation_frame(n: int, d: int, m: int, seed: int = 0) -> GFusionFrame:
     """Y_xi = c^xi * Id with a seeded contraction c in (0, 1); linear indexing."""
     _validate(n, d, m)
     rng = np.random.default_rng(seed)
-    c = float(rng.uniform(0.3, 0.8)) if ratio is None else float(ratio)
+    c = float(rng.uniform(0.3, 0.8))
     return _full_frame([np.eye(n * d) * complex(c ** xi) for xi in range(m)], n, d, "linear")
 
 
-def unitary_orbit_frame(n: int, d: int, m: int, seed: int = 0,
-                        base: np.ndarray | None = None) -> GFusionFrame:
-    """Y_xi = U^xi Y_0 for a seeded self-adjoint unitary U; cyclic indexing.
+def unitary_orbit_frame(n: int, d: int, m: int, seed: int = 0) -> GFusionFrame:
+    """Y_xi = U^xi for a seeded self-adjoint unitary U; cyclic indexing.
 
-    With the default base Y_0 = Id the orbit is tight.  A self-adjoint base
-    commuting with U keeps every member self-adjoint; for even m the orbit
+    The orbit is tight, and every member is self-adjoint.  For even m it
     closes, making the family exactly representable with an isometric T.
     """
     _validate(n, d, m)
     rng = np.random.default_rng(seed)
     nd = n * d
-    u = random_unitary_involution(rng, nd)
-    operators = [np.asarray(np.eye(nd) if base is None else base, dtype=np.complex128)]
+    _, u = _signed_eigenbasis(rng, nd)
+    u = (u + u.conj().T) / 2.0  # self-adjoint to the last bit
+    operators = [np.eye(nd, dtype=np.complex128)]
     for _ in range(m - 1):
         operators.append(operators[-1] @ u)
     return _full_frame(operators, n, d, "cyclic")
 
 
-def commuting_orbit_frame(n: int, d: int, m: int, seed: int = 0,
-                          spread: float = 2.0) -> GFusionFrame:
+def commuting_orbit_frame(n: int, d: int, m: int, seed: int = 0) -> GFusionFrame:
     """Unitary orbit of a positive-definite base sharing U's eigenbasis.
 
     Hypothesis-passing and exactly representable like the plain orbit, but
-    not tight: the bound ratio B/A equals the squared condition spread of
-    the base.
+    not tight: the base's eigenvalues are drawn from [1, 2), and the bound
+    ratio B/A equals the square of their spread.
     """
     _validate(n, d, m)
     rng = np.random.default_rng(seed)
     nd = n * d
-    v = random_unitary(rng, nd)
-    signs = rng.choice([-1.0, 1.0], size=nd)
-    if nd >= 2:
-        signs[0], signs[-1] = 1.0, -1.0
-    u = (v * signs) @ v.conj().T
-    diag = rng.uniform(1.0, max(spread, 1.0 + 1e-6), size=nd)
+    v, u = _signed_eigenbasis(rng, nd)
+    diag = rng.uniform(1.0, 2.0, size=nd)
     base = (v * diag) @ v.conj().T
     operators = [(base + base.conj().T) / 2.0]
     for _ in range(m - 1):
@@ -137,8 +131,7 @@ def random_family_frame(n: int, d: int, m: int, seed: int = 0) -> GFusionFrame:
     return GFusionFrame(_random_elements(np.random.default_rng(seed), n, d, m), "linear")
 
 
-def random_frame(n: int, d: int, m: int, seed: int = 0, max_cond: float = 1e8,
-                 attempts: int = 64) -> GFusionFrame:
+def random_frame(n: int, d: int, m: int, seed: int = 0, max_cond: float = 1e8) -> GFusionFrame:
     """A random family guaranteed to be a frame with condition <= max_cond.
 
     The first element spans the whole module, which makes the frame operator
@@ -148,7 +141,7 @@ def random_frame(n: int, d: int, m: int, seed: int = 0, max_cond: float = 1e8,
     _validate(n, d, m)
     nd = n * d
     full = Submodule.full(n, d)
-    for attempt in range(attempts):
+    for attempt in range(RANDOM_FRAME_ATTEMPTS):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
         elements = [(full, ModuleOperator(random_complex(rng, nd, nd), n, d))]
         frame = GFusionFrame(elements + _random_elements(rng, n, d, m - 1), "linear")
@@ -158,7 +151,7 @@ def random_frame(n: int, d: int, m: int, seed: int = 0, max_cond: float = 1e8,
             continue
         if upper / lower <= max_cond:
             return frame
-    raise NotAFrame(f"no acceptable random frame found in {attempts} attempts")
+    raise NotAFrame(f"no acceptable random frame found in {RANDOM_FRAME_ATTEMPTS} attempts")
 
 
 def generate(kind: str, n: int, d: int, m: int, seed: int = 0) -> GFusionFrame:

@@ -252,8 +252,8 @@ def reconstruction_residual(frame: GFusionFrame, dual: GFusionFrame) -> float:
     return float(np.linalg.norm(mixed - np.eye(frame.n * frame.d), 2))
 
 
-def fusion_frame(submodules, weights, index_convention: str = "linear") -> GFusionFrame:
-    """The classical specialization Y_xi = v_xi P_{N_xi} with weights v_xi > 0."""
+def fusion_frame(submodules, weights) -> GFusionFrame:
+    """The classical specialization Y_xi = v_xi P_{N_xi}, v_xi > 0; linear indexing."""
     submodules = list(submodules)
     weights = [float(w) for w in weights]
     if len(submodules) != len(weights):
@@ -265,4 +265,4 @@ def fusion_frame(submodules, weights, index_convention: str = "linear") -> GFusi
     projections = np.stack([s.projection.matrix for s in submodules])
     operators = projections * np.array(weights, dtype=complex)[:, None, None]
     return GFusionFrame.__new__(GFusionFrame)._adopt(
-        projections, operators, [s.basis_rows for s in submodules], n, d, index_convention)
+        projections, operators, [s.basis_rows for s in submodules], n, d, "linear")

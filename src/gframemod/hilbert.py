@@ -44,10 +44,29 @@ def _common_shape(items, what: str):
 
 
 class _Linear:
-    """The vector-space operations of a ModuleVector or ModuleOperator, on the
-    array its class names in `_ARRAY`, between objects of one class and shape."""
+    """A read-only complex array, named by `_ARRAY`, of shape `_shape(n, d)`,
+    with the vector-space operations between objects of one class and shape."""
 
     __slots__ = ()
+
+    def __init__(self, array, n: int, d: int):
+        array = np.array(array, dtype=np.complex128)
+        shape = self._shape(n, d)
+        if n < 1 or d < 1 or array.shape != shape:
+            raise DimensionMismatch(f"expected shape {shape}, got {array.shape}")
+        array.setflags(write=False)
+        setattr(self, self._ARRAY, array)
+        self.n = n
+        self.d = d
+
+    @classmethod
+    def zero(cls, n: int, d: int):
+        return cls(np.zeros(cls._shape(n, d), dtype=np.complex128), n, d)
+
+    def norm(self) -> float:
+        """Top singular value of the array: the module norm ||<f, f>||^(1/2) of
+        a vector, the operator norm sup ||op f|| / ||f|| of an operator."""
+        return float(np.linalg.norm(getattr(self, self._ARRAY), 2))
 
     def _same_shape(self, other):
         if type(other) is not type(self) or (self.n, self.d) != (other.n, other.d):
@@ -82,14 +101,9 @@ class ModuleVector(_Linear):
     __slots__ = ("flat", "n", "d")
     _ARRAY, _KIND = "flat", "module vectors"
 
-    def __init__(self, flat, n: int, d: int):
-        flat = np.array(flat, dtype=np.complex128)
-        if n < 1 or d < 1 or flat.shape != (d, n * d):
-            raise DimensionMismatch(f"expected shape ({d}, {n * d}), got {flat.shape}")
-        flat.setflags(write=False)
-        self.flat = flat
-        self.n = n
-        self.d = d
+    @staticmethod
+    def _shape(n: int, d: int):
+        return (d, n * d)
 
     @classmethod
     def from_components(cls, components) -> "ModuleVector":
@@ -102,19 +116,11 @@ class ModuleVector(_Linear):
                 raise DimensionMismatch("all components must be d x d with a common d")
         return cls(np.hstack(components), len(components), d)
 
-    @classmethod
-    def zero(cls, n: int, d: int) -> "ModuleVector":
-        return cls(np.zeros((d, n * d), dtype=np.complex128), n, d)
-
     def component(self, i: int) -> np.ndarray:
         return self.flat[:, i * self.d : (i + 1) * self.d]
 
     def components(self):
         return [self.component(i) for i in range(self.n)]
-
-    def norm(self) -> float:
-        """||<f, f>||^(1/2), the module norm."""
-        return float(np.linalg.norm(self.flat, 2))
 
 
 class ModuleOperator(_Linear):
@@ -123,31 +129,13 @@ class ModuleOperator(_Linear):
     __slots__ = ("matrix", "n", "d")
     _ARRAY, _KIND = "matrix", "module operators"
 
-    def __init__(self, matrix, n: int, d: int):
-        matrix = np.array(matrix, dtype=np.complex128)
-        if n < 1 or d < 1 or matrix.shape != (n * d, n * d):
-            raise DimensionMismatch(f"expected shape ({n * d}, {n * d}), got {matrix.shape}")
-        matrix.setflags(write=False)
-        self.matrix = matrix
-        self.n = n
-        self.d = d
+    @staticmethod
+    def _shape(n: int, d: int):
+        return (n * d, n * d)
 
     @classmethod
     def identity(cls, n: int, d: int) -> "ModuleOperator":
         return cls(np.eye(n * d, dtype=np.complex128), n, d)
-
-    @classmethod
-    def zero(cls, n: int, d: int) -> "ModuleOperator":
-        return cls(np.zeros((n * d, n * d), dtype=np.complex128), n, d)
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        d = self.d
-        return self.matrix[i * d : (i + 1) * d, j * d : (j + 1) * d]
-
-    def norm(self) -> float:
-        """Operator norm sup ||op f|| / ||f||, the top singular value of the
-        flattened matrix (attained at a rank-one row-block vector)."""
-        return float(np.linalg.norm(self.matrix, 2))
 
 
 def inner_product(f: ModuleVector, g: ModuleVector) -> np.ndarray:
@@ -284,9 +272,6 @@ class Submodule:
     def contains(self, f: ModuleVector) -> bool:
         """||f - f P||_2 <= MEMBERSHIP_TOL * ||f||."""
         return bool(contained(f.flat, self.projection.matrix, MEMBERSHIP_TOL * f.norm()))
-
-    def project(self, f: ModuleVector) -> ModuleVector:
-        return apply(self.projection, f)
 
     def __repr__(self):
         return f"Submodule(rank={self.rank}, n={self.n}, d={self.d})"

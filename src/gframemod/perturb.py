@@ -45,7 +45,6 @@ from .numerics import BOUNDS_TOL, MARGIN_TOL, RANK_TOL, TIE_TOL, spectral_norms
 from .represent import independence_analysis
 
 DEFAULT_SEQ_SAMPLES = 256
-DEFAULT_VEC_SAMPLES = 64
 _BATCH = 1 << 16  # complex entries of one combination product over the sequences
 HAT_HAT = "hat_hat"
 HAT_ORIGINAL = "hat_original"
@@ -59,6 +58,11 @@ HAT_ORIGINAL_CAVEAT = (
     "pairing is Hermitized before eigen-analysis and is not sign-definite "
     "in general"
 )
+
+
+def vector_samples(seq_samples: int) -> int:
+    """The vectors drawn alongside `seq_samples` coefficient sequences."""
+    return max(8, seq_samples // 4)
 
 
 @dataclass(frozen=True)
@@ -197,7 +201,7 @@ def _phase_fixed(z: np.ndarray) -> np.ndarray:
 def check_perturbation_inequality(frame: GFusionFrame, perturbed: GFusionFrame,
                                   params: PerturbationParams,
                                   seq_samples: int = DEFAULT_SEQ_SAMPLES,
-                                  vec_samples: int = DEFAULT_VEC_SAMPLES,
+                                  vec_samples: int = vector_samples(DEFAULT_SEQ_SAMPLES),
                                   seed: int = 0) -> PerturbationVerdict:
     """Sample the two-family inequality and report the worst-margin witness.
 
@@ -275,7 +279,7 @@ def verify_perturbed_frame(frame: GFusionFrame, perturbed: GFusionFrame,
                            params: PerturbationParams,
                            inequality: PerturbationVerdict,
                            interpretation: str = HAT_HAT,
-                           vec_samples: int = DEFAULT_VEC_SAMPLES,
+                           vec_samples: int = vector_samples(DEFAULT_SEQ_SAMPLES),
                            seed: int = 0) -> PerturbationVerdict:
     """Empirical optimal bounds of the middle term against the derived ones.
 

@@ -52,6 +52,7 @@ from .numerics import (
     spectral_norms,
 )
 
+KERNEL_SAMPLES = 100  # seeded synthesis-kernel elements the invariance check draws
 LINEAR_CAVEAT = (
     "linear index window: the shift constraint stops at the window edge, so "
     "conclusions stated for two-sided families hold only up to boundary terms"
@@ -203,10 +204,9 @@ def sample_synthesis_kernel(frame: GFusionFrame, count: int, seed: int = 0):
     return [] if terms is None else [ModuleSequence._like(sample, frame) for sample in terms]
 
 
-def kernel_invariance(frame: GFusionFrame, convention: str, samples: int = 100,
-                      seed: int = 0):
+def kernel_invariance(frame: GFusionFrame, convention: str, seed: int = 0):
     """Sampled invariance of the synthesis kernel under the right shift of
-    `convention`: (samples drawn, defect, ok, caveats).
+    `convention` at KERNEL_SAMPLES elements: (drawn, defect, ok, caveats).
 
     The defect is the largest synthesis norm of a shifted unit-norm kernel
     sample over ||M||, and the check passes at or below REPRESENT_TOL; the
@@ -214,7 +214,7 @@ def kernel_invariance(frame: GFusionFrame, convention: str, samples: int = 100,
     submodule by more than MEMBERSHIP_TOL times the sample's unit norm.
     """
     kernel_basis = _kernel_row_basis(frame)
-    terms = _kernel_terms(frame, kernel_basis, samples, seed)
+    terms = _kernel_terms(frame, kernel_basis, KERNEL_SAMPLES, seed)
     if terms is None:
         return 0, 0.0, True, ["synthesis kernel is trivial; the invariance check is vacuous"]
     # the right shift moves term xi+1 into slot xi, so term j is tested
@@ -226,10 +226,11 @@ def kernel_invariance(frame: GFusionFrame, convention: str, samples: int = 100,
     else:
         moved, targets = terms[:, 1:], np.arange(m - 1)
     if not contained(moved, frame.projections[targets], MEMBERSHIP_TOL).all():
-        return samples, math.inf, False, ["a shifted kernel element leaves the submodule family"]
+        return (KERNEL_SAMPLES, math.inf, False,
+                ["a shifted kernel element leaves the submodule family"])
     images = np.tensordot(moved, frame.operators[targets].conj(), axes=([1, 3], [0, 2]))
     defect = float(spectral_norms(images).max()) / max(kernel_basis[3], 1e-300)
-    return samples, defect, defect <= REPRESENT_TOL, []
+    return KERNEL_SAMPLES, defect, defect <= REPRESENT_TOL, []
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +251,7 @@ class ShiftBoundsReport:
 
 
 def check_representation_bounds(frame: GFusionFrame, rep: RepresentationResult,
-                                samples: int = 100, seed: int = 0) -> ShiftBoundsReport:
+                                seed: int = 0) -> ShiftBoundsReport:
     """Check 1 <= ||T|| <= sqrt(B/A) and invariance of the synthesis kernel
     under the right shift, for a representable family satisfying the
     self-adjointness and range-fixing hypotheses."""
@@ -263,7 +264,7 @@ def check_representation_bounds(frame: GFusionFrame, rep: RepresentationResult,
     bound_upper = math.sqrt(upper / lower)
     caveats = [CYCLIC_CAVEAT if rep.convention == "cyclic" else LINEAR_CAVEAT]
     kernel_samples, kernel_defect, kernel_ok, kernel_caveats = kernel_invariance(
-        frame, rep.convention, samples, seed)
+        frame, rep.convention, seed)
     caveats.extend(kernel_caveats)
     return ShiftBoundsReport(
         norm_T=rep.norm_T,
@@ -420,13 +421,12 @@ def independence_analysis(frame: GFusionFrame,
 # shifted reconstruction identity
 
 
-def solve_adjoint_shift_extension(frame: GFusionFrame,
-                                  convention: Optional[str] = None) -> ModuleOperator:
+def solve_adjoint_shift_extension(frame: GFusionFrame) -> ModuleOperator:
     """Minimal-norm solution of extension o Y_xi^* = Y_{xi+1}^* over the
-    convention's index pairs (the adjoint counterpart of the shift solve)."""
-    convention = _check_convention(convention or frame.index_convention)
+    index pairs of the frame's convention (the adjoint counterpart of the
+    shift solve)."""
     adjoints = frame.operators.conj().swapaxes(1, 2)
-    _, _, x = _shift_solve(adjoints, _constraint_pairs(len(frame), convention))
+    _, _, x = _shift_solve(adjoints, _constraint_pairs(len(frame), frame.index_convention))
     return ModuleOperator(x, frame.n, frame.d)
 
 

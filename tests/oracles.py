@@ -22,11 +22,11 @@ def vector_norm(vec) -> float:
 
 def apply_blockwise(op, vec):
     """result_j = sum_i f_i @ blocks[i][j], computed block by block."""
-    out = []
+    d, out = op.d, []
     for j in range(op.n):
-        acc = np.zeros((op.d, op.d), dtype=np.complex128)
+        acc = np.zeros((d, d), dtype=np.complex128)
         for i in range(op.n):
-            acc += vec.component(i) @ op.block(i, j)
+            acc += vec.component(i) @ op.matrix[i * d:(i + 1) * d, j * d:(j + 1) * d]
         out.append(acc)
     return out
 

@@ -97,6 +97,14 @@ def test_psd_leq_rejects_non_hermitian():
         psd_leq(np.eye(2), np.array([[0, 1], [0, 0]], dtype=complex), 1e-10)
 
 
+def test_psd_leq_orders_operands_that_pass_the_hermitian_check():
+    # each operand's anti-Hermitian part, 1.6e-9, passes at 1e-9 x scale 2;
+    # the gap's, 3.2e-9, does not, and must not turn a clear order into False
+    k = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+    assert psd_leq(np.eye(2) + 8e-10 * k, 2 * np.eye(2) - 8e-10 * k)
+    assert not psd_leq(2 * np.eye(2) - 8e-10 * k, np.eye(2) + 8e-10 * k)
+
+
 def test_psd_leq_scaling_of_psd(rng):
     for _ in range(20):
         v = random_matrix(rng, 2)

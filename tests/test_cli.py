@@ -498,3 +498,15 @@ def test_tiny_magnitude_family_exits_1_at_parse(tmp_path, capsys, args):
 def test_all_zero_family_still_exits_2(tmp_path, capsys):
     assert run(["analyze", _operators_scaled(tmp_path, 0.0)]) == 2
     assert capsys.readouterr().err.startswith("gframemod: error: frame operator is singular")
+
+
+def test_linalg_error_exits_2_with_a_message(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    out = tmp_path / "report.json"
+    assert run(["analyze", CORPUS / "fusion_parseval_m2.json", "--output", out]) == 2
+    err = capsys.readouterr().err
+    assert err == "gframemod: error: linear algebra failed: Eigenvalues did not converge\n"
+    assert not out.exists()

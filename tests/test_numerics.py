@@ -88,7 +88,7 @@ TOLERANCE_PARAMETERS = {"psd_leq", "synthesis", "rank", "psd_leq_stack"}
 def _public_callables():
     """(qualified name, callable) of every name in gframemod.__all__ and of
     every public function each module defines, with the public methods of
-    their classes."""
+    their classes and of those classes' gframemod bases."""
     objects = {name: getattr(gframemod, name) for name in gframemod.__all__}
     for info in pkgutil.iter_modules(gframemod.__path__):
         module = importlib.import_module(f"gframemod.{info.name}")
@@ -97,8 +97,9 @@ def _public_callables():
                        and getattr(obj, "__module__", None) == module.__name__)
     for name, obj in objects.items():
         if inspect.isclass(obj):
-            methods = ((attr, getattr(obj, attr)) for attr in vars(obj)
-                       if not attr.startswith("_"))
+            attrs = {attr for klass in obj.__mro__ if klass.__module__.startswith("gframemod")
+                     for attr in vars(klass) if not attr.startswith("_")}
+            methods = ((attr, getattr(obj, attr)) for attr in sorted(attrs))
             yield from ((f"{name}.{attr}", member) for attr, member in methods
                         if inspect.isfunction(member) or inspect.ismethod(member))
         elif inspect.isfunction(obj):

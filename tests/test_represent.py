@@ -32,6 +32,7 @@ from gframemod.hilbert import (
 )
 from gframemod.numerics import HYPOTHESIS_TOL
 from gframemod.represent import (
+    KERNEL_SAMPLES,
     check_representation_bounds,
     divergence_window,
     independence_analysis,
@@ -65,11 +66,12 @@ def _orthogonal_projection_frame():
 
 
 def test_dilation_family_recovers_scalar_operator():
-    frame = dilation_frame(2, 1, 3, seed=0, ratio=0.5)
+    frame = dilation_frame(2, 1, 3, seed=0)
+    ratio = frame.operators[1][0, 0].real  # Y_1 = c Id
     rep = solve_representation(frame, "linear")
     assert rep.residual <= 1e-10
-    assert rep.norm_T == pytest.approx(0.5, abs=1e-10)
-    np.testing.assert_allclose(rep.operator_T.matrix, 0.5 * np.eye(2), atol=1e-10)
+    assert rep.norm_T == pytest.approx(ratio, abs=1e-10)
+    np.testing.assert_allclose(rep.operator_T.matrix, ratio * np.eye(2), atol=1e-10)
     assert rep.is_representable()
 
 
@@ -250,11 +252,11 @@ def test_parseval_fusion_kernel_is_trivial():
 def test_unitary_orbit_passes_all_bound_checks():
     frame = unitary_orbit_frame(2, 2, 4, seed=11)
     rep = solve_representation(frame)
-    report = check_representation_bounds(frame, rep, samples=50, seed=0)
+    report = check_representation_bounds(frame, rep, seed=0)
     assert report.lower_ok and report.upper_ok
     assert report.norm_T == pytest.approx(1.0, abs=1e-9)
     assert report.bound_upper == pytest.approx(1.0, abs=1e-9)
-    assert report.kernel_ok and report.kernel_samples == 50
+    assert report.kernel_ok and report.kernel_samples == KERNEL_SAMPLES == 100
     assert report.kernel_defect <= 1e-8
 
 
@@ -264,7 +266,7 @@ def test_constant_identity_family_passes_everything():
     rep = solve_representation(frame)
     assert rep.residual <= 1e-12
     np.testing.assert_allclose(rep.operator_T.matrix, np.eye(2), atol=1e-12)
-    report = check_representation_bounds(frame, rep, samples=20, seed=0)
+    report = check_representation_bounds(frame, rep, seed=0)
     assert report.norm_T == pytest.approx(1.0, abs=1e-10)
     assert report.lower_ok and report.upper_ok and report.kernel_ok
 
@@ -272,7 +274,7 @@ def test_constant_identity_family_passes_everything():
 def test_commuting_orbit_satisfies_two_sided_bound():
     frame = commuting_orbit_frame(2, 2, 4, seed=12)
     rep = solve_representation(frame)
-    report = check_representation_bounds(frame, rep, samples=20, seed=0)
+    report = check_representation_bounds(frame, rep, seed=0)
     lower, upper = frame_bounds(frame)
     assert report.bound_upper == pytest.approx(np.sqrt(upper / lower), rel=1e-12)
     assert report.bound_upper > 1.0 + 1e-6
@@ -280,10 +282,12 @@ def test_commuting_orbit_satisfies_two_sided_bound():
 
 
 def test_linear_dilation_fails_lower_bound_with_caveat():
-    frame = dilation_frame(2, 1, 3, seed=0, ratio=0.5)
+    frame = dilation_frame(2, 1, 3, seed=0)
     rep = solve_representation(frame, "linear")
-    report = check_representation_bounds(frame, rep, samples=20, seed=0)
-    assert not report.lower_ok  # finite window: norm_T = 0.5 < 1
+    report = check_representation_bounds(frame, rep, seed=0)
+    # finite window: norm_T is the contraction c of Y_1 = c Id, below 1
+    assert report.norm_T == pytest.approx(frame.operators[1][0, 0].real, abs=1e-10)
+    assert not report.lower_ok
     assert report.upper_ok
     assert any("window" in c for c in report.caveats)
 
@@ -345,8 +349,7 @@ def test_kernel_check_agrees_with_exact_oracle_and_reference_sampler(frame):
     if 1e-12 <= membership <= 1e-8 or 1e-10 <= defect <= 1e-6:
         pytest.skip(f"exact defects ({membership:.1e}, {defect:.1e}) too close to the cutoffs")
     exact_ok = membership < 1e-12 and defect < 1e-10
-    drawn, kernel_defect, kernel_ok, _ = kernel_invariance(frame, frame.index_convention,
-                                                           samples=100, seed=3)
+    drawn, kernel_defect, kernel_ok, _ = kernel_invariance(frame, frame.index_convention, seed=3)
     samples, ref_defect, ref_ok = oracles.reference_kernel_check(frame, 100, seed=3)
     assert kernel_ok == exact_ok == ref_ok
     assert drawn == samples == 100
@@ -383,7 +386,7 @@ def test_kernel_check_shifts_by_the_representation_convention(make, convention):
             with pytest.raises(NotRepresentable):
                 check_representation_bounds(frame, rep)
             continue
-        report = check_representation_bounds(frame, rep, samples=100, seed=3)
+        report = check_representation_bounds(frame, rep, seed=3)
         assert report.kernel_ok == exact_ok
         assert report.kernel_defect <= defect * (1.0 + 1e-9) + 1e-15
         reports.append(report)
@@ -437,9 +440,7 @@ def test_certificate_rejects_non_tight_frames():
 def test_certificate_rejects_singular_representation():
     # (U, 0) is tight and representable only by the zero operator
     rng = np.random.default_rng(17)
-    from gframemod.families import random_unitary_involution
-
-    u = random_unitary_involution(rng, 2)
+    u = random_unitary(rng, 2)
     frame = _full_frame([ModuleOperator(u, 2, 1), ModuleOperator.zero(2, 1)], 2, 1)
     rep = solve_representation(frame, "linear")
     assert rep.is_representable()
@@ -478,7 +479,7 @@ def test_scaled_duplicate_is_dependent():
 
 
 def test_dilation_family_is_dependent_with_invariant_span():
-    frame = dilation_frame(2, 1, 3, seed=0, ratio=0.5)
+    frame = dilation_frame(2, 1, 3, seed=0)
     rep = solve_representation(frame)
     report = independence_analysis(frame, rep=rep)
     assert report.verdict == "dependent"

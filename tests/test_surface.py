@@ -1,13 +1,17 @@
 """The public surface: every function that `gframemod` exports is reached by
 the program (named in `src/` outside its own def), called by an acceptance
 criterion, traced by the benchmark, or states a paper result that a named
-test checks.  A function in none of these groups is dead weight and goes."""
+test checks.  A function in none of these groups is dead weight and goes.
+So does a public method of an exported class that neither `src/` nor a
+criterion names and the benchmark does not trace, and a defaulted
+parameter that no call in `src/` or in a criterion sets."""
 
 import ast
 import inspect
 from pathlib import Path
 
 import gframemod
+from test_numerics import _public_callables
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gframemod"
@@ -27,6 +31,15 @@ STATED_RESULTS = {
         "tests/test_represent.py::test_orbit_family_satisfies_shift_identity",
     "verify_shift_reconstruction_identity":
         "tests/test_represent.py::test_orbit_family_satisfies_shift_identity",
+    "apply": "tests/test_hilbert.py::test_apply_matches_blockwise_oracle",
+}
+
+# defaulted parameters that no call in src/ or in a criterion sets, each
+# with the reason it stays
+UNSET_KNOBS = {
+    "psd_leq(tol)": "criterion 2 passes the default positionally, and the criteria "
+                    "are not edited",
+    "main(argv)": "the entry point: the console script calls it with no argument",
 }
 
 
@@ -71,6 +84,116 @@ def unreached() -> list:
     return sorted(found)
 
 
+def _attributes(paths) -> set:
+    """Every attribute that the code in the files names."""
+    return {node.attr for path in paths for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)}
+
+
+def _methods(cls):
+    """The public instance methods of a class and of its gframemod bases."""
+    return sorted({attr for klass in cls.__mro__ if klass.__module__.startswith("gframemod")
+                   for attr, member in vars(klass).items()
+                   if not attr.startswith("_") and inspect.isfunction(member)})
+
+
+def unused_methods() -> list:
+    """Class.method for each public method of an exported class that no
+    module of `src/` and no criterion names as an attribute, and that the
+    benchmark does not trace."""
+    named = _attributes([*SRC.glob("*.py"), ACCEPTANCE])
+    traced = _traced(SPANS)
+    found = []
+    for name in gframemod.__all__:
+        cls = getattr(gframemod, name)
+        if inspect.isclass(cls):
+            module = cls.__module__.rpartition(".")[2]
+            found += [f"{name}.{attr}" for attr in _methods(cls)
+                      if attr not in named and (module, f"{name}.{attr}") not in traced]
+    return sorted(found)
+
+
+def _calls(paths) -> dict:
+    """(call, dotted name of the defs and classes that hold it) of every
+    call in the files, by the name or attribute that it calls."""
+    calls = {}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                calls.setdefault(name, []).append((child, owner))
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}" if owner else child.name)
+            else:
+                visit(child, owner)
+
+    for path in paths:
+        visit(ast.parse(path.read_text()), "")
+    return calls
+
+
+def _is_literal(node, value) -> bool:
+    try:
+        return ast.literal_eval(node) == value
+    except (TypeError, ValueError):
+        return False
+
+
+def _sets(call: ast.Call, index, param: inspect.Parameter, unset=()) -> bool:
+    """Whether the call passes the parameter, at position `index` (None for
+    keyword-only) or by keyword, as anything but a literal equal to its
+    default or a name in `unset`, the unset parameters of the calling def.
+    Unpacked arguments pass nothing: their length is not known, so the
+    positions after one are not known either."""
+    for position, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            break
+        if position == index:
+            return not (_is_literal(arg, param.default)
+                        or isinstance(arg, ast.Name) and arg.id in unset)
+    for keyword in call.keywords:
+        if keyword.arg == param.name:
+            return not (_is_literal(keyword.value, param.default)
+                        or isinstance(keyword.value, ast.Name) and keyword.value.id in unset)
+    return False
+
+
+POSITIONAL = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+
+
+def _defaulted(obj):
+    """(position or None, parameter) of each defaulted parameter, counting
+    positions as a call through an instance does."""
+    params = list(inspect.signature(obj).parameters.values())
+    if params and params[0].name == "self":
+        params = params[1:]
+    return [(index if param.kind in POSITIONAL else None, param)
+            for index, param in enumerate(params) if param.default is not param.empty]
+
+
+def unset_knobs() -> list:
+    """name(parameter) for each defaulted parameter of a public function or
+    method that no call in `src/` or in a criterion sets.  A value that a
+    def only forwards from one of its own unset parameters sets nothing,
+    unless that parameter is in UNSET_KNOBS."""
+    calls = _calls([*SRC.glob("*.py"), ACCEPTANCE])
+    knobs = [(name, index, param) for name, obj in _public_callables()
+             for index, param in _defaulted(obj)]
+    found = set()
+    while True:
+        unset = {}
+        for name, param in found:
+            if f"{name}({param})" not in UNSET_KNOBS:
+                unset.setdefault(name, set()).add(param)
+        now = {(name, param.name) for name, index, param in knobs
+               if not any(_sets(call, index, param, unset.get(owner, ()))
+                          for call, owner in calls.get(name.rpartition(".")[2], ()))}
+        if now == found:
+            return sorted(f"{name}({param})" for name, param in found)
+        found = now
+
+
 def test_every_export_is_reached_or_states_a_checked_result():
     assert unreached() == sorted(STATED_RESULTS)
 
@@ -95,3 +218,30 @@ def test_the_lint_sees_calls_and_skips_its_own_def(tmp_path):
     refs = {name for name, owner in _source_references(tmp_path) if name != owner}
     assert "inner_product" in refs
     assert not {"compose", "apply"} & refs
+
+
+def test_every_public_method_is_named_by_the_program_or_a_criterion():
+    assert unused_methods() == []
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    assert unset_knobs() == sorted(UNSET_KNOBS)
+
+
+def test_the_knob_lint_counts_set_values_only(tmp_path):
+    (tmp_path / "a.py").write_text("f(x, 1e-9)\n"
+                                   "f(x, tol=1e-9)\n"
+                                   "f(*args, 2.0, **options)\n"
+                                   "g(x, 2.0)\n"
+                                   "class C:\n"
+                                   "    def h(self, x, tol=1e-9):\n"
+                                   "        return f(x, tol=tol)\n")
+    calls = _calls([tmp_path / "a.py"])
+    tol = inspect.Parameter("tol", inspect.Parameter.POSITIONAL_OR_KEYWORD, default=1e-9)
+    # the default, by position and by keyword, and values at unknown positions
+    assert not any(_sets(call, 1, tol) for call, _ in calls["f"][:3])
+    assert _sets(calls["g"][0][0], 1, tol)  # another value
+    call, owner = calls["f"][3]
+    assert owner == "C.h"
+    assert _sets(call, 1, tol)  # a name
+    assert not _sets(call, 1, tol, {"tol"})  # forwarded from an unset parameter

@@ -18,7 +18,9 @@ Invocations:
   `represent` (plain and `--check-theorem21`, each with no, linear and
   cyclic `--convention`), `represent --tight-certificate` with the corpus
   unit vector, and `perturb` against itself, a pass pair and a witness
-  pair, and the pass pair once more with `--beta 0.05`;
+  pair, the pass pair once more with `--beta 0.05`, and the
+  self-perturbation and the pass pair once more with `--interpretation
+  hat_original`;
 * `perturb --samples 0` and `--samples -3`, and the orbit document with
   every operator entry scaled by 1e-200 under every command;
 * `gen` of every kind at the benchmark sizes, with seeds 1 and 2 (the
@@ -119,9 +121,12 @@ def _write_json(path: str, doc: dict) -> str:
     return path
 
 
-def frame_invocations(path: str, work: str, vector: str, samples=None, beta=None) -> list:
-    """Every command on one frame document, as argv lists; with `beta`, the
-    pass pair runs once more with that `--beta`."""
+def frame_invocations(path: str, work: str, vector: str, samples=None,
+                      variants: bool = False) -> list:
+    """Every command on one frame document, as argv lists; with `variants`,
+    the pass pair runs once more with `--beta BETA`, and the
+    self-perturbation and the pass pair once more under the `hat_original`
+    interpretation."""
     with open(path, encoding="utf-8") as handle:
         doc = json.load(handle)
     stem = os.path.join(work, os.path.basename(path)[:-5])
@@ -136,8 +141,11 @@ def frame_invocations(path: str, work: str, vector: str, samples=None, beta=None
     out.append(["perturb", path, path, *sampling])
     for other in (passed, witness):
         out.append(["perturb", path, other, "--eta", str(ETA), *sampling])
-    if beta is not None:
-        out.append(["perturb", path, passed, "--eta", str(ETA), "--beta", str(beta), *sampling])
+    if variants:
+        out.append(["perturb", path, passed, "--eta", str(ETA), "--beta", str(BETA), *sampling])
+        hat_original = ["--interpretation", "hat_original", *sampling]
+        out.append(["perturb", path, path, *hat_original])
+        out.append(["perturb", path, passed, "--eta", str(ETA), *hat_original])
     return out
 
 
@@ -156,7 +164,7 @@ def plan(old_src: str, work: str) -> list:
     invocations = [(argv, None) for argv in PARSER_INVOCATIONS]
     for path in frames:
         invocations += [(argv, None)
-                        for argv in frame_invocations(path, work, corpus_vector, beta=BETA)]
+                        for argv in frame_invocations(path, work, corpus_vector, variants=True)]
     orbit = os.path.join(CORPUS, "unitary_orbit_m4.json")
     for samples in ("0", "-3"):
         invocations.append((["perturb", orbit, orbit, "--samples", samples], None))
