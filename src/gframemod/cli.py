@@ -186,6 +186,7 @@ def _cmd_perturb(args, seed, sha):
         "params": {"eta": params.eta, "beta": params.beta},
         "interpretation": args.interpretation,
         "samples": {"sequences": verdict.n_sequences, "vectors": verdict.n_vectors},
+        "certificate": verdict.certificate and dataclasses.asdict(verdict.certificate),
         "inequality_holds": verdict.inequality_holds,
         "witness": _witness_json(verdict.witness),
         "derived_bounds": None,

@@ -346,9 +346,6 @@ class ModuleSequence:
         """||sum_xi <f_xi, f_xi>||^(1/2), the l2 norm of the sequence."""
         return float(np.sqrt(np.linalg.norm(sequence_inner_product(self, self), 2)))
 
-    def scaled(self, scalar) -> "ModuleSequence":
-        return ModuleSequence._like(self.flats * complex(scalar), self)
-
 
 def sequence_inner_product(f: ModuleSequence, g: ModuleSequence) -> np.ndarray:
     """sum_xi <f_xi, g_xi>, the A-valued l2 inner product."""

@@ -22,8 +22,9 @@ DUAL_TOL = 1e-8  # x 1: verify_dual's ||sum Y_k^* G_k - Id||
 REPRESENT_TOL = 1e-8  # x max ||Y||, ||M||, ||f|| max ||Y|| or 1 (||T||), by check
 INVARIANCE_TOL = 1e-8  # x 1: relative span-invariance defects; support of a max-1 null combination
 SNAP_TOL = 1e-9  # x the ratio: the divergence window snaps to an integer this close
-MARGIN_TOL = 1e-10  # x sum |a_k| max(max ||Y||, max ||Yhat||): perturbation margin
-TIE_TOL = 1e-12  # x |worst margin|: perturbation witnesses this close tie
+MARGIN_TOL = 1e-10  # x sum |a_k| max(max ||Y||, max ||Yhat||), 1 for ||C|| - eta: perturbation margin
+FACTOR_TOL = 1e-12  # x max(max ||Y||, max ||Yhat||): ||V C - W|| of Yhat = Y (I - C); x 1: ||g Y_k - x||
+TIE_TOL = 1e-12  # x |worst margin|: perturbation witnesses this close tie; x max ||Y||: member norms
 BOUNDS_TOL = 1e-8  # x the derived upper bound: empirical bounds inside the derived ones
 
 

@@ -6,10 +6,17 @@ The central object is the two-family inequality
                                        + beta || sum a_xi Yhat_xi f ||
 
 quantified over all vectors f and all finite complex coefficient sequences
-a.  It is checked, never proved: the sampler runs every standard-basis
-sequence, seeded random dense sequences, targeted null combinations of
-either family, and a local ascent from the worst witness.  A pass therefore
-means "not falsified at N samples".
+a.  A factor pair, Yhat_xi = Y_xi (I - C), is decided exactly (Casazza &
+Christensen, 1997).  C = V^+ W, with V and W the stacked Y_xi and
+Y_xi - Yhat_xi, lies in R, the span of the members' row spaces, and
+lhs = ||f Z(a) C|| for Z(a) = sum a_xi Y_xi; so ||P_R C|| = ||C|| <= eta
+passes for every beta >= 0.  The top left singular row x of C attains
+||C||; when x lies in the row space of the largest member Y_k, the row
+g = x Y_k^+ and a = e_k attain it too, so ||C|| > eta fails at beta = 0.
+Any other pair is sampled, which is evidence, not proof: the sampler runs
+every standard-basis sequence, seeded random dense sequences, targeted null
+combinations of either family, and a local ascent from the worst witness.
+A sampled pass therefore means "not falsified at N samples".
 
 The worst f can always be one row g = u f (u a unit row with ||g X|| =
 ||f X||, X = sum a_xi (Y_xi - Yhat_xi)): the right side cannot grow.  So
@@ -41,7 +48,7 @@ from .exceptions import (
 )
 from .frames import GFusionFrame, frame_bounds
 from .hilbert import ModuleVector, gram_sum, null_combinations
-from .numerics import BOUNDS_TOL, MARGIN_TOL, RANK_TOL, TIE_TOL, spectral_norms
+from .numerics import BOUNDS_TOL, FACTOR_TOL, MARGIN_TOL, RANK_TOL, TIE_TOL, spectral_norms
 from .represent import independence_analysis
 
 DEFAULT_SEQ_SAMPLES = 256
@@ -88,6 +95,13 @@ class InequalityWitness:
 
 
 @dataclass(frozen=True)
+class FactorCertificate:
+    norm: float  # ||P_R C||
+    residual: float  # ||V C - W|| / max(max ||Y||, max ||Yhat||)
+    member: int  # k of the witness a = e_k
+
+
+@dataclass(frozen=True)
 class PerturbationVerdict:
     params: PerturbationParams
     inequality_holds: bool
@@ -98,10 +112,10 @@ class PerturbationVerdict:
     derived_upper: Optional[float] = None
     empirical_lower: Optional[float] = None
     empirical_upper: Optional[float] = None
-    interpretation: Optional[str] = None
     bounds_contained: Optional[bool] = None
     sample_failures: Optional[int] = None
     caveats: tuple = ()
+    certificate: Optional[FactorCertificate] = None  # None: a sampled verdict
 
 
 def _check_shapes(frame: GFusionFrame, perturbed: GFusionFrame):
@@ -198,20 +212,64 @@ def _phase_fixed(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _factor_certificate(frame, perturbed, params: PerturbationParams, size: float):
+    """(holds, certificate, witness row) when the pair has factor form and
+    that decides the inequality exactly (see the module docstring)."""
+    nd = frame.n * frame.d
+    v = frame.operators.reshape(-1, nd)
+    w = v - perturbed.operators.reshape(-1, nd)
+    c, _, r, _ = np.linalg.lstsq(v, w, rcond=RANK_TOL)  # V^+ W, inside R
+    residual = float(np.linalg.norm(v @ c - w, 2)) / max(size, 1e-300)
+    if r == 0 or not residual <= FACTOR_TOL:
+        return None
+    left, sigma, _ = np.linalg.svd(c)
+    holds = bool(sigma[0] <= params.eta + MARGIN_TOL)
+    if not (holds or params.beta == 0.0):
+        return None
+    # x, the top left singular row of C, attains ||C||; so does g = x Y_k^+
+    # when g Y_k = x, i.e. x lies in the row space of Y_k, the first member
+    # of largest norm (within TIE_TOL, so rounding cannot pick it)
+    norms = frame._operator_norms
+    k = int(np.argmax(norms >= (1.0 - TIE_TOL) * norms.max()))
+    x = left[:, 0].conj()
+    g = x @ np.linalg.pinv(frame.operators[k], rcond=RANK_TOL)
+    if not np.linalg.norm(g @ frame.operators[k] - x) <= FACTOR_TOL:
+        return None
+    return holds, FactorCertificate(float(sigma[0]), residual, k), g / np.linalg.norm(g)
+
+
+def _witness(frame, perturbed, params, alpha, row, r: int = 0) -> InequalityWitness:
+    """The witness of sequence `alpha` and unit row `row` (in row r), phase-fixed."""
+    alpha, row = _phase_fixed(alpha), _phase_fixed(row)
+    lhs, rhs = _batch_margins(alpha[None], row @ frame.operators[:, None],
+                              row @ perturbed.operators[:, None], params)
+    block = np.zeros((frame.d, frame.n * frame.d), dtype=np.complex128)
+    block[r] = row
+    return InequalityWitness(alpha, ModuleVector(block, frame.n, frame.d),
+                             float(lhs[0]), float(rhs[0]))
+
+
 def check_perturbation_inequality(frame: GFusionFrame, perturbed: GFusionFrame,
                                   params: PerturbationParams,
                                   seq_samples: int = DEFAULT_SEQ_SAMPLES,
                                   vec_samples: int = vector_samples(DEFAULT_SEQ_SAMPLES),
                                   seed: int = 0) -> PerturbationVerdict:
-    """Sample the two-family inequality and report the worst-margin witness.
+    """Decide the two-family inequality and report a witness.
 
-    `inequality_holds` is True when no (sequence, row) pair, over the d rows
-    of each drawn vector, has a normalised margin (lhs - rhs over
-    sum |a_xi| max(max ||Y||, max ||Yhat||)) above MARGIN_TOL, including after
-    the local ascent refinement of the worst witness.
+    A pair that the factor certificate settles gets an exact verdict and no
+    samples.  Otherwise `inequality_holds` is True when no sampled
+    (sequence, row) pair, over the d rows of each drawn vector, has a
+    normalised margin above MARGIN_TOL, also after the local ascent from
+    the worst witness.
     """
     _check_shapes(frame, perturbed)
     size = max(frame.max_operator_norm(), perturbed.max_operator_norm())
+    certified = _factor_certificate(frame, perturbed, params, size)
+    if certified is not None:
+        holds, certificate, row = certified
+        alpha = np.eye(len(frame), dtype=np.complex128)[certificate.member]
+        return PerturbationVerdict(params, holds, _witness(frame, perturbed, params, alpha, row),
+                                   n_sequences=0, n_vectors=0, certificate=certificate)
     rng = np.random.default_rng(seed)
     alphas = _candidate_sequences(frame, perturbed, seq_samples, rng)
     n_vectors = max(1, vec_samples)
@@ -235,13 +293,7 @@ def check_perturbation_inequality(frame: GFusionFrame, perturbed: GFusionFrame,
             batch, terms[:, v, r:r + 1], terms_hat[:, v, r:r + 1], params, size))
         if refined > margin:
             alpha, margin = ascended, refined
-    alpha, row = _phase_fixed(alpha), _phase_fixed(row)
-    lhs, rhs = _batch_margins(alpha[None], row @ frame.operators[:, None],
-                              row @ perturbed.operators[:, None], params)
-    block = np.zeros_like(rows[v])
-    block[r] = row
-    witness = InequalityWitness(alpha, ModuleVector(block, frame.n, frame.d),
-                                float(lhs[0]), float(rhs[0]))
+    witness = _witness(frame, perturbed, params, alpha, row, r)
     holds = margin <= MARGIN_TOL
     return PerturbationVerdict(
         params=params, inequality_holds=holds, witness=witness,
@@ -316,7 +368,7 @@ def verify_perturbed_frame(frame: GFusionFrame, perturbed: GFusionFrame,
         caveats.append(HAT_ORIGINAL_CAVEAT)
     return replace(  # the verified check's witness and sample counts
         inequality, derived_lower=d_lo, derived_upper=d_hi,
-        empirical_lower=e_lo, empirical_upper=e_hi, interpretation=interpretation,
+        empirical_lower=e_lo, empirical_upper=e_hi,
         bounds_contained=contained, sample_failures=failures, caveats=tuple(caveats),
     )
 

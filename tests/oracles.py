@@ -175,7 +175,7 @@ def reference_kernel_check(frame, samples: int, seed: int, tol: float = 1e-8):
         terms = [ModuleVector(y[:, offsets[xi]:offsets[xi + 1]] @ rows, frame.n, frame.d)
                  for xi, rows in enumerate(basis_list)]
         seq = ModuleSequence(terms, frame.index_convention, frame.submodules())
-        seq = seq.scaled(1.0 / seq.norm())
+        seq = ModuleSequence._like(seq.flats / seq.norm(), seq)
         try:
             shifted = right_shift(seq)
         except MembershipViolation:

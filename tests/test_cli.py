@@ -1,6 +1,8 @@
 import argparse
 import hashlib
+import importlib.util
 import json
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -234,6 +236,85 @@ def test_perturb_scaled_fails_at_low_eta(tmp_path):
     witness = report["results"]["witness"]
     assert witness["margin"] > 0
     assert witness["lhs"] > witness["rhs"]
+
+
+def test_perturb_reports_the_factor_certificate(tmp_path):
+    orbit = CORPUS / "unitary_orbit_m4.json"
+    scaled = _scaled_copy(orbit, 1.2, tmp_path, "scaled.json")
+    code, report = run_report(["perturb", orbit, scaled, "--eta", 0.1], tmp_path)
+    assert code == 3 and report["caveats"] == []
+    results = report["results"]
+    assert results["samples"] == {"sequences": 0, "vectors": 0}
+    certificate = results["certificate"]
+    assert certificate["member"] == 0 and certificate["residual"] <= 1e-12
+    assert certificate["norm"] == pytest.approx(0.2, rel=1e-12)
+    assert results["witness"]["lhs"] / results["witness"]["rhs"] == pytest.approx(2.0, rel=1e-12)
+    # two generator seeds make a pair of no factor form: sampled
+    docs = [tmp_path / f"orbit-{seed}.json" for seed in (1, 2)]
+    for seed, doc in enumerate(docs, start=1):
+        assert run(["gen", "--kind", "unitary-orbit", "--n", 2, "--d", 2, "--m", 4,
+                    "--seed", seed, doc]) == 0
+    code, report = run_report(["perturb", *docs, "--eta", 0.1, "--samples", 16], tmp_path)
+    assert code == 3
+    assert report["results"]["certificate"] is None
+    assert report["results"]["samples"]["vectors"] == 8
+
+
+def _write_frame(frame, tmp_path, name):
+    path = tmp_path / name
+    write_atomic(path, dumps_canonical(frame_to_document(frame)))
+    return path
+
+
+# two_projections has Y_0 = diag(1, 0) and Y_1 = diag(0, 1): the top singular
+# row x of C lies outside the row space of the member the certificate would
+# carry it to, so g = x Y_k^+ = 0 and the sampler decides, as it did before
+# the certificate
+def test_perturb_samples_when_the_member_misses_the_top_row(tmp_path):
+    frame = load_frame(CORPUS / "two_projections.json")
+    # the members swapped, against itself: C = 0, x = e_0, Y_0 = diag(0, 1)
+    swapped = _write_frame(GFusionFrame(frame.elements[::-1]), tmp_path, "swapped.json")
+    code, report = run_report(["perturb", swapped, swapped, "--eta", 0.1], tmp_path)
+    assert code == 0 and report["results"]["inequality_holds"] is True
+    assert report["results"]["certificate"] is None
+    assert report["caveats"][0].startswith("inequality not falsified")
+    # Y_1 halved: C = diag(0, 0.5), x = e_1, Y_0 = diag(1, 0)
+    halves = frame.operators * np.array([1.0, 0.5])[:, None, None]
+    halved = _write_frame(frame._with_operators(halves), tmp_path, "halved.json")
+    code, report = run_report(["perturb", CORPUS / "two_projections.json", halved,
+                               "--eta", 0.6], tmp_path)
+    assert code == 0 and report["results"]["inequality_holds"] is True
+    assert report["results"]["certificate"] is None
+    assert report["results"]["samples"]["sequences"] > 0
+
+
+def _load_workloads():
+    """perfbench/workloads.py, loaded by path (it imports only the standard
+    library at load time)."""
+    path = CORPUS.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_perturbation_pairs_are_certified(tmp_path):
+    workloads = _load_workloads()
+    for w in workloads.WORKLOADS.values():
+        workdir = tmp_path / w.name
+        workloads.write_documents(main, w, 1, str(workdir))
+        for inv in workloads.cycle(w, 1, str(workdir)):
+            if inv.command != "perturb":
+                continue
+            outputs = []
+            for _ in range(2):
+                assert main(list(inv.argv)) == (0 if inv.variant == "pass" else 3), inv.key
+                outputs.append(Path(inv.output).read_bytes())
+            assert outputs[0] == outputs[1], inv.key
+            results = json.loads(outputs[0])["results"]
+            assert results["certificate"] is not None, (w.name, inv.key)
+            assert results["samples"] == {"sequences": 0, "vectors": 0}
 
 
 def test_perturb_rejects_bad_params():

@@ -20,6 +20,7 @@ from gframemod.families import (
     KINDS,
     dilation_frame,
     random_family_frame,
+    random_frame,
     random_unitary,
     unitary_orbit_frame,
 )
@@ -32,7 +33,7 @@ from gframemod.frames import (
     synthesis,
 )
 from gframemod.hilbert import ModuleOperator, ModuleVector, Submodule, null_combinations, right_shift
-from gframemod.numerics import rank
+from gframemod.numerics import FACTOR_TOL, rank
 from gframemod.perturb import PerturbationParams, check_perturbation_inequality
 from gframemod.represent import (
     kernel_invariance,
@@ -146,6 +147,31 @@ def test_perturbation_verdict_does_not_depend_on_the_scale():
                                               params).inequality_holds
                 for c in (1e-12, 1e-9, 1.0, 1e6)}
     assert verdicts == {False}
+
+
+@pytest.mark.parametrize("kind", ["unitary-orbit", "random"])
+def test_factor_certificate_does_not_depend_on_the_scale(kind):
+    # a pass pair Y (I + E), ||E|| = eta / 2, and a witness pair (1 + 2 eta) Y
+    base = unitary_orbit_frame(2, 2, 4, seed=1) if kind == "unitary-orbit" \
+        else random_frame(4, 4, 64, seed=1)
+    nd = base.n * base.d
+    rng = np.random.default_rng(3)
+    e = rng.standard_normal((nd, nd)) + 1j * rng.standard_normal((nd, nd))
+    right = np.eye(nd) + 0.05 * e / np.linalg.norm(e, 2)
+    full = np.broadcast_to(np.eye(nd, dtype=np.complex128), base.operators.shape)
+    params = PerturbationParams(0.1, 0.0)
+    for hat, holds in ((base.operators @ right, True), (1.2 * base.operators, False)):
+        verdicts = [check_perturbation_inequality(
+            base.scaled(c), GFusionFrame.from_stacks(full.copy(), c * hat, base.n, base.d), params)
+            for c in SCALES]
+        unit = verdicts[SCALES.index(1.0)]
+        for verdict in verdicts:
+            assert verdict.inequality_holds == holds
+            assert verdict.certificate.residual <= FACTOR_TOL
+            assert verdict.certificate.member == unit.certificate.member
+            assert verdict.certificate.norm == pytest.approx(unit.certificate.norm, rel=1e-12)
+            ratio = verdict.witness.lhs / verdict.witness.rhs
+            assert ratio == pytest.approx(unit.witness.lhs / unit.witness.rhs, rel=1e-12)
 
 
 def test_kernel_invariance_does_not_depend_on_the_scale():

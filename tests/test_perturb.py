@@ -21,8 +21,10 @@ from gframemod.families import (
 )
 from gframemod.frames import FrameBounds, GFusionFrame, frame_bounds
 from gframemod.hilbert import ModuleOperator, ModuleVector, Submodule
+from gframemod.numerics import FACTOR_TOL
 from gframemod.perturb import (
     HAT_ORIGINAL,
+    SAMPLING_CAVEAT,
     PerturbationParams,
     check_perturbation_inequality,
     derived_bounds,
@@ -120,6 +122,22 @@ def test_batch_margins_match_the_reference_kernel(kind, n, d, m):
         assert np.all(np.abs(rhs - ref_rhs) <= 1e-12 * scale), (kind, beta)
 
 
+def _on_full_submodules(operators, n: int, d: int) -> GFusionFrame:
+    """A family of `operators` on full submodules: the inequality reads only
+    the operators, and Y (I + E) leaves a proper submodule of Y's."""
+    eye = np.broadcast_to(np.eye(n * d, dtype=np.complex128), operators.shape)
+    return GFusionFrame.from_stacks(eye.copy(), operators, n, d)
+
+
+def _two_seed_pair(kind, n, d, m, factor):
+    """The seed-1 family Y against factor Y + 1e-11 Y', Y' the seed-2 family
+    of the same kind.  The Y' term is ten times FACTOR_TOL, so the pair has
+    no factor form and only the sampler decides it, and a tenth of
+    MARGIN_TOL, so its verdict is that of the scaled pair factor Y."""
+    frame, other = generate(kind, n, d, m, seed=1), generate(kind, n, d, m, seed=2)
+    return frame, _on_full_submodules(factor * frame.operators + 1e-11 * other.operators, n, d)
+
+
 def _sampled(monkeypatch, frame, perturbed, params, samples, batch):
     """The verdict at `_BATCH` = batch and the CLI's vector count for
     `samples`, and the normalised margins of its sampling pass, one array
@@ -143,7 +161,7 @@ def _sampled(monkeypatch, frame, perturbed, params, samples, batch):
 
 
 # every kind at the benchmark's small, wide and dense sizes and sample
-# counts, on a pass pair and a witness pair
+# counts, on a scaled pair moved off factor form by a second generator seed
 @pytest.mark.parametrize("kind,n,d,m,samples", [
     (kind, n, d, m, samples)
     for n, d, m, samples in [(2, 2, 4, 128), (4, 4, 64, 64), (16, 4, 4, 128)] for kind in KINDS
@@ -151,10 +169,11 @@ def _sampled(monkeypatch, frame, perturbed, params, samples, batch):
 ])
 @pytest.mark.parametrize("factor", [1.05, 1.2])
 def test_vector_batches_match_the_per_vector_loop(monkeypatch, kind, n, d, m, samples, factor):
-    frame = generate(kind, n, d, m, seed=1)
-    perturbed, params = frame.scaled(factor), PerturbationParams(0.1, 0.0)
+    frame, perturbed = _two_seed_pair(kind, n, d, m, factor)
+    params = PerturbationParams(0.1, 0.0)
     batched, batches = _sampled(monkeypatch, frame, perturbed, params, samples, perturb._BATCH)
     looped, singles = _sampled(monkeypatch, frame, perturbed, params, samples, 1)
+    assert batched.certificate is None
     vectors = batched.n_vectors
     step = max(1, perturb._BATCH // (batched.n_sequences * d * n * d))
     assert [len(b) for b in batches] == [min(step, vectors - v) for v in range(0, vectors, step)]
@@ -201,18 +220,21 @@ def _reference_batch_margins(alphas, terms, terms_hat, params):
     return oracles.reference_margins(alphas, terms, terms_hat, params.eta, params.beta)
 
 
-# a dilation base against a scaled copy: in exact arithmetic every unit row
-# gives the same margin for a sequence, so only the tie rule picks the witness
+# a dilation base against the next seed's dilation: both are multiples of
+# Id member by member, so in exact arithmetic every unit row gives the same
+# margin for a sequence, and only the tie rule picks the witness; the two
+# contractions differ, so the pair has no factor form and is sampled
 @pytest.mark.parametrize("n,d,m,seed", [(2, 2, 4, 1), (2, 2, 4, 2), (4, 4, 64, 1), (4, 4, 64, 2)])
 @pytest.mark.parametrize("beta", [0.0, 0.05])
 def test_witness_does_not_depend_on_the_margin_kernel(monkeypatch, n, d, m, seed, beta):
     frame = generate("dilation", n, d, m, seed=seed)
+    other = generate("dilation", n, d, m, seed=seed + 1)
     params = PerturbationParams(0.1, beta)
 
     def witness():
-        verdict = check_perturbation_inequality(frame, frame.scaled(1.2), params,
+        verdict = check_perturbation_inequality(frame, other, params,
                                                 seq_samples=64, vec_samples=16, seed=0)
-        assert not verdict.inequality_holds
+        assert not verdict.inequality_holds and verdict.certificate is None
         return verdict.witness
 
     batched = witness()
@@ -227,6 +249,123 @@ def test_witness_does_not_depend_on_the_margin_kernel(monkeypatch, n, d, m, seed
     for z in (batched.coefficients, batched.vector.flat.reshape(-1)):
         top = z[np.argmax(np.abs(z))]
         assert top.imag == 0.0 and top.real > 0.0
+
+
+def _projection_onto_rows(frame) -> np.ndarray:
+    """P_R, the orthogonal projection onto the span of the members' row
+    spaces, from numpy's pinv of the stacked operators."""
+    stacked = frame.operators.reshape(-1, frame.n * frame.d)
+    return np.linalg.pinv(stacked) @ stacked
+
+
+def _certified_and_sampled(monkeypatch, frame, perturbed, params):
+    """The verdict, and the sampler's verdict on the same pair."""
+    kwargs = dict(seq_samples=64, vec_samples=16, seed=1)
+    exact = check_perturbation_inequality(frame, perturbed, params, **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr(perturb, "_factor_certificate", lambda *args: None)
+        sampled = check_perturbation_inequality(frame, perturbed, params, **kwargs)
+    return exact, sampled
+
+
+# every kind at the benchmark's sizes, on the benchmark's pairs: Y (I + E)
+# with ||E|| = eta / 2 passes, (1 + 2 eta) Y fails
+@pytest.mark.parametrize("kind,n,d,m", [
+    (kind, n, d, m) for n, d, m in [(2, 2, 4), (4, 4, 64), (16, 4, 4)] for kind in KINDS
+    if kind != "fusion" or m <= n * d
+])
+def test_certificate_agrees_with_the_sampler(monkeypatch, kind, n, d, m):
+    frame = generate(kind, n, d, m, seed=1)
+    nd = n * d
+    e = _complex(np.random.default_rng(5), nd, nd)
+    e *= 0.05 / np.linalg.norm(e, 2)
+    projection = _projection_onto_rows(frame)
+    norms = np.linalg.norm(frame.operators, 2, axis=(1, 2))
+    largest = int(np.flatnonzero(norms >= (1.0 - 1e-9) * norms.max())[0])
+    spans = (np.linalg.matrix_rank(frame.operators[largest])
+             == np.linalg.matrix_rank(frame.operators.reshape(-1, nd)))
+    params = PerturbationParams(0.1, 0.0)
+    pairs = ((_on_full_submodules(frame.operators @ (np.eye(nd) + e), n, d), True,
+              np.linalg.norm(projection @ e, 2)),
+             (frame.scaled(1.2), False, 0.2))
+    for perturbed, holds, norm in pairs:
+        exact, sampled = _certified_and_sampled(monkeypatch, frame, perturbed, params)
+        assert exact.inequality_holds == sampled.inequality_holds == holds
+        assert sampled.certificate is None and sampled.n_sequences > 0
+        # the certificate decides whenever the largest member spans R, else
+        # only when the top singular row of C lies in its row space
+        if exact.certificate is None:
+            assert not spans and exact.n_sequences > 0
+            assert exact.caveats == ((SAMPLING_CAVEAT,) if holds else ())
+            continue
+        assert exact.certificate.norm == pytest.approx(norm, rel=1e-12)
+        assert exact.certificate.residual <= FACTOR_TOL
+        assert exact.certificate.member == largest
+        assert (exact.n_sequences, exact.n_vectors, exact.caveats) == (0, 0, ())
+        lhs, rhs = oracles.inequality_sides(frame, perturbed, 0.1, 0.0,
+                                            exact.witness.coefficients, exact.witness.vector)
+        assert (lhs <= rhs) == holds
+        assert (exact.witness.lhs, exact.witness.rhs) == pytest.approx((lhs, rhs), rel=1e-12)
+
+
+def _low_rank_family(seed: int) -> GFusionFrame:
+    """Four members on full submodules of A^2 over M_2 whose rows all lie in
+    one 2-dimensional subspace R, each of them spanning it."""
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(_complex(rng, 4, 2))[0].conj().T  # orthonormal rows of R
+    operators = _complex(rng, 4, 4, 2) @ basis
+    return _on_full_submodules(operators, 2, 2)
+
+
+# families whose largest member spans R (the seed-3 random family's
+# largest member is invertible), so that every fail here is exact
+@pytest.mark.parametrize("kind,n,d,m", [
+    ("dilation", 2, 2, 4), ("unitary-orbit", 2, 2, 4), ("random", 2, 2, 4),
+    ("dilation", 4, 4, 64), ("unitary-orbit", 4, 4, 64), ("low-rank", 2, 2, 4),
+])
+def test_certificate_witness_attains_the_norm(kind, n, d, m):
+    frame = _low_rank_family(3) if kind == "low-rank" else generate(kind, n, d, m, seed=3)
+    nd = n * d
+    c = _complex(np.random.default_rng(8), nd, nd)
+    c *= 0.3 / np.linalg.norm(c, 2)
+    perturbed = _on_full_submodules(frame.operators @ (np.eye(nd) - c), n, d)
+    verdict = check_perturbation_inequality(frame, perturbed, PerturbationParams(0.1, 0.0))
+    norm = np.linalg.norm(_projection_onto_rows(frame) @ c, 2)
+    if kind == "low-rank":
+        assert norm < 0.3 * (1.0 - 1e-3)  # P_R matters
+    assert not verdict.inequality_holds
+    assert verdict.certificate.norm == pytest.approx(norm, rel=1e-12)
+    witness = verdict.witness
+    assert witness.lhs / witness.rhs == pytest.approx(norm / 0.1, rel=1e-12)
+    k = verdict.certificate.member
+    assert witness.coefficients.tobytes() == np.eye(m, dtype=np.complex128)[k].tobytes()
+    assert np.count_nonzero(np.abs(witness.vector.flat).sum(axis=1)) == 1
+    row = witness.vector.flat[0]
+    top = row[np.argmax(np.abs(row))]
+    assert top.imag == 0.0 and top.real > 0.0
+
+
+def test_pairs_the_certificate_cannot_settle_are_sampled():
+    params = PerturbationParams(0.1, 0.0)
+    # no member of a fusion frame spans R: its witness pair is sampled and fails
+    fusion = generate("fusion", 2, 2, 4, seed=1)
+    verdict = check_perturbation_inequality(fusion, fusion.scaled(1.2), params,
+                                            seq_samples=64, vec_samples=16)
+    assert verdict.certificate is None and verdict.n_sequences > 0
+    assert not verdict.inequality_holds and verdict.witness.margin > 0
+    assert verdict.witness.lhs / verdict.witness.rhs == pytest.approx(2.0, rel=1e-12)
+    # ||C|| = 0.2 > eta, but beta = 0.1 lifts the right side to 0.22 ||f Z||:
+    # beyond the certificate, the sampler passes it under its caveat
+    orbit = unitary_orbit_frame(2, 2, 4, seed=1)
+    verdict = check_perturbation_inequality(orbit, orbit.scaled(1.2), PerturbationParams(0.1, 0.1),
+                                            seq_samples=64, vec_samples=16)
+    assert verdict.certificate is None and verdict.n_sequences > 0
+    assert verdict.inequality_holds and verdict.caveats == (SAMPLING_CAVEAT,)
+    # at beta = 0 the same pair is an exact fail, and ||C|| <= eta passes
+    # exactly at any beta
+    assert check_perturbation_inequality(orbit, orbit.scaled(1.2), params).certificate.member == 0
+    passing = check_perturbation_inequality(orbit, orbit.scaled(1.05), PerturbationParams(0.1, 0.1))
+    assert passing.inequality_holds and passing.certificate is not None and passing.caveats == ()
 
 
 def _per_sample_failures(frame, perturbed, lower, upper, vec_samples, seed):

@@ -27,6 +27,9 @@ Invocations:
   written documents are compared), and every command above on each
   document that the old tree wrote, with a unit vector of its shape for the
   certificate;
+* `perturb` of the seed-1 document against the seed-2 document of every
+  kind and size: a pair of no factor form, so that the sampled path stays
+  in the sweep when the factor certificate decides the scaled pairs;
 * the parser's help, usage and error output (`PARSER_INVOCATIONS`, at
   `COLUMNS=80`): no arguments, `-h` and every `<command> -h`, an unknown
   command, an abbreviated one, a flag before the command, an unknown flag,
@@ -174,14 +177,19 @@ def plan(old_src: str, work: str) -> list:
     for n, d, m in SIZES:
         vector = _write_json(os.path.join(work, f"vector_n{n}_d{d}.json"), _unit_vector(n, d))
         for kind in KINDS:
+            written = []
             for seed in SEEDS:
                 doc = os.path.join(work, f"gen_{kind}_n{n}_d{d}_m{m}_s{seed}.json")
                 gen = ["gen", "--kind", kind, "--n", str(n), "--d", str(d), "--m", str(m),
                        "--seed", str(seed)]
                 invocations.append(([*gen, doc + ".compared"], doc + ".compared"))
                 if run(old_src, [*gen, doc], doc)[0] == 0:
+                    written.append(doc)
                     invocations += [(argv, None)
                                     for argv in frame_invocations(doc, work, vector, samples=64)]
+            if len(written) == len(SEEDS):
+                invocations.append((["perturb", *written, "--eta", str(ETA), "--samples", "64"],
+                                    None))
     return invocations
 
 
