@@ -150,11 +150,11 @@ def _candidate_sequences(frame, perturbed, seq_samples: int, rng) -> np.ndarray:
     m = len(frame)
     eye = np.eye(m, dtype=np.complex128)
     rows = [eye]  # every standard-basis sequence
-    # up to 8 unit null combinations of either family and of their
-    # difference; an all-zero family contributes only e_0
+    # of either family and their difference, the 8 unit null combinations whose
+    # support ends last and the 8 ending first, each once; an all-zero family: e_0
     for mats in (frame.operators, perturbed.operators, frame.operators - perturbed.operators):
         rank, null = null_combinations(mats)
-        rows.append(null[:8] if rank else eye[:1])
+        rows.append(np.vstack((null[:8], null[8:][-8:])) if rank else eye[:1])
     extra = max(0, seq_samples - m)
     if extra:
         dense = rng.standard_normal((extra, m)) + 1j * rng.standard_normal((extra, m))

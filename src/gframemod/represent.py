@@ -36,7 +36,6 @@ from .hilbert import (
     ModuleVector,
     Submodule,
     _check_convention,
-    contained,
     gram_sum,
     null_combinations,
 )
@@ -48,11 +47,13 @@ from .numerics import (
     RANK_TOL,
     REPRESENT_TOL,
     SNAP_TOL,
+    norms_within,
     rank,
     spectral_norms,
 )
 
 KERNEL_SAMPLES = 100  # seeded synthesis-kernel elements the invariance check draws
+KERNEL_CHUNK_BYTES = 1 << 20  # kernel coordinates drawn at a time, bounding the check's memory
 LINEAR_CAVEAT = (
     "linear index window: the shift constraint stops at the window edge, so "
     "conclusions stated for two-sided families hold only up to boundary terms"
@@ -173,25 +174,21 @@ def _kernel_row_basis(frame: GFusionFrame):
     return basis_list, m_syn, u[:, :rank(s, INVERT_TOL)], float(s[0]) if s.size else 0.0
 
 
-def _kernel_terms(frame: GFusionFrame, kernel_basis, count: int, seed: int):
-    """Seeded random unit-norm elements of N(U) as one array of flattened
-    terms, shape (count, m, d, n*d); None when the kernel is trivial."""
-    basis_list, _, q, _ = kernel_basis
-    sizes = [rows.shape[0] for rows in basis_list]
-    total = sum(sizes)
-    if total == q.shape[1]:
-        return None
+def _kernel_draws(frame: GFusionFrame, q, count: int, seed: int):
+    """Seeded random unit-norm kernel rows, `count` in all, as consecutive
+    (c, d, sum rank N_xi) chunks of one seeded stream, c set by
+    KERNEL_CHUNK_BYTES; q is the range basis from `_kernel_row_basis`."""
+    total = q.shape[0]
     rng = np.random.default_rng(seed)
-    y = rng.standard_normal((count, frame.d, total, 2)).view(np.complex128)[..., 0]
-    y -= (y @ q) @ q.conj().T
-    # the basis rows are orthonormal, so the sequence norm is ||y||_2
-    norms = spectral_norms(y)
-    y /= np.where(norms > 0.0, norms, 1.0)[:, None, None]
-    terms = np.empty((count, len(basis_list), frame.d, frame.n * frame.d), dtype=np.complex128)
-    offsets = np.cumsum([0] + sizes)
-    for xi, rows in enumerate(basis_list):
-        terms[:, xi] = y[..., offsets[xi]:offsets[xi + 1]] @ rows
-    return terms
+    chunk = max(1, KERNEL_CHUNK_BYTES // (16 * frame.d * total))
+    for start in range(0, count, chunk):
+        y = rng.standard_normal((min(chunk, count - start), frame.d, total, 2))
+        y = y.view(np.complex128)[..., 0]
+        rows = y.reshape(-1, total)
+        rows -= (rows @ q) @ q.conj().T
+        # the basis rows are orthonormal, so the sequence norm is ||y||_2
+        y /= np.maximum(spectral_norms(y), 1e-300)[:, None, None]
+        yield y
 
 
 def sample_synthesis_kernel(frame: GFusionFrame, count: int, seed: int = 0):
@@ -200,8 +197,15 @@ def sample_synthesis_kernel(frame: GFusionFrame, count: int, seed: int = 0):
     Returns fewer than `count` sequences only when the kernel is trivial
     (then it returns an empty list).
     """
-    terms = _kernel_terms(frame, _kernel_row_basis(frame), count, seed)
-    return [] if terms is None else [ModuleSequence._like(sample, frame) for sample in terms]
+    basis_list, _, q, _ = _kernel_row_basis(frame)
+    if count == 0 or q.shape[0] == q.shape[1]:
+        return []
+    y = np.concatenate(list(_kernel_draws(frame, q, count, seed)))
+    terms = np.empty((count, len(frame), frame.d, frame.n * frame.d), dtype=np.complex128)
+    offsets = np.cumsum([0] + [rows.shape[0] for rows in basis_list])
+    for xi, rows in enumerate(basis_list):
+        terms[:, xi] = y[..., offsets[xi]:offsets[xi + 1]] @ rows
+    return [ModuleSequence._like(sample, frame) for sample in terms]
 
 
 def kernel_invariance(frame: GFusionFrame, convention: str, seed: int = 0):
@@ -212,24 +216,30 @@ def kernel_invariance(frame: GFusionFrame, convention: str, seed: int = 0):
     sample over ||M||, and the check passes at or below REPRESENT_TOL; the
     defect is inf, and the check fails, when a shifted term leaves its new
     submodule by more than MEMBERSHIP_TOL times the sample's unit norm.
+
+    No sample's terms are formed: term xi moves to slot t = xi - 1, so the
+    images of row coordinates y are y M' (block xi of M' is B_xi Y_t^H) and
+    its leaks y_xi B_xi (I - P_t); the linear shift drops term 0.
     """
-    kernel_basis = _kernel_row_basis(frame)
-    terms = _kernel_terms(frame, kernel_basis, KERNEL_SAMPLES, seed)
-    if terms is None:
+    basis_list, _, q, top = _kernel_row_basis(frame)
+    if q.shape[0] == q.shape[1]:
         return 0, 0.0, True, ["synthesis kernel is trivial; the invariance check is vacuous"]
-    # the right shift moves term xi+1 into slot xi, so term j is tested
-    # against N_{j-1} and synthesized by Y_{j-1}; the linear shift drops
-    # term 0 and pads with a zero term, which contributes nothing
-    m = len(frame)
-    if _check_convention(convention) == "cyclic":
-        moved, targets = terms, np.roll(np.arange(m), 1)
-    else:
-        moved, targets = terms[:, 1:], np.arange(m - 1)
-    if not contained(moved, frame.projections[targets], MEMBERSHIP_TOL).all():
-        return (KERNEL_SAMPLES, math.inf, False,
-                ["a shifted kernel element leaves the submodule family"])
-    images = np.tensordot(moved, frame.operators[targets].conj(), axes=([1, 3], [0, 2]))
-    defect = float(spectral_norms(images).max()) / max(kernel_basis[3], 1e-300)
+    offsets = np.cumsum([0] + [rows.shape[0] for rows in basis_list])
+    shifted = np.zeros((q.shape[0], frame.n * frame.d), dtype=np.complex128)
+    leaks = []  # (slot, K_xi) wherever K_xi is nonzero; none on full submodules
+    for xi in range(0 if _check_convention(convention) == "cyclic" else 1, len(frame)):
+        rows, slot = basis_list[xi], slice(offsets[xi], offsets[xi + 1])
+        shifted[slot] = rows @ frame.operators[xi - 1].conj().T
+        if (leak := rows - rows @ frame.projections[xi - 1]).any():
+            leaks.append((slot, leak))
+    defect = 0.0
+    for y in _kernel_draws(frame, q, KERNEL_SAMPLES, seed):
+        if not all(norms_within(y[..., slot] @ leak, MEMBERSHIP_TOL).all() for slot, leak in leaks):
+            return (KERNEL_SAMPLES, math.inf, False,
+                    ["a shifted kernel element leaves the submodule family"])
+        images = (y.reshape(-1, q.shape[0]) @ shifted).reshape(len(y), frame.d, -1)
+        defect = max(defect, float(spectral_norms(images).max()))
+    defect /= max(top, 1e-300)
     return KERNEL_SAMPLES, defect, defect <= REPRESENT_TOL, []
 
 

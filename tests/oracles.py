@@ -184,6 +184,51 @@ def reference_kernel_check(frame, samples: int, seed: int, tol: float = 1e-8):
     return samples, defect, defect <= tol
 
 
+def term_stack_kernel_check(frame, convention: str, seed: int, samples: int = 100):
+    """The term-stack kernel-invariance check the library used to run, kept
+    as the reference for its row-coordinate version: every sample's terms
+    as one (samples, m, d, n*d) stack, shifted, tested for membership with
+    `contained` and synthesized with one tensordot.
+
+    Returns (drawn, defect, ok) like `represent.kernel_invariance`.
+    """
+    import math
+
+    from gframemod.hilbert import _check_convention, contained
+    from gframemod.numerics import MEMBERSHIP_TOL, REPRESENT_TOL, spectral_norms
+    from gframemod.represent import _kernel_row_basis
+
+    kernel_basis = _kernel_row_basis(frame)
+    basis_list, _, q, _ = kernel_basis
+    sizes = [rows.shape[0] for rows in basis_list]
+    total = sum(sizes)
+    if total == q.shape[1]:
+        return 0, 0.0, True
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((samples, frame.d, total, 2)).view(np.complex128)[..., 0]
+    y -= (y @ q) @ q.conj().T
+    # the basis rows are orthonormal, so the sequence norm is ||y||_2
+    norms = spectral_norms(y)
+    y /= np.where(norms > 0.0, norms, 1.0)[:, None, None]
+    terms = np.empty((samples, len(basis_list), frame.d, frame.n * frame.d), dtype=np.complex128)
+    offsets = np.cumsum([0] + sizes)
+    for xi, rows in enumerate(basis_list):
+        terms[:, xi] = y[..., offsets[xi]:offsets[xi + 1]] @ rows
+    # the right shift moves term xi+1 into slot xi, so term j is tested
+    # against N_{j-1} and synthesized by Y_{j-1}; the linear shift drops
+    # term 0 and pads with a zero term, which contributes nothing
+    m = len(frame)
+    if _check_convention(convention) == "cyclic":
+        moved, targets = terms, np.roll(np.arange(m), 1)
+    else:
+        moved, targets = terms[:, 1:], np.arange(m - 1)
+    if not contained(moved, frame.projections[targets], MEMBERSHIP_TOL).all():
+        return samples, math.inf, False
+    images = np.tensordot(moved, frame.operators[targets].conj(), axes=([1, 3], [0, 2]))
+    defect = float(spectral_norms(images).max()) / max(kernel_basis[3], 1e-300)
+    return samples, defect, defect <= REPRESENT_TOL
+
+
 def reference_margins(alphas, terms, terms_hat, eta: float, beta: float):
     """lhs and rhs of the perturbation inequality for coefficient rows
     against applied terms of shape (m, ..., r, n*d): einsum combinations,

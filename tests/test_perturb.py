@@ -20,7 +20,7 @@ from gframemod.families import (
     unitary_orbit_frame,
 )
 from gframemod.frames import FrameBounds, GFusionFrame, frame_bounds
-from gframemod.hilbert import ModuleOperator, ModuleVector, Submodule
+from gframemod.hilbert import ModuleOperator, ModuleVector, Submodule, null_combinations
 from gframemod.numerics import FACTOR_TOL
 from gframemod.perturb import (
     HAT_ORIGINAL,
@@ -366,6 +366,41 @@ def test_pairs_the_certificate_cannot_settle_are_sampled():
     assert check_perturbation_inequality(orbit, orbit.scaled(1.2), params).certificate.member == 0
     passing = check_perturbation_inequality(orbit, orbit.scaled(1.05), PerturbationParams(0.1, 0.1))
     assert passing.inequality_holds and passing.certificate is not None and passing.caveats == ()
+
+
+def test_sampler_tries_the_smallest_support_null_combinations():
+    """The dilation's members c_k Id decay to about 1e-16, so the null
+    combinations whose support ends furthest out give margins near 0; the
+    first dependency a = (c_1, -c_0, 0, ...) has rhs 0 against a nonzero
+    lhs.  Against 1.05 Y + 0.01 Y' (no factor form) only the sampler
+    decides, and it must try that combination to fail the pair."""
+    frame, other = generate("dilation", 4, 4, 64, seed=1), generate("dilation", 4, 4, 64, seed=2)
+    perturbed = _on_full_submodules(1.05 * frame.operators + 0.01 * other.operators, 4, 4)
+    verdict = check_perturbation_inequality(frame, perturbed, PerturbationParams(0.1, 0.0),
+                                            seq_samples=64, vec_samples=16)
+    assert verdict.certificate is None
+    assert not verdict.inequality_holds
+    witness = verdict.witness
+    assert witness.lhs > 1e-4 and witness.rhs < 1e-15
+    lhs, rhs = oracles.inequality_sides(frame, perturbed, 0.1, 0.0,
+                                        witness.coefficients, witness.vector)
+    assert witness.lhs == pytest.approx(lhs, rel=1e-9) and witness.rhs <= rhs + 1e-15
+
+
+@pytest.mark.parametrize("m", [4, 12, 24])
+def test_candidate_null_combinations_are_taken_once(m):
+    """Each family of rank 1 has m - 1 null combinations: all of them when
+    m - 1 <= 16, else the 8 ending last and the 8 ending first."""
+    frame = generate("dilation", 2, 2, m, seed=1)
+    rows = perturb._candidate_sequences(frame, frame.scaled(1.2), 0, np.random.default_rng(0))
+    per_family = min(m - 1, 16)
+    assert rows.shape == (m + 3 * per_family, m)
+    for k in range(3):
+        block = rows[m + k * per_family:m + (k + 1) * per_family]
+        np.testing.assert_allclose(block.conj() @ block.T, np.eye(per_family), atol=1e-12)
+    _, null = null_combinations(frame.operators)
+    expected = null if m - 1 <= 16 else np.vstack((null[:8], null[-8:]))
+    np.testing.assert_array_equal(rows[m:m + per_family], expected)
 
 
 def _per_sample_failures(frame, perturbed, lower, upper, vec_samples, seed):

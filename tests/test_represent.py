@@ -32,6 +32,7 @@ from gframemod.hilbert import (
 )
 from gframemod.numerics import HYPOTHESIS_TOL
 from gframemod.represent import (
+    KERNEL_CHUNK_BYTES,
     KERNEL_SAMPLES,
     check_representation_bounds,
     divergence_window,
@@ -391,6 +392,68 @@ def test_kernel_check_shifts_by_the_representation_convention(make, convention):
         assert report.kernel_defect <= defect * (1.0 + 1e-9) + 1e-15
         reports.append(report)
     assert len({(r.kernel_defect, r.kernel_ok) for r in reports}) <= 1
+
+
+def _reference_cases():
+    """The kernel cases, the benchmark's wide and dense sizes, and families
+    on proper submodules: the graded frame's leak block B_2 (I - P_1) is
+    nonzero at rounding level, and a random family's shifted terms leave."""
+    cases = list(_kernel_cases())
+    for convention in ("linear", "cyclic"):
+        for n, d, m in ((4, 4, 64), (16, 4, 4)):
+            for name, make in (("orbit", unitary_orbit_frame), ("dilation", dilation_frame)):
+                base = make(n, d, m, seed=7)
+                cases.append((f"{name}-{n}-{d}-{m}-{convention}",
+                              GFusionFrame(base.elements, convention)))
+        base = random_family_frame(2, 2, 6, seed=1)
+        cases.append((f"random-2-2-6-{convention}", GFusionFrame(base.elements, convention)))
+    return cases
+
+
+@pytest.mark.parametrize("frame", [pytest.param(frame, id=name) for name, frame in _reference_cases()])
+def test_kernel_check_matches_the_term_stack_reference(frame):
+    drawn, defect, ok, _ = kernel_invariance(frame, frame.index_convention, seed=3)
+    ref_drawn, ref_defect, ref_ok = oracles.term_stack_kernel_check(
+        frame, frame.index_convention, seed=3)
+    assert (drawn, ok) == (ref_drawn, ref_ok)
+    if math.isinf(ref_defect):
+        assert math.isinf(defect)
+    else:
+        # a passing defect is rounding left by cancellation, whose last bits
+        # follow the summation order; hence the absolute floor
+        assert defect == pytest.approx(ref_defect, rel=1e-12, abs=1e-14)
+
+
+def test_reference_cases_cover_leaks_and_partial_chunks():
+    names = dict(_reference_cases())
+    leaving = names["random-2-2-6-cyclic"]
+    assert kernel_invariance(leaving, "cyclic")[1] == math.inf
+    graded = names["graded-linear"]
+    leak = graded.bases[2] - graded.bases[2] @ graded.projections[1]
+    assert leak.any() and math.isfinite(kernel_invariance(graded, "linear")[1])
+    # (4, 4, 64) and (16, 4, 4) draw their samples in several chunks, the
+    # last one partial
+    for key in ("orbit-4-4-64-cyclic", "orbit-16-4-4-cyclic"):
+        frame = names[key]
+        chunk = KERNEL_CHUNK_BYTES // (16 * frame.d * sum(b.shape[0] for b in frame.bases))
+        assert 1 < chunk < KERNEL_SAMPLES and KERNEL_SAMPLES % chunk
+
+
+def test_kernel_check_peak_stays_below_one_term_stack():
+    """The check holds one chunk of row coordinates and M', never the
+    (samples, m, d, n*d) term stack: 6.55 MB at n = d = 4, m = 64."""
+    peaks = []
+    for m in (64, 128):
+        frame = unitary_orbit_frame(4, 4, m, seed=5)
+        kernel_invariance(frame, "cyclic")
+        tracemalloc.start()
+        try:
+            kernel_invariance(frame, "cyclic")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < KERNEL_SAMPLES * 64 * 4 * 16 * 16
+    assert peaks[1] / peaks[0] < 1.6
 
 
 def test_kernel_check_memory_is_linear_in_m():
