@@ -15,6 +15,11 @@ array.  A frame document is
 where matrices are the flattened (n*d) x (n*d) forms.  A vector file is
 { "d": int, "n": int, "components": [ d x d matrix, ... ] }.
 
+Documents are decoded by orjson; the bytes it refuses (NaN and Infinity
+literals, integers whose float overflows, lone surrogates, invalid UTF-8)
+go through the standard library's `json`, keeping its reading and messages.
+orjson reads an integer beyond the 64-bit range as its nearest float.
+
 `frame_to_document` and `vector_to_document` build the in-memory form of
 these documents for `dumps_canonical`: their matrices are complex ndarrays,
 which the canonical writer prints as the nested [re, im] lists above, so
@@ -30,6 +35,7 @@ import tempfile
 from itertools import chain
 
 import numpy as np
+import orjson
 
 from .exceptions import ParseError
 from .frames import GFusionFrame
@@ -276,7 +282,7 @@ def load_frame(path, sha=None) -> GFusionFrame:
 def _load_json(path, sha=None):
     """Read `path` once and parse it.  When a hashlib object `sha` is given
     it is fed the same bytes, so its digest describes exactly what was
-    parsed."""
+    parsed; `json` reads only what orjson refuses (see the module docstring)."""
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
@@ -285,11 +291,17 @@ def _load_json(path, sha=None):
     if sha is not None:
         sha.update(raw)
     try:
+        return orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        pass
+    try:
         return json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"{path} is not valid JSON: nesting too deep") from None
 
 
 # ---------------------------------------------------------------------------

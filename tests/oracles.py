@@ -3,8 +3,11 @@
 Everything here deliberately avoids the library's own code paths: vectors
 are flattened the other way round ((n*d) x d stacks instead of d x (n*d)
 rows), operators act on columns instead of rows, and scalar families are
-re-implemented with plain matrices.
+re-implemented with plain matrices.  Documents are decoded by the standard
+library alone.
 """
+
+import json
 
 import numpy as np
 
@@ -255,3 +258,21 @@ def inequality_sides(frame, perturbed, eta: float, beta: float, coefficients, f)
     lhs = np.linalg.norm(combination([y - h for y, h in zip(ys, hats)]), 2)
     rhs = eta * np.linalg.norm(combination(ys), 2) + beta * np.linalg.norm(combination(hats), 2)
     return float(lhs), float(rhs)
+
+
+def stdlib_document(path):
+    """The document at `path` as the standard library alone decodes it,
+    `json.loads(raw.decode("utf-8"))`, with the ParseError messages the
+    library gives for bytes that are not UTF-8 or not JSON: the reference
+    that the library's decoding is checked against.  Pass the result to
+    `document_to_frame` or `document_to_vector`."""
+    from gframemod.exceptions import ParseError
+
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path} is not valid JSON: {exc}") from exc

@@ -1,0 +1,213 @@
+"""Decoding documents: orjson reads what it accepts, and the standard
+library's `json` reads only the bytes orjson refuses.  Every document must
+come out as `oracles.stdlib_document` reads it: the same stacks bit for bit
+and the same digest when accepted, the same ParseError message and exit
+code when refused.  The one intended difference, a size of 2**64 or more,
+is pinned by its own test."""
+
+import hashlib
+import json
+import math
+
+import numpy as np
+import orjson
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from gframemod.cli import main
+from gframemod.exceptions import ParseError
+from gframemod.families import KINDS
+from gframemod.serialize import document_to_frame, document_to_vector, load_frame, load_vector
+from oracles import stdlib_document
+from test_cli import CORPUS, _load_workloads, run
+
+ORBIT = CORPUS / "unitary_orbit_m4.json"
+VECTOR = CORPUS / "unit_vector_n2_d2.json"
+LOADERS = {"frame": (load_frame, document_to_frame), "vector": (load_vector, document_to_vector)}
+
+
+def _bits(value) -> tuple:
+    """Everything a parsed frame or vector holds, with its arrays as raw
+    bytes, so that signed zeros count."""
+    if hasattr(value, "operators"):
+        return (value.n, value.d, value.index_convention,
+                value.projections.tobytes(), value.operators.tobytes())
+    return value.n, value.d, value.flat.tobytes()
+
+
+def _outcomes(path, kind: str):
+    """('ok', bits) or ('error', message) of loading `path` with the
+    library, then with the standard-library reference."""
+    load, parse = LOADERS[kind]
+    found = []
+    for read in (load, lambda p: parse(stdlib_document(p))):
+        try:
+            found.append(("ok", _bits(read(path))))
+        except ParseError as exc:
+            found.append(("error", str(exc)))
+    return found
+
+
+# ---------------------------------------------------------------------------
+# accepted documents
+
+
+@pytest.fixture(scope="module")
+def accepted(tmp_path_factory):
+    """(path, kind) of every corpus document, every `gen` kind at the
+    benchmark's three sizes and the benchmark's perturbation pairs, which
+    `json.dump` writes with ", " separators, repr floats and the base
+    document's integer 0/1 projections."""
+    docs = [(path, "vector" if path == VECTOR else "frame")
+            for path in sorted(CORPUS.glob("*.json"))]
+    workloads = _load_workloads()
+    for w in workloads.WORKLOADS.values():
+        workdir = tmp_path_factory.mktemp(w.name)
+        workloads.write_documents(main, w, 1, str(workdir))  # base documents and pairs
+        for kind in KINDS:
+            if kind != "fusion" or w.m <= w.n * w.d:  # a fusion needs m <= n*d
+                args = ["--kind", kind, "--n", w.n, "--d", w.d, "--m", w.m, "--seed", 1]
+                path = workloads.doc_path(str(workdir), kind)
+                assert main([str(a) for a in ["gen", *args, path]]) == 0
+        docs += [(path, "frame") for path in sorted((workdir / "docs").glob("*.json"))]
+    return docs
+
+
+def test_accepted_documents_parse_as_the_standard_library_reads_them(accepted):
+    for path, kind in accepted:
+        raw = path.read_bytes()
+        orjson.loads(raw)  # the decoder under test takes it, not the fallback
+        ours, reference = _outcomes(path, kind)
+        assert ours[0] == "ok" and ours == reference, path
+        sha = hashlib.sha256()
+        LOADERS[kind][0](path, sha)
+        assert sha.hexdigest() == hashlib.sha256(raw).hexdigest(), path
+
+
+# ---------------------------------------------------------------------------
+# refused documents
+
+
+def _orbit_with_entry(literal: bytes) -> bytes:
+    """The orbit document with one operator entry part written as `literal`."""
+    doc = json.loads(ORBIT.read_text())
+    doc["elements"][1]["operator"][2][3][1] = "ENTRY"
+    return json.dumps(doc).encode().replace(b'"ENTRY"', literal)
+
+
+ORBIT_BYTES = ORBIT.read_bytes()
+REFUSED_FRAMES = {
+    "NaN": _orbit_with_entry(b"NaN"),
+    "Infinity": _orbit_with_entry(b"Infinity"),
+    "-Infinity": _orbit_with_entry(b"-Infinity"),
+    "1e400": _orbit_with_entry(b"1e400"),
+    "10**400": _orbit_with_entry(str(10**400).encode()),
+    "2e100": _orbit_with_entry(b"2e100"),
+    "invalid UTF-8": ORBIT_BYTES.replace(b'"unitary-orbit"', b'"unitary\xff-orbit"'),
+    "UTF-8 BOM": b"\xef\xbb\xbf" + ORBIT_BYTES,
+    "trailing comma": ORBIT_BYTES.replace(b'"seed": "3"\n', b'"seed": "3",\n'),
+    "lone surrogate": ORBIT_BYTES.replace(b'"seed": "3"', b'"seed": "\\ud800"'),
+    "duplicate elements, last kept": b'{"elements": [],' + ORBIT_BYTES[1:],
+    "duplicate elements, last empty": ORBIT_BYTES.replace(
+        b'"index_convention"', b'"elements": [],\n  "index_convention"'),
+    "empty": b"",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_FRAMES))
+def test_documents_orjson_refuses_read_as_the_standard_library_reads_them(
+        tmp_path, capsys, name):
+    path = tmp_path / "doc.json"
+    path.write_bytes(REFUSED_FRAMES[name])
+    ours, reference = _outcomes(path, "frame")
+    assert ours == reference
+    code = run(["analyze", path, "--output", tmp_path / "report.json"])
+    if ours[0] == "ok":  # the lone surrogate sits in metadata; the last elements win
+        assert code == 0
+    else:
+        assert code == 1
+        assert capsys.readouterr().err == f"gframemod: error: {ours[1]}\n"
+
+
+def test_a_nan_vector_reads_as_the_standard_library_reads_it(tmp_path, capsys):
+    path = tmp_path / "vector.json"
+    doc = json.loads(VECTOR.read_text())
+    doc["components"][0][0][0] = [float("nan"), 0]
+    path.write_text(json.dumps(doc))  # NaN as json.dumps writes it
+    ours, reference = _outcomes(path, "vector")
+    assert ours == reference == ("error", "component 0: entry (0, 0) is not finite")
+    assert run(["represent", ORBIT, "--tight-certificate", "--vector", path]) == 1
+    assert capsys.readouterr().err == "gframemod: error: component 0: entry (0, 0) is not finite\n"
+
+
+@pytest.mark.parametrize("kind,key", [("frame", "d"), ("vector", "n")])
+def test_a_size_beyond_64_bits_is_not_a_positive_integer(tmp_path, capsys, kind, key):
+    # orjson reads 2**64 as a float, which the size check refuses; the
+    # standard library read it as an integer, refused later by a count
+    source = ORBIT if kind == "frame" else VECTOR
+    doc = json.loads(source.read_text())
+    doc[key] = 2**64
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    ours, reference = _outcomes(path, kind)
+    assert ours == ("error", "d and n must be positive integers")
+    assert reference == ("error", f"element 0 projection: expected {2**65} rows"
+                         if kind == "frame" else f"components must be a list of {2**64} blocks")
+    argv = (["analyze", path] if kind == "frame"
+            else ["represent", ORBIT, "--tight-certificate", "--vector", path])
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "gframemod: error: d and n must be positive integers\n"
+
+
+DEEP = 100_000
+
+
+@pytest.mark.parametrize("inner", [b"", b"NaN"], ids=["empty", "NaN"])
+@pytest.mark.parametrize("kind", ["frame", "vector"])
+def test_deeply_nested_documents_exit_1_with_a_message(tmp_path, capsys, kind, inner):
+    path = tmp_path / "deep.json"
+    path.write_bytes(b"[" * DEEP + inner + b"]" * DEEP)
+    argv = (["analyze", path] if kind == "frame"
+            else ["represent", ORBIT, "--tight-certificate", "--vector", path])
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    if inner:  # orjson refuses the NaN, and `json` recurses too deep
+        assert err == f"gframemod: error: {path} is not valid JSON: nesting too deep\n"
+    else:  # orjson reads the nesting; a list is no document
+        assert err.startswith("gframemod: error: ")
+
+
+# ---------------------------------------------------------------------------
+# numbers
+
+
+def _float_bits(text: str):
+    """The float64 bits np.array makes of one JSON number, as orjson and as
+    `json` decode it."""
+    return [np.array(decoded, dtype=np.float64).view(np.uint64)
+            for decoded in (orjson.loads(text.encode()), json.loads(text))]
+
+
+@settings(max_examples=2000, deadline=None)
+@given(x=st.floats(allow_nan=False, allow_infinity=False))
+def test_every_finite_double_decodes_to_the_same_bits(x):
+    for text in ("%.17g" % x, repr(x)):
+        ours, reference = _float_bits(text)
+        assert ours == reference, text
+
+
+@settings(max_examples=1000, deadline=None)
+@given(digits=st.integers(0, 10**40 - 1), exponent=st.integers(-380, 300),
+       negative=st.booleans())
+def test_decimal_strings_of_up_to_40_digits_decode_to_the_same_bits(digits, exponent, negative):
+    text = f"{'-' if negative else ''}{digits}e{exponent}"
+    assume(math.isfinite(json.loads(text)))  # an infinite one goes to `json` itself
+    ours, reference = _float_bits(text)
+    assert ours == reference, text
+
+
+@settings(max_examples=1000, deadline=None)
+@given(k=st.integers(-10**30, 10**30))
+def test_every_integer_up_to_1e30_decodes_to_the_same_bits(k):
+    ours, reference = _float_bits(str(k))
+    assert ours == reference, k

@@ -4,10 +4,14 @@ criterion, traced by the benchmark, or states a paper result that a named
 test checks.  A function in none of these groups is dead weight and goes.
 So does a public method of an exported class that neither `src/` nor a
 criterion names and the benchmark does not trace, and a defaulted
-parameter that no call in `src/` or in a criterion sets."""
+parameter that no call in `src/` or in a criterion sets.  The packages
+that the library imports from outside the standard library are exactly
+its declared dependencies."""
 
 import ast
 import inspect
+import re
+import sys
 from pathlib import Path
 
 import gframemod
@@ -17,6 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gframemod"
 ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 SPANS = ROOT / "perfbench" / "spans.py"
+PYPROJECT = ROOT / "pyproject.toml"
 
 # exported functions that nothing else reaches, each with the test that
 # checks the result it states
@@ -245,3 +250,29 @@ def test_the_knob_lint_counts_set_values_only(tmp_path):
     assert owner == "C.h"
     assert _sets(call, 1, tol)  # a name
     assert not _sets(call, 1, tol, {"tol"})  # forwarded from an unset parameter
+
+
+def _imported_packages(src: Path) -> set:
+    """The top-level name of every absolute import in the library's modules,
+    at module level or inside a def."""
+    names = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.partition(".")[0])
+    return names
+
+
+def _declared_dependencies(pyproject: Path) -> set:
+    """The distribution names in `[project] dependencies`, without their
+    version specifiers."""
+    found = re.search(r"^dependencies = (\[.*?\])", pyproject.read_text(), re.M | re.S)
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower().replace("-", "_")
+            for spec in ast.literal_eval(found.group(1))}
+
+
+def test_third_party_imports_are_declared():
+    third_party = _imported_packages(SRC) - set(sys.stdlib_module_names) - {"gframemod"}
+    assert third_party == _declared_dependencies(PYPROJECT)
