@@ -18,7 +18,9 @@ where matrices are the flattened (n*d) x (n*d) forms.  A vector file is
 Documents are decoded by orjson; the bytes it refuses (NaN and Infinity
 literals, integers whose float overflows, lone surrogates, invalid UTF-8)
 go through the standard library's `json`, keeping its reading and messages.
-orjson reads an integer beyond the 64-bit range as its nearest float.
+orjson reads an integer beyond the 64-bit range as its nearest float, so
+sizes stop below 2**64 for both.  The cyclic collector is paused while a
+decoded document lives (see `_load`).
 
 `frame_to_document` and `vector_to_document` build the in-memory form of
 these documents for `dumps_canonical`: their matrices are complex ndarrays,
@@ -27,11 +29,12 @@ which the canonical writer prints as the nested [re, im] lists above, so
 them back with `json.loads(dumps_canonical(doc))`.
 """
 
+import contextlib
 import functools
+import gc
 import json
 import math
 import os
-import tempfile
 from itertools import chain
 
 import numpy as np
@@ -126,10 +129,16 @@ def dumps_canonical(obj) -> str:
 
 
 def write_atomic(path, text: str):
+    """Write `text` to `path` through a new file beside it and one rename.
+    A new file gets the mode `open(path, "w")` would give it (the kernel
+    applies the umask to 0o666); an existing file keeps its own mode."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-gframemod-")
+    tmp = os.path.join(directory, ".tmp-gframemod-" + os.urandom(8).hex())
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            with contextlib.suppress(FileNotFoundError):  # a new file
+                os.chmod(handle.fileno(), os.stat(path).st_mode & 0o7777)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -220,9 +229,10 @@ def _require_keys(doc: dict, keys, what: str):
 
 
 def _positive_sizes(doc: dict):
-    """The document's d and n, JSON integers of at least 1 (true is not one)."""
+    """The document's d and n, JSON integers from 1 to 2**64 - 1 (true is not
+    one): orjson reads a larger integer as a float, `json` as an int."""
     d, n = doc["d"], doc["n"]
-    if not (type(d) is int and type(n) is int and d >= 1 and n >= 1):
+    if not (type(d) is int and type(n) is int and 1 <= d < 2**64 and 1 <= n < 2**64):
         raise ParseError("d and n must be positive integers")
     return d, n
 
@@ -276,7 +286,26 @@ def document_to_frame(doc: dict) -> GFusionFrame:
 
 
 def load_frame(path, sha=None) -> GFusionFrame:
-    return document_to_frame(_load_json(path, sha))
+    return _load(path, sha, document_to_frame)
+
+
+def _load(path, sha, convert):
+    """`convert` of the document that `_load_json` reads from `path`, with
+    the cyclic garbage collector paused until the decoded tree is freed.
+
+    The tree is fresh lists and dicts that hold only one another and
+    numbers or strings, so it has no cycles, and reference counting frees
+    it; yet its tens of thousands of tracked containers would set off
+    dozens of collections that each search it in vain.  The collector's
+    state is process-wide, so only what this call changed is undone: a
+    caller who turned it off finds it still off."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return convert(_load_json(path, sha))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _load_json(path, sha=None):
@@ -329,4 +358,4 @@ def document_to_vector(doc: dict) -> ModuleVector:
 
 
 def load_vector(path, sha=None) -> ModuleVector:
-    return document_to_vector(_load_json(path, sha))
+    return _load(path, sha, document_to_vector)

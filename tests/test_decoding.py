@@ -2,9 +2,11 @@
 library's `json` reads only the bytes orjson refuses.  Every document must
 come out as `oracles.stdlib_document` reads it: the same stacks bit for bit
 and the same digest when accepted, the same ParseError message and exit
-code when refused.  The one intended difference, a size of 2**64 or more,
-is pinned by its own test."""
+code when refused.  A size of 2**64 or more, which orjson reads as a float
+and `json` as an integer, is pinned by its own test.  Loading runs with the
+cyclic collector paused and leaves it as the caller set it."""
 
+import gc
 import hashlib
 import json
 import math
@@ -16,8 +18,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gframemod.cli import main
 from gframemod.exceptions import ParseError
-from gframemod.families import KINDS
-from gframemod.serialize import document_to_frame, document_to_vector, load_frame, load_vector
+from gframemod.families import KINDS, random_vector
+from gframemod.serialize import (
+    document_to_frame,
+    document_to_vector,
+    dumps_canonical,
+    load_frame,
+    load_vector,
+    vector_to_document,
+)
 from oracles import stdlib_document
 from test_cli import CORPUS, _load_workloads, run
 
@@ -142,21 +151,112 @@ def test_a_nan_vector_reads_as_the_standard_library_reads_it(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind,key", [("frame", "d"), ("vector", "n")])
 def test_a_size_beyond_64_bits_is_not_a_positive_integer(tmp_path, capsys, kind, key):
-    # orjson reads 2**64 as a float, which the size check refuses; the
-    # standard library read it as an integer, refused later by a count
+    # orjson reads 2**64 as a float and the standard library as an integer;
+    # the size check refuses both alike
     source = ORBIT if kind == "frame" else VECTOR
     doc = json.loads(source.read_text())
     doc[key] = 2**64
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
     ours, reference = _outcomes(path, kind)
-    assert ours == ("error", "d and n must be positive integers")
-    assert reference == ("error", f"element 0 projection: expected {2**65} rows"
-                         if kind == "frame" else f"components must be a list of {2**64} blocks")
+    assert ours == reference == ("error", "d and n must be positive integers")
     argv = (["analyze", path] if kind == "frame"
             else ["represent", ORBIT, "--tight-certificate", "--vector", path])
     assert run(argv) == 1
     assert capsys.readouterr().err == "gframemod: error: d and n must be positive integers\n"
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector
+
+
+@pytest.fixture
+def collector():
+    """The generation of each collection that starts during the test, in a
+    list; the collector is turned back on or off as it was, afterwards."""
+    enabled, starts = gc.isenabled(), []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(count)
+    yield starts
+    gc.callbacks.remove(count)
+    (gc.enable if enabled else gc.disable)()
+
+
+def _wide_document(directory, kind: str):
+    """A frame document at the wide-family size (n=4, d=4, m=64), or a
+    vector document of about as many JSON lists (n=1024, d=4)."""
+    path = directory / f"{kind}.json"
+    if kind == "frame":
+        args = ["--kind", "unitary-orbit", "--n", 4, "--d", 4, "--m", 64, "--seed", 1]
+        assert main([str(a) for a in ["gen", *args, path]]) == 0
+    else:
+        vector = random_vector(np.random.default_rng(1), 1024, 4)
+        path.write_text(dumps_canonical(vector_to_document(vector)))
+    return path
+
+
+@pytest.mark.parametrize("kind", ["frame", "vector"])
+def test_a_wide_document_loads_without_a_collection(tmp_path, collector, kind):
+    path = _wide_document(tmp_path, kind)
+    gc.enable()
+    LOADERS[kind][1](orjson.loads(path.read_bytes()))
+    assert len(collector) > 10  # with the collector running, it runs
+    collector.clear()
+    LOADERS[kind][0](path)
+    assert collector == []
+    assert gc.isenabled()
+
+
+def _edited(source, edit) -> bytes:
+    doc = json.loads(source.read_text())
+    edit(doc)
+    return json.dumps(doc).encode()  # NaN as the NaN literal
+
+
+def _set_nan(block):
+    block[0][0] = [float("nan"), 0]
+
+
+def _double(rows):
+    return [[[2 * re, 2 * im] for re, im in row] for row in rows]
+
+
+LOADS = {
+    "frame": {
+        "accepted": ORBIT_BYTES,
+        "invalid JSON": b"{",
+        "NaN entry": _edited(ORBIT, lambda doc: _set_nan(doc["elements"][1]["operator"])),
+        "non-projection": _edited(ORBIT, lambda doc: doc["elements"][0].update(
+            projection=_double(doc["elements"][0]["projection"]))),
+        "oversized d": _edited(ORBIT, lambda doc: doc.update(d=2**64)),
+    },
+    "vector": {
+        "accepted": VECTOR.read_bytes(),
+        "invalid JSON": b"{",
+        "NaN entry": _edited(VECTOR, lambda doc: _set_nan(doc["components"][0])),
+        "missing block": _edited(VECTOR, lambda doc: doc["components"].pop()),
+        "oversized n": _edited(VECTOR, lambda doc: doc.update(n=2**64)),
+    },
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("kind,case", [(k, c) for k in LOADS for c in LOADS[k]])
+def test_a_load_leaves_the_collector_as_the_caller_set_it(
+        tmp_path, collector, kind, case, enabled):
+    path = tmp_path / "doc.json"
+    path.write_bytes(LOADS[kind][case])
+    (gc.enable if enabled else gc.disable)()
+    try:
+        LOADERS[kind][0](path)
+        assert case == "accepted"
+    except ParseError:
+        assert case != "accepted"
+    assert gc.isenabled() is enabled
 
 
 DEEP = 100_000

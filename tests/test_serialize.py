@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from gframemod.serialize import (
     frame_to_document,
     json_to_matrix,
     vector_to_document,
+    write_atomic,
 )
 
 
@@ -244,3 +247,33 @@ def test_parsed_stacks_become_the_frame_arrays():
         np.testing.assert_array_equal(op.matrix, rebuilt.operators[k])
         np.testing.assert_array_equal(sub.projection.matrix, rebuilt.projections[k])
         np.testing.assert_array_equal(sub.basis_rows, frame.elements[k].submodule.basis_rows)
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def _mode(path) -> int:
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+def test_a_written_file_gets_the_mode_open_would_give_it(tmp_path, umask_022):
+    path = tmp_path / "new.json"
+    write_atomic(path, "{}\n")
+    assert (path.read_text(), _mode(path)) == ("{}\n", 0o644)
+    path.chmod(0o640)
+    write_atomic(path, "[]\n")  # an overwritten file keeps its own mode
+    assert (path.read_text(), _mode(path)) == ("[]\n", 0o640)
+    assert os.listdir(tmp_path) == ["new.json"]
+
+
+def test_a_failed_write_leaves_the_target_and_no_temporary_file(tmp_path):
+    path = tmp_path / "old.json"
+    path.write_text("old\n")
+    with pytest.raises(UnicodeEncodeError):
+        write_atomic(path, "\ud800")  # a lone surrogate has no UTF-8 form
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["old.json"]

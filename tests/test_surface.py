@@ -4,9 +4,10 @@ criterion, traced by the benchmark, or states a paper result that a named
 test checks.  A function in none of these groups is dead weight and goes.
 So does a public method of an exported class that neither `src/` nor a
 criterion names and the benchmark does not trace, and a defaulted
-parameter that no call in `src/` or in a criterion sets.  The packages
-that the library imports from outside the standard library are exactly
-its declared dependencies."""
+parameter that no call in `src/` or in a criterion sets.  One function,
+the document loader in `serialize`, sets the cyclic garbage collector's
+process-wide state.  The packages that the library imports from outside
+the standard library are exactly its declared dependencies."""
 
 import ast
 import inspect
@@ -250,6 +251,44 @@ def test_the_knob_lint_counts_set_values_only(tmp_path):
     assert owner == "C.h"
     assert _sets(call, 1, tol)  # a name
     assert not _sets(call, 1, tol, {"tol"})  # forwarded from an unset parameter
+
+
+# the gc functions that set the cyclic collector's process-wide state
+GC_SETTERS = {"disable", "enable", "set_threshold", "freeze", "unfreeze"}
+
+
+def gc_setters(src: Path) -> list:
+    """(module, top-level def) of every use of a `GC_SETTERS` function, and of
+    every import that names one or renames `gc`, in the modules under `src`."""
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr in GC_SETTERS
+                        and isinstance(node.value, ast.Name) and node.value.id == "gc"
+                        or isinstance(node, ast.ImportFrom) and node.module == "gc"
+                        and {alias.name for alias in node.names} & (GC_SETTERS | {"*"})
+                        or isinstance(node, ast.Import) and any(
+                            alias.name == "gc" and alias.asname for alias in node.names)):
+                    found.append((path.stem, getattr(top, "name", None)))
+    return found
+
+
+def test_only_the_document_loader_sets_the_collector():
+    # one pause, one resume: process-wide state changes in one function
+    assert gc_setters(SRC) == [("serialize", "_load")] * 2
+
+
+def test_the_collector_lint_sees_every_spelling(tmp_path):
+    (tmp_path / "a.py").write_text("import gc\n"
+                                   "from gc import enable\n"
+                                   "import gc as collector\n"
+                                   "def f():\n"
+                                   "    gc.set_threshold(0)\n"
+                                   "    return gc.isenabled(), gc.get_count()\n"
+                                   "class C:\n"
+                                   "    pause = gc.disable\n")
+    assert gc_setters(tmp_path) == [("a", None), ("a", None), ("a", "f"), ("a", "C")]
 
 
 def _imported_packages(src: Path) -> set:
