@@ -68,6 +68,15 @@ def _resolve_seed(args) -> int:
         raise ParseError(f"GFRAMEMOD_SEED must be an integer, got {env!r}") from exc
 
 
+def _write(path, text: str) -> None:
+    """write_atomic, with an OSError (a missing or unwritable directory, a
+    directory as the target) as a one-line ParseError naming the path."""
+    try:
+        write_atomic(path, text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _reporting(compute):
     """The command that runs compute(args, seed, sha) -> (results, caveats,
     exit code), with sha the digest its loads update, and writes the report."""
@@ -84,7 +93,7 @@ def _reporting(compute):
             "caveats": caveats,
         })
         if args.output:
-            write_atomic(args.output, text)
+            _write(args.output, text)
         else:
             sys.stdout.write(text)
         return code
@@ -232,7 +241,7 @@ def _cmd_gen(args) -> int:
         "format": FORMAT_VERSION,
         "generator": f"gframemod {__version__}",
     }
-    write_atomic(args.out_path, dumps_canonical(frame_to_document(frame, metadata)))
+    _write(args.out_path, dumps_canonical(frame_to_document(frame, metadata)))
     return 0
 
 

@@ -11,7 +11,8 @@ class GFrameError(Exception):
 
 
 class ParseError(GFrameError):
-    """Malformed document, vector file, or field value."""
+    """Malformed document, vector file, or field value, or an output path
+    that cannot be written."""
 
     exit_code = 1
 

@@ -67,11 +67,13 @@ class GFusionFrame:
     flattened Y_xi and P_{N_xi} as read-only (m, n*d, n*d) arrays, and
     `bases` the orthonormal row basis of each N_xi.  They are stacked and
     validated once, when the frame is built; `elements` and `submodules()`
-    build the per-element objects on demand.
+    build the per-element objects on demand.  The frame operator S is formed
+    once, on first use, and kept read-only; a frame built from another
+    (`scaled`, a dual) forms its own.
     """
 
     __slots__ = ("index_convention", "n", "d", "operators", "projections", "bases",
-                 "_operator_norms")
+                 "_operator_norms", "_frame_operator")
 
     def __init__(self, elements, index_convention: str = "linear"):
         elements = [FrameElement(sub, op) for sub, op in elements]
@@ -114,6 +116,7 @@ class GFusionFrame:
         self.projections = projections
         self.bases = tuple(bases)
         self._operator_norms = norms
+        self._frame_operator = None
         self.index_convention = _check_convention(index_convention)
         self.n, self.d = n, d
         return self
@@ -153,9 +156,12 @@ class GFusionFrame:
 
 
 def frame_operator(frame: GFusionFrame) -> ModuleOperator:
-    """S = sum_xi Y_xi^* Y_xi; self-adjoint and positive by construction."""
-    s = gram_sum(frame.operators, frame.operators)
-    return ModuleOperator((s + s.conj().T) / 2.0, frame.n, frame.d)
+    """S = sum_xi Y_xi^* Y_xi; self-adjoint and positive by construction.
+    Formed on the frame's first call and kept for the later ones."""
+    if frame._frame_operator is None:
+        s = gram_sum(frame.operators, frame.operators)
+        frame._frame_operator = ModuleOperator((s + s.conj().T) / 2.0, frame.n, frame.d)
+    return frame._frame_operator
 
 
 def frame_bounds(frame: GFusionFrame) -> FrameBounds:

@@ -166,8 +166,11 @@ def operator_adjoint(op: ModuleOperator) -> ModuleOperator:
 
 
 def gram_sum(a, b) -> np.ndarray:
-    """sum_k A_k B_k^H over two stacks of equal shape (m, r, c)."""
-    return np.einsum("kij,klj->il", a, b.conj())
+    """sum_k A_k B_k^H over stacks of shape (m, r, c) and (m, r', c), as one
+    GEMM A' B'^H over the unfoldings A' = [A_0 | ... | A_{m-1}], (r, m*c)."""
+    m, _, c = a.shape
+    a, b = (x.transpose(1, 0, 2).reshape(x.shape[1], m * c) for x in (a, b))
+    return a @ b.conj().T
 
 
 def null_combinations(stack):

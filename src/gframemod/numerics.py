@@ -36,12 +36,21 @@ def rank(s, tol: float = RANK_TOL):
 
 def spectral_norms(blocks) -> np.ndarray:
     """Largest singular value of each matrix in a stack: a row's Euclidean
-    norm, else the root of the top eigenvalue of its row Gram (r x r)."""
+    norm, else the root of the top eigenvalue of its row Gram (r x r).
+
+    Each matrix is first divided by 2^e, 2^(e-1) <= its largest |re| or |im|
+    < 2^e, so no square over- or underflows; a power of two scales exactly.
+    """
+    parts = np.ascontiguousarray(blocks, dtype=np.complex128).view(np.float64)
+    _, e = np.frexp(np.abs(parts).max(axis=(-2, -1)))
+    scaled = blocks * np.ldexp(1.0, -e)[..., None, None]
     if blocks.shape[-2] == 1:
-        parts = np.ascontiguousarray(blocks[..., 0, :], dtype=np.complex128).view(np.float64)
-        return np.sqrt(np.einsum("...i,...i->...", parts, parts))
-    gram = blocks @ blocks.conj().swapaxes(-1, -2)
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+        parts = np.ascontiguousarray(scaled[..., 0, :], dtype=np.complex128).view(np.float64)
+        norms = np.sqrt(np.einsum("...i,...i->...", parts, parts))
+    else:
+        gram = scaled @ scaled.conj().swapaxes(-1, -2)
+        norms = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+    return np.ldexp(norms, e)
 
 
 def norms_within(residuals, bounds) -> np.ndarray:

@@ -46,7 +46,7 @@ from .exceptions import (
     InequalityNotVerified,
     LengthMismatch,
 )
-from .frames import GFusionFrame, frame_bounds
+from .frames import GFusionFrame, frame_bounds, frame_operator
 from .hilbert import ModuleVector, gram_sum, null_combinations
 from .numerics import BOUNDS_TOL, FACTOR_TOL, MARGIN_TOL, RANK_TOL, TIE_TOL, spectral_norms
 from .represent import independence_analysis
@@ -321,7 +321,7 @@ def _verified(frame, perturbed, inequality: PerturbationVerdict):
 
 def _middle_matrix(frame: GFusionFrame, perturbed: GFusionFrame, interpretation: str):
     if interpretation == HAT_HAT:
-        return gram_sum(perturbed.operators, perturbed.operators)
+        return frame_operator(perturbed).matrix
     if interpretation == HAT_ORIGINAL:
         return gram_sum(perturbed.operators, frame.operators)
     raise ValueError(f"interpretation must be {HAT_HAT!r} or {HAT_ORIGINAL!r}")

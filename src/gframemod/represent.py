@@ -293,15 +293,16 @@ def check_representation_bounds(frame: GFusionFrame, rep: RepresentationResult,
 # tightness contradiction certificate
 
 
-def divergence_window(upper_bound: float, vector_gram_norm: float,
-                      term_gram_norm: float) -> int:
-    """ceil(B ||<f,f>|| / ||<Y_0 f, Y_0 f>||), the window size at which the
-    constant-norm series crosses the upper frame bound.
+def divergence_window(upper_bound: float, vector_norm: float, term_norm: float) -> int:
+    """ceil(B (||f|| / ||Y_0 f||)^2), the window size at which the
+    constant-norm series crosses the upper frame bound.  The norms are
+    divided before squaring, so a ratio near 1 does not overflow when B and
+    ||f||^2 are each near the largest float.
 
     The ratio is snapped to the nearest integer when within SNAP_TOL
     relative before taking the ceiling, absorbing eigenvalue rounding in B.
     """
-    ratio = upper_bound * vector_gram_norm / term_gram_norm
+    ratio = upper_bound * (vector_norm / term_norm) ** 2
     nearest = round(ratio)
     if nearest > 0 and abs(ratio - nearest) <= SNAP_TOL * ratio:
         return int(nearest)
@@ -355,8 +356,8 @@ def tightness_contradiction_certificate(frame: GFusionFrame, rep: Representation
         norm_bounds_ok=norm_bounds_ok, term_norms=term_norms,
         constant_norms_ok=all(abs(v - base) <= size for v in term_norms),
         degenerate=degenerate,
-        window=None if degenerate else divergence_window(upper, f_norm ** 2, base ** 2),
-        ratio=None if degenerate else upper * f_norm ** 2 / base ** 2, upper_bound=upper,
+        window=None if degenerate else divergence_window(upper, f_norm, base),
+        ratio=None if degenerate else upper * (f_norm / base) ** 2, upper_bound=upper,
     )
 
 

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -9,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gframemod import cli
+from gframemod import cli, frames, hilbert, perturb, represent
 from gframemod.cli import main
-from gframemod.frames import GFusionFrame
+from gframemod.frames import GFusionFrame, frame_operator
 from gframemod.hilbert import ModuleOperator, ModuleVector, Submodule
 from gframemod.serialize import dumps_canonical, frame_to_document, load_frame, write_atomic
 
@@ -288,11 +289,11 @@ def test_perturb_samples_when_the_member_misses_the_top_row(tmp_path):
     assert report["results"]["samples"]["sequences"] > 0
 
 
-def _load_workloads():
-    """perfbench/workloads.py, loaded by path (it imports only the standard
-    library at load time)."""
-    path = CORPUS.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def _load_perfbench(name: str):
+    """perfbench/<name>.py, loaded by path (workloads and spans import only
+    the standard library at load time)."""
+    path = CORPUS.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
@@ -300,7 +301,7 @@ def _load_workloads():
 
 
 def test_benchmark_perturbation_pairs_are_certified(tmp_path):
-    workloads = _load_workloads()
+    workloads = _load_perfbench("workloads")
     for w in workloads.WORKLOADS.values():
         workdir = tmp_path / w.name
         workloads.write_documents(main, w, 1, str(workdir))
@@ -521,6 +522,48 @@ def test_per_element_objects_are_not_built_per_member(tmp_path, monkeypatch, arg
     assert built[0] == built[1]
 
 
+def test_analyze_forms_each_frame_operator_once(tmp_path, monkeypatch):
+    # one analyze forms S with one gram_sum and the residual takes one more;
+    # the bounds (eigvalsh) and the dual (eigh) factor that same S, and the
+    # numpy.linalg calls do not grow with m
+    grams, linalg, loaded = [], [], []
+
+    def counting(record, name, original):
+        return lambda *args, **kwargs: record.append((name, args)) or original(*args, **kwargs)
+
+    def loading(*args):
+        loaded.append(load_frame(*args))
+        return loaded[-1]
+
+    gram_sum = hilbert.gram_sum
+    for module in (hilbert, frames, perturb, represent):
+        monkeypatch.setattr(module, "gram_sum", counting(grams, "gram_sum", gram_sum))
+    for name in _load_perfbench("spans").LINALG:
+        monkeypatch.setattr(np.linalg, name, counting(linalg, name, getattr(np.linalg, name)))
+    monkeypatch.setattr(cli, "load_frame", loading)
+    budgets = []
+    for m in (4, 64):
+        doc = _gen(tmp_path, "unitary-orbit", 2, 2, m, 1)
+        for record in (grams, linalg, loaded):
+            record.clear()
+        assert run_report(["analyze", doc], tmp_path)[0] == 0
+        (frame,) = loaded
+        s = frame_operator(frame).matrix
+        assert [[x is frame.operators for x in args] for _, args in grams] == [[True, True],
+                                                                              [False, True]]
+        assert sorted(name for name, args in linalg if args[0] is s) == ["eigh", "eigvalsh"]
+        budgets.append(Counter(name for name, _ in linalg))
+        assert budgets[-1]["eigvalsh"] == budgets[-1]["eigh"] == 1
+        # S is kept read-only, and a frame built from this one forms its own
+        assert not s.flags.writeable and frame_operator(frame).matrix is s
+        for factor, other in ((2.0, frame.scaled(2.0)),
+                              (3.0, frame._with_operators(3.0 * frame.operators))):
+            assert other._frame_operator is None
+            np.testing.assert_allclose(frame_operator(other).matrix, factor ** 2 * s,
+                                       rtol=0, atol=1e-13 * factor ** 2 * m)
+    assert budgets[0] == budgets[1]
+
+
 # ---------------------------------------------------------------------------
 # numerically unusable entries
 
@@ -579,6 +622,23 @@ def test_tiny_magnitude_family_exits_1_at_parse(tmp_path, capsys, args):
 def test_all_zero_family_still_exits_2(tmp_path, capsys):
     assert run(["analyze", _operators_scaled(tmp_path, 0.0)]) == 2
     assert capsys.readouterr().err.startswith("gframemod: error: frame operator is singular")
+
+
+@pytest.mark.parametrize("target,reason", [("nodir/x.json", "No such file or directory"),
+                                           ("adir", "Is a directory")],
+                         ids=["missing-directory", "directory-target"])
+@pytest.mark.parametrize("command", ["analyze", "gen"])
+def test_an_unwritable_output_exits_1_with_a_message(tmp_path, capsys, monkeypatch,
+                                                     command, target, reason):
+    # the second target is a directory: the temporary file is made, then
+    # the rename fails, so the test also sees that it is removed
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    argv = (["analyze", CORPUS / "unitary_orbit_m4.json", "--output", target]
+            if command == "analyze" else ["gen", "--kind", "random", "--n", 2, "--d", 2, target])
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"gframemod: error: cannot write {target}: {reason}\n")
+    assert sorted(os.listdir(tmp_path)) == ["adir"] and os.listdir(tmp_path / "adir") == []
 
 
 def test_linalg_error_exits_2_with_a_message(tmp_path, capsys, monkeypatch):

@@ -28,7 +28,7 @@ from gframemod.serialize import (
     vector_to_document,
 )
 from oracles import stdlib_document
-from test_cli import CORPUS, _load_workloads, run
+from test_cli import CORPUS, _load_perfbench, run
 
 ORBIT = CORPUS / "unitary_orbit_m4.json"
 VECTOR = CORPUS / "unit_vector_n2_d2.json"
@@ -69,7 +69,7 @@ def accepted(tmp_path_factory):
     document's integer 0/1 projections."""
     docs = [(path, "vector" if path == VECTOR else "frame")
             for path in sorted(CORPUS.glob("*.json"))]
-    workloads = _load_workloads()
+    workloads = _load_perfbench("workloads")
     for w in workloads.WORKLOADS.values():
         workdir = tmp_path_factory.mktemp(w.name)
         workloads.write_documents(main, w, 1, str(workdir))  # base documents and pairs

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gframemod.exceptions import DimensionMismatch, MembershipViolation
 from gframemod.frames import GFusionFrame
@@ -12,6 +13,7 @@ from gframemod.hilbert import (
     checked_projections,
     compose,
     contained,
+    gram_sum,
     inner_product,
     operator_adjoint,
     orthonormal_rows,
@@ -387,3 +389,75 @@ def test_sequence_norm(rng):
     seq = _sequence_of([f, f], "linear")
     gram = 2 * inner_product(f, f)
     assert seq.norm() == pytest.approx(np.sqrt(np.linalg.norm(gram, 2)), abs=1e-12)
+
+
+def test_spectral_norms_scale_by_powers_of_two_exactly(rng):
+    # each block is divided by a power of two before its Gram, so entries
+    # whose squares leave the float range keep their norms, and results
+    # move by exactly the factor
+    for shape in ((4, 3, 5), (4, 1, 5)):
+        blocks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        unit = spectral_norms(blocks)
+        for k in (-900, -300, -1, 1, 300, 600, 900):
+            assert np.array_equal(spectral_norms(np.ldexp(1.0, k) * blocks), np.ldexp(unit, k))
+    np.testing.assert_allclose(spectral_norms(1e200 * blocks) / 1e200,
+                               np.linalg.norm(blocks, 2, axis=(-2, -1)), rtol=1e-14)
+    assert np.array_equal(spectral_norms(np.zeros((2, 3, 3), complex)), [0.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# gram_sum against the einsum it replaced
+
+
+def einsum_gram_sum(a, b):
+    """sum_k A_k B_k^H as the einsum that gram_sum's GEMM replaced."""
+    return np.einsum("kij,klj->il", a, b.conj())
+
+
+def assert_gram_sum_matches(a, b):
+    """Every entry within 1e-13 sum_k ||A_k|| ||B_k|| of the einsum, and
+    nothing overflowed or underflowed on the way."""
+    got, expected = gram_sum(a, b), einsum_gram_sum(a, b)
+    assert got.shape == (a.shape[1], b.shape[1])
+    assert np.isfinite(got).all()
+    scale = np.sum(np.linalg.norm(a, 2, axis=(1, 2)) * np.linalg.norm(b, 2, axis=(1, 2)))
+    assert np.abs(got - expected).max() <= 1e-13 * scale
+
+
+def _stack(rng, shape, layout, scale):
+    """A random complex stack of `shape` times `scale`, kept read-only, as a
+    `.conj()` result or as a swapaxes view (not contiguous)."""
+    stored = shape[:1] + shape[:0:-1] if layout == "swapaxes" else shape
+    x = scale * (rng.standard_normal(stored) + 1j * rng.standard_normal(stored))
+    x.setflags(write=False)
+    return {"read-only": x, "conj": x.conj(), "swapaxes": x.swapaxes(1, 2)}[layout]
+
+
+@settings(deadline=None, max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 9), r=st.integers(1, 7),
+       r_b=st.integers(1, 7), c=st.integers(1, 7),
+       scales=st.tuples(*[st.sampled_from([1e-100, 1.0, 1e100])] * 2),
+       layouts=st.tuples(*[st.sampled_from(["read-only", "conj", "swapaxes"])] * 2))
+def test_gram_sum_matches_the_einsum(seed, m, r, r_b, c, scales, layouts):
+    rng = np.random.default_rng(seed)
+    a = _stack(rng, (m, r, c), layouts[0], scales[0])
+    b = _stack(rng, (m, r_b, c), layouts[1], scales[1])
+    assert_gram_sum_matches(a, b)
+
+
+@pytest.mark.parametrize("m", [1, 4])
+def test_gram_sum_of_a_frames_stacks_matches_the_einsum(m):
+    from gframemod.families import unitary_orbit_frame
+
+    frame = unitary_orbit_frame(2, 2, m, seed=5)
+    ops = frame.operators
+    assert not ops.flags.writeable
+    rows = ops[:, 1:3]  # (m, d, nd) against (m, nd, nd), as synthesis passes them
+    cases = [(ops, ops), (rows, ops), (ops, rows), (ops.conj(), ops),
+             (ops.swapaxes(1, 2), ops), (ops[:, :, 1:], ops[:, ::2, 1:]),
+             (ops[::-1], ops), (ops[:, ::-1], ops.swapaxes(1, 2))]
+    for a, b in cases:
+        assert_gram_sum_matches(a, b)
+    zero = np.zeros_like(ops)
+    assert np.array_equal(gram_sum(zero, ops), np.zeros((4, 4)))
+    assert np.array_equal(gram_sum(zero, zero), np.zeros((4, 4)))

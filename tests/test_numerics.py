@@ -439,3 +439,25 @@ def test_the_metamorphic_documents_reach_every_verdict(tmp_path):
     assert {"independent", "dependent"} <= {verdict for _, verdict in outcomes["independence"]}
     assert (0, None) in outcomes["certificate"] and (0, None) in outcomes["perturb-pass"]
     assert outcomes["perturb-witness"] == {(3, None)}
+
+
+@pytest.mark.parametrize("c", [1e60, 1e77, 1e90])
+def test_certificate_with_a_vector_near_the_magnitude_window(c, tmp_path):
+    """The orbit's operators and the unit vector, both times c: B and ||f||^2
+    are each near or past the largest float, and no Gram or ratio of the
+    certificate may overflow on the way to the unit-scale window."""
+    doc = json.loads((CORPUS / "unitary_orbit_m4.json").read_text())
+    vector = json.loads((CORPUS / "unit_vector_n2_d2.json").read_text())
+    outcomes = []
+    for scale in (1.0, c):
+        frame_path, vector_path = tmp_path / f"frame-{scale:g}.json", tmp_path / f"f-{scale:g}.json"
+        frame_path.write_text(json.dumps(_with_operators(
+            doc, [scale * _matrix(el["operator"]) for el in doc["elements"]])))
+        vector_path.write_text(json.dumps(dict(vector, components=[
+            _rows(scale * _matrix(block)) for block in vector["components"]])))
+        code, report = _run(["represent", frame_path, "--tight-certificate", "--vector", vector_path],
+                            tmp_path / "report.json")
+        assert code == 0
+        outcomes.append(_signature(report["results"]))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[1]["certificate"]["window"] == 4
