@@ -57,15 +57,17 @@ from .serialize import (
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("GFRAMEMOD_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise ParseError(f"GFRAMEMOD_SEED must be an integer, got {env!r}") from exc
+    """--seed, else $GFRAMEMOD_SEED, else 0; a negative seed is a ParseError."""
+    seed, source = args.seed, "--seed"
+    if seed is None:
+        seed, source = os.environ.get("GFRAMEMOD_SEED", "0"), "GFRAMEMOD_SEED"
+        try:
+            seed = int(seed)
+        except ValueError as exc:
+            raise ParseError(f"GFRAMEMOD_SEED must be an integer, got {seed!r}") from exc
+    if seed < 0:
+        raise ParseError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _write(path, text: str) -> None:

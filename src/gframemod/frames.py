@@ -27,9 +27,10 @@ from .hilbert import (
     Submodule,
     _check_convention,
     _common_shape,
-    checked_projections,
     contained,
     gram_sum,
+    projection_fault,
+    row_bases,
 )
 from .numerics import (
     CONTAINMENT_TOL,
@@ -37,6 +38,7 @@ from .numerics import (
     INVERT_TOL,
     TIGHT_TOL,
     rank,
+    spectral_norms,
 )
 
 
@@ -64,16 +66,19 @@ class GFusionFrame:
     """Ordered family {(N_xi, Y_xi)} with a linear or cyclic index convention.
 
     The frame is its stacks: `operators` and `projections` hold the
-    flattened Y_xi and P_{N_xi} as read-only (m, n*d, n*d) arrays, and
-    `bases` the orthonormal row basis of each N_xi.  They are stacked and
-    validated once, when the frame is built; `elements` and `submodules()`
-    build the per-element objects on demand.  The frame operator S is formed
-    once, on first use, and kept read-only; a frame built from another
-    (`scaled`, a dual) forms its own.
+    flattened Y_xi and P_{N_xi} as read-only (m, n*d, n*d) arrays.  They are
+    stacked and validated once, when the frame is built; `elements` and
+    `submodules()` build the per-element objects on demand.  Three facts are
+    factored on first use and kept read-only: `bases`, the orthonormal row
+    basis of each N_xi (one batched SVD of the projections, shared with every
+    frame built from this one's submodules, as `scaled` and the dual are);
+    the spectral norms ||Y_xi|| (`_operator_norms`); and the frame operator
+    S, which a frame built from another forms anew.  So the bounds and the
+    dual take no SVD of the stacks.
     """
 
-    __slots__ = ("index_convention", "n", "d", "operators", "projections", "bases",
-                 "_operator_norms", "_frame_operator")
+    __slots__ = ("index_convention", "n", "d", "operators", "projections", "_bases",
+                 "_norms", "_frame_operator")
 
     def __init__(self, elements, index_convention: str = "linear"):
         elements = [FrameElement(sub, op) for sub, op in elements]
@@ -83,7 +88,7 @@ class GFusionFrame:
         n, d = _common_shape([part for element in elements for part in element], "frame element")
         self._adopt(np.stack([sub.projection.matrix for sub, _ in elements]),
                     np.stack([op.matrix for _, op in elements]),
-                    [sub.basis_rows for sub, _ in elements], n, d, index_convention)
+                    [tuple(sub.basis_rows for sub, _ in elements)], n, d, index_convention)
 
     @classmethod
     def from_stacks(cls, projections, operators, n: int, d: int,
@@ -95,27 +100,32 @@ class GFusionFrame:
         shape = (len(projections), n * d, n * d)
         if n < 1 or d < 1 or not shape[0] or not projections.shape == operators.shape == shape:
             raise DimensionMismatch(f"expected two stacks of {shape[1:]} matrices")
-        fault, bases = checked_projections(projections)
+        fault = projection_fault(projections)
         if fault is not None:
             raise ValueError("element %d: %s" % fault)
-        return cls.__new__(cls)._adopt(projections, operators, bases, n, d, index_convention)
+        return cls.__new__(cls)._adopt(projections, operators, [None], n, d, index_convention)
 
     def _adopt(self, projections, operators, bases, n, d, index_convention) -> "GFusionFrame":
         """Check the range of every Y_k against N_k and keep the stacks: the
-        path every frame is built by."""
-        norms = np.linalg.norm(operators, 2, axis=(1, 2))
-        # the range of Y_k lies in N_k when every row of Y_k is a member
-        outside = np.flatnonzero(~contained(operators, projections, CONTAINMENT_TOL * norms))
-        if outside.size:
-            raise MembershipViolation(
-                f"element {outside[0]}: operator range is not contained in its submodule"
-            )
-        for array in (operators, projections, *bases):
-            array.setflags(write=False)
-        self.operators = operators
+        path every frame is built by.  `bases` is a one-item list, shared by
+        the frames of one projection stack, that holds their read-only row
+        bases, or None until they are first read."""
+        self.operators, self._norms = operators, None
+        # the range of Y_k lies in N_k when every row of Y_k is a member.  A
+        # row's norm is at most ||Y_k||, so a pass against the largest is a
+        # pass against CONTAINMENT_TOL ||Y_k||; the norms are taken on a fail
+        rows = spectral_norms(operators[:, :, None, :]).max(axis=1)
+        if not contained(operators, projections, CONTAINMENT_TOL * rows).all():
+            bounds = CONTAINMENT_TOL * self._operator_norms
+            outside = np.flatnonzero(~contained(operators, projections, bounds))
+            if outside.size:
+                raise MembershipViolation(
+                    f"element {outside[0]}: operator range is not contained in its submodule"
+                )
+        operators.setflags(write=False)
+        projections.setflags(write=False)
         self.projections = projections
-        self.bases = tuple(bases)
-        self._operator_norms = norms
+        self._bases = bases
         self._frame_operator = None
         self.index_convention = _check_convention(index_convention)
         self.n, self.d = n, d
@@ -124,7 +134,7 @@ class GFusionFrame:
     def _with_operators(self, operators) -> "GFusionFrame":
         """The frame of the same submodules with another operator stack."""
         return GFusionFrame.__new__(GFusionFrame)._adopt(
-            self.projections, operators, self.bases, self.n, self.d, self.index_convention)
+            self.projections, operators, self._bases, self.n, self.d, self.index_convention)
 
     @property
     def elements(self):
@@ -140,6 +150,26 @@ class GFusionFrame:
     def submodules(self):
         return [Submodule.__new__(Submodule)._adopt(ModuleOperator(q, self.n, self.d), basis)
                 for q, basis in zip(self.projections, self.bases)]
+
+    @property
+    def bases(self):
+        """The orthonormal row basis of each N_xi, read-only; the batched SVD
+        of the projection stack runs on the first read by any frame that
+        shares the stack."""
+        if self._bases[0] is None:
+            bases = tuple(row_bases(self.projections))
+            for basis in bases:
+                basis.setflags(write=False)
+            self._bases[0] = bases
+        return self._bases[0]
+
+    @property
+    def _operator_norms(self):
+        """The spectral norm ||Y_xi|| of each member, read-only, taken on first use."""
+        if self._norms is None:
+            self._norms = np.linalg.norm(self.operators, 2, axis=(1, 2))
+            self._norms.setflags(write=False)
+        return self._norms
 
     def max_operator_norm(self) -> float:
         return float(self._operator_norms.max())
@@ -271,4 +301,4 @@ def fusion_frame(submodules, weights) -> GFusionFrame:
     projections = np.stack([s.projection.matrix for s in submodules])
     operators = projections * np.array(weights, dtype=complex)[:, None, None]
     return GFusionFrame.__new__(GFusionFrame)._adopt(
-        projections, operators, [s.basis_rows for s in submodules], n, d, "linear")
+        projections, operators, [tuple(s.basis_rows for s in submodules)], n, d, "linear")

@@ -219,24 +219,31 @@ def orthonormal_rows(rows) -> np.ndarray:
     return vh[:rank(s)]
 
 
-def checked_projections(stack):
-    """Validate a stack of would-be orthogonal projections in one batch.
-
-    Returns the (index, problem) of the first matrix q that is not
+def projection_fault(stack):
+    """The (index, problem) of the first matrix q of a stack that is not
     self-adjoint or not idempotent within PROJECTION_TOL in spectral norm
-    (a projection has no scale), or None, and the row basis of every
-    matrix from one batched SVD.
-    """
-    _, s, vh = np.linalg.svd(stack, full_matrices=False)
+    (a projection has no scale), or None when every one is a projection."""
     adjoint_ok = norms_within(stack - stack.conj().swapaxes(-1, -2), PROJECTION_TOL)
     idempotent_ok = norms_within(stack @ stack - stack, PROJECTION_TOL)
     bad = np.flatnonzero(~(adjoint_ok & idempotent_ok))
-    fault = None
-    if bad.size:
-        k = int(bad[0])
-        problem = "self-adjoint" if not adjoint_ok[k] else "idempotent"
-        fault = (k, f"projection is not {problem} within tolerance")
-    return fault, [v[:r] for v, r in zip(vh, rank(s).tolist())]
+    if not bad.size:
+        return None
+    k = int(bad[0])
+    problem = "self-adjoint" if not adjoint_ok[k] else "idempotent"
+    return k, f"projection is not {problem} within tolerance"
+
+
+def row_bases(stack):
+    """The orthonormal row basis of every matrix of a stack, from one
+    batched SVD."""
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
+    return [v[:r] for v, r in zip(vh, rank(s).tolist())]
+
+
+def checked_projections(stack):
+    """Validate a stack of would-be orthogonal projections in one batch:
+    `projection_fault` of the stack, and the `row_bases` of every matrix."""
+    return projection_fault(stack), row_bases(stack)
 
 
 class Submodule:

@@ -12,7 +12,8 @@ import pytest
 
 from gframemod import cli, frames, hilbert, perturb, represent
 from gframemod.cli import main
-from gframemod.frames import GFusionFrame, frame_operator
+from gframemod.families import KINDS
+from gframemod.frames import GFusionFrame, frame_operator, fusion_frame
 from gframemod.hilbert import ModuleOperator, ModuleVector, Submodule
 from gframemod.serialize import dumps_canonical, frame_to_document, load_frame, write_atomic
 
@@ -455,6 +456,47 @@ def test_env_seed_is_honored(tmp_path, monkeypatch):
     assert run(["analyze", CORPUS / "fusion_parseval_m2.json"]) == 1
 
 
+_ORBIT = CORPUS / "unitary_orbit_m4.json"
+_SEEDED = {
+    "analyze": ["analyze", _ORBIT],
+    "represent": ["represent", _ORBIT, "--check-theorem21"],
+    "independence": ["independence", _ORBIT],
+    "perturb": ["perturb", _ORBIT, _ORBIT],
+    "gen": ["gen", "--kind", "unitary-orbit", "--n", 2, "--d", 2, "--m", 4, "out.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SEEDED))
+def test_a_negative_seed_exits_1_with_a_message(tmp_path, capsys, monkeypatch, command):
+    # the generators and samplers take non-negative seeds only, so every
+    # command refuses a negative one before it reads or writes a file
+    monkeypatch.chdir(tmp_path)
+    assert run([*_SEEDED[command], "--seed", -1]) == 1
+    assert capsys.readouterr() == ("", "gframemod: error: --seed must be a non-negative "
+                                       "integer, got -1\n")
+    assert os.listdir(tmp_path) == []
+    assert run([*_SEEDED[command], "--seed", 0, "--output", "report.json"]
+               if command != "gen" else [*_SEEDED[command], "--seed", 0]) == 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_negative_seed_exits_1_for_every_generator(tmp_path, capsys, kind):
+    assert run(["gen", "--kind", kind, "--seed", -5, tmp_path / "out.json"]) == 1
+    assert capsys.readouterr().err == ("gframemod: error: --seed must be a non-negative "
+                                       "integer, got -5\n")
+
+
+def test_a_negative_env_seed_exits_1_with_a_message(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("GFRAMEMOD_SEED", "-1")
+    for argv in _SEEDED.values():
+        assert run([*argv[:-1], tmp_path / "out.json"] if argv[0] == "gen" else argv) == 1
+        assert capsys.readouterr() == ("", "gframemod: error: GFRAMEMOD_SEED must be a "
+                                           "non-negative integer, got -1\n")
+    assert not (tmp_path / "out.json").exists()
+    # --seed still takes precedence over the environment
+    assert run([*_SEEDED["represent"], "--seed", 3, "--output", tmp_path / "r.json"]) == 0
+
+
 def test_stdout_report_when_no_output(capsys):
     assert run(["analyze", CORPUS / "fusion_parseval_m2.json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -562,6 +604,36 @@ def test_analyze_forms_each_frame_operator_once(tmp_path, monkeypatch):
             np.testing.assert_allclose(frame_operator(other).matrix, factor ** 2 * s,
                                        rtol=0, atol=1e-13 * factor ** 2 * m)
     assert budgets[0] == budgets[1]
+
+
+def _fusion_document(tmp_path, m):
+    """A weighted fusion frame of m random rank-1 and rank-2 submodules of
+    A^2 over M_2(C), written as a document."""
+    rng = np.random.default_rng(m)
+    subs = [Submodule.from_basis_rows(rng.standard_normal((1 + k % 2, 4))
+                                      + 1j * rng.standard_normal((1 + k % 2, 4)), 2, 2)
+            for k in range(m)]
+    return _write_frame(fusion_frame(subs, rng.uniform(0.5, 2.0, m)), tmp_path, f"fusion{m}.json")
+
+
+@pytest.mark.parametrize("kind", ["unitary-orbit", "fusion"])
+def test_analyze_factors_only_the_frame_operator(tmp_path, monkeypatch, kind):
+    # loading takes no SVD of the projection stack and no spectral norm of
+    # the operator stack, and neither does the dual: analyze's whole
+    # numpy.linalg record is the bounds, the dual and the residual's norm
+    linalg = []
+    for name in _load_perfbench("spans").LINALG:
+        def counting(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            linalg.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    for m in (4, 64):
+        doc = (_gen(tmp_path, kind, 2, 2, m, 1) if kind == "unitary-orbit"
+               else _fusion_document(tmp_path, m))
+        linalg.clear()
+        code, report = run_report(["analyze", doc], tmp_path)
+        assert code == 0 and report["results"]["dual"]["verified"]
+        assert Counter(linalg) == {"eigvalsh": 1, "eigh": 1, "norm": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,14 @@ code when refused.  A size of 2**64 or more, which orjson reads as a float
 and `json` as an integer, is pinned by its own test.  Loading runs with the
 cyclic collector paused and leaves it as the caller set it."""
 
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import orjson
@@ -311,3 +315,55 @@ def test_decimal_strings_of_up_to_40_digits_decode_to_the_same_bits(digits, expo
 def test_every_integer_up_to_1e30_decodes_to_the_same_bits(k):
     ours, reference = _float_bits(str(k))
     assert ours == reference, k
+
+
+# ---------------------------------------------------------------------------
+# corrupted documents under every reading command
+
+_CORRUPT_VALUES = {"true": True, "string": "1.0", "null": None, "nested list": [[1.0, 0.0]],
+                   "10**400": 10**400, "NaN": float("nan")}
+_READING_COMMANDS = (["analyze"], ["independence"], ["represent", "--check-theorem21"],
+                     ["perturb"])
+
+
+def _corrupted(corruption: str, element: int, matrix: str, at: tuple) -> dict:
+    """The orbit document with one entry, number or row of one matrix
+    replaced, a row dropped, or an unexpected key in one element."""
+    doc = json.loads(ORBIT.read_text())
+    rows = doc["elements"][element][matrix]
+    if corruption == "dropped row":
+        del rows[at[0]]
+    elif corruption == "extra key":
+        doc["elements"][element]["weight"] = 1.0
+    else:
+        *path, last = at
+        target = rows
+        for index in path:
+            target = target[index]
+        target[last] = _CORRUPT_VALUES[corruption]
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(corruption=st.sampled_from([*_CORRUPT_VALUES, "dropped row", "extra key"]),
+       element=st.integers(0, 3), matrix=st.sampled_from(["projection", "operator"]),
+       at=st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple),
+       perturbed_first=st.booleans())
+def test_a_corrupted_document_exits_1_under_every_command(corruption, element, matrix, at,
+                                                          perturbed_first):
+    # `at` picks a row, an entry (row, column) or a number (row, column, part)
+    at = at[:2] + tuple(i % 2 for i in at[2:])
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "corrupted.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(_corrupted(corruption, element, matrix, at), handle)  # NaN as `NaN`
+        for command in _READING_COMMANDS:
+            frames = [path]
+            if command[0] == "perturb":
+                frames = [path, ORBIT] if perturbed_first else [ORBIT, path]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command[0], *map(str, frames), *command[1:]])
+            lines = err.getvalue().splitlines()
+            assert (code, out.getvalue(), len(lines)) == (1, "", 1), (command, err.getvalue())
+            assert lines[0].startswith("gframemod: error: ") and "Traceback" not in lines[0]

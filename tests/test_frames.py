@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from gframemod import frames
 from gframemod.exceptions import (
     LengthMismatch,
     MembershipViolation,
@@ -32,12 +35,16 @@ from gframemod.hilbert import (
     ModuleVector,
     Submodule,
     apply,
+    checked_projections,
     inner_product,
     operator_adjoint,
     right_shift,
     sequence_inner_product,
     submodule_from_generators,
 )
+from gframemod.serialize import load_frame
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def _identity_frame(n, d, ops):
@@ -178,6 +185,57 @@ def test_stacks_match_the_elements():
     assert frame.max_operator_norm() == max(np.linalg.norm(op.matrix, 2) for _, op in frame.elements)
     with pytest.raises(ValueError):
         frame.operators[0, 0, 0] = 1.0
+
+
+def _counting(monkeypatch, owner, name, calls):
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counting)
+
+
+@pytest.mark.parametrize("document", ["unitary_orbit_m4.json", "fusion_parseval_m2.json"])
+def test_bases_and_norms_are_factored_once_on_first_use(monkeypatch, document):
+    calls = []
+    _counting(monkeypatch, frames, "row_bases", calls)
+    _counting(monkeypatch, np.linalg, "norm", calls)
+    frame = load_frame(CORPUS / document)
+    assert calls == [] and frame._bases == [None] and frame._norms is None
+    # the lazy results are the eager formulas' bit for bit, and read-only
+    bases = frame.bases
+    eager = checked_projections(frame.projections)[1]
+    assert len(bases) == len(eager) == len(frame)
+    for lazy, basis in zip(bases, eager):
+        assert lazy.shape == basis.shape and lazy.tobytes() == basis.tobytes()
+        assert not lazy.flags.writeable
+    norms = frame._operator_norms
+    assert norms.tobytes() == np.linalg.norm(frame.operators, 2, axis=(1, 2)).tobytes()
+    assert not norms.flags.writeable
+    assert calls == ["row_bases", "norm", "norm"]  # the last is the reference's
+    # later reads reuse them
+    calls.clear()
+    assert frame.bases is bases and frame._operator_norms is norms
+    assert frame.max_operator_norm() == float(norms.max())
+    assert all(s.basis_rows is basis for s, basis in zip(frame.submodules(), bases))
+    assert calls == []
+
+
+def test_derived_frames_share_the_row_bases():
+    calls = []
+    frame = load_frame(CORPUS / "unitary_orbit_m4.json")
+    with pytest.MonkeyPatch.context() as patch:
+        _counting(patch, frames, "row_bases", calls)
+        # derived before the parent reads them: one SVD serves every frame
+        scaled, dual = frame.scaled(2.0), canonical_dual(frame)
+        assert calls == []
+        bases = dual.bases
+        assert scaled.bases is bases and frame.bases is bases
+        assert frame.scaled(3.0).bases is bases and canonical_dual(scaled).bases is bases
+        assert calls == ["row_bases"]
+    # the norms are each frame's own
+    np.testing.assert_allclose(scaled._operator_norms, 2.0 * frame._operator_norms, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------

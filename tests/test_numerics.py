@@ -276,6 +276,31 @@ def test_synthesis_accepts_the_analysis_of_a_frame_with_a_small_lower_bound(c):
         synthesis(frame, seq, membership_tol=1e-11)
 
 
+def _equal_rows_frame(c, t):
+    """n=2, d=2, loaded from stacks: (full, c Id), then (the first two
+    coordinates, Y) with Y's four rows all c (sqrt(1 - t^2), 0, t, 0).  So
+    ||Y|| = 2 c is twice its row norm c, and ||Y - Y P|| = 2 c t."""
+    row = c * np.array([np.sqrt(1.0 - t * t), 0.0, t, 0.0])
+    projections = np.stack([np.eye(4), np.diag([1.0, 1.0, 0.0, 0.0])]).astype(complex)
+    operators = np.stack([c * np.eye(4), np.tile(row, (4, 1))]).astype(complex)
+    return GFusionFrame.from_stacks(projections, operators, 2, 2)
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_containment_is_judged_against_the_operator_norm_at_every_scale(c):
+    # a residual of 1.5e-8 ||row||, past the row-norm screen but within
+    # CONTAINMENT_TOL ||Y|| = 2e-8 ||row||, loads, and its norms were taken
+    frame = _equal_rows_frame(c, 0.75e-8)
+    assert frame._norms is not None
+    np.testing.assert_allclose(frame._operator_norms, [c, 2.0 * c], rtol=1e-12)
+    # one of 2.5e-8 ||row|| fails with the message of the exact test
+    with pytest.raises(MembershipViolation) as caught:
+        _equal_rows_frame(c, 1.25e-8)
+    assert str(caught.value) == "element 1: operator range is not contained in its submodule"
+    # a contained family passes the screen and takes no norm at load
+    assert _equal_rows_frame(c, 0.0)._norms is None
+
+
 @pytest.mark.parametrize("small,fixes", [(5e-10, False), (5e-9, True)])
 def test_hypothesis_rank_cutoff_is_1e_9_of_the_top_singular_value(small, fixes):
     # Y = B^H diag(1, small) B on a rank-2 submodule with rows B: self-adjoint,

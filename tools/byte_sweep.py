@@ -23,6 +23,9 @@ Invocations:
   hat_original`;
 * `perturb --samples 0` and `--samples -3`, and the orbit document with
   every operator entry scaled by 1e-200 under every command;
+* `--seed -1` under `represent --check-theorem21` and `perturb` of the
+  orbit document, and under `gen` of every kind (a negative seed is
+  refused);
 * `gen` of every kind at the benchmark sizes, with seeds 1 and 2 (the
   written documents are compared), and every command above on each
   document that the old tree wrote, with a unit vector of its shape for the
@@ -171,6 +174,11 @@ def plan(old_src: str, work: str) -> list:
     orbit = os.path.join(CORPUS, "unitary_orbit_m4.json")
     for samples in ("0", "-3"):
         invocations.append((["perturb", orbit, orbit, "--samples", samples], None))
+    invocations += [(["represent", orbit, "--check-theorem21", "--seed", "-1"], None),
+                    (["perturb", orbit, orbit, "--seed", "-1"], None)]
+    for kind in KINDS:
+        doc = os.path.join(work, f"gen_{kind}_negative_seed.json")
+        invocations.append((["gen", "--kind", kind, "--seed", "-1", doc], doc))
     with open(orbit, encoding="utf-8") as handle:
         tiny = _write_json(os.path.join(work, "tiny_orbit.json"), _scaled(json.load(handle), 1e-200))
     invocations += [(argv, None) for argv in frame_invocations(tiny, work, corpus_vector)]
