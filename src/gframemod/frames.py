@@ -70,11 +70,13 @@ class GFusionFrame:
     stacked and validated once, when the frame is built; `elements` and
     `submodules()` build the per-element objects on demand.  Three facts are
     factored on first use and kept read-only: `bases`, the orthonormal row
-    basis of each N_xi (one batched SVD of the projections, shared with every
-    frame built from this one's submodules, as `scaled` and the dual are);
-    the spectral norms ||Y_xi|| (`_operator_norms`); and the frame operator
-    S, which a frame built from another forms anew.  So the bounds and the
-    dual take no SVD of the stacks.
+    basis of each N_xi (one batched SVD of the projections, whether the
+    frame was loaded or built from Submodule objects, whose own bases it
+    does not read; shared with every frame built from this one's submodules,
+    as `scaled` and the dual are); the spectral norms ||Y_xi||
+    (`_operator_norms`); and the frame operator S, which a frame built from
+    another forms anew.  So the bounds and the dual take no SVD of the
+    stacks, and neither does writing the frame out.
     """
 
     __slots__ = ("index_convention", "n", "d", "operators", "projections", "_bases",
@@ -87,8 +89,7 @@ class GFusionFrame:
                 raise TypeError(f"frame elements pair a Submodule with an operator, got {type(sub).__name__}")
         n, d = _common_shape([part for element in elements for part in element], "frame element")
         self._adopt(np.stack([sub.projection.matrix for sub, _ in elements]),
-                    np.stack([op.matrix for _, op in elements]),
-                    [tuple(sub.basis_rows for sub, _ in elements)], n, d, index_convention)
+                    np.stack([op.matrix for _, op in elements]), [None], n, d, index_convention)
 
     @classmethod
     def from_stacks(cls, projections, operators, n: int, d: int,
@@ -300,5 +301,4 @@ def fusion_frame(submodules, weights) -> GFusionFrame:
     n, d = _common_shape(submodules, "frame element")
     projections = np.stack([s.projection.matrix for s in submodules])
     operators = projections * np.array(weights, dtype=complex)[:, None, None]
-    return GFusionFrame.__new__(GFusionFrame)._adopt(
-        projections, operators, [tuple(s.basis_rows for s in submodules)], n, d, "linear")
+    return GFusionFrame.__new__(GFusionFrame)._adopt(projections, operators, [None], n, d, "linear")

@@ -240,40 +240,49 @@ def row_bases(stack):
     return [v[:r] for v, r in zip(vh, rank(s).tolist())]
 
 
-def checked_projections(stack):
-    """Validate a stack of would-be orthogonal projections in one batch:
-    `projection_fault` of the stack, and the `row_bases` of every matrix."""
-    return projection_fault(stack), row_bases(stack)
-
-
 class Submodule:
     """Closed orthogonally complemented A-submodule, held as its projection.
 
     Internally a complex row subspace V of C^(n*d): a vector lies in the
-    submodule iff every row of its flattened form lies in V.
+    submodule iff every row of its flattened form lies in V.  The
+    projection is checked when the submodule is built; its orthonormal row
+    basis (`row_bases` of the projection) is taken on the first read of
+    `basis_rows` or `rank`, and a rank already known is kept without one.
     """
 
-    __slots__ = ("projection", "basis_rows", "rank", "n", "d")
+    __slots__ = ("projection", "_basis_rows", "_rank", "n", "d")
 
     def __init__(self, projection: ModuleOperator):
-        fault, (basis,) = checked_projections(projection.matrix[None])
+        fault = projection_fault(projection.matrix[None])
         if fault is not None:
             raise ValueError(fault[1])
-        self._adopt(projection, basis)
+        self._adopt(projection, None)
 
-    def _adopt(self, projection: ModuleOperator, basis_rows: np.ndarray) -> "Submodule":
-        basis_rows.setflags(write=False)
+    def _adopt(self, projection: ModuleOperator, basis_rows) -> "Submodule":
+        """Keep the projection and its read-only row basis, or None."""
         self.projection = projection
-        self.basis_rows = basis_rows
-        self.rank = basis_rows.shape[0]
+        self._basis_rows, self._rank = basis_rows, None
         self.n = projection.n
         self.d = projection.d
         return self
 
+    @property
+    def basis_rows(self) -> np.ndarray:
+        if self._basis_rows is None:
+            (self._basis_rows,) = row_bases(self.projection.matrix[None])
+            self._basis_rows.setflags(write=False)
+        return self._basis_rows
+
+    @property
+    def rank(self) -> int:
+        return self.basis_rows.shape[0] if self._rank is None else self._rank
+
     @classmethod
     def from_basis_rows(cls, rows, n: int, d: int) -> "Submodule":
         rows = orthonormal_rows(rows)
-        return cls(ModuleOperator(rows.conj().T @ rows, n, d))  # zero for no rows
+        sub = cls(ModuleOperator(rows.conj().T @ rows, n, d))  # zero for no rows
+        sub._rank = rows.shape[0]
+        return sub
 
     @classmethod
     def full(cls, n: int, d: int) -> "Submodule":

@@ -20,7 +20,8 @@ literals, integers whose float overflows, lone surrogates, invalid UTF-8)
 go through the standard library's `json`, keeping its reading and messages.
 orjson reads an integer beyond the 64-bit range as its nearest float, so
 sizes stop below 2**64 for both.  The cyclic collector is paused while a
-decoded document lives (see `_load`).
+decoded document lives (see `_load`).  The writer formats each distinct
+matrix of a `dumps_canonical` call once (see `_write_matrix`).
 
 `frame_to_document` and `vector_to_document` build the in-memory form of
 these documents for `dumps_canonical`: their matrices are complex ndarrays,
@@ -60,7 +61,7 @@ _NUMBER_TYPES = {int, float}
 # canonical writer
 
 
-def _write(obj, out, indent):
+def _write(obj, out, indent, written):
     pad = "  " * indent
     if obj is None or isinstance(obj, bool):
         out.append("null" if obj is None else ("true" if obj else "false"))
@@ -79,11 +80,11 @@ def _write(obj, out, indent):
         out.append("[\n")
         for k, item in enumerate(obj):
             out.append(pad + "  ")
-            _write(item, out, indent + 1)
+            _write(item, out, indent + 1, written)
             out.append(",\n" if k + 1 < len(obj) else "\n")
         out.append(pad + "]")
     elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "c" and obj.size:
-        _write_matrix(obj, out, indent)
+        _write_matrix(obj, out, indent, written)
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -94,21 +95,26 @@ def _write(obj, out, indent):
             if not isinstance(key, str):
                 raise ValueError("report keys must be strings")
             out.append(pad + "  " + json.dumps(key, ensure_ascii=True) + ": ")
-            _write(obj[key], out, indent + 1)
+            _write(obj[key], out, indent + 1, written)
             out.append(",\n" if k + 1 < len(keys) else "\n")
         out.append(pad + "}")
     else:
         raise ValueError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def _write_matrix(matrix, out, indent):
+def _write_matrix(matrix, out, indent, written):
     """A complex matrix as rows of [re, im] pairs, byte for byte what the
     generic path writes for its nested lists of floats: '%.17g' and
-    format(x, '.17g') share one C routine."""
+    format(x, '.17g') share one C routine.  `written` maps each matrix
+    already written (its shape, indent and parts) to its text."""
     parts = np.stack((matrix.real, matrix.imag), axis=-1).ravel() + 0.0  # no -0
-    if not np.isfinite(parts).all():
-        raise ValueError("non-finite floats are not representable in reports")
-    out.append(_matrix_template(*matrix.shape, indent) % tuple(parts.tolist()))
+    key = (matrix.shape, indent, parts.tobytes())
+    text = written.get(key)
+    if text is None:
+        if not np.isfinite(parts).all():
+            raise ValueError("non-finite floats are not representable in reports")
+        text = written[key] = _matrix_template(*matrix.shape, indent) % tuple(parts.tolist())
+    out.append(text)
 
 
 @functools.lru_cache(maxsize=32)
@@ -123,7 +129,7 @@ def _matrix_template(rows: int, cols: int, indent: int) -> str:
 
 def dumps_canonical(obj) -> str:
     out = []
-    _write(obj, out, 0)
+    _write(obj, out, 0, {})
     out.append("\n")
     return "".join(out)
 

@@ -636,6 +636,46 @@ def test_analyze_factors_only_the_frame_operator(tmp_path, monkeypatch, kind):
         assert Counter(linalg) == {"eigvalsh": 1, "eigh": 1, "norm": 1}
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_gen_factors_no_submodule_it_only_writes(tmp_path, monkeypatch, kind):
+    # the only SVDs of gen are those of orthonormal_rows, which builds a
+    # submodule from basis rows; no projection it writes is factored again
+    linalg, rows = [], []
+    for name in _load_perfbench("spans").LINALG:
+        def counting(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            linalg.append((_name, np.shape(args[0])))
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    orthonormal_rows = hilbert.orthonormal_rows
+    monkeypatch.setattr(hilbert, "orthonormal_rows", lambda x: rows.append(x) or orthonormal_rows(x))
+    n, d = 8, 8  # a fusion decomposition needs m <= n*d
+    for m in (4, 64):
+        linalg.clear()
+        rows.clear()
+        _gen(tmp_path, kind, n, d, m, 1)
+        svds = [shape for name, shape in linalg if name == "svd"]
+        assert (1, n * d, n * d) not in svds
+        assert len(svds) == len(rows) == (m if kind in ("fusion", "random") else 0)
+        assert {name for name, _ in linalg} <= {"svd", "qr"}
+
+
+@pytest.mark.parametrize("command, kind", [("represent", "unitary-orbit"), ("represent", "fusion"),
+                                           ("independence", "fusion"), ("independence", "random")])
+def test_the_span_keeps_the_rank_of_its_own_svd(tmp_path, monkeypatch, command, kind):
+    # the span of the submodules is built from basis rows, whose SVD gives
+    # its rank; its projection is factored only when its basis is read, which
+    # these reports (no dependency, no certificate) never do
+    svds = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *x, **k: svds.append(np.shape(a)) or svd(a, *x, **k))
+    doc = _gen(tmp_path, kind, 8, 8, 4, 1)
+    svds.clear()
+    code, report = run_report([command, doc], tmp_path)
+    assert code == 0 and (1, 64, 64) not in svds
+    if command == "represent":
+        assert report["results"]["span_rank"] == 64
+
+
 # ---------------------------------------------------------------------------
 # numerically unusable entries
 

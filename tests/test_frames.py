@@ -35,10 +35,10 @@ from gframemod.hilbert import (
     ModuleVector,
     Submodule,
     apply,
-    checked_projections,
     inner_product,
     operator_adjoint,
     right_shift,
+    row_bases,
     sequence_inner_product,
     submodule_from_generators,
 )
@@ -205,7 +205,7 @@ def test_bases_and_norms_are_factored_once_on_first_use(monkeypatch, document):
     assert calls == [] and frame._bases == [None] and frame._norms is None
     # the lazy results are the eager formulas' bit for bit, and read-only
     bases = frame.bases
-    eager = checked_projections(frame.projections)[1]
+    eager = row_bases(frame.projections)
     assert len(bases) == len(eager) == len(frame)
     for lazy, basis in zip(bases, eager):
         assert lazy.shape == basis.shape and lazy.tobytes() == basis.tobytes()

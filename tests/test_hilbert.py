@@ -10,14 +10,15 @@ from gframemod.hilbert import (
     ModuleVector,
     Submodule,
     apply,
-    checked_projections,
     compose,
     contained,
     gram_sum,
     inner_product,
     operator_adjoint,
     orthonormal_rows,
+    projection_fault,
     right_shift,
+    row_bases,
     span_of_submodules,
     submodule_from_generators,
 )
@@ -246,8 +247,7 @@ def test_submodule_stack_names_the_first_failing_element(rng, k, defect, problem
         GFusionFrame.from_stacks(stack, np.zeros_like(stack), 2, 2)
     with pytest.raises(ValueError, match=f"^projection is not {problem} within"):
         Submodule(ModuleOperator(stack[k], 2, 2))
-    fault, bases = checked_projections(stack)
-    assert fault[0] == k and len(bases) == 4
+    assert projection_fault(stack)[0] == k and len(row_bases(stack)) == 4
 
 
 def test_projection_check_takes_spectral_norms_past_the_screen():
@@ -257,10 +257,35 @@ def test_projection_check_takes_spectral_norms_past_the_screen():
     passing = np.diag([1.0, 1.0, 8e-9, 8e-9]).astype(complex)
     defect = passing @ passing - passing
     assert np.linalg.norm(defect, 2) < PROJECTION_TOL < np.linalg.norm(defect)
-    assert checked_projections(passing[None])[0] is None
+    assert projection_fault(passing[None]) is None
     failing = np.diag([1.0, 1.0, 1.2e-8, 1.2e-8]).astype(complex)
-    assert checked_projections(failing[None])[0] == (
+    assert projection_fault(failing[None]) == (
         0, "projection is not idempotent within tolerance")
+
+
+def test_a_submodule_factors_its_projection_on_first_read(rng, monkeypatch):
+    # construction checks the projection and takes no SVD; from_basis_rows
+    # keeps the rank its own SVD found, and the row basis is row_bases of the
+    # projection, taken once, on the first read of basis_rows
+    svds = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *x, **k: svds.append(np.shape(a)) or svd(a, *x, **k))
+    n, d = 2, 3
+    for r, k in [(0, 2), (1, 3), (3, 5), (6, 6), (4, 9)]:
+        rows = ((rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r)))
+                @ (rng.standard_normal((r, n * d)) + 1j * rng.standard_normal((r, n * d))))
+        svds.clear()
+        sub = Submodule.from_basis_rows(rows, n, d)
+        assert (sub.rank, svds) == (r, [rows.shape])
+        basis = sub.basis_rows
+        assert svds == [rows.shape, (1, n * d, n * d)]
+        assert sub.basis_rows is basis and not basis.flags.writeable
+        np.testing.assert_array_equal(basis, row_bases(sub.projection.matrix[None])[0])
+        assert basis.shape == (r, n * d)
+    svds.clear()
+    full = Submodule.full(n, d)
+    assert svds == []
+    assert full.rank == n * d and svds == [(1, n * d, n * d)]
 
 
 def test_orthogonal_complementation(rng):

@@ -6,6 +6,7 @@ import stat
 import numpy as np
 import pytest
 
+from gframemod import serialize
 from gframemod.exceptions import ParseError
 from gframemod.families import KINDS, generate, random_frame, random_vector, unitary_orbit_frame
 from gframemod.hilbert import ModuleVector
@@ -82,6 +83,65 @@ def test_array_writer_rejects_non_finite_values():
         matrix[1, 0] = complex(0.0, bad)
         with pytest.raises(ValueError, match="non-finite"):
             dumps_canonical({"m": matrix})
+
+
+def _list_written(obj) -> str:
+    """What the list writer prints for `obj` (its matrices as nested lists)."""
+    return dumps_canonical(json.loads(dumps_canonical(obj)))
+
+
+def test_repeated_matrices_write_as_the_list_writer_does(rng):
+    # the writer formats each distinct (shape, indent, parts) once and reuses
+    # the text; every repeat must print what the list writer prints
+    a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    square = a[:, :3]
+    signed = np.array([[0.0, -0.0], [1.5, -0.0]]) + 1j * np.array([[-0.0, 0.0], [-0.0, 2.5]])
+    unsigned = signed + 0.0  # the same values with every -0 as 0
+    cases = {
+        "same object": [a, a],
+        "equal copy": [a, a.copy()],
+        "signed zeros": [signed, unsigned, signed.copy()],
+        "two indents": {"a": a, "b": [{"c": a}]},
+        "views": [a, a.T, a.conj(), a.T.conj(), a.copy().T],
+        "square views": [square, square.T, square.conj(), np.ascontiguousarray(square.T)],
+        "one shape, two layouts": [a.reshape(4, 3), a.reshape(2, 6), a.reshape(4, 3)],
+    }
+    for name, obj in cases.items():
+        text = dumps_canonical(obj)
+        assert text == _list_written(obj), name
+        assert dumps_canonical({"x": obj}) == _list_written({"x": obj}), name
+
+
+def test_a_non_finite_matrix_raises_after_a_finite_one_of_its_shape():
+    finite = np.eye(2, dtype=complex)
+    for bad in (np.nan, np.inf, -np.inf):
+        matrix = finite.copy()
+        matrix[0, 1] = complex(bad, 0.0)
+        for order in ([finite, matrix], [finite, finite, matrix, finite]):
+            with pytest.raises(ValueError, match="non-finite"):
+                dumps_canonical({"m": order})
+
+
+def test_a_repeated_matrix_is_formatted_once(monkeypatch):
+    # the unitary orbit writes the identity as every projection and as Y_0:
+    # 65 of its 128 matrices, and the template is filled for it once
+    fills = []
+
+    class Counting(str):
+        def __mod__(self, values):
+            fills.append(values)
+            return str.__mod__(self, values)
+
+    template = serialize._matrix_template
+    monkeypatch.setattr(serialize, "_matrix_template", lambda *a: Counting(template(*a)))
+    frame = unitary_orbit_frame(2, 2, 64, seed=1)
+    text = dumps_canonical(frame_to_document(frame))
+    identity = tuple(np.stack((np.eye(4), np.zeros((4, 4))), axis=-1).ravel().tolist())
+    assert fills.count(identity) == 1
+    distinct = {(y + 0.0).tobytes() for y in (*frame.projections, *frame.operators)}
+    assert len(fills) == len(distinct) < 2 * len(frame)
+    monkeypatch.undo()
+    assert text == dumps_canonical(frame_to_document(frame)) == _list_written(frame_to_document(frame))
 
 
 def test_frame_document_round_trip_bit_identical():

@@ -30,6 +30,10 @@ Invocations:
   written documents are compared), and every command above on each
   document that the old tree wrote, with a unit vector of its shape for the
   certificate;
+* `gen` of every kind at n = d = m = 1, where Y_0 = P_0 for all but
+  `random`, and `fusion` at m = n*d for the benchmark's (n, d), where
+  every part has rank 1: documents that repeat matrices, which the writer
+  formats once;
 * `perturb` of the seed-1 document against the seed-2 document of every
   kind and size: a pair of no factor form, so that the sampled path stays
   in the sweep when the factor certificate decides the scaled pairs;
@@ -179,6 +183,11 @@ def plan(old_src: str, work: str) -> list:
     for kind in KINDS:
         doc = os.path.join(work, f"gen_{kind}_negative_seed.json")
         invocations.append((["gen", "--kind", kind, "--seed", "-1", doc], doc))
+    repeating = [(kind, 1, 1, 1) for kind in KINDS] + [("fusion", n, d, n * d) for n, d, _ in SIZES]
+    for kind, n, d, m in repeating:
+        doc = os.path.join(work, f"gen_{kind}_n{n}_d{d}_m{m}_repeats.json")
+        invocations.append((["gen", "--kind", kind, "--n", str(n), "--d", str(d), "--m", str(m),
+                             "--seed", "1", doc], doc))
     with open(orbit, encoding="utf-8") as handle:
         tiny = _write_json(os.path.join(work, "tiny_orbit.json"), _scaled(json.load(handle), 1e-200))
     invocations += [(argv, None) for argv in frame_invocations(tiny, work, corpus_vector)]
