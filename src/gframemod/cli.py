@@ -188,10 +188,9 @@ def _cmd_perturb(args, seed, sha):
     seq_samples = args.samples
     if seq_samples < 1:
         raise ParseError(f"--samples must be at least 1, got {seq_samples}")
-    vec_samples = vector_samples(seq_samples)
     verdict = check_perturbation_inequality(
         frame, perturbed, params, seq_samples=seq_samples,
-        vec_samples=vec_samples, seed=seed,
+        vec_samples=vector_samples(seq_samples), seed=seed,
     )
     results = {
         "params": {"eta": params.eta, "beta": params.beta},
@@ -209,9 +208,7 @@ def _cmd_perturb(args, seed, sha):
     if not verdict.inequality_holds:
         return results, caveats, 3
     checked = verify_perturbed_frame(
-        frame, perturbed, params, verdict, interpretation=args.interpretation,
-        vec_samples=vec_samples, seed=seed,
-    )
+        frame, perturbed, params, verdict, interpretation=args.interpretation)
     results["derived_bounds"] = {"lower": checked.derived_lower, "upper": checked.derived_upper}
     results["empirical_bounds"] = {"lower": checked.empirical_lower, "upper": checked.empirical_upper}
     results["perturbed_frame_check"] = {

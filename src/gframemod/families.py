@@ -16,6 +16,9 @@ RANDOM_FRAME_ATTEMPTS = 64  # seeds random_frame tries before it gives up
 def _validate(n: int, d: int, m: int):
     if n < 1 or d < 1 or m < 1:
         raise InvalidDimensions(f"n, d, m must be positive, got ({n}, {d}, {m})")
+    if m * (n * d) ** 2 * 16 > np.iinfo(np.intp).max:  # bytes of the (m, nd, nd) stack
+        raise InvalidDimensions(f"({n}, {d}, {m}) needs a complex ({m}, {n * d}, {n * d}) "
+                                "stack, larger than any array on this platform")
 
 
 def random_complex(rng, rows: int, cols: int) -> np.ndarray:

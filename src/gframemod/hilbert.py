@@ -247,10 +247,11 @@ class Submodule:
     submodule iff every row of its flattened form lies in V.  The
     projection is checked when the submodule is built; its orthonormal row
     basis (`row_bases` of the projection) is taken on the first read of
-    `basis_rows` or `rank`, and a rank already known is kept without one.
+    `basis_rows` or `rank`.  A submodule built from basis rows is a
+    projection by construction and keeps the rows its own SVD found.
     """
 
-    __slots__ = ("projection", "_basis_rows", "_rank", "n", "d")
+    __slots__ = ("projection", "_basis_rows", "n", "d")
 
     def __init__(self, projection: ModuleOperator):
         fault = projection_fault(projection.matrix[None])
@@ -261,7 +262,7 @@ class Submodule:
     def _adopt(self, projection: ModuleOperator, basis_rows) -> "Submodule":
         """Keep the projection and its read-only row basis, or None."""
         self.projection = projection
-        self._basis_rows, self._rank = basis_rows, None
+        self._basis_rows = basis_rows
         self.n = projection.n
         self.d = projection.d
         return self
@@ -275,14 +276,14 @@ class Submodule:
 
     @property
     def rank(self) -> int:
-        return self.basis_rows.shape[0] if self._rank is None else self._rank
+        return self.basis_rows.shape[0]
 
     @classmethod
     def from_basis_rows(cls, rows, n: int, d: int) -> "Submodule":
         rows = orthonormal_rows(rows)
-        sub = cls(ModuleOperator(rows.conj().T @ rows, n, d))  # zero for no rows
-        sub._rank = rows.shape[0]
-        return sub
+        rows.setflags(write=False)
+        projection = ModuleOperator(rows.conj().T @ rows, n, d)  # zero for no rows
+        return cls.__new__(cls)._adopt(projection, rows)
 
     @classmethod
     def full(cls, n: int, d: int) -> "Submodule":

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gframemod import cli, frames, hilbert, perturb, represent
+from gframemod import cli, families, frames, hilbert, perturb, represent
 from gframemod.cli import main
+from gframemod.exceptions import InvalidDimensions
 from gframemod.families import KINDS
 from gframemod.frames import GFusionFrame, frame_operator, fusion_frame
 from gframemod.hilbert import ModuleOperator, ModuleVector, Submodule
@@ -290,6 +291,28 @@ def test_perturb_samples_when_the_member_misses_the_top_row(tmp_path):
     assert report["results"]["samples"]["sequences"] > 0
 
 
+def test_the_perturbed_frame_check_ignores_the_seed(tmp_path):
+    # a certified pass pair and a sampled one: the seed moves no number of
+    # the frame check, which draws nothing
+    fusion = CORPUS / "fusion_parseval_m2.json"
+    pairs = [(fusion, _scaled_copy(fusion, 1.1, tmp_path, "scaled.json"), 0.1)]
+    frame = load_frame(CORPUS / "two_projections.json")
+    halves = frame.operators * np.array([1.0, 0.5])[:, None, None]
+    halved = _write_frame(frame._with_operators(halves), tmp_path, "halved.json")
+    pairs.append((CORPUS / "two_projections.json", halved, 0.6))
+    for base, other, eta in pairs:
+        results = []
+        for seed in (1, 2):
+            code, report = run_report(["perturb", base, other, "--eta", eta, "--seed", seed],
+                                      tmp_path)
+            assert code == 0
+            results.append({key: report["results"][key] for key in (
+                "perturbed_frame_check", "derived_bounds", "empirical_bounds")})
+        assert results[0] == results[1]
+        assert results[0]["perturbed_frame_check"] == {"bounds_contained": True,
+                                                       "sample_failures": 0}
+
+
 def _load_perfbench(name: str):
     """perfbench/<name>.py, loaded by path (workloads and spans import only
     the standard library at load time)."""
@@ -341,6 +364,28 @@ def test_gen_kinds_parse_back(tmp_path, kind):
     assert run(["gen", "--kind", kind, "--n", 2, "--d", 2, "--m", 4, "--seed", 5, path]) == 0
     frame = load_frame(path)
     assert (frame.n, frame.d, len(frame)) == (2, 2, 4)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_gen_refuses_a_stack_no_array_can_hold(tmp_path, capsys, kind):
+    # (4, 1e11, 1e11) complex entries are 6.4e23 bytes, past the platform's
+    # largest array: refused like a non-positive size, before any allocation
+    out = tmp_path / "out.json"
+    assert run(["gen", "--kind", kind, "--n", 10 ** 8, "--d", 1000, out]) == 2
+    assert capsys.readouterr().err == (
+        "gframemod: error: (100000000, 1000, 4) needs a complex (4, 100000000000, "
+        "100000000000) stack, larger than any array on this platform\n")
+    assert not out.exists()
+
+
+def test_gen_size_bound_is_the_platform_array_limit():
+    # the bound on m (n d)^2 16 bytes, checked without generating anything
+    side = 1 << (np.iinfo(np.intp).bits - 5) // 2  # (n d)^2 16 = 2^62 bytes on 64 bits
+    families._validate(side, 1, 1)
+    with pytest.raises(InvalidDimensions, match="larger than any array"):
+        families._validate(side, 1, 2)
+    with pytest.raises(InvalidDimensions, match="larger than any array"):
+        families._validate(1, side * 2, 1)
 
 
 def test_gen_fusion_is_parseval(tmp_path):
@@ -674,6 +719,27 @@ def test_the_span_keeps_the_rank_of_its_own_svd(tmp_path, monkeypatch, command, 
     assert code == 0 and (1, 64, 64) not in svds
     if command == "represent":
         assert report["results"]["span_rank"] == 64
+
+
+@pytest.mark.parametrize("kind", ["unitary-orbit", "dilation"])
+def test_the_span_basis_is_the_rows_of_its_own_svd(tmp_path, monkeypatch, kind):
+    # a dependent representable family reads the span's basis for the
+    # inverse candidate, and the certificate for T on the span: both take
+    # the rows of the span's own SVD, and no projection is factored again
+    svds = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *x, **k: svds.append(np.shape(a)) or svd(a, *x, **k))
+    doc = _gen(tmp_path, kind, 2, 2, 4, 1)
+    svds.clear()
+    code, report = run_report(["independence", doc], tmp_path)
+    assert code == 0 and report["results"]["span_invariance"] is not None
+    assert (1, 4, 4) not in svds
+    if kind == "unitary-orbit":
+        svds.clear()
+        code, report = run_report(["represent", doc, "--tight-certificate", "--vector",
+                                   CORPUS / "unit_vector_n2_d2.json"], tmp_path)
+        assert code == 0 and report["results"]["certificate"] is not None
+        assert (1, 4, 4) not in svds
 
 
 # ---------------------------------------------------------------------------

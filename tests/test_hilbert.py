@@ -265,8 +265,9 @@ def test_projection_check_takes_spectral_norms_past_the_screen():
 
 def test_a_submodule_factors_its_projection_on_first_read(rng, monkeypatch):
     # construction checks the projection and takes no SVD; from_basis_rows
-    # keeps the rank its own SVD found, and the row basis is row_bases of the
-    # projection, taken once, on the first read of basis_rows
+    # keeps the rows its own SVD found as the read-only row basis, and a
+    # submodule built from a projection takes row_bases of it once, on the
+    # first read of basis_rows or rank
     svds = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda a, *x, **k: svds.append(np.shape(a)) or svd(a, *x, **k))
@@ -278,10 +279,15 @@ def test_a_submodule_factors_its_projection_on_first_read(rng, monkeypatch):
         sub = Submodule.from_basis_rows(rows, n, d)
         assert (sub.rank, svds) == (r, [rows.shape])
         basis = sub.basis_rows
-        assert svds == [rows.shape, (1, n * d, n * d)]
+        assert svds == [rows.shape]
         assert sub.basis_rows is basis and not basis.flags.writeable
-        np.testing.assert_array_equal(basis, row_bases(sub.projection.matrix[None])[0])
+        np.testing.assert_array_equal(basis, orthonormal_rows(rows))
         assert basis.shape == (r, n * d)
+        np.testing.assert_allclose(basis.conj().T @ basis, sub.projection.matrix, atol=1e-15)
+        svds.clear()
+        again = Submodule(sub.projection)
+        assert again.rank == r and svds == [(1, n * d, n * d)]
+        np.testing.assert_array_equal(again.basis_rows, row_bases(sub.projection.matrix[None])[0])
     svds.clear()
     full = Submodule.full(n, d)
     assert svds == []

@@ -23,6 +23,7 @@ from gframemod.frames import FrameBounds, GFusionFrame, frame_bounds
 from gframemod.hilbert import ModuleOperator, ModuleVector, Submodule, null_combinations
 from gframemod.numerics import FACTOR_TOL
 from gframemod.perturb import (
+    HAT_HAT,
     HAT_ORIGINAL,
     SAMPLING_CAVEAT,
     PerturbationParams,
@@ -403,10 +404,11 @@ def test_candidate_null_combinations_are_taken_once(m):
     np.testing.assert_array_equal(rows[m:m + per_family], expected)
 
 
-def _per_sample_failures(frame, perturbed, lower, upper, vec_samples, seed):
-    """sample_failures counted one vector at a time with psd_leq."""
-    mid = perturbed.operators.conj().swapaxes(1, 2)
-    mid = np.einsum("kij,kjl->il", perturbed.operators, mid)
+def _per_sample_failures(frame, perturbed, interpretation, lower, upper, vec_samples, seed):
+    """The vectors of `vec_samples` seeded draws that break lower <= middle
+    <= upper in the PSD order, counted one at a time with psd_leq."""
+    right = perturbed if interpretation == HAT_HAT else frame
+    mid = np.einsum("kij,klj->il", perturbed.operators, right.operators.conj())
     rng = np.random.default_rng(seed)
     failures = 0
     for _ in range(vec_samples):
@@ -420,26 +422,41 @@ def _per_sample_failures(frame, perturbed, lower, upper, vec_samples, seed):
     return failures
 
 
-def test_batched_sample_failures_match_per_sample_psd_leq(monkeypatch):
+@pytest.mark.parametrize("interpretation", [HAT_HAT, HAT_ORIGINAL])
+def test_bounds_contained_agrees_with_per_sample_psd_leq(monkeypatch, interpretation):
+    # the extreme eigenvalues decide what every sampled vector would: with
+    # the bounds contained none of 40 fails, and with a derived lower bound
+    # above lambda_min the check fails and so do some vectors
     frame = random_frame(2, 2, 3, seed=7)
     scaled = frame.scaled(1.05)
     params = PerturbationParams(0.1, 0.0)
     verdict = check_perturbation_inequality(frame, scaled, params, seed=1)
-    checked = verify_perturbed_frame(frame, scaled, params, vec_samples=40, seed=2,
-                                     inequality=verdict)
-    assert checked.sample_failures == 0
-    assert checked.sample_failures == _per_sample_failures(
-        frame, scaled, checked.derived_lower, checked.derived_upper, 40, 2)
-    # a derived lower bound above the true one makes some samples fail
+    checked = verify_perturbed_frame(frame, scaled, params, verdict, interpretation)
+    assert checked.bounds_contained and checked.sample_failures == 0
+    assert _per_sample_failures(frame, scaled, interpretation, checked.derived_lower,
+                                checked.derived_upper, 40, 2) == 0
     lower = 1.05 ** 2 * frame_bounds(frame).lower * 1.5
     monkeypatch.setattr(perturb, "derived_bounds",
                         lambda bounds, p: (lower, derived_bounds(bounds, p)[1]))
-    checked = verify_perturbed_frame(frame, scaled, params, vec_samples=40, seed=2,
-                                     inequality=verdict)
+    checked = verify_perturbed_frame(frame, scaled, params, verdict, interpretation)
     assert checked.derived_lower == lower
-    expected = _per_sample_failures(frame, scaled, lower, checked.derived_upper, 40, 2)
-    assert 0 < expected < 40
-    assert checked.sample_failures == expected
+    assert checked.bounds_contained is False and checked.sample_failures is None
+    assert _per_sample_failures(frame, scaled, interpretation, lower,
+                                checked.derived_upper, 40, 2) > 0
+
+
+def test_the_perturbed_frame_check_draws_nothing(monkeypatch):
+    frame = random_frame(2, 2, 3, seed=7)
+    scaled = frame.scaled(1.05)
+    params = PerturbationParams(0.1, 0.0)
+    verdict = check_perturbation_inequality(frame, scaled, params, seed=1)
+    draws = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a, **k: draws.append(a) or default_rng(*a, **k))
+    checked = [verify_perturbed_frame(frame, scaled, params, verdict, interpretation, seed=seed)
+               for interpretation in (HAT_HAT, HAT_ORIGINAL) for seed in (0, 7)]
+    assert draws == []
+    assert checked[0] == checked[1] and checked[2] == checked[3]
 
 
 def test_derived_bounds_values():

@@ -4,15 +4,17 @@ criterion, traced by the benchmark, or states a paper result that a named
 test checks.  A function in none of these groups is dead weight and goes.
 So does a public method of an exported class that neither `src/` nor a
 criterion names and the benchmark does not trace, and a defaulted
-parameter that no call in `src/` or in a criterion sets.  One function,
-the document loader in `serialize`, sets the cyclic garbage collector's
-process-wide state.  The packages that the library imports from outside
+parameter that no call in `src/` or in a criterion sets.  No public
+function or method keeps a parameter that its body never reads.  One
+function, the document loader in `serialize`, sets the cyclic garbage
+collector's process-wide state.  The packages that the library imports from outside
 the standard library are exactly its declared dependencies."""
 
 import ast
 import inspect
 import re
 import sys
+import textwrap
 from pathlib import Path
 
 import gframemod
@@ -46,6 +48,14 @@ UNSET_KNOBS = {
     "psd_leq(tol)": "criterion 2 passes the default positionally, and the criteria "
                     "are not edited",
     "main(argv)": "the entry point: the console script calls it with no argument",
+}
+
+
+# parameters that a public callable accepts and never reads, each with the
+# reason it stays
+UNREAD_PARAMETERS = {
+    "verify_perturbed_frame(seed)": "criterion 8 passes seed=k, and the criteria are not "
+                                    "edited; the check is exact and draws nothing",
 }
 
 
@@ -251,6 +261,44 @@ def test_the_knob_lint_counts_set_values_only(tmp_path):
     assert owner == "C.h"
     assert _sets(call, 1, tol)  # a name
     assert not _sets(call, 1, tol, {"tol"})  # forwarded from an unset parameter
+
+
+def _unread(fn: ast.FunctionDef) -> list:
+    """The parameters of a def that no name in its body reads, nested defs
+    and lambdas included; defaults and annotations are not the body."""
+    args = fn.args
+    params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                              args.vararg, args.kwarg) if a is not None]
+    read = {node.id for stmt in fn.body for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+    return [param for param in params if param not in read]
+
+
+def unread_parameters() -> list:
+    """name(parameter) for each parameter of a public function or method
+    that its body never reads."""
+    found = []
+    for name, obj in _public_callables():
+        source = textwrap.dedent(inspect.getsource(getattr(obj, "__func__", obj)))
+        found += [f"{name}({param})" for param in _unread(ast.parse(source).body[0])]
+    return sorted(found)
+
+
+def test_no_public_callable_keeps_a_parameter_it_never_reads():
+    assert set(unread_parameters()) <= set(UNREAD_PARAMETERS)
+    callables = dict(_public_callables())
+    for entry in UNREAD_PARAMETERS:  # each entry names a parameter that exists
+        name, _, param = entry.rstrip(")").partition("(")
+        assert param in inspect.signature(callables[name]).parameters, entry
+
+
+def test_the_unread_lint_sees_bodies_only():
+    tree = ast.parse("def f(self, a, b=1, *rest, c, d=x, **options):\n"
+                     "    \"\"\"a b c d in a docstring\"\"\"\n"
+                     "    g = lambda: a + self.b\n"
+                     "    def h(c=d):\n"
+                     "        return rest\n"
+                     "    return g, h\n")
+    assert _unread(tree.body[0]) == ["b", "c", "options"]  # d: a nested default
 
 
 # the gc functions that set the cyclic collector's process-wide state
