@@ -69,6 +69,7 @@ from .represent import (
     sample_synthesis_kernel,
     solve_adjoint_shift_extension,
     solve_representation,
+    span_invariance,
     tightness_contradiction_certificate,
     verify_hypotheses,
     verify_shift_reconstruction_identity,

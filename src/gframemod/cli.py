@@ -41,6 +41,7 @@ from .represent import (
     check_representation_bounds,
     independence_analysis,
     solve_representation,
+    span_invariance,
     tightness_contradiction_certificate,
     CYCLIC_CAVEAT,
     LINEAR_CAVEAT,
@@ -247,11 +248,16 @@ def _cmd_gen(args) -> int:
 @_reporting
 def _cmd_independence(args, seed, sha):
     frame = load_frame(args.frame, sha)
-    try:
-        rep = solve_representation(frame) if len(frame) >= 2 else None
-    except DegenerateSpan:
-        rep = None
-    report_data = independence_analysis(frame, rep=rep)
+    report_data = independence_analysis(frame)
+    # only a dependency is checked against T, so only a dependent family solves for it
+    if report_data.verdict == "dependent" and len(frame) >= 2:
+        try:
+            rep = solve_representation(frame)
+        except DegenerateSpan:
+            pass
+        else:
+            report_data = dataclasses.replace(report_data, span_invariance=span_invariance(
+                frame, report_data.coefficients, rep))
     results = {
         "verdict": report_data.verdict,
         "invariant_span_dim": report_data.invariant_span_dim,

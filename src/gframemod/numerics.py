@@ -1,5 +1,5 @@
 """Tolerance policy: every threshold a verdict is compared against, and the
-two rules that apply them.
+rules that apply them.
 
 Each tolerance multiplies the scale named in its comment.  Scales grow with
 the data (a norm, a largest singular value, a bound) or are 1 for
@@ -20,11 +20,12 @@ HYPOTHESIS_TOL = 1e-9  # x ||Y_k||, and Y_k's top singular value on N_k for its 
 TIGHT_TOL = 1e-9  # x 1: the gap (B - A) / B
 DUAL_TOL = 1e-8  # x 1: verify_dual's ||sum Y_k^* G_k - Id||
 REPRESENT_TOL = 1e-8  # x max ||Y||, ||M||, ||f|| max ||Y|| or 1 (||T||), by check
-INVARIANCE_TOL = 1e-8  # x 1: relative span-invariance defects; support of a max-1 null combination
+INVARIANCE_TOL = 1e-8  # x 1: relative span-invariance defects; support of a null combination with pivot 1
 SNAP_TOL = 1e-9  # x the ratio: the divergence window snaps to an integer this close
 MARGIN_TOL = 1e-10  # x sum |a_k| max(max ||Y||, max ||Yhat||), 1 for ||C|| - eta: perturbation margin
 FACTOR_TOL = 1e-12  # x max(max ||Y||, max ||Yhat||): ||V C - W|| of Yhat = Y (I - C); x 1: ||g Y_k - x||
-TIE_TOL = 1e-12  # x |worst margin|: perturbation witnesses this close tie; x max ||Y||: member norms
+TIE_TOL = 1e-12  # x |worst margin|: perturbation witnesses this close tie; x the largest: the first
+# member norm (the certificate's member) and the first modulus of a dependency (its pivot) this close
 BOUNDS_TOL = 1e-8  # x the derived upper bound: empirical bounds inside the derived ones
 
 
@@ -32,6 +33,12 @@ def rank(s, tol: float = RANK_TOL):
     """Number of singular values above tol times the largest, along the last
     axis of a (stack of) descending spectra; a zero matrix has rank 0."""
     return np.count_nonzero(s > tol * s[..., :1], axis=-1)
+
+
+def _first_tied(values) -> int:
+    """Index of the first value at least (1 - TIE_TOL) times the largest: a
+    choice among near-equal values that rounding cannot flip."""
+    return int(np.argmax(values >= (1.0 - TIE_TOL) * values.max()))
 
 
 def spectral_norms(blocks) -> np.ndarray:

@@ -51,7 +51,15 @@ from .exceptions import (
 )
 from .frames import GFusionFrame, frame_bounds, frame_operator
 from .hilbert import ModuleVector, gram_sum, null_combinations
-from .numerics import BOUNDS_TOL, FACTOR_TOL, MARGIN_TOL, RANK_TOL, TIE_TOL, spectral_norms
+from .numerics import (
+    BOUNDS_TOL,
+    FACTOR_TOL,
+    MARGIN_TOL,
+    RANK_TOL,
+    TIE_TOL,
+    _first_tied,
+    spectral_norms,
+)
 from .represent import independence_analysis
 
 DEFAULT_SEQ_SAMPLES = 256
@@ -226,8 +234,7 @@ def _factor_certificate(frame, perturbed, params: PerturbationParams, size: floa
     # x, the top left singular row of C, attains ||C||; so does g = x Y_k^+
     # when g Y_k = x, i.e. x lies in the row space of Y_k, the first member
     # of largest norm (within TIE_TOL, so rounding cannot pick it)
-    norms = frame._operator_norms
-    k = int(np.argmax(norms >= (1.0 - TIE_TOL) * norms.max()))
+    k = _first_tied(frame._operator_norms)
     x = left[:, 0].conj()
     g = x @ np.linalg.pinv(frame.operators[k], rcond=RANK_TOL)
     if not np.linalg.norm(g @ frame.operators[k] - x) <= FACTOR_TOL:
@@ -370,15 +377,17 @@ def independence_transfer(frame: GFusionFrame, perturbed: GFusionFrame,
     base family and `inequality`, a passing verdict of
     `check_perturbation_inequality` on the two families.
 
-    When the perturbed family comes out dependent, its null combination is
-    fed back through the inequality's contrapositive: the same coefficients
-    must annihilate the base family, which contradicts base independence, so
-    a verified inequality and a dependent perturbed family cannot coexist;
-    the inconsistency is raised as InequalityNotVerified.
+    The base is decided from its rank alone: a dependent base raises
+    BaseNotIndependent before its dependency is normalised or its null
+    combination's norm taken.  When the perturbed family comes out
+    dependent, its null combination is fed back through the inequality's
+    contrapositive: the same coefficients must annihilate the base family,
+    which contradicts base independence, so a verified inequality and a
+    dependent perturbed family cannot coexist; the inconsistency is raised
+    as InequalityNotVerified.
     """
     _verified(frame, perturbed, inequality)
-    base = independence_analysis(frame)
-    if base.verdict != "independent":
+    if null_combinations(frame.operators)[0] < len(frame):
         raise BaseNotIndependent("the unperturbed family is linearly dependent")
     report = independence_analysis(perturbed)
     if report.verdict == "independent":

@@ -47,6 +47,7 @@ from .numerics import (
     RANK_TOL,
     REPRESENT_TOL,
     SNAP_TOL,
+    _first_tied,
     norms_within,
     rank,
     spectral_norms,
@@ -387,45 +388,55 @@ def independence_analysis(frame: GFusionFrame,
                           rep: Optional[RepresentationResult] = None) -> IndependenceReport:
     """Linear independence of {Y_xi} as vectors in the (n*d)^2 operator space.
 
-    When a representation is supplied and the family is dependent, the span
-    of the members between the first and last nonzero null coefficients is
-    checked for invariance under T (and under its inverse on the span, when
-    that exists), one batched projection per operator.
+    A dependent family reports its first dependency, the null combination
+    of members 0 .. b with b smallest, divided by its pivot entry: the
+    first whose modulus is within TIE_TOL of the largest, so that rounding
+    cannot move the pivot between tied entries.  When a representation is
+    supplied and the family is dependent, the report carries
+    `span_invariance` of that dependency.
     """
     mats = frame.operators
     r, null = null_combinations(mats)
     if r == len(frame):
         return IndependenceReport("independent", None, r, None, None)
-    delta = null[-1]  # the first dependency: members 0 .. b with b smallest
-    pivot = int(np.argmax(np.abs(delta)))
-    delta = delta / delta[pivot]  # max-modulus entry becomes exactly 1
+    pivot = _first_tied(np.abs(null[-1]))
+    delta = null[-1] / null[-1][pivot]
+    delta[pivot] = 1.0  # exactly: complex division can leave a rounding residue
     scale = max(frame.max_operator_norm(), 1e-300)
     null_norm = float(np.linalg.norm(np.einsum("k,kij->ij", delta, mats), 2)) / scale
-
-    invariance = None
-    if rep is not None and rep.is_representable():
-        support = np.flatnonzero(np.abs(delta) > INVARIANCE_TOL)
-        alpha, b = int(support[0]), int(support[-1])
-        window = mats[alpha:b + 1]
-        u, sw, _ = np.linalg.svd(window.reshape(len(window), -1).T, full_matrices=False)
-        basis = u[:, :rank(sw, INVERT_TOL)]
-        candidates = [rep.operator_T.matrix]
-        t_span, _, invertible = _span_operator(rep)
-        if invertible:
-            rows = rep.span_projection.basis_rows
-            candidates.append(rows.conj().T @ np.linalg.inv(t_span) @ rows)
-        defects = []
-        for op in candidates:
-            w = (window @ op).reshape(len(window), -1).T  # one column per member
-            resid = w - basis @ (basis.conj().T @ w)
-            defects.append(float(np.max(np.linalg.norm(resid, axis=0)
-                                        / np.maximum(np.linalg.norm(w, axis=0), 1e-300))))
-        inv_defect = defects[1] if len(defects) > 1 else None
-        invariance = SpanInvariance(
-            alpha=alpha, b=b, max_defect=defects[0], max_defect_inverse=inv_defect,
-            ok=all(v <= INVARIANCE_TOL for v in defects),
-        )
+    invariance = None if rep is None else span_invariance(frame, delta, rep)
     return IndependenceReport("dependent", delta, r, null_norm, invariance)
+
+
+def span_invariance(frame: GFusionFrame, delta,
+                    rep: RepresentationResult) -> Optional[SpanInvariance]:
+    """Whether the span of the members between the first and last nonzero
+    entries of the null combination `delta` is invariant under T (and under
+    its inverse on the span, when that exists), one batched projection per
+    operator; None when `rep` does not represent the family."""
+    if not rep.is_representable():
+        return None
+    support = np.flatnonzero(np.abs(delta) > INVARIANCE_TOL)
+    alpha, b = int(support[0]), int(support[-1])
+    window = frame.operators[alpha:b + 1]
+    u, sw, _ = np.linalg.svd(window.reshape(len(window), -1).T, full_matrices=False)
+    basis = u[:, :rank(sw, INVERT_TOL)]
+    candidates = [rep.operator_T.matrix]
+    t_span, _, invertible = _span_operator(rep)
+    if invertible:
+        rows = rep.span_projection.basis_rows
+        candidates.append(rows.conj().T @ np.linalg.inv(t_span) @ rows)
+    defects = []
+    for op in candidates:
+        w = (window @ op).reshape(len(window), -1).T  # one column per member
+        resid = w - basis @ (basis.conj().T @ w)
+        defects.append(float(np.max(np.linalg.norm(resid, axis=0)
+                                    / np.maximum(np.linalg.norm(w, axis=0), 1e-300))))
+    return SpanInvariance(
+        alpha=alpha, b=b, max_defect=defects[0],
+        max_defect_inverse=defects[1] if len(defects) > 1 else None,
+        ok=all(v <= INVARIANCE_TOL for v in defects),
+    )
 
 
 # ---------------------------------------------------------------------------

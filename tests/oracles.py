@@ -276,3 +276,18 @@ def stdlib_document(path):
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def eager_independence(frame):
+    """The independence report by the eager path, the reference that the
+    `independence` command is checked against: the shift solved for every
+    family of two or more members (no span check when the span is
+    degenerate), then `independence_analysis(frame, rep=rep)`."""
+    from gframemod.exceptions import DegenerateSpan
+    from gframemod.represent import independence_analysis, solve_representation
+
+    try:
+        rep = solve_representation(frame) if len(frame) >= 2 else None
+    except DegenerateSpan:
+        rep = None
+    return independence_analysis(frame, rep=rep)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -17,6 +18,8 @@ from gframemod.families import KINDS
 from gframemod.frames import GFusionFrame, frame_operator, fusion_frame
 from gframemod.hilbert import ModuleOperator, ModuleVector, Submodule
 from gframemod.serialize import dumps_canonical, frame_to_document, load_frame, write_atomic
+
+import oracles
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -661,24 +664,30 @@ def _fusion_document(tmp_path, m):
     return _write_frame(fusion_frame(subs, rng.uniform(0.5, 2.0, m)), tmp_path, f"fusion{m}.json")
 
 
+def _recording_linalg(monkeypatch, record):
+    """Append (name, shape of the first argument) of every numpy.linalg
+    call that perfbench/spans.py lists in LINALG."""
+    for name in _load_perfbench("spans").LINALG:
+        def counting(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            record.append((_name, np.shape(args[0])))
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+
+
 @pytest.mark.parametrize("kind", ["unitary-orbit", "fusion"])
 def test_analyze_factors_only_the_frame_operator(tmp_path, monkeypatch, kind):
     # loading takes no SVD of the projection stack and no spectral norm of
     # the operator stack, and neither does the dual: analyze's whole
     # numpy.linalg record is the bounds, the dual and the residual's norm
     linalg = []
-    for name in _load_perfbench("spans").LINALG:
-        def counting(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-            linalg.append(_name)
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counting)
+    _recording_linalg(monkeypatch, linalg)
     for m in (4, 64):
         doc = (_gen(tmp_path, kind, 2, 2, m, 1) if kind == "unitary-orbit"
                else _fusion_document(tmp_path, m))
         linalg.clear()
         code, report = run_report(["analyze", doc], tmp_path)
         assert code == 0 and report["results"]["dual"]["verified"]
-        assert Counter(linalg) == {"eigvalsh": 1, "eigh": 1, "norm": 1}
+        assert Counter(name for name, _ in linalg) == {"eigvalsh": 1, "eigh": 1, "norm": 1}
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -686,11 +695,7 @@ def test_gen_factors_no_submodule_it_only_writes(tmp_path, monkeypatch, kind):
     # the only SVDs of gen are those of orthonormal_rows, which builds a
     # submodule from basis rows; no projection it writes is factored again
     linalg, rows = [], []
-    for name in _load_perfbench("spans").LINALG:
-        def counting(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-            linalg.append((_name, np.shape(args[0])))
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counting)
+    _recording_linalg(monkeypatch, linalg)
     orthonormal_rows = hilbert.orthonormal_rows
     monkeypatch.setattr(hilbert, "orthonormal_rows", lambda x: rows.append(x) or orthonormal_rows(x))
     n, d = 8, 8  # a fusion decomposition needs m <= n*d
@@ -740,6 +745,104 @@ def test_the_span_basis_is_the_rows_of_its_own_svd(tmp_path, monkeypatch, kind):
                                    CORPUS / "unit_vector_n2_d2.json"], tmp_path)
         assert code == 0 and report["results"]["certificate"] is not None
         assert (1, 4, 4) not in svds
+
+
+# (n, d) per kind: fusion and random independent at m = 64 (a fusion
+# decomposition needs m <= n*d), dilation and unitary orbits dependent
+INDEPENDENCE_SIZES = {"fusion": (8, 8), "random": (4, 4), "dilation": (2, 2),
+                      "unitary-orbit": (2, 2)}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_independence_solves_the_shift_only_for_a_dependent_family(tmp_path, monkeypatch,
+                                                                    kind):
+    # only a dependency is checked against T: an independent family takes
+    # null_combinations' svd and qr and nothing else, and a dependent one
+    # takes null_combinations once and the solve once
+    linalg, nulls, solves = [], [], []
+    _recording_linalg(monkeypatch, linalg)
+    null_combinations = represent.null_combinations
+    monkeypatch.setattr(represent, "null_combinations",
+                        lambda stack: nulls.append(stack.shape) or null_combinations(stack))
+    solve = represent.solve_representation
+
+    def solving(frame):
+        if kind in ("fusion", "random"):
+            raise AssertionError("an independent family solved for T")
+        solves.append(len(frame))
+        return solve(frame)
+
+    monkeypatch.setattr(cli, "solve_representation", solving)
+    budgets = []
+    for m in (4, 64):
+        doc = _gen(tmp_path, kind, *INDEPENDENCE_SIZES[kind], m, 1)
+        for record in (linalg, nulls, solves):
+            record.clear()
+        code, report = run_report(["independence", doc], tmp_path)
+        assert code == 0 and len(nulls) == 1
+        budgets.append(Counter(name for name, _ in linalg))
+        if kind in ("fusion", "random"):
+            assert report["results"]["verdict"] == "independent" and solves == []
+            assert budgets[-1] == {"svd": 1, "qr": 1}
+        else:
+            assert report["results"]["span_invariance"]["ok"] and solves == [m]
+    assert budgets[0] == budgets[1]
+
+
+def test_perturb_budget_on_a_certified_pass_pair(tmp_path, monkeypatch):
+    # the factor certificate decides the pair, so the numpy.linalg record
+    # does not grow with m; the dependent base is refused from its rank
+    # alone, with no norm of its null combination
+    linalg, nulls = [], []
+    _recording_linalg(monkeypatch, linalg)
+    null_combinations = hilbert.null_combinations
+    for module in (perturb, represent):
+        monkeypatch.setattr(module, "null_combinations",
+                            lambda stack: nulls.append(stack.shape) or null_combinations(stack))
+    budgets = []
+    for m in (4, 64):
+        doc = _gen(tmp_path, "unitary-orbit", 2, 2, m, 1)
+        scaled = _scaled_copy(doc, 1.05, tmp_path, "scaled.json")
+        linalg.clear()
+        nulls.clear()
+        code, report = run_report(["perturb", doc, scaled, "--eta", 0.1], tmp_path)
+        results = report["results"]
+        assert code == 0 and results["certificate"] is not None
+        assert results["independence_transfer"]["checked"] is False
+        assert nulls == [(m, 4, 4)]
+        assert ("norm", (4, 4)) not in linalg
+        budgets.append(Counter(name for name, _ in linalg))
+    assert budgets[0] == budgets[1]
+
+
+def _independence_results(report) -> dict:
+    """An IndependenceReport as the `independence` command writes it."""
+    return {
+        "verdict": report.verdict,
+        "invariant_span_dim": report.invariant_span_dim,
+        "coefficients": None if report.coefficients is None else
+        [[float(z.real), float(z.imag)] for z in report.coefficients],
+        "null_combination_norm": report.null_combination_norm,
+        "span_invariance": report.span_invariance and dataclasses.asdict(report.span_invariance),
+    }
+
+
+def test_independence_equals_the_eager_reference(tmp_path):
+    # deciding dependence first changes no report: every generated kind at
+    # two sizes and every corpus frame report what solving first gives
+    docs = [path for path in sorted(CORPUS.glob("*.json"))
+            if "elements" in json.loads(path.read_text())]
+    docs += [_gen(tmp_path, kind, n, d, m, 1) for kind in KINDS for n, d, m in ((2, 2, 4),
+                                                                             (4, 4, 16))]
+    checked = 0
+    for doc in docs:
+        reference = oracles.eager_independence(load_frame(doc))
+        code, report = run_report(["independence", doc], tmp_path)
+        assert report["results"] == _independence_results(reference), doc
+        invariance = reference.span_invariance
+        assert code == (3 if invariance and not invariance.ok else 0)
+        checked += invariance is not None
+    assert checked >= 4
 
 
 # ---------------------------------------------------------------------------
@@ -829,3 +932,16 @@ def test_linalg_error_exits_2_with_a_message(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err == "gframemod: error: linear algebra failed: Eigenvalues did not converge\n"
     assert not out.exists()
+
+
+def test_only_a_dependent_family_reaches_the_solve(tmp_path, capsys, monkeypatch):
+    # independence solves for T only for a dependent family, so a failing
+    # pinv ends only that one with exit 2
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "pinv", fail)
+    assert run(["independence", CORPUS / "two_projections.json"]) == 0
+    assert run(["independence", CORPUS / "dilation_m3.json"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "gframemod: error: linear algebra failed: SVD did not converge\n")

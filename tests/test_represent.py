@@ -30,7 +30,7 @@ from gframemod.hilbert import (
     Submodule,
     submodule_from_generators,
 )
-from gframemod.numerics import HYPOTHESIS_TOL
+from gframemod.numerics import HYPOTHESIS_TOL, TIE_TOL, _first_tied
 from gframemod.represent import (
     KERNEL_CHUNK_BYTES,
     KERNEL_SAMPLES,
@@ -41,6 +41,7 @@ from gframemod.represent import (
     sample_synthesis_kernel,
     solve_adjoint_shift_extension,
     solve_representation,
+    span_invariance,
     tightness_contradiction_certificate,
     verify_hypotheses,
     verify_shift_reconstruction_identity,
@@ -560,6 +561,40 @@ def test_orbit_family_invariance():
     assert report.verdict == "dependent"  # members repeat with period two
     assert report.invariant_span_dim == 2
     assert report.span_invariance is not None and report.span_invariance.ok
+
+
+def test_a_tied_dependency_pivots_on_its_first_tied_member():
+    # Y_0 = Y_2: the dependency Y_0 - Y_2 has two entries of equal modulus,
+    # and the pivot is the first of them, whichever of the two rounding
+    # leaves larger
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        y0, y1 = (ModuleOperator(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
+                                 2, 1) for _ in range(2))
+        report = independence_analysis(_full_frame([y0, y1, y0], 2, 1))
+        delta = report.coefficients
+        assert delta[0] == 1.0
+        assert abs(delta[1]) <= 1e-12 and abs(delta[2] + 1.0) <= 1e-12
+
+
+def test_near_tied_moduli_pivot_on_the_first():
+    assert _first_tied(np.array([1.0 - 1e-15, 1.0])) == 0
+    assert _first_tied(np.array([0.5, 1.0 - 1e-15, 1.0])) == 1
+    assert _first_tied(np.array([1.0 - 10 * TIE_TOL, 1.0])) == 1  # not a tie
+
+
+def test_span_invariance_needs_a_representation():
+    # T y = 2y and T (2y) = z cannot both hold for this z: the dependency
+    # y - 2y/2 is reported, and no span is checked
+    rng = np.random.default_rng(24)
+    y, z = (ModuleOperator(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)), 2, 1)
+            for _ in range(2))
+    frame = _full_frame([y, y * 2.0, z], 2, 1)
+    rep = solve_representation(frame)
+    assert not rep.is_representable()
+    report = independence_analysis(frame, rep=rep)
+    assert report.verdict == "dependent" and report.span_invariance is None
+    assert span_invariance(frame, report.coefficients, rep) is None
 
 
 def test_independence_agrees_with_gram_oracle():

@@ -1,16 +1,28 @@
 """Compare two gframemod source trees invocation by invocation.
 
-    python3 tools/byte_sweep.py OLD_SRC NEW_SRC
+    python3 tools/byte_sweep.py [--threads N] OLD_SRC NEW_SRC
 
 Every invocation runs twice as a subprocess, `python3 -m gframemod.cli ...`
 with PYTHONPATH set to one tree's `src/` directory and BLAS on one thread.
+`--threads N` runs NEW_SRC under N BLAS threads instead, so that
+`--threads 2 SRC SRC` compares one tree under one and under two threads.
 The sweep compares exit codes, standard output, standard error (with the
 tree's path replaced by a placeholder) and any document written, then
-prints every invocation whose results differ and a summary line.  Where
-both trees wrote JSON (a report on standard output, or a document) that
-differs, it also prints the dotted key paths at which the two differ, for
-example `results.witness.lhs`; numbers are compared as written, so `-0`
-and `0` differ.  It exits 1 when any differ.
+prints every invocation whose results differ and a summary line.  It exits
+1 when any differ.
+
+Where both sides wrote JSON (a report on standard output, or a document)
+that differs, each difference is listed by its key path, for example
+`results.witness.lhs` or `results.coefficients[2]`, in one of two classes.
+Numbers are compared as written, so `-0` and `0` differ.  Float
+differences are listed once per path with list indices dropped
+(`results.coefficients[][]`), with their count and largest distance.
+
+* structural: an exit code, standard error or non-JSON output, a key
+  present on one side only, a list length, a boolean, string or null, an
+  integer (a number written with no `.` or exponent on both sides), or
+  which entries of a list of [re, im] pairs are exactly [1, 0];
+* float: any other number, with its distance in units in the last place.
 
 Invocations:
 
@@ -55,7 +67,9 @@ import argparse
 import importlib.util
 import json
 import os
+import re
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -83,8 +97,8 @@ ETA = _WORKLOADS.ETA
 BETA = 0.05  # the corpus pass pairs also run with beta > 0
 SEEDS = (1, 2)
 JOBS = 2
-ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
-       "COLUMNS": "80"}
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+ENV = {"COLUMNS": "80"}
 COMMANDS = ("analyze", "represent", "perturb", "gen", "independence")
 PARSER_INVOCATIONS = (
     [], ["-h"], *([command, "-h"] for command in COMMANDS),
@@ -94,10 +108,12 @@ PARSER_INVOCATIONS = (
 )
 
 
-def run(src: str, argv, out_path=None):
-    """(exit code, stdout, stderr, written bytes) of one invocation."""
+def run(src: str, argv, out_path=None, threads: int = 1):
+    """(exit code, stdout, stderr, written bytes) of one invocation, with
+    BLAS on `threads` threads."""
     env = {k: v for k, v in os.environ.items() if k != "GFRAMEMOD_SEED"}
     env.update(ENV, PYTHONPATH=src)
+    env.update((name, str(threads)) for name in THREAD_VARIABLES)
     if out_path and os.path.exists(out_path):
         os.unlink(out_path)
     proc = subprocess.run([sys.executable, "-m", "gframemod.cli", *argv],
@@ -210,26 +226,87 @@ def plan(old_src: str, work: str) -> list:
     return invocations
 
 
+class _Number(str):
+    """A JSON number, kept as the text it was written as."""
+
+
 def _as_json(data):
     """The JSON value of some bytes, with every number kept as its text, or
     None when they are not JSON."""
     try:
-        return json.loads(data, parse_float=str, parse_int=str)
+        return json.loads(data, parse_float=_Number, parse_int=_Number)
     except (TypeError, ValueError):
         return None
 
 
-def differing_keys(old, new, path: str = "") -> list:
-    """Dotted key paths at which two JSON values differ; lists are leaves."""
-    if not (isinstance(old, dict) and isinstance(new, dict)):
-        return [] if old == new else [path or "<root>"]
+def _ordered(x: float) -> int:
+    """An integer that orders float64 values as the floats do and steps by
+    one between neighbours, so that -0 and 0 meet."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _exact_ones(items: list):
+    """Indices of the entries exactly [1, 0], when every entry is an
+    [re, im] pair of numbers, else None."""
+    if not all(isinstance(z, list) and len(z) == 2 and all(isinstance(p, _Number) for p in z)
+               for z in items):
+        return None
+    return [k for k, (real, imag) in enumerate(items)
+            if float(real) == 1.0 and float(imag) == 0.0]
+
+
+def classify(old, new, path: str = "") -> list:
+    """(class, key path, detail) of each difference between two JSON values,
+    class being "structural" (detail: what moved) or "float" (detail: the
+    distance in ulps)."""
+    here = path or "<root>"
+    if isinstance(old, dict) and isinstance(new, dict):
+        out = []
+        for key in sorted(old.keys() | new.keys()):
+            sub = f"{path}.{key}" if path else key
+            if key in old and key in new:
+                out += classify(old[key], new[key], sub)
+            else:
+                out.append(("structural", sub, "present on one side only"))
+        return out
+    if isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            return [("structural", here, f"length {len(old)} -> {len(new)}")]
+        out = []
+        ones = _exact_ones(old), _exact_ones(new)
+        if ones[0] != ones[1]:
+            out.append(("structural", here, f"exactly [1, 0] at {ones[0]} -> {ones[1]}"))
+        for k, (a, b) in enumerate(zip(old, new)):
+            out += classify(a, b, f"{path}[{k}]")
+        return out
+    if type(old) is type(new) is _Number:
+        if old == new:
+            return []
+        if not any(c in text for text in (old, new) for c in ".eE"):
+            return [("structural", here, f"integer {old} -> {new}")]
+        return [("float", here, abs(_ordered(float(old)) - _ordered(float(new))))]
+    return [] if old == new else [("structural", here, f"{old!r} -> {new!r}")]
+
+
+def _differences(old, new) -> list:
+    """classify()'s list for two invocation results (exit code, stdout,
+    stderr, written bytes)."""
     out = []
-    for key in sorted(old.keys() | new.keys()):
-        sub = f"{path}.{key}" if path else key
-        if key in old and key in new:
-            out += differing_keys(old[key], new[key], sub)
+    if old[0] != new[0]:
+        out.append(("structural", "exit code", f"{old[0]} -> {new[0]}"))
+    for name, a, b in (("stdout", old[1], new[1]), ("document", old[3], new[3])):
+        if a == b:
+            continue
+        a_json, b_json = _as_json(a), _as_json(b)
+        if a_json is None or b_json is None:
+            out.append(("structural", name, "not JSON on both sides"))
         else:
-            out.append(sub)
+            out += [(kind, f"{name}:{key}", detail)
+                    for kind, key, detail in classify(a_json, b_json)]
+    if old[2] != new[2]:
+        out.append(("structural", "stderr", f"{old[2].decode(errors='replace').strip()!r} -> "
+                                            f"{new[2].decode(errors='replace').strip()!r}"))
     return out
 
 
@@ -237,6 +314,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src", help="the reference tree's src/ directory")
     parser.add_argument("new_src", help="the changed tree's src/ directory")
+    parser.add_argument("--threads", type=int, choices=range(1, 9), default=1, metavar="N",
+                        help="BLAS threads for NEW_SRC, 1 to 8 (OLD_SRC always runs on one)")
     args = parser.parse_args(argv)
     work = tempfile.mkdtemp(prefix="byte-sweep-")
     try:
@@ -244,30 +323,34 @@ def main(argv=None) -> int:
 
         def compare(item):
             argv, written = item
-            return argv, run(args.old_src, argv, written), run(args.new_src, argv, written)
+            return (argv, run(args.old_src, argv, written),
+                    run(args.new_src, argv, written, args.threads))
 
         with ThreadPoolExecutor(max_workers=JOBS) as pool:
             results = list(pool.map(compare, invocations))
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    differing = 0
+    differing = structural = 0
     for argv, old, new in results:
         if old == new:
             continue
         differing += 1
+        differences = _differences(old, new)
+        structural += any(kind == "structural" for kind, _, _ in differences)
         parts = [name for name, a, b in zip(("exit code", "stdout", "stderr", "document"), old, new)
                  if a != b]
         shown = " ".join(os.path.relpath(a, work) if a.startswith(work) else a for a in argv)
         print(f"DIFFERS ({', '.join(parts)}; exit {old[0]} -> {new[0]}): {shown}")
-        for name, a, b in (("stdout", old[1], new[1]), ("document", old[3], new[3])):
-            a, b = _as_json(a), _as_json(b)
-            if a is not None and b is not None and a != b:
-                print(f"    {name} keys: {', '.join(differing_keys(a, b))}")
-        if old[2] != new[2]:
-            print(f"    old stderr: {old[2].decode(errors='replace').strip()}")
-            print(f"    new stderr: {new[2].decode(errors='replace').strip()}")
+        floats = {}
+        for kind, key, detail in differences:
+            if kind == "structural":
+                print(f"    structural: {key} ({detail})")
+            else:
+                floats.setdefault(re.sub(r"\[\d+\]", "[]", key), []).append(detail)
+        for key, ulps in floats.items():
+            print(f"    float: {key} ({len(ulps)} differ, at most {max(ulps)} ulp)")
     print(f"byte sweep: {len(results)} invocations, {len(results) - differing} identical, "
-          f"{differing} differ")
+          f"{differing} differ, {structural} of them structurally")
     return 1 if differing else 0
 
 
