@@ -175,17 +175,23 @@ def _kernel_row_basis(frame: GFusionFrame):
     return basis_list, m_syn, u[:, :rank(s, INVERT_TOL)], float(s[0]) if s.size else 0.0
 
 
-def _kernel_draws(frame: GFusionFrame, q, count: int, seed: int):
-    """Seeded random unit-norm kernel rows, `count` in all, as consecutive
-    (c, d, sum rank N_xi) chunks of one seeded stream, c set by
-    KERNEL_CHUNK_BYTES; q is the range basis from `_kernel_row_basis`."""
-    total = q.shape[0]
+def _kernel_normals(frame: GFusionFrame, total: int, count: int, seed: int):
+    """The seeded standard complex normals behind the kernel samples, `count`
+    in all, as consecutive (c, d, total) chunks of one stream, c set by
+    KERNEL_CHUNK_BYTES; chunking does not change the numbers drawn."""
     rng = np.random.default_rng(seed)
     chunk = max(1, KERNEL_CHUNK_BYTES // (16 * frame.d * total))
     for start in range(0, count, chunk):
-        y = rng.standard_normal((min(chunk, count - start), frame.d, total, 2))
-        y = y.view(np.complex128)[..., 0]
-        rows = y.reshape(-1, total)
+        z = rng.standard_normal((min(chunk, count - start), frame.d, total, 2))
+        yield z.view(np.complex128)[..., 0]
+
+
+def _kernel_draws(frame: GFusionFrame, q, count: int, seed: int):
+    """Seeded random unit-norm kernel rows y = z P / ||z P||, P = I - Q Q^H,
+    chunk by chunk from `_kernel_normals`; q is the range basis Q from
+    `_kernel_row_basis`.  Only `sample_synthesis_kernel` forms them."""
+    for y in _kernel_normals(frame, q.shape[0], count, seed):
+        rows = y.reshape(-1, q.shape[0])
         rows -= (rows @ q) @ q.conj().T
         # the basis rows are orthonormal, so the sequence norm is ||y||_2
         y /= np.maximum(spectral_norms(y), 1e-300)[:, None, None]
@@ -220,26 +226,41 @@ def kernel_invariance(frame: GFusionFrame, convention: str, seed: int = 0):
 
     No sample's terms are formed: term xi moves to slot t = xi - 1, so the
     images of row coordinates y are y M' (block xi of M' is B_xi Y_t^H) and
-    its leaks y_xi B_xi (I - P_t); the linear shift drops term 0.
+    its leaks y_xi B_xi (I - P_t); the linear shift drops term 0.  A sample
+    is y = z P / ||z P|| for the seeded normals z and P = I - Q Q^H, so its
+    image is z R / ||z P|| with R = P M' = M' - Q (Q^H M'), formed once:
+    each chunk takes one product z [Q | R], and ||z P||^2 is the top
+    eigenvalue of the d x d Gram z z^H - (z Q)(z Q)^H.  The unit-norm y is
+    formed only where some leak block is nonzero.
     """
     basis_list, _, q, top = _kernel_row_basis(frame)
-    if q.shape[0] == q.shape[1]:
+    total, rank_q = q.shape
+    if total == rank_q:
         return 0, 0.0, True, ["synthesis kernel is trivial; the invariance check is vacuous"]
     offsets = np.cumsum([0] + [rows.shape[0] for rows in basis_list])
-    shifted = np.zeros((q.shape[0], frame.n * frame.d), dtype=np.complex128)
+    shifted = np.zeros((total, frame.n * frame.d), dtype=np.complex128)
     leaks = []  # (slot, K_xi) wherever K_xi is nonzero; none on full submodules
     for xi in range(0 if _check_convention(convention) == "cyclic" else 1, len(frame)):
         rows, slot = basis_list[xi], slice(offsets[xi], offsets[xi + 1])
         shifted[slot] = rows @ frame.operators[xi - 1].conj().T
         if (leak := rows - rows @ frame.projections[xi - 1]).any():
             leaks.append((slot, leak))
+    q_r = np.concatenate([q, shifted - q @ (q.conj().T @ shifted)], axis=1)
     defect = 0.0
-    for y in _kernel_draws(frame, q, KERNEL_SAMPLES, seed):
-        if not all(norms_within(y[..., slot] @ leak, MEMBERSHIP_TOL).all() for slot, leak in leaks):
-            return (KERNEL_SAMPLES, math.inf, False,
-                    ["a shifted kernel element leaves the submodule family"])
-        images = (y.reshape(-1, q.shape[0]) @ shifted).reshape(len(y), frame.d, -1)
-        defect = max(defect, float(spectral_norms(images).max()))
+    for z in _kernel_normals(frame, total, KERNEL_SAMPLES, seed):
+        w = (z.reshape(-1, total) @ q_r).reshape(len(z), frame.d, -1)
+        zq = w[..., :rank_q]
+        # ||z P||; z is standard normal and Q orthonormal, so no Gram here
+        # needs the power-of-two scaling that R's magnitudes need below
+        gram = z @ z.conj().swapaxes(-1, -2) - zq @ zq.conj().swapaxes(-1, -2)
+        norms = np.maximum(np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0)), 1e-300)
+        if leaks:
+            y = (z - zq @ q.conj().T) / norms[:, None, None]
+            if not all(norms_within(y[..., slot] @ leak, MEMBERSHIP_TOL).all()
+                       for slot, leak in leaks):
+                return (KERNEL_SAMPLES, math.inf, False,
+                        ["a shifted kernel element leaves the submodule family"])
+        defect = max(defect, float((spectral_norms(w[..., rank_q:]) / norms).max()))
     defect /= max(top, 1e-300)
     return KERNEL_SAMPLES, defect, defect <= REPRESENT_TOL, []
 

@@ -1,6 +1,7 @@
 """The difference classes of `tools/byte_sweep.py`."""
 
 import importlib.util
+import struct
 import sys
 from pathlib import Path
 
@@ -55,3 +56,37 @@ def test_a_thread_count_reaches_every_blas_variable(monkeypatch):
     byte_sweep.run("src", ["-h"], threads=2)
     assert {name: seen[name] for name in byte_sweep.THREAD_VARIABLES} == {
         "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "2"}
+
+
+def _stepped(x: float, ulps: int) -> str:
+    """The float `ulps` steps above a positive x, as JSON text."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0] + ulps
+    return repr(struct.unpack("<d", struct.pack("<q", bits))[0])
+
+
+def test_a_float_beyond_the_ulp_bound_is_a_large_float():
+    limit = byte_sweep.LARGE_FLOAT_ULPS
+    old = b'{"at": 1.5, "above": 1.5, "noise": 1.32e-15, "n": 2}'
+    new = (f'{{"at": {_stepped(1.5, limit)}, "above": {_stepped(1.5, limit + 1)}, '
+           f'"noise": 1.37e-15, "n": 2}}').encode()
+    found = {key: (kind, ulps) for kind, key, ulps in
+             byte_sweep._differences((0, old, b"", None), (0, new, b"", None))}
+    assert found == {"stdout:at": ("float", limit), "stdout:above": ("large float", limit + 1),
+                     "stdout:noise": ("large float", found["stdout:noise"][1])}
+    assert found["stdout:noise"][1] > limit
+
+
+def test_the_summary_counts_large_float_moves_apart(monkeypatch, capsys):
+    outputs = {("old", "a"): b'{"x": 1.0}', ("new", "a"): b'{"x": 1.0000000000000002}',
+               ("old", "b"): b'{"x": 1e-15}', ("new", "b"): b'{"x": 2e-15}',
+               ("old", "c"): b'{"x": 1}', ("new", "c"): b'{"x": 1}'}
+    monkeypatch.setattr(byte_sweep, "plan", lambda old_src, work: [(["a"], None), (["b"], None),
+                                                                  (["c"], None)])
+    monkeypatch.setattr(byte_sweep, "run", lambda src, argv, written, threads=1:
+                        (0, outputs[src, argv[0]], b"", None))
+    assert byte_sweep.main(["old", "new"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "    float: stdout:x (1 differ, at most 1 ulp)" in lines
+    assert any(line.startswith("    large float: stdout:x (1 differ, at most ") for line in lines)
+    assert lines[-1] == ("byte sweep: 3 invocations, 1 identical, 2 differ, "
+                         "0 of them structurally, 1 with a large float move")

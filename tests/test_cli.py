@@ -815,6 +815,25 @@ def test_perturb_budget_on_a_certified_pass_pair(tmp_path, monkeypatch):
     assert budgets[0] == budgets[1]
 
 
+@pytest.mark.parametrize("kind", ["unitary-orbit", "dilation"])
+def test_represent_check_theorem21_budget_does_not_grow_with_m(tmp_path, monkeypatch, kind):
+    # the solve, the hypotheses, the bounds and the kernel basis each take a
+    # fixed number of numpy.linalg calls, and the kernel samples of (2, 2, m)
+    # fit one chunk at m = 4 and m = 64, so the record does not grow with m
+    linalg = []
+    _recording_linalg(monkeypatch, linalg)
+    budgets = []
+    for m in (4, 64):
+        doc = _gen(tmp_path, kind, 2, 2, m, 1)
+        linalg.clear()
+        code, report = run_report(["represent", doc, "--check-theorem21"], tmp_path)
+        kernel = report["results"]["kernel_check"]
+        assert code == (0 if kind == "unitary-orbit" else 3) and kernel["samples"] == 100
+        assert kernel["ok"] == (kind == "unitary-orbit")
+        budgets.append(Counter(name for name, _ in linalg))
+    assert budgets[0] == budgets[1]
+
+
 def _independence_results(report) -> dict:
     """An IndependenceReport as the `independence` command writes it."""
     return {

@@ -34,6 +34,7 @@ from gframemod.numerics import HYPOTHESIS_TOL, TIE_TOL, _first_tied
 from gframemod.represent import (
     KERNEL_CHUNK_BYTES,
     KERNEL_SAMPLES,
+    _kernel_row_basis,
     check_representation_bounds,
     divergence_window,
     independence_analysis,
@@ -395,10 +396,39 @@ def test_kernel_check_shifts_by_the_representation_convention(make, convention):
     assert len({(r.kernel_defect, r.kernel_ok) for r in reports}) <= 1
 
 
+def _line_frame(convention):
+    """Y_0 = A positive definite on A^2 over M_2(C), and Y_1 = 2 P on a rank-1
+    submodule: sum rank N_xi = n*d + 1 and M has rank n*d, so the kernel is
+    one-dimensional and z z^H - (z Q)(z Q)^H cancels all but one direction
+    of each row.  Read cyclically, term 0 moves into the line and leaves."""
+    rng = np.random.default_rng(17)
+    b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    line = Submodule.from_basis_rows(rng.standard_normal((1, 4)) + 1j * rng.standard_normal((1, 4)),
+                                     2, 2)
+    return GFusionFrame([(Submodule.full(2, 2), ModuleOperator(b @ b.conj().T + np.eye(4), 2, 2)),
+                         (line, ModuleOperator(2.0 * line.projection.matrix, 2, 2))], convention)
+
+
+def _masked_frame(convention):
+    """On C^4 (n = 4, d = 1): Y_0 = P_A on the full module, Y_1 = P_L on a
+    line L in A and Y_2 = P_C on C, the complement of A.  No other member
+    reaches C, so every kernel element has term 2 zero, and the linear
+    shift keeps the kernel in the family although the leak block
+    B_2 (I - P_1) is nonzero: only projected samples pass membership."""
+    rng = np.random.default_rng(23)
+    u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    plane, line, other = (Submodule.from_basis_rows(rows, 4, 1) for rows in (u[:2], u[:1], u[2:]))
+    return GFusionFrame([(Submodule.full(4, 1), ModuleOperator(plane.projection.matrix, 4, 1)),
+                         (line, ModuleOperator(line.projection.matrix, 4, 1)),
+                         (other, ModuleOperator(other.projection.matrix, 4, 1))], convention)
+
+
 def _reference_cases():
-    """The kernel cases, the benchmark's wide and dense sizes, and families
-    on proper submodules: the graded frame's leak block B_2 (I - P_1) is
-    nonzero at rounding level, and a random family's shifted terms leave."""
+    """The kernel cases, the benchmark's wide and dense sizes, a family whose
+    kernel is one-dimensional, and families on proper submodules: the
+    graded frame's leak block B_2 (I - P_1) is nonzero at rounding level,
+    the masked frame's is not but meets no kernel element, and a random
+    family's shifted terms leave."""
     cases = list(_kernel_cases())
     for convention in ("linear", "cyclic"):
         for n, d, m in ((4, 4, 64), (16, 4, 4)):
@@ -408,6 +438,8 @@ def _reference_cases():
                               GFusionFrame(base.elements, convention)))
         base = random_family_frame(2, 2, 6, seed=1)
         cases.append((f"random-2-2-6-{convention}", GFusionFrame(base.elements, convention)))
+        cases.append((f"line-2-2-{convention}", _line_frame(convention)))
+        cases.append((f"masked-{convention}", _masked_frame(convention)))
     return cases
 
 
@@ -438,6 +470,36 @@ def test_reference_cases_cover_leaks_and_partial_chunks():
         frame = names[key]
         chunk = KERNEL_CHUNK_BYTES // (16 * frame.d * sum(b.shape[0] for b in frame.bases))
         assert 1 < chunk < KERNEL_SAMPLES and KERNEL_SAMPLES % chunk
+
+
+def test_the_line_frame_has_a_one_dimensional_kernel():
+    names = dict(_reference_cases())
+    for convention in ("linear", "cyclic"):
+        _, _, q, _ = _kernel_row_basis(names[f"line-2-2-{convention}"])
+        assert q.shape == (5, 4)
+    # the linear shift keeps the line's term in the full submodule, so the
+    # defect is finite; the cyclic one moves term 0 out of the line
+    assert 0.0 < kernel_invariance(names["line-2-2-linear"], "linear")[1] < math.inf
+    assert kernel_invariance(names["line-2-2-cyclic"], "cyclic")[1] == math.inf
+
+
+def test_the_masked_frame_leaks_only_outside_its_kernel():
+    frame = dict(_reference_cases())["masked-linear"]
+    leak = frame.bases[2] - frame.bases[2] @ frame.projections[1]
+    assert np.linalg.norm(leak, 2) > 0.5
+    membership, defect = oracles.exact_kernel_shift_defects(frame)
+    assert membership < 1e-12 and defect > 0.1
+    assert kernel_invariance(frame, "linear", seed=3)[1] <= defect * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("frame", [pytest.param(frame, id=name) for name, frame in _reference_cases()
+                                   if "-4-4-64-" in name or "-16-4-4-" in name])
+def test_a_sampled_defect_never_exceeds_the_exact_one_at_the_benchmark_sizes(frame):
+    membership, defect = oracles.exact_kernel_shift_defects(frame)
+    drawn, kernel_defect, kernel_ok, _ = kernel_invariance(frame, frame.index_convention, seed=3)
+    assert membership < 1e-12 and drawn == 100
+    assert kernel_defect <= defect * (1.0 + 1e-9) + 1e-15
+    assert kernel_ok == (defect < 1e-10)
 
 
 def test_kernel_check_peak_stays_below_one_term_stack():

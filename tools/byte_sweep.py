@@ -13,7 +13,7 @@ prints every invocation whose results differ and a summary line.  It exits
 
 Where both sides wrote JSON (a report on standard output, or a document)
 that differs, each difference is listed by its key path, for example
-`results.witness.lhs` or `results.coefficients[2]`, in one of two classes.
+`results.witness.lhs` or `results.coefficients[2]`, in one of three classes.
 Numbers are compared as written, so `-0` and `0` differ.  Float
 differences are listed once per path with list indices dropped
 (`results.coefficients[][]`), with their count and largest distance.
@@ -22,7 +22,12 @@ differences are listed once per path with list indices dropped
   present on one side only, a list length, a boolean, string or null, an
   integer (a number written with no `.` or exponent on both sides), or
   which entries of a list of [re, im] pairs are exactly [1, 0];
+* large float: any other number that moved by more than LARGE_FLOAT_ULPS
+  units in the last place, such as rounding noise printed as a value;
 * float: any other number, with its distance in units in the last place.
+
+The summary line counts the invocations with a structural difference and
+those with a large float move.
 
 Invocations:
 
@@ -97,6 +102,7 @@ ETA = _WORKLOADS.ETA
 BETA = 0.05  # the corpus pass pairs also run with beta > 0
 SEEDS = (1, 2)
 JOBS = 2
+LARGE_FLOAT_ULPS = 10 ** 6  # a float move beyond this many ulps is more than a last-digit move
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 ENV = {"COLUMNS": "80"}
 COMMANDS = ("analyze", "represent", "perturb", "gen", "independence")
@@ -291,7 +297,8 @@ def classify(old, new, path: str = "") -> list:
 
 def _differences(old, new) -> list:
     """classify()'s list for two invocation results (exit code, stdout,
-    stderr, written bytes)."""
+    stderr, written bytes), each float difference above LARGE_FLOAT_ULPS
+    relabelled "large float"."""
     out = []
     if old[0] != new[0]:
         out.append(("structural", "exit code", f"{old[0]} -> {new[0]}"))
@@ -302,7 +309,8 @@ def _differences(old, new) -> list:
         if a_json is None or b_json is None:
             out.append(("structural", name, "not JSON on both sides"))
         else:
-            out += [(kind, f"{name}:{key}", detail)
+            out += [("large float" if kind == "float" and detail > LARGE_FLOAT_ULPS else kind,
+                     f"{name}:{key}", detail)
                     for kind, key, detail in classify(a_json, b_json)]
     if old[2] != new[2]:
         out.append(("structural", "stderr", f"{old[2].decode(errors='replace').strip()!r} -> "
@@ -330,13 +338,14 @@ def main(argv=None) -> int:
             results = list(pool.map(compare, invocations))
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    differing = structural = 0
+    differing = structural = large = 0
     for argv, old, new in results:
         if old == new:
             continue
         differing += 1
         differences = _differences(old, new)
         structural += any(kind == "structural" for kind, _, _ in differences)
+        large += any(kind == "large float" for kind, _, _ in differences)
         parts = [name for name, a, b in zip(("exit code", "stdout", "stderr", "document"), old, new)
                  if a != b]
         shown = " ".join(os.path.relpath(a, work) if a.startswith(work) else a for a in argv)
@@ -346,11 +355,12 @@ def main(argv=None) -> int:
             if kind == "structural":
                 print(f"    structural: {key} ({detail})")
             else:
-                floats.setdefault(re.sub(r"\[\d+\]", "[]", key), []).append(detail)
-        for key, ulps in floats.items():
-            print(f"    float: {key} ({len(ulps)} differ, at most {max(ulps)} ulp)")
+                floats.setdefault((kind, re.sub(r"\[\d+\]", "[]", key)), []).append(detail)
+        for (kind, key), ulps in floats.items():
+            print(f"    {kind}: {key} ({len(ulps)} differ, at most {max(ulps)} ulp)")
     print(f"byte sweep: {len(results)} invocations, {len(results) - differing} identical, "
-          f"{differing} differ, {structural} of them structurally")
+          f"{differing} differ, {structural} of them structurally, {large} with a large float "
+          f"move")
     return 1 if differing else 0
 
 
