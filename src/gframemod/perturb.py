@@ -60,7 +60,7 @@ from .numerics import (
     _first_tied,
     spectral_norms,
 )
-from .represent import independence_analysis
+from .represent import _combination_norm, independence_analysis
 
 DEFAULT_SEQ_SAMPLES = 256
 _BATCH = 1 << 16  # complex entries of one combination product over the sequences
@@ -392,9 +392,7 @@ def independence_transfer(frame: GFusionFrame, perturbed: GFusionFrame,
     report = independence_analysis(perturbed)
     if report.verdict == "independent":
         return True
-    combo = float(np.linalg.norm(np.einsum("k,kij->ij", report.coefficients, frame.operators), 2))
-    scale = max(frame.max_operator_norm(), 1e-300)
-    if combo > RANK_TOL * scale * len(frame):
+    if _combination_norm(frame, report.coefficients) > RANK_TOL * len(frame):
         raise InequalityNotVerified(
             "a null combination of the perturbed family fails to annihilate "
             "the base family; the sampled inequality pass was a miss"

@@ -175,27 +175,30 @@ def _kernel_row_basis(frame: GFusionFrame):
     return basis_list, m_syn, u[:, :rank(s, INVERT_TOL)], float(s[0]) if s.size else 0.0
 
 
-def _kernel_normals(frame: GFusionFrame, total: int, count: int, seed: int):
-    """The seeded standard complex normals behind the kernel samples, `count`
-    in all, as consecutive (c, d, total) chunks of one stream, c set by
-    KERNEL_CHUNK_BYTES; chunking does not change the numbers drawn."""
+def _kernel_samples(frame: GFusionFrame, q, count: int, seed: int, r=None, unit=True):
+    """Seeded unit-norm kernel rows y = z P / ||z P||, P = I - Q Q^H, with q
+    the range basis Q from `_kernel_row_basis`.  The standard complex
+    normals z are drawn as consecutive (c, d, Sigma rank) chunks of one
+    stream, c set by KERNEL_CHUNK_BYTES; chunking does not change the
+    numbers drawn.  Each chunk takes one product z [Q | R] and yields
+    (z R, ||z P||, y), with y formed only when `unit` is set.  ||z P||^2 is
+    the top eigenvalue of the d x d Gram z z^H - (z Q)(z Q)^H; the basis
+    rows are orthonormal, so it is also the sample's sequence norm."""
+    total, rank_q = q.shape
+    q_r = q if r is None else np.concatenate([q, r], axis=1)
     rng = np.random.default_rng(seed)
     chunk = max(1, KERNEL_CHUNK_BYTES // (16 * frame.d * total))
     for start in range(0, count, chunk):
         z = rng.standard_normal((min(chunk, count - start), frame.d, total, 2))
-        yield z.view(np.complex128)[..., 0]
-
-
-def _kernel_draws(frame: GFusionFrame, q, count: int, seed: int):
-    """Seeded random unit-norm kernel rows y = z P / ||z P||, P = I - Q Q^H,
-    chunk by chunk from `_kernel_normals`; q is the range basis Q from
-    `_kernel_row_basis`.  Only `sample_synthesis_kernel` forms them."""
-    for y in _kernel_normals(frame, q.shape[0], count, seed):
-        rows = y.reshape(-1, q.shape[0])
-        rows -= (rows @ q) @ q.conj().T
-        # the basis rows are orthonormal, so the sequence norm is ||y||_2
-        y /= np.maximum(spectral_norms(y), 1e-300)[:, None, None]
-        yield y
+        z = z.view(np.complex128)[..., 0]
+        w = (z.reshape(-1, total) @ q_r).reshape(len(z), frame.d, -1)
+        zq = w[..., :rank_q]
+        # z is standard normal and Q orthonormal, so no Gram here needs the
+        # power-of-two scaling that R's magnitudes need in `spectral_norms`
+        gram = z @ z.conj().swapaxes(-1, -2) - zq @ zq.conj().swapaxes(-1, -2)
+        norms = np.maximum(np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0)), 1e-300)
+        y = (z - zq @ q.conj().T) / norms[:, None, None] if unit else None
+        yield w[..., rank_q:], norms, y
 
 
 def sample_synthesis_kernel(frame: GFusionFrame, count: int, seed: int = 0):
@@ -207,7 +210,7 @@ def sample_synthesis_kernel(frame: GFusionFrame, count: int, seed: int = 0):
     basis_list, _, q, _ = _kernel_row_basis(frame)
     if count == 0 or q.shape[0] == q.shape[1]:
         return []
-    y = np.concatenate(list(_kernel_draws(frame, q, count, seed)))
+    y = np.concatenate([y for _, _, y in _kernel_samples(frame, q, count, seed)])
     terms = np.empty((count, len(frame), frame.d, frame.n * frame.d), dtype=np.complex128)
     offsets = np.cumsum([0] + [rows.shape[0] for rows in basis_list])
     for xi, rows in enumerate(basis_list):
@@ -227,11 +230,9 @@ def kernel_invariance(frame: GFusionFrame, convention: str, seed: int = 0):
     No sample's terms are formed: term xi moves to slot t = xi - 1, so the
     images of row coordinates y are y M' (block xi of M' is B_xi Y_t^H) and
     its leaks y_xi B_xi (I - P_t); the linear shift drops term 0.  A sample
-    is y = z P / ||z P|| for the seeded normals z and P = I - Q Q^H, so its
-    image is z R / ||z P|| with R = P M' = M' - Q (Q^H M'), formed once:
-    each chunk takes one product z [Q | R], and ||z P||^2 is the top
-    eigenvalue of the d x d Gram z z^H - (z Q)(z Q)^H.  The unit-norm y is
-    formed only where some leak block is nonzero.
+    of `_kernel_samples` is y = z P / ||z P||, so its image is z R / ||z P||
+    with R = P M' = M' - Q (Q^H M'), formed once and streamed beside Q.  The
+    unit-norm y is formed only where some leak block is nonzero.
     """
     basis_list, _, q, top = _kernel_row_basis(frame)
     total, rank_q = q.shape
@@ -245,22 +246,13 @@ def kernel_invariance(frame: GFusionFrame, convention: str, seed: int = 0):
         shifted[slot] = rows @ frame.operators[xi - 1].conj().T
         if (leak := rows - rows @ frame.projections[xi - 1]).any():
             leaks.append((slot, leak))
-    q_r = np.concatenate([q, shifted - q @ (q.conj().T @ shifted)], axis=1)
     defect = 0.0
-    for z in _kernel_normals(frame, total, KERNEL_SAMPLES, seed):
-        w = (z.reshape(-1, total) @ q_r).reshape(len(z), frame.d, -1)
-        zq = w[..., :rank_q]
-        # ||z P||; z is standard normal and Q orthonormal, so no Gram here
-        # needs the power-of-two scaling that R's magnitudes need below
-        gram = z @ z.conj().swapaxes(-1, -2) - zq @ zq.conj().swapaxes(-1, -2)
-        norms = np.maximum(np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0)), 1e-300)
-        if leaks:
-            y = (z - zq @ q.conj().T) / norms[:, None, None]
-            if not all(norms_within(y[..., slot] @ leak, MEMBERSHIP_TOL).all()
-                       for slot, leak in leaks):
-                return (KERNEL_SAMPLES, math.inf, False,
-                        ["a shifted kernel element leaves the submodule family"])
-        defect = max(defect, float((spectral_norms(w[..., rank_q:]) / norms).max()))
+    for zr, norms, y in _kernel_samples(frame, q, KERNEL_SAMPLES, seed,
+                                        shifted - q @ (q.conj().T @ shifted), bool(leaks)):
+        if not all(norms_within(y[..., slot] @ leak, MEMBERSHIP_TOL).all() for slot, leak in leaks):
+            return (KERNEL_SAMPLES, math.inf, False,
+                    ["a shifted kernel element leaves the submodule family"])
+        defect = max(defect, float((spectral_norms(zr) / norms).max()))
     defect /= max(top, 1e-300)
     return KERNEL_SAMPLES, defect, defect <= REPRESENT_TOL, []
 
@@ -423,10 +415,15 @@ def independence_analysis(frame: GFusionFrame,
     pivot = _first_tied(np.abs(null[-1]))
     delta = null[-1] / null[-1][pivot]
     delta[pivot] = 1.0  # exactly: complex division can leave a rounding residue
-    scale = max(frame.max_operator_norm(), 1e-300)
-    null_norm = float(np.linalg.norm(np.einsum("k,kij->ij", delta, mats), 2)) / scale
     invariance = None if rep is None else span_invariance(frame, delta, rep)
-    return IndependenceReport("dependent", delta, r, null_norm, invariance)
+    return IndependenceReport("dependent", delta, r, _combination_norm(frame, delta), invariance)
+
+
+def _combination_norm(frame: GFusionFrame, delta) -> float:
+    """||sum_k delta_k Y_k||_2 / max ||Y_k||, the relative norm of a
+    combination of the members."""
+    scale = max(frame.max_operator_norm(), 1e-300)
+    return float(np.linalg.norm(np.einsum("k,kij->ij", delta, frame.operators), 2)) / scale
 
 
 def span_invariance(frame: GFusionFrame, delta,

@@ -1,9 +1,15 @@
-"""The difference classes of `tools/byte_sweep.py`."""
+"""The difference classes and derived documents of `tools/byte_sweep.py`."""
 
 import importlib.util
+import json
 import struct
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from gframemod.families import generate
+from gframemod.serialize import document_to_frame, dumps_canonical, frame_to_document
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "byte_sweep.py"
 
@@ -90,3 +96,13 @@ def test_the_summary_counts_large_float_moves_apart(monkeypatch, capsys):
     assert any(line.startswith("    large float: stdout:x (1 differ, at most ") for line in lines)
     assert lines[-1] == ("byte sweep: 3 invocations, 1 identical, 2 differ, "
                          "0 of them structurally, 1 with a large float move")
+
+
+def test_a_nudged_copy_moves_each_member_inside_its_submodule():
+    doc = json.loads(dumps_canonical(frame_to_document(generate("random", 2, 2, 4, seed=1))))
+    frame, nudged = (document_to_frame(d) for d in (doc, byte_sweep._nudged(doc, 1e-3, 1)))
+    change = nudged.operators - frame.operators
+    sizes = np.linalg.norm(change, 2, axis=(1, 2))
+    assert np.all((sizes > 1e-4) & (sizes < 1e-2))
+    assert np.abs(change @ frame.projections - change).max() < 1e-14
+    assert byte_sweep._nudged(doc, 1e-3, 1) == byte_sweep._nudged(doc, 1e-3, 1)

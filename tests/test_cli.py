@@ -13,13 +13,14 @@ import pytest
 
 from gframemod import cli, families, frames, hilbert, perturb, represent
 from gframemod.cli import main
-from gframemod.exceptions import InvalidDimensions
+from gframemod.exceptions import DegenerateSpan, InvalidDimensions
 from gframemod.families import KINDS
 from gframemod.frames import GFusionFrame, frame_operator, fusion_frame
 from gframemod.hilbert import ModuleOperator, ModuleVector, Submodule
 from gframemod.serialize import dumps_canonical, frame_to_document, load_frame, write_atomic
 
 import oracles
+from test_perturb import _near_dependent_pair
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -345,6 +346,37 @@ def test_benchmark_perturbation_pairs_are_certified(tmp_path):
             assert results["samples"] == {"sequences": 0, "vectors": 0}
 
 
+@pytest.mark.parametrize("side,code,transfer", [
+    (0.5, 0, {"checked": True, "independent": False}),
+    (2.0, 3, {"checked": True, "inconsistent": "a null combination of the perturbed family "
+              "fails to annihilate the base family; the sampled inequality pass was a miss"}),
+])
+def test_perturb_reports_a_dependent_perturbation_of_an_independent_base(tmp_path, monkeypatch,
+                                                                          side, code, transfer):
+    # the sampler fails such a pair, so its pass is stood in by the base's
+    # own verdict, which passes under the same params
+    base, perturbed = _near_dependent_pair(side)
+    real = perturb.check_perturbation_inequality
+    monkeypatch.setattr(cli, "check_perturbation_inequality",
+                        lambda frame, other, params, **kw: real(frame, frame, params, **kw))
+    paths = [_write_frame(family, tmp_path, f"{name}.json")
+             for name, family in (("base", base), ("perturbed", perturbed))]
+    found, report = run_report(["perturb", *paths, "--eta", 0.1], tmp_path)
+    assert found == code
+    results = report["results"]
+    assert results["inequality_holds"] and results["perturbed_frame_check"]["bounds_contained"]
+    assert results["independence_transfer"] == transfer
+
+
+def test_perturb_hat_original_carries_its_caveat(tmp_path):
+    doc = CORPUS / "fusion_parseval_m2.json"
+    code, hat_hat = run_report(["perturb", doc, doc], tmp_path, "hat_hat.json")
+    assert code == 0 and perturb.HAT_ORIGINAL_CAVEAT not in hat_hat["caveats"]
+    code, report = run_report(["perturb", doc, doc, "--interpretation", "hat_original"], tmp_path)
+    assert code == 0 and report["results"]["interpretation"] == "hat_original"
+    assert report["caveats"] == hat_hat["caveats"] + [perturb.HAT_ORIGINAL_CAVEAT]
+
+
 def test_perturb_rejects_bad_params():
     doc = CORPUS / "fusion_parseval_m2.json"
     assert run(["perturb", doc, doc, "--eta", 1.0]) == 1
@@ -437,6 +469,21 @@ def test_independence_dilation_with_span_invariance(tmp_path):
     assert results["invariant_span_dim"] == 1
     assert results["span_invariance"]["ok"] is True
     assert len(results["coefficients"]) == 3
+
+
+def test_independence_of_a_family_whose_span_is_zero(tmp_path):
+    # three zero members on the zero submodule: dependent, and the span
+    # solve has nothing to act on, so no span invariance is reported
+    zero = Submodule.from_basis_rows(np.zeros((0, 2)), 2, 1)
+    frame = GFusionFrame([(zero, ModuleOperator(np.zeros((2, 2)), 2, 1))] * 3)
+    with pytest.raises(DegenerateSpan):
+        represent.solve_representation(frame)
+    code, report = run_report(["independence", _write_frame(frame, tmp_path, "zero.json")],
+                              tmp_path)
+    assert code == 0
+    results = report["results"]
+    assert results["verdict"] == "dependent" and results["invariant_span_dim"] == 0
+    assert results["span_invariance"] is None and results["null_combination_norm"] == 0
 
 
 # More members than the (n*d)^2 dimensions of the operator space: the

@@ -21,12 +21,13 @@ from gframemod.families import (
 )
 from gframemod.frames import FrameBounds, GFusionFrame, frame_bounds
 from gframemod.hilbert import ModuleOperator, ModuleVector, Submodule, null_combinations
-from gframemod.numerics import FACTOR_TOL
+from gframemod.numerics import FACTOR_TOL, RANK_TOL
 from gframemod.perturb import (
     HAT_HAT,
     HAT_ORIGINAL,
     SAMPLING_CAVEAT,
     PerturbationParams,
+    PerturbationVerdict,
     check_perturbation_inequality,
     derived_bounds,
     independence_transfer,
@@ -95,6 +96,35 @@ def test_large_displacement_violates_with_basis_witness():
     verdict = check_perturbation_inequality(frame, perturbed, PerturbationParams(0.1, 0.1),
                                             seq_samples=0, vec_samples=8, seed=0)
     assert not verdict.inequality_holds  # basis sequences alone expose it
+
+
+def _nudged_pair(seed: int, size: float = 1e-3):
+    """A random (2, 2, 4) family and a copy with size * G_k P_k added to each
+    member, G_k seeded complex Gaussians: the change keeps every member's
+    rows in its submodule, and the pair has no factor form."""
+    frame = generate("random", 2, 2, 4, seed=seed)
+    rng = np.random.default_rng(seed)
+    nudges = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))
+    return frame, frame._with_operators(frame.operators + size * nudges @ frame.projections)
+
+
+def test_the_local_ascent_fails_a_pair_whose_samples_pass(monkeypatch):
+    frame, nudged = _nudged_pair(3)
+    params = PerturbationParams(0.05, 0.0)
+    verdict = check_perturbation_inequality(frame, nudged, params, seq_samples=256,
+                                            vec_samples=64, seed=3)
+    assert verdict.certificate is None and not verdict.inequality_holds
+    # the witness is genuine: its sides, recomputed from its sequence and vector
+    a, f = verdict.witness.coefficients, verdict.witness.vector.flat
+    lhs = np.linalg.norm(f @ np.einsum("k,kij->ij", a, frame.operators - nudged.operators), 2)
+    rhs = 0.05 * np.linalg.norm(f @ np.einsum("k,kij->ij", a, frame.operators), 2)
+    assert (verdict.witness.lhs, verdict.witness.rhs) == pytest.approx((lhs, rhs), rel=1e-12)
+    assert lhs - rhs > 1e-4 * frame.max_operator_norm()
+    # every sampled pair passes: the verdict is the ascent's
+    monkeypatch.setattr(perturb, "_ascend_coefficients", lambda alpha, margin: (alpha, -np.inf))
+    sampled = check_perturbation_inequality(frame, nudged, params, seq_samples=256,
+                                            vec_samples=64, seed=3)
+    assert sampled.inequality_holds and sampled.witness.margin < 0
 
 
 # every kind at the benchmark's small, wide and dense (n, d, m); a fusion
@@ -665,6 +695,41 @@ def test_transfer_requires_independent_base():
     verdict = check_perturbation_inequality(frame, frame, params)
     with pytest.raises(BaseNotIndependent):
         independence_transfer(frame, frame, verdict)
+
+
+def _near_dependent_pair(side: float):
+    """(base, perturbed) on A^2 over M_2: the 16 matrix units but E_33, with
+    member 2 equal to E_00 + E_01 + eps E_33 in the base and to E_00 + E_01
+    in the perturbed family, which is therefore dependent through
+    (1, 1, -1, 0, ...).  That combination has norm eps on the base, whose
+    largest member norm is sqrt(2); eps is `side` times the bound
+    RANK_TOL m max ||Y|| up to which it counts as annihilating the base.
+    The base is independent for eps above about 4e-10."""
+    units = np.eye(16, dtype=np.complex128).reshape(16, 4, 4)
+    mats = np.concatenate([units[:2], units[:1] + units[1:2], units[2:15]])
+    full = Submodule.full(2, 2)
+    families = []
+    for bump in (side * RANK_TOL * 16 * np.sqrt(2.0), 0.0):
+        ops = mats.copy()
+        ops[2, 3, 3] = bump
+        families.append(GFusionFrame([(full, ModuleOperator(x, 2, 2)) for x in ops]))
+    return tuple(families)
+
+
+@pytest.mark.parametrize("side", [0.5, 2.0])
+def test_transfer_of_a_dependent_perturbation_against_an_independent_base(side):
+    # a dependent perturbed family beside a passing verdict: past the bound
+    # the pass was a miss, within it the perturbed family is dependent
+    base, perturbed = _near_dependent_pair(side)
+    assert base.max_operator_norm() == pytest.approx(np.sqrt(2.0), rel=1e-12)
+    assert null_combinations(base.operators)[0] == 16
+    assert null_combinations(perturbed.operators)[0] == 15
+    passing = PerturbationVerdict(PerturbationParams(0.1, 0.0), True, None, 0, 0)
+    if side < 1.0:
+        assert independence_transfer(base, perturbed, passing) is False
+    else:
+        with pytest.raises(InequalityNotVerified, match="fails to annihilate"):
+            independence_transfer(base, perturbed, passing)
 
 
 def test_dependent_perturbation_fails_the_inequality_itself():

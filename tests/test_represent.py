@@ -7,6 +7,7 @@ import pytest
 from gframemod.exceptions import (
     DegenerateSpan,
     HypothesisViolation,
+    MembershipViolation,
     NotInvertible,
     NotRepresentable,
     NotTight,
@@ -28,6 +29,7 @@ from gframemod.hilbert import (
     ModuleOperator,
     ModuleVector,
     Submodule,
+    right_shift,
     submodule_from_generators,
 )
 from gframemod.numerics import HYPOTHESIS_TOL, TIE_TOL, _first_tied
@@ -246,6 +248,8 @@ def test_kernel_matches_independent_nullspace_oracle():
 def test_parseval_fusion_kernel_is_trivial():
     frame = fusion_decomposition_frame(2, 1, 2, seed=3)
     assert sample_synthesis_kernel(frame, 5, seed=0) == []
+    assert kernel_invariance(frame, "cyclic") == (
+        0, 0.0, True, ["synthesis kernel is trivial; the invariance check is vacuous"])
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +459,24 @@ def test_kernel_check_matches_the_term_stack_reference(frame):
         # a passing defect is rounding left by cancellation, whose last bits
         # follow the summation order; hence the absolute floor
         assert defect == pytest.approx(ref_defect, rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("frame", [pytest.param(frame, id=name) for name, frame in _reference_cases()])
+def test_the_returned_kernel_samples_reproduce_the_check(frame):
+    # one seeded stream: the samples that sample_synthesis_kernel returns,
+    # shifted and synthesised, give the check's defect, or leave the family
+    # where the check finds a shifted term outside its submodule
+    drawn, defect, _, _ = kernel_invariance(frame, frame.index_convention, seed=3)
+    seqs = sample_synthesis_kernel(frame, KERNEL_SAMPLES, seed=3)
+    assert len(seqs) == drawn == KERNEL_SAMPLES
+    if math.isinf(defect):
+        with pytest.raises(MembershipViolation):
+            for seq in seqs:
+                right_shift(seq)
+        return
+    top = _kernel_row_basis(frame)[3]
+    images = [synthesis(frame, right_shift(seq), membership_tol=None).norm() for seq in seqs]
+    assert max(images) / top == pytest.approx(defect, rel=1e-12, abs=1e-14)
 
 
 def test_reference_cases_cover_leaks_and_partial_chunks():

@@ -54,6 +54,10 @@ Invocations:
 * `perturb` of the seed-1 document against the seed-2 document of every
   kind and size: a pair of no factor form, so that the sampled path stays
   in the sweep when the factor certificate decides the scaled pairs;
+* `perturb --eta ASCENT_ETA` of the seed-1 `random` document at
+  n = d = 2, m = 4 against a nudged copy, Y + 1e-3 G P per element with a
+  seeded Gaussian G: its sampled worst margin is negative and the local
+  ascent from it turns positive, so the ascent decides the verdict;
 * the parser's help, usage and error output (`PARSER_INVOCATIONS`, at
   `COLUMNS=80`): no arguments, `-h` and every `<command> -h`, an unknown
   command, an abbreviated one, a flag before the command, an unknown flag,
@@ -64,14 +68,16 @@ The kinds, the (n, d, m) sizes and the perturbation size are read from
 `perfbench/workloads.py`, so the sweep covers what the benchmark runs.
 Two invocations run at once.
 
-Derived documents (pairs, scaled copies, vectors) are built with the
-standard library from the JSON lists, so the sweep imports no numpy.
+Derived documents (pairs, scaled and nudged copies, vectors) are built
+with the standard library from the JSON lists, so the sweep imports no
+numpy.
 """
 
 import argparse
 import importlib.util
 import json
 import os
+import random
 import re
 import shutil
 import struct
@@ -100,6 +106,7 @@ KINDS = _WORKLOADS.KINDS
 SIZES = sorted({(w.n, w.d, w.m) for w in _WORKLOADS.WORKLOADS.values()})
 ETA = _WORKLOADS.ETA
 BETA = 0.05  # the corpus pass pairs also run with beta > 0
+ASCENT_ETA = 0.05  # the nudged random pair passes its samples and fails after the ascent
 SEEDS = (1, 2)
 JOBS = 2
 LARGE_FLOAT_ULPS = 10 ** 6  # a float move beyond this many ulps is more than a last-digit move
@@ -138,6 +145,24 @@ def _scaled(doc: dict, factor: float) -> dict:
                  "operator": [[[factor * re, factor * im] for re, im in row]
                               for row in el["operator"]]}
                 for el in doc["elements"]]
+    return dict(doc, elements=elements)
+
+
+def _nudged(doc: dict, size: float, seed: int) -> dict:
+    """The frame document with size * G P added to every operator, for a
+    seeded complex Gaussian G and the element's projection P, so that the
+    rows of the change stay in the element's submodule."""
+    rng = random.Random(seed)
+    elements = []
+    for el in doc["elements"]:
+        proj = [[complex(re, im) for re, im in row] for row in el["projection"]]
+        dim = len(proj)
+        gauss = [[complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(dim)]
+                 for _ in range(dim)]
+        operator = [[complex(re, im) + size * sum(gauss[i][k] * proj[k][j] for k in range(dim))
+                     for j, (re, im) in enumerate(row)] for i, row in enumerate(el["operator"])]
+        elements.append({"projection": el["projection"],
+                         "operator": [[[z.real, z.imag] for z in row] for row in operator]})
     return dict(doc, elements=elements)
 
 
@@ -213,6 +238,12 @@ def plan(old_src: str, work: str) -> list:
     with open(orbit, encoding="utf-8") as handle:
         tiny = _write_json(os.path.join(work, "tiny_orbit.json"), _scaled(json.load(handle), 1e-200))
     invocations += [(argv, None) for argv in frame_invocations(tiny, work, corpus_vector)]
+    ascent = os.path.join(work, "gen_random_ascent.json")
+    if run(old_src, ["gen", "--kind", "random", "--n", "2", "--d", "2", "--m", "4", "--seed", "1",
+                     ascent], ascent)[0] == 0:
+        with open(ascent, encoding="utf-8") as handle:
+            nudged = _write_json(ascent[:-5] + "-nudged.json", _nudged(json.load(handle), 1e-3, 1))
+        invocations.append((["perturb", ascent, nudged, "--eta", str(ASCENT_ETA)], None))
     for n, d, m in SIZES:
         vector = _write_json(os.path.join(work, f"vector_n{n}_d{d}.json"), _unit_vector(n, d))
         for kind in KINDS:
