@@ -15,8 +15,9 @@ passes for every beta >= 0.  The top left singular row x of C attains
 g = x Y_k^+ and a = e_k attain it too, so ||C|| > eta fails at beta = 0.
 Any other pair is sampled, which is evidence, not proof: the sampler runs
 every standard-basis sequence, seeded random dense sequences, targeted null
-combinations of either family, and a local ascent from the worst witness.
-A sampled pass therefore means "not falsified at N samples".
+combinations of either family, and the best sequence at the worst witness's
+row, a top eigenvector that decides that row exactly at beta = 0 (see
+`_worst_coefficients`).  A sampled pass means "not falsified at N samples".
 
 The worst f can always be one row g = u f (u a unit row with ||g X|| =
 ||f X||, X = sum a_xi (Y_xi - Yhat_xi)): the right side cannot grow.  So
@@ -47,6 +48,7 @@ from .exceptions import (
     BaseNotIndependent,
     DimensionMismatch,
     InequalityNotVerified,
+    InvalidDimensions,
     LengthMismatch,
 )
 from .frames import GFusionFrame, frame_bounds, frame_operator
@@ -176,37 +178,18 @@ def _normalized_margins(alphas, terms, terms_hat, params: PerturbationParams, si
     return np.moveaxis(lhs - rhs, 0, -1) / np.maximum(np.abs(alphas).sum(axis=1) * size, 1e-300)
 
 
-def _ascend_coefficients(alpha: np.ndarray, normalized_margin, steps: int = 24):
-    """Local finite-difference ascent of the normalized margin (a function
-    of a batch of coefficient rows) over the coefficient sequence, starting
-    from the worst sampled witness."""
-    m = alpha.shape[0]
-    alpha = alpha / max(np.linalg.norm(alpha), 1e-300)
-    best = float(normalized_margin(alpha.reshape(1, -1))[0])
-    lr = 0.25
-    h = 1e-6
-    eye = np.eye(m)
-    for _ in range(steps):
-        probes = np.vstack([
-            alpha + h * eye, alpha - h * eye,
-            alpha + 1j * h * eye, alpha - 1j * h * eye,
-        ])
-        vals = normalized_margin(probes)
-        grad = (vals[:m] - vals[m:2 * m]) / (2 * h) \
-            + 1j * (vals[2 * m:3 * m] - vals[3 * m:]) / (2 * h)
-        gnorm = np.linalg.norm(grad)
-        if gnorm == 0.0:
-            break
-        trial = alpha + lr * grad / gnorm
-        trial /= max(np.linalg.norm(trial), 1e-300)
-        val = float(normalized_margin(trial.reshape(1, -1))[0])
-        if val > best:
-            best, alpha = val, trial
-        else:
-            lr *= 0.5
-            if lr < 1e-4:
-                break
-    return alpha, best
+def _worst_coefficients(terms: np.ndarray, terms_hat: np.ndarray, params: PerturbationParams):
+    """The unit sequence a maximising ||a D||^2 - eta^2 ||a Z||^2 - beta^2 ||a Zhat||^2
+    for the (m, n*d) applied rows Z = `terms` and Zhat = `terms_hat` of one
+    probe row, D = Z - Zhat: the conjugate of the top eigenvector of the
+    Hermitian form M diag(1, -eta^2, -beta^2) M^H, M = [D | Z | Zhat] = Q R,
+    taken from the small R diag(...) R^H, so no (m, m) array is formed.
+
+    At beta = 0 a positive top eigenvalue is exactly a failing sequence at
+    the row; at any beta a form <= 0 everywhere means none fails there."""
+    q, r = np.linalg.qr(np.hstack((terms - terms_hat, terms, terms_hat)))
+    weights = np.repeat([1.0, -params.eta ** 2, -params.beta ** 2], terms.shape[1])
+    return (q @ np.linalg.eigh((r * weights) @ r.conj().T)[1][:, -1]).conj()
 
 
 def _phase_fixed(z: np.ndarray) -> np.ndarray:
@@ -231,11 +214,18 @@ def _factor_certificate(frame, perturbed, params: PerturbationParams, size: floa
     holds = bool(sigma[0] <= params.eta + MARGIN_TOL)
     if not (holds or params.beta == 0.0):
         return None
-    # x, the top left singular row of C, attains ||C||; so does g = x Y_k^+
-    # when g Y_k = x, i.e. x lies in the row space of Y_k, the first member
-    # of largest norm (within TIE_TOL, so rounding cannot pick it)
+    # x, a unit row of the top left singular subspace of C, attains ||C||; so
+    # does g = x Y_k^+ when g Y_k = x, Y_k the first member of largest norm.
+    # x is row j of the subspace's projector P = I - U U^H (U: the untied
+    # left singular vectors), j the first largest diagonal entry of P, so no
+    # turn of the tied basis moves a bit of x; ties are within TIE_TOL
     k = _first_tied(frame._operator_norms)
-    x = left[:, 0].conj()
+    untied = left[:, sigma < (1.0 - TIE_TOL) * sigma[0]]
+    diagonal = 1.0 - (untied.real ** 2 + untied.imag ** 2).sum(axis=1)
+    j = _first_tied(diagonal)
+    x = -(untied[j] @ untied.conj().T)
+    x[j] = diagonal[j]
+    x /= np.linalg.norm(x)
     g = x @ np.linalg.pinv(frame.operators[k], rcond=RANK_TOL)
     if not np.linalg.norm(g @ frame.operators[k] - x) <= FACTOR_TOL:
         return None
@@ -263,8 +253,9 @@ def check_perturbation_inequality(frame: GFusionFrame, perturbed: GFusionFrame,
     A pair that the factor certificate settles gets an exact verdict and no
     samples.  Otherwise `inequality_holds` is True when no sampled
     (sequence, row) pair, over the d rows of each drawn vector, has a
-    normalised margin above MARGIN_TOL, also after the local ascent from
-    the worst witness.
+    normalised margin above MARGIN_TOL, nor does the best sequence at the
+    worst witness's row.  InvalidDimensions is raised when the sequences or
+    the vectors would need an array larger than any on the platform.
     """
     _check_shapes(frame, perturbed)
     size = max(frame.max_operator_norm(), perturbed.max_operator_norm())
@@ -274,9 +265,12 @@ def check_perturbation_inequality(frame: GFusionFrame, perturbed: GFusionFrame,
         alpha = np.eye(len(frame), dtype=np.complex128)[certificate.member]
         return PerturbationVerdict(params, holds, _witness(frame, perturbed, params, alpha, row),
                                    n_sequences=0, n_vectors=0, certificate=certificate)
+    m, n_vectors = len(frame), max(1, vec_samples)
+    if 16 * max(seq_samples * m, n_vectors * frame.d * frame.n * frame.d) > np.iinfo(np.intp).max:
+        raise InvalidDimensions(f"{seq_samples} sequences of {m} coefficients or {n_vectors} "
+                                "vectors need an array larger than any on this platform")
     rng = np.random.default_rng(seed)
     alphas = _candidate_sequences(frame, perturbed, seq_samples, rng)
-    n_vectors = max(1, vec_samples)
     draw = rng.standard_normal((n_vectors, 2, frame.d, frame.n * frame.d))  # real part first
     rows = draw[:, 0] + 1j * draw[:, 1]
     rows /= np.maximum(np.linalg.norm(rows, axis=2), 1e-300)[:, :, None]
@@ -294,10 +288,11 @@ def check_perturbation_inequality(frame: GFusionFrame, perturbed: GFusionFrame,
     v, r, k = np.unravel_index(np.argmax(ties), ties.shape)
     alpha, row = alphas[k], rows[v, r]
     if margin <= MARGIN_TOL:
-        ascended, refined = _ascend_coefficients(alpha, lambda batch: _normalized_margins(
-            batch, terms[:, v, r:r + 1], terms_hat[:, v, r:r + 1], params, size))
+        best = _worst_coefficients(terms[:, v, r], terms_hat[:, v, r], params)
+        refined = float(_normalized_margins(best[None], terms[:, v, r:r + 1],
+                                            terms_hat[:, v, r:r + 1], params, size)[0])
         if refined > margin:
-            alpha, margin = ascended, refined
+            alpha, margin = best, refined
     witness = _witness(frame, perturbed, params, alpha, row, r)
     holds = margin <= MARGIN_TOL
     return PerturbationVerdict(

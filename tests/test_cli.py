@@ -937,6 +937,26 @@ def test_perturb_rejects_nonpositive_samples(capsys, samples):
     assert run(["perturb", doc, doc, "--samples", 1]) == 0
 
 
+def test_perturb_refuses_samples_no_array_can_hold(tmp_path, capsys):
+    # 1e23 sequences of 4 coefficients are 6.4e24 bytes: refused like an
+    # oversized `gen`, before anything is drawn
+    samples = 10 ** 23
+    docs = [tmp_path / f"orbit-{seed}.json" for seed in (1, 2)]
+    for seed, doc in enumerate(docs, start=1):
+        assert run(["gen", "--kind", "unitary-orbit", "--n", 2, "--d", 2, "--m", 4,
+                    "--seed", seed, doc]) == 0
+    capsys.readouterr()
+    assert run(["perturb", *docs, "--samples", samples]) == 2
+    assert capsys.readouterr().err == (
+        f"gframemod: error: {samples} sequences of 4 coefficients or {samples // 4} vectors "
+        "need an array larger than any on this platform\n")
+    # a certified pair draws nothing, so the count never matters
+    orbit = CORPUS / "unitary_orbit_m4.json"
+    assert run(["perturb", orbit, orbit, "--samples", samples]) == 0
+    scaled = _scaled_copy(orbit, 1.2, tmp_path, "scaled.json")
+    assert run(["perturb", orbit, scaled, "--eta", 0.1, "--samples", samples]) == 3
+
+
 def test_perturb_on_a_family_that_is_not_a_frame_exits_2(capsys):
     doc = CORPUS / "single_submodule.json"
     assert run(["perturb", doc, doc]) == 2

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from gframemod.exceptions import (
     BaseNotIndependent,
     DimensionMismatch,
     InequalityNotVerified,
+    InvalidDimensions,
     LengthMismatch,
     NotAFrame,
 )
@@ -108,7 +111,7 @@ def _nudged_pair(seed: int, size: float = 1e-3):
     return frame, frame._with_operators(frame.operators + size * nudges @ frame.projections)
 
 
-def test_the_local_ascent_fails_a_pair_whose_samples_pass(monkeypatch):
+def test_the_row_maximizer_fails_a_pair_whose_samples_pass(monkeypatch):
     frame, nudged = _nudged_pair(3)
     params = PerturbationParams(0.05, 0.0)
     verdict = check_perturbation_inequality(frame, nudged, params, seq_samples=256,
@@ -120,11 +123,112 @@ def test_the_local_ascent_fails_a_pair_whose_samples_pass(monkeypatch):
     rhs = 0.05 * np.linalg.norm(f @ np.einsum("k,kij->ij", a, frame.operators), 2)
     assert (verdict.witness.lhs, verdict.witness.rhs) == pytest.approx((lhs, rhs), rel=1e-12)
     assert lhs - rhs > 1e-4 * frame.max_operator_norm()
-    # every sampled pair passes: the verdict is the ascent's
-    monkeypatch.setattr(perturb, "_ascend_coefficients", lambda alpha, margin: (alpha, -np.inf))
+    # every sampled pair passes: the verdict is the maximizer's (stubbed by
+    # e_0, a sampled sequence, which cannot beat the worst sample)
+    monkeypatch.setattr(perturb, "_worst_coefficients", lambda terms, *rest: np.eye(len(terms))[0])
     sampled = check_perturbation_inequality(frame, nudged, params, seq_samples=256,
                                             vec_samples=64, seed=3)
     assert sampled.inequality_holds and sampled.witness.margin < 0
+
+
+def _row_terms(seed: int, m: int, nd: int):
+    """Seeded applied rows Z of m members at one probe row, and
+    Zhat = 1.05 Z + 0.01 N for a seeded complex N."""
+    rng = np.random.default_rng(seed)
+    z = _complex(rng, m, nd)
+    return z, 1.05 * z + 0.01 * _complex(rng, m, nd)
+
+
+def _form(a, z, z_hat, params):
+    """||a D||^2 - eta^2 ||a Z||^2 - beta^2 ||a Zhat||^2, D = Z - Zhat."""
+    return (np.linalg.norm(a @ (z - z_hat)) ** 2 - params.eta ** 2 * np.linalg.norm(a @ z) ** 2
+            - params.beta ** 2 * np.linalg.norm(a @ z_hat) ** 2)
+
+
+# m below and above 3 n*d, the column count of [D | Z | Zhat]
+@pytest.mark.parametrize("m,nd", [(4, 4), (6, 16), (64, 4), (200, 2)])
+@pytest.mark.parametrize("beta", [0.0, 0.05])
+def test_the_row_maximizer_attains_the_top_eigenvalue(m, nd, beta):
+    params = PerturbationParams(0.02, beta)
+    z, z_hat = _row_terms(m + nd, m, nd)
+    d = z - z_hat
+    dense = (d @ d.conj().T - params.eta ** 2 * z @ z.conj().T
+             - params.beta ** 2 * z_hat @ z_hat.conj().T)
+    top = np.linalg.eigvalsh(dense)[-1]
+    a = perturb._worst_coefficients(z, z_hat, params)
+    assert a.shape == (m,) and np.linalg.norm(a) == pytest.approx(1.0, rel=1e-12)
+    assert top > 0.0 and _form(a, z, z_hat, params) == pytest.approx(top, rel=1e-12)
+    if beta == 0.0:  # a positive top eigenvalue is a failing sequence
+        lhs, rhs = perturb._batch_margins(a[None], z[:, None], z_hat[:, None], params)
+        assert lhs[0] > rhs[0]
+
+
+@pytest.mark.parametrize("m,nd", [(4, 4), (64, 4)])
+def test_no_sequence_fails_a_row_whose_top_eigenvalue_is_not_positive(m, nd):
+    params = PerturbationParams(0.1, 0.0)
+    rng = np.random.default_rng(m)
+    z, c = _complex(rng, m, nd), _complex(rng, nd, nd)
+    z_hat = z - z @ (0.09 * c / np.linalg.norm(c, 2))  # ||a D|| = ||a Z C|| <= 0.09 ||a Z||
+    d = z - z_hat
+    dense = d @ d.conj().T - params.eta ** 2 * z @ z.conj().T
+    scale = np.linalg.norm(z, 2) ** 2
+    assert np.linalg.eigvalsh(dense)[-1] <= 1e-12 * scale
+    a = perturb._worst_coefficients(z, z_hat, params)
+    assert _form(a, z, z_hat, params) <= 1e-12 * scale
+    alphas = _complex(np.random.default_rng(7), 10 ** 4, m)
+    alphas /= np.linalg.norm(alphas, axis=1, keepdims=True)
+    lhs, rhs = perturb._batch_margins(np.vstack((alphas, a)), z[:, None], z_hat[:, None], params)
+    assert np.all(lhs <= rhs + 1e-12 * np.sqrt(scale))
+
+
+def test_the_row_maximizer_forms_no_square_array():
+    # m = 1024: one complex (m, m) array is 16 MB
+    z, z_hat = _row_terms(1, 1024, 16)
+    params = PerturbationParams(0.02, 0.05)
+    perturb._worst_coefficients(z, z_hat, params)
+    tracemalloc.start()
+    try:
+        perturb._worst_coefficients(z, z_hat, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024 * 16
+
+
+def _tied_rotations(monkeypatch, seed: int):
+    """np.linalg.svd with its left singular vectors of top singular values
+    tied within 1e-9 turned by a seeded Haar unitary (and the right ones by
+    its inverse, so that the factors still multiply to the matrix)."""
+    real, rng = np.linalg.svd, np.random.default_rng(seed)
+
+    def rotated(a, *args, **kwargs):
+        u, s, vh = real(a, *args, **kwargs)
+        k = int(np.count_nonzero(s >= (1.0 - 1e-9) * s[0]))
+        turn = random_unitary(rng, k)
+        u, vh = u.copy(), vh.copy()
+        u[:, :k], vh[:k] = u[:, :k] @ turn, turn.conj().T @ vh[:k]
+        return u, s, vh
+
+    monkeypatch.setattr(np.linalg, "svd", rotated)
+
+
+# Yhat = 1.2 Y, so C = -0.2 I on R and every top singular vector of C ties
+@pytest.mark.parametrize("kind,n,d,m,seed", [("unitary-orbit", 2, 2, 4, 1),
+                                             ("random", 4, 4, 64, 2)])
+def test_a_turned_tied_singular_basis_keeps_the_certified_witness(monkeypatch, kind, n, d, m,
+                                                                  seed):
+    frame = generate(kind, n, d, m, seed=seed)
+    params = PerturbationParams(0.1, 0.0)
+    plain = check_perturbation_inequality(frame, frame.scaled(1.2), params)
+    assert plain.certificate is not None and not plain.inequality_holds
+    for turn in range(3):
+        with monkeypatch.context() as patch:
+            _tied_rotations(patch, turn)
+            turned = check_perturbation_inequality(frame, frame.scaled(1.2), params)
+        assert turned.certificate == plain.certificate
+        assert turned.witness.coefficients.tobytes() == plain.witness.coefficients.tobytes()
+        assert turned.witness.vector.flat.tobytes() == plain.witness.vector.flat.tobytes()
+        assert (turned.witness.lhs, turned.witness.rhs) == (plain.witness.lhs, plain.witness.rhs)
 
 
 # every kind at the benchmark's small, wide and dense (n, d, m); a fusion
@@ -172,7 +276,7 @@ def _two_seed_pair(kind, n, d, m, factor):
 def _sampled(monkeypatch, frame, perturbed, params, samples, batch):
     """The verdict at `_BATCH` = batch and the CLI's vector count for
     `samples`, and the normalised margins of its sampling pass, one array
-    per `_normalized_margins` call (the ascent's calls, on one row, left
+    per `_normalized_margins` call (the maximizer's call, on one row, left
     out)."""
     real = perturb._normalized_margins
     calls = []
@@ -397,6 +501,18 @@ def test_pairs_the_certificate_cannot_settle_are_sampled():
     assert check_perturbation_inequality(orbit, orbit.scaled(1.2), params).certificate.member == 0
     passing = check_perturbation_inequality(orbit, orbit.scaled(1.05), PerturbationParams(0.1, 0.1))
     assert passing.inequality_holds and passing.certificate is not None and passing.caveats == ()
+
+
+def test_the_sampler_refuses_counts_no_array_can_hold():
+    # the bound is the platform's largest array, in bytes, as for `gen`
+    frame, nudged = _nudged_pair(3)
+    params = PerturbationParams(0.05, 0.0)
+    limit = np.iinfo(np.intp).max
+    # 16 bytes times 4 coefficients per sequence, or times 2 x 4 entries per vector
+    for counts in ({"seq_samples": limit // 64 + 1},
+                   {"seq_samples": 8, "vec_samples": limit // 128 + 1}):
+        with pytest.raises(InvalidDimensions, match="larger than any on this platform"):
+            check_perturbation_inequality(frame, nudged, params, **counts)
 
 
 def test_sampler_tries_the_smallest_support_null_combinations():

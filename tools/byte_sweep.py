@@ -54,10 +54,12 @@ Invocations:
 * `perturb` of the seed-1 document against the seed-2 document of every
   kind and size: a pair of no factor form, so that the sampled path stays
   in the sweep when the factor certificate decides the scaled pairs;
-* `perturb --eta ASCENT_ETA` of the seed-1 `random` document at
+* `perturb --eta MAXIMIZER_ETA` of the seed-1 `random` document at
   n = d = 2, m = 4 against a nudged copy, Y + 1e-3 G P per element with a
-  seeded Gaussian G: its sampled worst margin is negative and the local
-  ascent from it turns positive, so the ascent decides the verdict;
+  seeded Gaussian G: its sampled worst margin is negative and the best
+  sequence at the worst sample's row turns it positive, so the per-row
+  maximizer decides the verdict; and the same pair once more with
+  `--beta BETA`, so that the maximizer also runs with beta > 0;
 * the parser's help, usage and error output (`PARSER_INVOCATIONS`, at
   `COLUMNS=80`): no arguments, `-h` and every `<command> -h`, an unknown
   command, an abbreviated one, a flag before the command, an unknown flag,
@@ -106,7 +108,7 @@ KINDS = _WORKLOADS.KINDS
 SIZES = sorted({(w.n, w.d, w.m) for w in _WORKLOADS.WORKLOADS.values()})
 ETA = _WORKLOADS.ETA
 BETA = 0.05  # the corpus pass pairs also run with beta > 0
-ASCENT_ETA = 0.05  # the nudged random pair passes its samples and fails after the ascent
+MAXIMIZER_ETA = 0.05  # the nudged random pair passes its samples and fails at the maximizer
 SEEDS = (1, 2)
 JOBS = 2
 LARGE_FLOAT_ULPS = 10 ** 6  # a float move beyond this many ulps is more than a last-digit move
@@ -238,12 +240,13 @@ def plan(old_src: str, work: str) -> list:
     with open(orbit, encoding="utf-8") as handle:
         tiny = _write_json(os.path.join(work, "tiny_orbit.json"), _scaled(json.load(handle), 1e-200))
     invocations += [(argv, None) for argv in frame_invocations(tiny, work, corpus_vector)]
-    ascent = os.path.join(work, "gen_random_ascent.json")
+    base = os.path.join(work, "gen_random_maximizer.json")
     if run(old_src, ["gen", "--kind", "random", "--n", "2", "--d", "2", "--m", "4", "--seed", "1",
-                     ascent], ascent)[0] == 0:
-        with open(ascent, encoding="utf-8") as handle:
-            nudged = _write_json(ascent[:-5] + "-nudged.json", _nudged(json.load(handle), 1e-3, 1))
-        invocations.append((["perturb", ascent, nudged, "--eta", str(ASCENT_ETA)], None))
+                     base], base)[0] == 0:
+        with open(base, encoding="utf-8") as handle:
+            nudged = _write_json(base[:-5] + "-nudged.json", _nudged(json.load(handle), 1e-3, 1))
+        pair = ["perturb", base, nudged, "--eta", str(MAXIMIZER_ETA)]
+        invocations += [(pair, None), ([*pair, "--beta", str(BETA)], None)]
     for n, d, m in SIZES:
         vector = _write_json(os.path.join(work, f"vector_n{n}_d{d}.json"), _unit_vector(n, d))
         for kind in KINDS:
