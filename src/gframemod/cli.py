@@ -3,12 +3,15 @@ orchestration, and canonical JSON report emission.
 
 Exit codes: 0 success, 1 usage or parse error, 2 violated mathematical
 precondition (NotAFrame and friends, or numpy's LinAlgError), 3 verification
-failure (inequality violated, bound or reconstruction check failed).  Reports
-are byte-identical across runs given identical inputs, flags, and seed.
+failure (inequality violated, bound or reconstruction check failed).  Flags
+are checked before any document is read, so a flag error wins over a bad
+document.  Reports are byte-identical across runs given identical inputs,
+flags, and seed.
 """
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import math
 import os
@@ -129,6 +132,9 @@ def _cmd_analyze(args, seed, sha):
 
 @_reporting
 def _cmd_represent(args, seed, sha):
+    if args.tight_certificate != (args.vector is not None):
+        raise ParseError("--tight-certificate requires --vector" if args.tight_certificate
+                         else "--vector requires --tight-certificate")
     frame = load_frame(args.frame, sha)
     rep = solve_representation(frame, args.convention)
     caveats = [CYCLIC_CAVEAT if rep.convention == "cyclic" else LINEAR_CAVEAT]
@@ -157,8 +163,6 @@ def _cmd_represent(args, seed, sha):
         _merge(caveats, check.caveats)
         failed = failed or not (check.lower_ok and check.upper_ok and check.kernel_ok)
     if args.tight_certificate:
-        if not args.vector:
-            raise ParseError("--tight-certificate requires --vector")
         f = load_vector(args.vector, sha)
         cert = tightness_contradiction_certificate(frame, rep, f)
         results["certificate"] = dataclasses.asdict(cert)
@@ -180,8 +184,6 @@ def _witness_json(witness) -> dict:
 
 @_reporting
 def _cmd_perturb(args, seed, sha):
-    frame = load_frame(args.frame, sha)
-    perturbed = load_frame(args.perturbed, sha)
     try:
         params = PerturbationParams(args.eta, args.beta)
     except ValueError as exc:
@@ -189,6 +191,8 @@ def _cmd_perturb(args, seed, sha):
     seq_samples = args.samples
     if seq_samples < 1:
         raise ParseError(f"--samples must be at least 1, got {seq_samples}")
+    frame = load_frame(args.frame, sha)
+    perturbed = load_frame(args.perturbed, sha)
     verdict = check_perturbation_inequality(
         frame, perturbed, params, seq_samples=seq_samples,
         vec_samples=vector_samples(seq_samples), seed=seed,
@@ -342,31 +346,24 @@ _COMMANDS = (
     ("gen", "write a deterministic frame document", _add_gen),
     ("independence", "linear independence of the operator family", _add_independence),
 )
-_NAMES = tuple(name for name, _, _ in _COMMANDS)
 
 
-def _build_parser(only=None) -> argparse.ArgumentParser:
-    """The parser of every command, or of the command named `only`.
-
-    A one-command parser shows the full choice list in its usage line; the
-    full parser keeps argparse's default, so its errors name `command`.
-    """
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on a process's first call and
+    returned again by every later one: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="gframemod",
         description="finite-dimensional g-fusion frame analysis over matrix algebras",
     )
-    metavar = None if only is None else "{" + ",".join(_NAMES) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, add_arguments in _COMMANDS:
-        if only is None or name == only:
-            add_arguments(sub.add_parser(name, help=help_text))
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # a call that names its command builds that command's parser alone
-    parser = _build_parser(argv[0] if argv and argv[0] in _NAMES else None)
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -60,6 +60,7 @@ from .numerics import (
     RANK_TOL,
     TIE_TOL,
     _first_tied,
+    rank,
     spectral_norms,
 )
 from .represent import _combination_norm, independence_analysis
@@ -160,8 +161,8 @@ def _candidate_sequences(frame, perturbed, seq_samples: int, rng) -> np.ndarray:
     # of either family and their difference, the 8 unit null combinations whose
     # support ends last and the 8 ending first, each once; an all-zero family: e_0
     for mats in (frame.operators, perturbed.operators, frame.operators - perturbed.operators):
-        rank, null = null_combinations(mats)
-        rows.append(np.vstack((null[:8], null[8:][-8:])) if rank else eye[:1])
+        r, null = null_combinations(mats)
+        rows.append(np.vstack((null[:8], null[8:][-8:])) if r else eye[:1])
     extra = max(0, seq_samples - m)
     if extra:
         dense = rng.standard_normal((extra, m)) + 1j * rng.standard_normal((extra, m))
@@ -382,12 +383,13 @@ def independence_transfer(frame: GFusionFrame, perturbed: GFusionFrame,
     as InequalityNotVerified.
     """
     _verified(frame, perturbed, inequality)
-    if null_combinations(frame.operators)[0] < len(frame):
+    m = len(frame)
+    if rank(np.linalg.svd(frame.operators.reshape(m, -1), compute_uv=False)) < m:
         raise BaseNotIndependent("the unperturbed family is linearly dependent")
     report = independence_analysis(perturbed)
     if report.verdict == "independent":
         return True
-    if _combination_norm(frame, report.coefficients) > RANK_TOL * len(frame):
+    if _combination_norm(frame, report.coefficients) > RANK_TOL * m:
         raise InequalityNotVerified(
             "a null combination of the perturbed family fails to annihilate "
             "the base family; the sampled inequality pass was a miss"

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -76,32 +77,58 @@ def test_usage_error_exits_1():
 
 
 PARSER_INVOCATIONS = [
-    [], ["-h"], *([name, "-h"] for name in cli._NAMES),
+    [], ["-h"], *([name, "-h"] for name, _, _ in cli._COMMANDS),
     ["bogus"], ["ana", "x"], ["--seed", "1", "analyze", "x"],
     ["analyze", "x", "--tol", "1"], ["analyze"], ["analyze", "--output"],
     ["represent", "f", "--convention", "zz"], ["gen", "--kind", "fusion", "--n", "x", "o"],
 ]
 
 
+def test_the_parser_is_built_during_the_first_call_alone(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._build_parser.cache_clear()
+    doc = str(CORPUS / "unitary_orbit_m4.json")
+    counts = []
+    for argv in (["analyze", doc], ["bogus"], ["perturb", "-h"], ["independence", doc], []):
+        built.clear()
+        main(argv)
+        counts.append(len(built))
+    assert counts == [1 + len(cli._COMMANDS), 0, 0, 0, 0]
+
+
+_FRESH = {}  # argv -> (exit code, stdout, stderr) of a `python -m gframemod.cli` process
+
+
+def _fresh_process(argv):
+    if tuple(argv) not in _FRESH:
+        env = {k: v for k, v in os.environ.items() if k != "GFRAMEMOD_SEED"}
+        env.update(PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+                   OPENBLAS_NUM_THREADS="1", COLUMNS="80")
+        proc = subprocess.run([sys.executable, "-m", "gframemod.cli", *argv],
+                              capture_output=True, text=True, env=env, check=False)
+        _FRESH[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr)
+    return _FRESH[tuple(argv)]
+
+
 @pytest.mark.parametrize("argv", PARSER_INVOCATIONS, ids=" ".join)
-def test_one_command_parser_matches_the_full_parser(monkeypatch, capsys, argv):
+def test_help_and_errors_leave_the_shared_parser_as_a_fresh_process_has_it(
+        monkeypatch, capsys, argv):
+    # this process runs a report, the invocation and the report again, all on
+    # the one parser; each call answers as a process of its own does
     monkeypatch.setenv("COLUMNS", "80")
-    code = main(argv)
-    out = capsys.readouterr()
-    full = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda only=None: full())
-    assert main(argv) == code
-    assert capsys.readouterr() == out
-
-
-def test_one_command_parser_holds_that_command_alone():
-    def commands(parser):
-        sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        return list(sub.choices)
-
-    assert commands(cli._build_parser("analyze")) == ["analyze"]
-    assert commands(cli._build_parser()) == list(cli._NAMES)
-    assert cli._build_parser("gen").format_usage() == cli._build_parser().format_usage()
+    monkeypatch.delenv("GFRAMEMOD_SEED", raising=False)
+    report = ["analyze", str(CORPUS / "unitary_orbit_m4.json")]
+    for call in (report, argv, report):
+        code = main(call)
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == _fresh_process(call)
 
 
 @pytest.mark.parametrize("command", ["analyze", "represent", "independence", "perturb"])
@@ -159,8 +186,24 @@ def test_represent_orbit_with_certificate(tmp_path):
     assert cert["window"] == 4
 
 
-def test_certificate_requires_vector():
-    assert run(["represent", CORPUS / "unitary_orbit_m4.json", "--tight-certificate"]) == 1
+def _refused_before_any_document(capsys, flags, message):
+    # a document that is no frame, or none at all, is never reached
+    for doc in (CORPUS / "unitary_orbit_m4.json", CORPUS / "single_submodule.json", "missing.json"):
+        assert run(["represent", doc, *flags, "--check-theorem21"]) == 1
+        assert capsys.readouterr() == ("", f"gframemod: error: {message}\n")
+
+
+def test_certificate_requires_vector(capsys):
+    _refused_before_any_document(capsys, ["--tight-certificate"],
+                                 "--tight-certificate requires --vector")
+
+
+def test_vector_requires_the_certificate(capsys):
+    # the vector is never read without the certificate, so it is refused;
+    # an empty path is a vector path too
+    for vector in (CORPUS / "unit_vector_n2_d2.json", ""):
+        _refused_before_any_document(capsys, ["--vector", vector],
+                                     "--vector requires --tight-certificate")
 
 
 def test_certificate_on_non_tight_frame_exits_2(tmp_path):
@@ -838,8 +881,8 @@ def test_independence_solves_the_shift_only_for_a_dependent_family(tmp_path, mon
 
 def test_perturb_budget_on_a_certified_pass_pair(tmp_path, monkeypatch):
     # the factor certificate decides the pair, so the numpy.linalg record
-    # does not grow with m; the dependent base is refused from its rank
-    # alone, with no norm of its null combination
+    # does not grow with m; the dependent base is refused from the singular
+    # values alone, with no null combination and no norm of one
     linalg, nulls = [], []
     _recording_linalg(monkeypatch, linalg)
     null_combinations = hilbert.null_combinations
@@ -856,8 +899,8 @@ def test_perturb_budget_on_a_certified_pass_pair(tmp_path, monkeypatch):
         results = report["results"]
         assert code == 0 and results["certificate"] is not None
         assert results["independence_transfer"]["checked"] is False
-        assert nulls == [(m, 4, 4)]
-        assert ("norm", (4, 4)) not in linalg
+        assert nulls == []
+        assert ("svd", (m, 16)) in linalg and ("norm", (4, 4)) not in linalg
         budgets.append(Counter(name for name, _ in linalg))
     assert budgets[0] == budgets[1]
 
@@ -935,6 +978,20 @@ def test_perturb_rejects_nonpositive_samples(capsys, samples):
     assert run(["perturb", doc, doc, "--samples", samples]) == 1
     assert capsys.readouterr().err == f"gframemod: error: --samples must be at least 1, got {samples}\n"
     assert run(["perturb", doc, doc, "--samples", 1]) == 0
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--samples", 0], "--samples must be at least 1, got 0"),
+    (["--eta", 1.5], "eta and beta must lie in [0, 1), got (1.5, 0.0)"),
+    (["--beta", -0.1], "eta and beta must lie in [0, 1), got (0.0, -0.1)"),
+])
+def test_perturb_flag_errors_come_before_any_document(monkeypatch, capsys, flags, message):
+    loaded = []
+    monkeypatch.setattr(cli, "load_frame", lambda path, sha=None: loaded.append(path))
+    bad = CORPUS / "single_submodule.json"
+    assert run(["perturb", bad, "missing.json", *flags]) == 1
+    assert capsys.readouterr() == ("", f"gframemod: error: {message}\n")
+    assert loaded == []
 
 
 def test_perturb_refuses_samples_no_array_can_hold(tmp_path, capsys):

@@ -40,6 +40,10 @@ Invocations:
   hat_original`;
 * `perturb --samples 0` and `--samples -3`, and the orbit document with
   every operator entry scaled by 1e-200 under every command;
+* flag errors, which come before any document is read: `represent
+  --vector` without `--tight-certificate` on the orbit document, and
+  `represent --tight-certificate` without `--vector`, `perturb --samples 0`
+  and `perturb --eta 1.5` on the single-member document, which is no frame;
 * `--seed -1` under `represent --check-theorem21` and `perturb` of the
   orbit document, and under `gen` of every kind (a negative seed is
   refused);
@@ -227,6 +231,11 @@ def plan(old_src: str, work: str) -> list:
     orbit = os.path.join(CORPUS, "unitary_orbit_m4.json")
     for samples in ("0", "-3"):
         invocations.append((["perturb", orbit, orbit, "--samples", samples], None))
+    lone = os.path.join(CORPUS, "single_submodule.json")
+    invocations += [(["represent", orbit, "--vector", corpus_vector], None),
+                    (["represent", lone, "--tight-certificate"], None),
+                    (["perturb", lone, lone, "--samples", "0"], None),
+                    (["perturb", lone, lone, "--eta", "1.5"], None)]
     invocations += [(["represent", orbit, "--check-theorem21", "--seed", "-1"], None),
                     (["perturb", orbit, orbit, "--seed", "-1"], None)]
     for kind in KINDS:
