@@ -103,6 +103,20 @@ def test_the_parser_is_built_during_the_first_call_alone(monkeypatch, capsys):
     assert counts == [1 + len(cli._COMMANDS), 0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("argv", PARSER_INVOCATIONS, ids=" ".join)
+def test_one_command_parser_matches_the_full_parser(monkeypatch, capsys, argv):
+    # the one shared command parser, already used by a report, answers as a
+    # full parser built afresh for this call alone
+    monkeypatch.setenv("COLUMNS", "80")
+    main(["analyze", str(CORPUS / "unitary_orbit_m4.json")])
+    capsys.readouterr()
+    code = main(argv)
+    out = capsys.readouterr()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert main(argv) == code
+    assert capsys.readouterr() == out
+
+
 _FRESH = {}  # argv -> (exit code, stdout, stderr) of a `python -m gframemod.cli` process
 
 
