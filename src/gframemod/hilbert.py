@@ -173,35 +173,99 @@ def gram_sum(a, b) -> np.ndarray:
     return a @ b.conj().T
 
 
+_ROWS_EACH_END = 8  # rows null_combinations keeps of the last pivots, and of the first
+
+
+def _basic_members(unit, count: int) -> np.ndarray:
+    """The first `count` members, from member 0 on, whose column of `unit`
+    (an R factor with top singular value 1) lies further than RANK_TOL from
+    the span of the basic members before it.
+
+    While every member before j is basic, that distance is |R_jj|, and the
+    first `lead` columns span the first `lead` coordinates; past the first
+    small diagonal entry, each further basic member costs one Gram-Schmidt
+    step over the remaining columns."""
+    small = np.flatnonzero(np.abs(np.diagonal(unit)[:count]) <= RANK_TOL)
+    lead = int(small[0]) if small.size else count
+    basic = list(range(lead))
+    residual = unit[lead:, lead:].copy()
+    start = 0
+    while len(basic) < count:
+        part = residual[:, start:]
+        lengths = np.sqrt((part.real ** 2 + part.imag ** 2).sum(axis=0))
+        far = np.flatnonzero(lengths > RANK_TOL)
+        if not far.size:
+            break
+        j = start + int(far[0])
+        q = residual[:, j] / lengths[far[0]]
+        residual[:, j + 1:] -= np.outer(q, q.conj() @ residual[:, j + 1:])
+        basic.append(lead + j)
+        start = j + 1
+    return np.array(basic, dtype=np.intp)
+
+
 def null_combinations(stack):
     """Rank of a stack of m arrays read as m vectors, and orthonormal rows
-    c (one per null direction) with sum_k c_k stack_k = 0.
+    c with sum_k c_k stack_k = 0: all of them when at most 16 members are
+    pivots, else the 8 with the last pivots and the 8 with the first.
 
-    The rows are in echelon form from the last member: taking b from m - 1
-    down, a row is the unit projection of e_b onto the null combinations
-    that vanish past b, whenever that projection exceeds RANK_TOL.  So they do
-    not depend on the basis the SVD picks for a null space of more than one
-    direction, and the last row is the dependency among members 0 .. b with
-    b smallest.  The right singular basis is taken in full only when m
-    exceeds the vector length, since only then does the thin one miss the
-    null space.  An all-zero stack has rank 0 and every row is null.
+    Member b is a pivot when it lies within RANK_TOL times the stack's top
+    singular value of the span of the basic members before it; the basic
+    members are the others, taken from member 0 on until there are rank of
+    them, the rank counted by `rank` on the singular values.  Its row is the
+    unit projection of e_b onto the null combinations of members 0 .. b, so
+    its entry b is positive, those past b are 0, and no basis an SVD picks
+    moves it.  The rows run from the last pivot down, and the last row is
+    the dependency among members 0 .. b with b smallest.
+
+    One thin QR of the (nd)^2 x m stack leaves an R factor with the same
+    singular values and column distances, from which the rank is counted
+    and the basic members found.  X = R_B^+ R writes each member in the
+    basic ones B, so the prefix 0 .. b spans the row space of X_b, the
+    columns 0 .. b of X with echelon zeros, and the row of pivot b is
+    e_b - X_b^H (X_b X_b^H)^-1 x_b, normalised; X_b holds the identity at
+    its basic columns, so its Gram is at least I.  No (m, m) array is
+    formed.  An all-zero stack has rank 0 and its rows are the e_b.
     """
     m = stack.shape[0]
-    columns = stack.reshape(m, -1).T
-    _, s, vh = np.linalg.svd(columns, full_matrices=m > columns.shape[0])
+    tri = np.linalg.qr(stack.reshape(m, -1).T, mode="r")
+    # entries within eps of the largest are the QR's rounding; as zeros they
+    # move no singular value by more than sqrt(tri.size) eps max |R|, far
+    # below RANK_TOL, and let the SVD split them off
+    moduli = np.abs(tri)
+    tri[moduli <= np.finfo(np.float64).eps * moduli.max()] = 0.0
+    s = np.linalg.svd(tri, compute_uv=False)
     r = int(rank(s))
-    null = vh[r:].conj()
-    # a QR of the columns from the last member down, less each one whose
-    # remainder past the kept ones is at most RANK_TOL, gives one pivot per row
-    cols = list(range(m - 1, -1, -1))
-    while True:
-        q, tri = np.linalg.qr(null[:, cols])
-        small = np.flatnonzero(np.abs(np.diagonal(tri)) <= RANK_TOL)
-        if not small.size:
-            break
-        del cols[small[0]]
-    pivots = np.diagonal(tri)  # null has orthonormal rows, so RANK_TOL is relative to 1
-    return r, (pivots.conj() / np.abs(pivots))[:, None] * (q.conj().T @ null)
+    if r == m:
+        return r, np.zeros((0, m), dtype=np.complex128)
+    if s[0] > 0.0:
+        tri = tri / s[0]
+    basic = _basic_members(tri, r)
+    dependent = np.ones(m, dtype=bool)
+    dependent[basic] = False
+    pivots = np.flatnonzero(dependent)
+    if pivots.size > 2 * _ROWS_EACH_END:
+        pivots = np.concatenate((pivots[:_ROWS_EACH_END], pivots[-_ROWS_EACH_END:]))
+    members = np.arange(m)
+    x = np.linalg.lstsq(tri[:, basic], tri, rcond=None)[0]
+    x[members < basic[:, None]] = 0.0
+    x[:, basic] = np.eye(basic.size)
+    # 1 on the diagonal for each basic member past b, whose row of X_b is
+    # zero, plus the Gram of each prefix, summed on from the last one's
+    grams = np.eye(basic.size, dtype=np.complex128) * (basic > pivots[:, None])[:, None, :]
+    gram, done = 0.0, 0
+    for k, b in enumerate(pivots):
+        block = x[:, done:b + 1]
+        gram = gram + block @ block.conj().T
+        grams[k] += gram
+        done = b + 1
+    y = np.linalg.solve(grams, x[:, pivots].T[..., None])[..., 0]
+    rows = -(y @ x.conj())
+    rows[members > pivots[:, None]] = 0.0
+    k = np.arange(pivots.size)
+    rows[k, pivots] = 1.0 + rows[k, pivots].real  # 1 - x_b^H G^-1 x_b, real and positive
+    rows /= np.sqrt((rows.real ** 2 + rows.imag ** 2).sum(axis=1))[:, None]
+    return r, rows[::-1]
 
 
 def contained(flats, projections, bounds) -> np.ndarray:

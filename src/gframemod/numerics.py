@@ -45,16 +45,18 @@ def spectral_norms(blocks) -> np.ndarray:
     """Largest singular value of each matrix in a stack: a row's Euclidean
     norm, else the root of the top eigenvalue of its row Gram (r x r).
 
-    Each matrix is first divided by 2^e, 2^(e-1) <= its largest |re| or |im|
+    Each matrix is first scaled by 2^-e, 2^(e-1) <= its largest |re| or |im|
     < 2^e, so no square over- or underflows; a power of two scales exactly.
+    ldexp scales the parts without forming 2^-e, which overflows when the
+    largest part is subnormal.
     """
     parts = np.ascontiguousarray(blocks, dtype=np.complex128).view(np.float64)
     _, e = np.frexp(np.abs(parts).max(axis=(-2, -1)))
-    scaled = blocks * np.ldexp(1.0, -e)[..., None, None]
+    parts = np.ldexp(parts, -e[..., None, None])
     if blocks.shape[-2] == 1:
-        parts = np.ascontiguousarray(scaled[..., 0, :], dtype=np.complex128).view(np.float64)
-        norms = np.sqrt(np.einsum("...i,...i->...", parts, parts))
+        norms = np.sqrt(np.einsum("...i,...i->...", parts[..., 0, :], parts[..., 0, :]))
     else:
+        scaled = parts.view(np.complex128)
         gram = scaled @ scaled.conj().swapaxes(-1, -2)
         norms = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
     return np.ldexp(norms, e)

@@ -139,30 +139,39 @@ def _check_shapes(frame: GFusionFrame, perturbed: GFusionFrame):
         raise DimensionMismatch("families have different (n, d)")
 
 
+def _sides(combine, terms: np.ndarray, terms_hat: np.ndarray, params: PerturbationParams):
+    """lhs and rhs of the inequality from `combine`, which maps a stack of
+    per-member applied vectors to one r x n*d block per sequence, and the
+    spectral norm of each block (Euclidean for rows)."""
+    lhs = spectral_norms(combine(terms - terms_hat))
+    rhs = params.eta * spectral_norms(combine(terms))
+    if params.beta != 0.0:
+        rhs = rhs + params.beta * spectral_norms(combine(terms_hat))
+    return lhs, rhs
+
+
 def _batch_margins(alphas: np.ndarray, terms: np.ndarray, terms_hat: np.ndarray,
                    params: PerturbationParams):
     """lhs and rhs of the inequality for a batch of coefficient rows against
     fixed per-member applied vectors of shape (m, ..., r, n*d): one matmul
-    per combination over the terms read as (m, -1), and the spectral norm of
-    each r x n*d block (Euclidean for rows).  Margins have shape (S, ...)."""
+    per combination over the terms read as (m, -1).  Margins have shape
+    (S, ...)."""
     m, shape = terms.shape[0], terms.shape[1:]
-    flat, flat_hat = terms.reshape(m, -1), terms_hat.reshape(m, -1)
-    lhs = spectral_norms((alphas @ (flat - flat_hat)).reshape(-1, *shape))
-    rhs = params.eta * spectral_norms((alphas @ flat).reshape(-1, *shape))
-    if params.beta != 0.0:
-        rhs = rhs + params.beta * spectral_norms((alphas @ flat_hat).reshape(-1, *shape))
-    return lhs, rhs
+    return _sides(lambda x: (alphas @ x.reshape(m, -1)).reshape(-1, *shape),
+                  terms, terms_hat, params)
 
 
 def _candidate_sequences(frame, perturbed, seq_samples: int, rng) -> np.ndarray:
+    """The sampled sequences past the m standard-basis ones, which are read
+    off the member terms (see `_normalized_margins`): of either family and their
+    difference, the null combinations that `null_combinations` keeps, each
+    once, or e_0 for an all-zero family; then seeded dense unit sequences
+    up to `seq_samples` in all."""
     m = len(frame)
-    eye = np.eye(m, dtype=np.complex128)
-    rows = [eye]  # every standard-basis sequence
-    # of either family and their difference, the 8 unit null combinations whose
-    # support ends last and the 8 ending first, each once; an all-zero family: e_0
+    rows = []
     for mats in (frame.operators, perturbed.operators, frame.operators - perturbed.operators):
         r, null = null_combinations(mats)
-        rows.append(np.vstack((null[:8], null[8:][-8:])) if r else eye[:1])
+        rows.append(null if r else np.eye(1, m, dtype=np.complex128))
     extra = max(0, seq_samples - m)
     if extra:
         dense = rng.standard_normal((extra, m)) + 1j * rng.standard_normal((extra, m))
@@ -171,12 +180,20 @@ def _candidate_sequences(frame, perturbed, seq_samples: int, rng) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _normalized_margins(alphas, terms, terms_hat, params: PerturbationParams, size: float):
+def _normalized_margins(alphas, terms, terms_hat, params: PerturbationParams, size: float,
+                        basis: bool = False):
     """(lhs - rhs) / (sum |a| * size) for each coefficient row, on the last
     axis, with `size` the families' largest operator norm (see the module
-    docstring)."""
+    docstring).  With `basis`, the m standard-basis sequences come first;
+    their combinations are the member terms themselves, so they take no
+    product."""
     lhs, rhs = _batch_margins(alphas, terms, terms_hat, params)
-    return np.moveaxis(lhs - rhs, 0, -1) / np.maximum(np.abs(alphas).sum(axis=1) * size, 1e-300)
+    weights = np.abs(alphas).sum(axis=1)
+    if basis:
+        basis_lhs, basis_rhs = _sides(lambda x: x, terms, terms_hat, params)
+        lhs, rhs = np.concatenate((basis_lhs, lhs)), np.concatenate((basis_rhs, rhs))
+        weights = np.concatenate((np.ones(terms.shape[0]), weights))
+    return np.moveaxis(lhs - rhs, 0, -1) / np.maximum(weights * size, 1e-300)
 
 
 def _worst_coefficients(terms: np.ndarray, terms_hat: np.ndarray, params: PerturbationParams):
@@ -263,7 +280,7 @@ def check_perturbation_inequality(frame: GFusionFrame, perturbed: GFusionFrame,
     certified = _factor_certificate(frame, perturbed, params, size)
     if certified is not None:
         holds, certificate, row = certified
-        alpha = np.eye(len(frame), dtype=np.complex128)[certificate.member]
+        alpha = np.eye(1, len(frame), certificate.member, dtype=np.complex128)[0]
         return PerturbationVerdict(params, holds, _witness(frame, perturbed, params, alpha, row),
                                    n_sequences=0, n_vectors=0, certificate=certificate)
     m, n_vectors = len(frame), max(1, vec_samples)
@@ -272,33 +289,43 @@ def check_perturbation_inequality(frame: GFusionFrame, perturbed: GFusionFrame,
                                 "vectors need an array larger than any on this platform")
     rng = np.random.default_rng(seed)
     alphas = _candidate_sequences(frame, perturbed, seq_samples, rng)
+    n_sequences = m + alphas.shape[0]  # the standard basis first
     draw = rng.standard_normal((n_vectors, 2, frame.d, frame.n * frame.d))  # real part first
     rows = draw[:, 0] + 1j * draw[:, 1]
     rows /= np.maximum(np.linalg.norm(rows, axis=2), 1e-300)[:, :, None]
-    terms = rows[None] @ frame.operators[:, None]  # (m, vectors, d, n*d)
-    terms_hat = rows[None] @ perturbed.operators[:, None]
-    normalized = np.empty((n_vectors, frame.d, alphas.shape[0]))
-    # each combination product holds at most _BATCH entries, or one vector's
-    step = max(1, _BATCH // (alphas.shape[0] * frame.d * frame.n * frame.d))
+
+    def applied(batch):
+        """The terms f Y_xi and f Yhat_xi of a batch of vectors, each of
+        shape (m, vectors, d, n*d)."""
+        return tuple(rows[None, batch] @ family.operators[:, None]
+                     for family in (frame, perturbed))
+
+    normalized = np.empty((n_vectors, frame.d, n_sequences))
+    # each combination product, and each batch's terms, holds at most
+    # _BATCH entries, or one vector's
+    step = max(1, _BATCH // (n_sequences * frame.d * frame.n * frame.d))
     for v in range(0, n_vectors, step):
         batch = slice(v, v + step)
-        normalized[batch] = _normalized_margins(alphas, terms[:, batch, :, None],
-                                                terms_hat[:, batch, :, None], params, size)
+        terms, terms_hat = applied(batch)
+        normalized[batch] = _normalized_margins(alphas, terms[:, :, :, None],
+                                                terms_hat[:, :, :, None], params, size, True)
     margin = float(normalized.max())
     ties = normalized >= margin - TIE_TOL * abs(margin)
     v, r, k = np.unravel_index(np.argmax(ties), ties.shape)
-    alpha, row = alphas[k], rows[v, r]
+    alpha = np.eye(1, m, k, dtype=np.complex128)[0] if k < m else alphas[k - m]
+    row = rows[v, r]
     if margin <= MARGIN_TOL:
-        best = _worst_coefficients(terms[:, v, r], terms_hat[:, v, r], params)
-        refined = float(_normalized_margins(best[None], terms[:, v, r:r + 1],
-                                            terms_hat[:, v, r:r + 1], params, size)[0])
+        terms, terms_hat = (t[:, 0, r] for t in applied(slice(v, v + 1)))
+        best = _worst_coefficients(terms, terms_hat, params)
+        refined = float(_normalized_margins(best[None], terms[:, None], terms_hat[:, None],
+                                            params, size)[0])
         if refined > margin:
             alpha, margin = best, refined
     witness = _witness(frame, perturbed, params, alpha, row, r)
     holds = margin <= MARGIN_TOL
     return PerturbationVerdict(
         params=params, inequality_holds=holds, witness=witness,
-        n_sequences=alphas.shape[0], n_vectors=n_vectors,
+        n_sequences=n_sequences, n_vectors=n_vectors,
         caveats=(SAMPLING_CAVEAT,) if holds else (),
     )
 

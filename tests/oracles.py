@@ -8,6 +8,7 @@ library alone.
 """
 
 import json
+from fractions import Fraction
 
 import numpy as np
 
@@ -291,3 +292,105 @@ def eager_independence(frame):
     except DegenerateSpan:
         rep = None
     return independence_analysis(frame, rep=rep)
+
+
+# ---------------------------------------------------------------------------
+# exact arithmetic over Gaussian rationals, as (real, imaginary) Fraction pairs
+
+
+def _exact(z) -> tuple:
+    """The Gaussian rational a float complex number holds, exactly."""
+    z = complex(z)
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _times(a, b) -> tuple:
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _over(a, b) -> tuple:
+    size = b[0] * b[0] + b[1] * b[1]
+    return (a[0] * b[0] + a[1] * b[1]) / size, (a[1] * b[0] - a[0] * b[1]) / size
+
+
+def _minus(a, b) -> tuple:
+    return a[0] - b[0], a[1] - b[1]
+
+
+def _axpy(factor, u, v) -> list:
+    """v - factor u, entry by entry."""
+    return [_minus(y, _times(factor, x)) for x, y in zip(u, v)]
+
+
+def exact_dependencies(stack):
+    """Rank of a stack of m arrays read as m vectors, the members that lie
+    in the span of those before them, and the first dependency: the
+    coefficients c_0 .. c_b with c_b = 1 and sum_k c_k stack_k = 0, b the
+    first such member (None when there is none).
+
+    Gaussian elimination over the Gaussian rationals that float64 entries
+    hold exactly, with Fraction pairs: no rounding and no tolerance."""
+    m = len(stack)
+    zero = (Fraction(0), Fraction(0))
+    one = (Fraction(1), Fraction(0))
+    basis = []  # (reduced vector, its pivot entry, its combination of the members)
+    dependent, first = [], None
+    for k, member in enumerate(stack):
+        vector = [_exact(z) for z in np.asarray(member).reshape(-1)]
+        combination = [one if j == k else zero for j in range(m)]
+        for reduced, pivot, used in basis:
+            if vector[pivot] != zero:
+                factor = _over(vector[pivot], reduced[pivot])
+                vector = _axpy(factor, reduced, vector)
+                combination = _axpy(factor, used, combination)
+        nonzero = [i for i, z in enumerate(vector) if z != zero]
+        if nonzero:
+            basis.append((vector, nonzero[0], combination))
+            continue
+        dependent.append(k)
+        if first is None:
+            first = np.array([complex(float(re), float(im)) for re, im in combination[:k + 1]])
+    return len(basis), dependent, first
+
+
+_W = np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]) / 2  # W^2 swaps the coordinates
+_SYLVESTER = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2
+
+
+def _dyadic_unitaries(nd: int, rng) -> list:
+    """Unitaries whose entries are Gaussian dyadic rationals: a signed
+    permutation, diag(1, i, ...), and W (nd = 2) or H/2, H the Sylvester
+    Hadamard matrix, and W on two coordinates (nd = 4)."""
+    signs = rng.choice([-1.0, 1.0, 1j, -1j], size=nd)
+    permutation = np.eye(nd)[rng.permutation(nd)] * signs
+    phases = np.diag([1.0, 1j] * (nd // 2) + [1.0] * (nd % 2))
+    out = [permutation, phases]
+    if nd == 2:
+        out.append(_W)
+    elif nd == 4:
+        out += [_SYLVESTER, np.kron(np.eye(2), _W)]
+    return [u.astype(np.complex128) for u in out]
+
+
+def dyadic_family(nd: int, m: int, rng) -> np.ndarray:
+    """m operators on C^nd with Gaussian dyadic entries, which float64 holds
+    and multiplies exactly: products of up to three of `_dyadic_unitaries`,
+    and dyadic combinations, multiples and repeats of earlier members, and
+    the zero operator, so that dependencies come in every position."""
+    members = []
+    for _ in range(m):
+        choice = rng.choice(4, p=[0.7, 0.15, 0.1, 0.05]) if members else 0
+        if choice == 0:
+            gens = _dyadic_unitaries(nd, rng)
+            member = np.eye(nd, dtype=np.complex128)
+            for _ in range(rng.integers(4)):
+                member = member @ gens[rng.integers(len(gens))]
+        elif choice == 1:
+            a, b = rng.integers(len(members), size=2)
+            member = members[a] + rng.choice([1.0, -1.0, 0.5, 1j]) * members[b]
+        elif choice == 2:
+            member = rng.choice([2.0, -0.25, 0.5j]) * members[rng.integers(len(members))]
+        else:
+            member = np.zeros((nd, nd), dtype=np.complex128)
+        members.append(member)
+    return np.stack(members)

@@ -14,6 +14,7 @@ from gframemod.hilbert import (
     contained,
     gram_sum,
     inner_product,
+    null_combinations,
     operator_adjoint,
     orthonormal_rows,
     projection_fault,
@@ -492,3 +493,32 @@ def test_gram_sum_of_a_frames_stacks_matches_the_einsum(m):
     zero = np.zeros_like(ops)
     assert np.array_equal(gram_sum(zero, ops), np.zeros((4, 4)))
     assert np.array_equal(gram_sum(zero, zero), np.zeros((4, 4)))
+
+
+# ---------------------------------------------------------------------------
+# null combinations against exact elimination
+
+
+@pytest.mark.parametrize("nd", [2, 4])
+def test_null_combinations_match_exact_elimination_on_dyadic_families(nd):
+    """Gaussian dyadic families, many with more members than the (nd)^2
+    operator dimensions: the rank, every row's pivot (the dependent members,
+    8 from each end past 16) and the first dependency agree with exact
+    Fraction elimination."""
+    rng = np.random.default_rng(nd)
+    dependent_families = 0
+    for _ in range(40):
+        stack = oracles.dyadic_family(nd, int(rng.integers(1, nd * nd + 21)), rng)
+        exact_rank, exact_pivots, first = oracles.exact_dependencies(stack)
+        r, rows = null_combinations(stack)
+        assert r == exact_rank
+        pivots = [int(np.flatnonzero(row)[-1]) for row in rows]
+        kept = exact_pivots if len(exact_pivots) <= 16 else exact_pivots[:8] + exact_pivots[-8:]
+        assert pivots == kept[::-1]
+        np.testing.assert_allclose(rows @ rows.conj().T, np.eye(len(rows)), atol=1e-12)
+        if first is not None:
+            dependent_families += 1
+            last = rows[-1]
+            np.testing.assert_allclose(last[:len(first)] / last[len(first) - 1], first,
+                                       rtol=0, atol=1e-12 * np.abs(first).max())
+    assert dependent_families >= 25

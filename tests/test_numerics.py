@@ -6,8 +6,12 @@ import ast
 import importlib
 import inspect
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 import tokenize
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +37,7 @@ from gframemod.frames import (
     synthesis,
 )
 from gframemod.hilbert import ModuleOperator, ModuleVector, Submodule, null_combinations, right_shift
-from gframemod.numerics import FACTOR_TOL, rank
+from gframemod.numerics import FACTOR_TOL, rank, spectral_norms
 from gframemod.perturb import PerturbationParams, check_perturbation_inequality
 from gframemod.represent import (
     kernel_invariance,
@@ -118,6 +122,34 @@ def test_no_public_callable_takes_a_tolerance():
                    if (param in ("tol", "slack") or param.endswith("_tol"))
                    and name not in TOLERANCE_PARAMETERS)
     assert found == []
+
+
+@pytest.mark.parametrize("tiny", [1e-308, 2e-310, 5e-324])
+def test_spectral_norms_of_subnormal_blocks_are_exact(tiny):
+    # below the smallest normal number 2^-e overflows, so it is never formed:
+    # the norm of tiny I and of a row holding tiny is tiny, with no warning
+    blocks = tiny * np.stack([np.eye(2), np.diag([1.0, 0.5])]).astype(np.complex128)
+    row = np.zeros((1, 1, 3), dtype=np.complex128)
+    row[0, 0, 1] = 1j * tiny
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert spectral_norms(blocks).tolist() == [tiny, tiny]
+        assert spectral_norms(row).tolist() == [tiny]
+
+
+def test_a_family_with_subnormal_members_is_analysed_without_warnings(tmp_path):
+    # the dilation's members c^k Id fall below the smallest normal number
+    # long before k = 1500; every command of its document exits 0 in a
+    # process that turns warnings into errors
+    doc = tmp_path / "dilation.json"
+    env = {k: v for k, v in os.environ.items() if k != "GFRAMEMOD_SEED"}
+    env.update(PYTHONPATH=str(Path(gframemod.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    for argv in (["gen", "--kind", "dilation", "--n", "1", "--d", "1", "--m", "1500", str(doc)],
+                 ["analyze", str(doc)], ["independence", str(doc)]):
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "gframemod.cli", *argv],
+                              capture_output=True, text=True, env=env, check=False)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
 
 
 def test_rank_counts_relative_to_the_largest_singular_value():

@@ -36,6 +36,7 @@ from gframemod.perturb import (
     independence_transfer,
     verify_perturbed_frame,
 )
+from gframemod.represent import independence_analysis
 
 import oracles
 
@@ -537,17 +538,46 @@ def test_sampler_tries_the_smallest_support_null_combinations():
 @pytest.mark.parametrize("m", [4, 12, 24])
 def test_candidate_null_combinations_are_taken_once(m):
     """Each family of rank 1 has m - 1 null combinations: all of them when
-    m - 1 <= 16, else the 8 ending last and the 8 ending first."""
+    m - 1 <= 16, else the 8 ending last and the 8 ending first.  The m
+    standard-basis sequences are read off the member terms, not stacked."""
     frame = generate("dilation", 2, 2, m, seed=1)
     rows = perturb._candidate_sequences(frame, frame.scaled(1.2), 0, np.random.default_rng(0))
     per_family = min(m - 1, 16)
-    assert rows.shape == (m + 3 * per_family, m)
+    assert rows.shape == (3 * per_family, m)
     for k in range(3):
-        block = rows[m + k * per_family:m + (k + 1) * per_family]
+        block = rows[k * per_family:(k + 1) * per_family]
         np.testing.assert_allclose(block.conj() @ block.T, np.eye(per_family), atol=1e-12)
     _, null = null_combinations(frame.operators)
-    expected = null if m - 1 <= 16 else np.vstack((null[:8], null[-8:]))
-    np.testing.assert_array_equal(rows[m:m + per_family], expected)
+    pivots = [int(np.flatnonzero(row)[-1]) for row in null]
+    assert pivots == (list(range(m - 1, 0, -1)) if m - 1 <= 16
+                      else [*range(m - 1, m - 9, -1), *range(8, 0, -1)])
+    np.testing.assert_array_equal(rows[:per_family], null)
+
+
+def _peak_traced_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["unitary-orbit", "dilation"])
+def test_dependency_analysis_forms_no_square_array(kind):
+    """At n = d = 2, m far above the 16 operator dimensions: the first
+    dependency and the sampler's candidate rows (of the seed-1 family
+    against seed 2's, no factor form) stay below one real (m, m) array, and
+    their peak grows at most 2.5x when m doubles."""
+    peaks = []
+    for m in (1024, 2048):
+        frame, other = generate(kind, 2, 2, m, seed=1), generate(kind, 2, 2, m, seed=2)
+        rng = np.random.default_rng(0)
+        peak = _peak_traced_bytes(lambda: (independence_analysis(frame),
+                                           perturb._candidate_sequences(frame, other, 256, rng)))
+        assert peak < 8 * m * m
+        peaks.append(peak)
+    assert peaks[1] <= 2.5 * peaks[0]
 
 
 def _per_sample_failures(frame, perturbed, interpretation, lower, upper, vec_samples, seed):

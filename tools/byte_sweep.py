@@ -58,6 +58,12 @@ Invocations:
 * `perturb` of the seed-1 document against the seed-2 document of every
   kind and size: a pair of no factor form, so that the sampled path stays
   in the sweep when the factor certificate decides the scaled pairs;
+* at n = d = 2 and m = LARGE_M, far more members than the (n*d)^2 = 16
+  operator dimensions: `independence` of the seed-1 `unitary-orbit` and
+  `dilation` documents, and `perturb` of each kind's seed-1 document
+  against its seed-2 document (no factor form), so that the dependency
+  analysis and the sampler run where they keep 16 of the null
+  combinations;
 * `perturb --eta MAXIMIZER_ETA` of the seed-1 `random` document at
   n = d = 2, m = 4 against a nudged copy, Y + 1e-3 G P per element with a
   seeded Gaussian G: its sampled worst margin is negative and the best
@@ -114,6 +120,8 @@ ETA = _WORKLOADS.ETA
 BETA = 0.05  # the corpus pass pairs also run with beta > 0
 MAXIMIZER_ETA = 0.05  # the nudged random pair passes its samples and fails at the maximizer
 SEEDS = (1, 2)
+LARGE_M = 1024  # members of the large documents, at n = d = 2
+LARGE_KINDS = ("unitary-orbit", "dilation")
 JOBS = 2
 LARGE_FLOAT_ULPS = 10 ** 6  # a float move beyond this many ulps is more than a last-digit move
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -272,6 +280,17 @@ def plan(old_src: str, work: str) -> list:
             if len(written) == len(SEEDS):
                 invocations.append((["perturb", *written, "--eta", str(ETA), "--samples", "64"],
                                     None))
+    for kind in LARGE_KINDS:
+        written = []
+        for seed in SEEDS:
+            doc = os.path.join(work, f"gen_{kind}_n2_d2_m{LARGE_M}_s{seed}.json")
+            if run(old_src, ["gen", "--kind", kind, "--n", "2", "--d", "2", "--m", str(LARGE_M),
+                             "--seed", str(seed), doc], doc)[0] == 0:
+                written.append(doc)
+        if written:
+            invocations.append((["independence", written[0]], None))
+        if len(written) == len(SEEDS):
+            invocations.append((["perturb", *written, "--eta", str(ETA)], None))
     return invocations
 
 
