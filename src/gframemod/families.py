@@ -159,12 +159,8 @@ def random_frame(n: int, d: int, m: int, seed: int = 0, max_cond: float = 1e8) -
 
 def generate(kind: str, n: int, d: int, m: int, seed: int = 0) -> GFusionFrame:
     """Dispatch used by the CLI generator."""
-    if kind == "fusion":
-        return fusion_decomposition_frame(n, d, m, seed)
-    if kind == "dilation":
-        return dilation_frame(n, d, m, seed)
-    if kind == "unitary-orbit":
-        return unitary_orbit_frame(n, d, m, seed)
-    if kind == "random":
-        return random_family_frame(n, d, m, seed)
-    raise InvalidDimensions(f"unknown family kind {kind!r}; choose from {KINDS}")
+    generators = {"fusion": fusion_decomposition_frame, "dilation": dilation_frame,
+                  "unitary-orbit": unitary_orbit_frame, "random": random_family_frame}
+    if kind not in generators:
+        raise InvalidDimensions(f"unknown family kind {kind!r}; choose from {KINDS}")
+    return generators[kind](n, d, m, seed)

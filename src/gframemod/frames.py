@@ -69,17 +69,17 @@ class GFusionFrame:
     flattened Y_xi and P_{N_xi} as read-only (m, n*d, n*d) arrays.  They are
     stacked and validated once, when the frame is built; `elements` and
     `submodules()` build the per-element objects on demand.  Three facts are
-    factored on first use and kept read-only: `bases`, the orthonormal row
-    basis of each N_xi (one batched SVD of the projections, whether the
-    frame was loaded or built from Submodule objects, whose own bases it
-    does not read; shared with every frame built from this one's submodules,
-    as `scaled` and the dual are); the spectral norms ||Y_xi||
+    factored on first use and kept read-only: `row_basis`, the packed row
+    bases of the N_xi (one batched SVD of the projections, whether the frame
+    was loaded or built from Submodule objects, whose own bases it does not
+    read; shared with every frame built from this one's submodules, as
+    `scaled` and the dual are); the spectral norms ||Y_xi||
     (`_operator_norms`); and the frame operator S, which a frame built from
     another forms anew.  So the bounds and the dual take no SVD of the
     stacks, and neither does writing the frame out.
     """
 
-    __slots__ = ("index_convention", "n", "d", "operators", "projections", "_bases",
+    __slots__ = ("index_convention", "n", "d", "operators", "projections", "_row_basis",
                  "_norms", "_frame_operator")
 
     def __init__(self, elements, index_convention: str = "linear"):
@@ -106,11 +106,11 @@ class GFusionFrame:
             raise ValueError("element %d: %s" % fault)
         return cls.__new__(cls)._adopt(projections, operators, [None], n, d, index_convention)
 
-    def _adopt(self, projections, operators, bases, n, d, index_convention) -> "GFusionFrame":
+    def _adopt(self, projections, operators, row_basis, n, d, index_convention) -> "GFusionFrame":
         """Check the range of every Y_k against N_k and keep the stacks: the
-        path every frame is built by.  `bases` is a one-item list, shared by
-        the frames of one projection stack, that holds their read-only row
-        bases, or None until they are first read."""
+        path every frame is built by.  `row_basis` is a one-item list, shared
+        by the frames of one projection stack, that holds their read-only
+        packed row basis, or None until it is first read."""
         self.operators, self._norms = operators, None
         # the range of Y_k lies in N_k when every row of Y_k is a member.  A
         # row's norm is at most ||Y_k||, so a pass against the largest is a
@@ -126,7 +126,7 @@ class GFusionFrame:
         operators.setflags(write=False)
         projections.setflags(write=False)
         self.projections = projections
-        self._bases = bases
+        self._row_basis = row_basis
         self._frame_operator = None
         self.index_convention = _check_convention(index_convention)
         self.n, self.d = n, d
@@ -135,7 +135,7 @@ class GFusionFrame:
     def _with_operators(self, operators) -> "GFusionFrame":
         """The frame of the same submodules with another operator stack."""
         return GFusionFrame.__new__(GFusionFrame)._adopt(
-            self.projections, operators, self._bases, self.n, self.d, self.index_convention)
+            self.projections, operators, self._row_basis, self.n, self.d, self.index_convention)
 
     @property
     def elements(self):
@@ -149,20 +149,17 @@ class GFusionFrame:
         return iter(self.elements)
 
     def submodules(self):
-        return [Submodule.__new__(Submodule)._adopt(ModuleOperator(q, self.n, self.d), basis)
-                for q, basis in zip(self.projections, self.bases)]
+        vh, mask = self.row_basis
+        return [Submodule.__new__(Submodule)._adopt(ModuleOperator(q, self.n, self.d), rows[:r])
+                for q, rows, r in zip(self.projections, vh, mask.sum(1).tolist())]
 
     @property
-    def bases(self):
-        """The orthonormal row basis of each N_xi, read-only; the batched SVD
-        of the projection stack runs on the first read by any frame that
-        shares the stack."""
-        if self._bases[0] is None:
-            bases = tuple(row_bases(self.projections))
-            for basis in bases:
-                basis.setflags(write=False)
-            self._bases[0] = bases
-        return self._bases[0]
+    def row_basis(self):
+        """`row_bases` of the projections, the pair (V, mask); the batched SVD
+        runs on the first read by any frame that shares the stack."""
+        if self._row_basis[0] is None:
+            self._row_basis[0] = row_bases(self.projections)
+        return self._row_basis[0]
 
     @property
     def _operator_norms(self):

@@ -277,9 +277,10 @@ def contained(flats, projections, bounds) -> np.ndarray:
 
 
 def orthonormal_rows(rows) -> np.ndarray:
-    """Orthonormal basis (as rows) of the row space of `rows`."""
+    """Orthonormal basis (as rows) of the row space of `rows`, read-only."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.complex128))
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    vh.setflags(write=False)
     return vh[:rank(s)]
 
 
@@ -298,10 +299,15 @@ def projection_fault(stack):
 
 
 def row_bases(stack):
-    """The orthonormal row basis of every matrix of a stack, from one
-    batched SVD."""
+    """Packed, read-only orthonormal row bases of a stack from one batched SVD: V
+    cut to the largest rank, with the rows past each rank 0, and the basis-row mask."""
     _, s, vh = np.linalg.svd(stack, full_matrices=False)
-    return [v[:r] for v, r in zip(vh, rank(s).tolist())]
+    ranks = rank(s)
+    mask = np.arange(ranks.max(initial=0)) < ranks[..., None]
+    vh = np.where(mask[..., None], vh[..., :mask.shape[-1], :], 0.0)
+    for part in (vh, mask):
+        part.setflags(write=False)
+    return vh, mask
 
 
 class Submodule:
@@ -310,8 +316,8 @@ class Submodule:
     Internally a complex row subspace V of C^(n*d): a vector lies in the
     submodule iff every row of its flattened form lies in V.  The
     projection is checked when the submodule is built; its orthonormal row
-    basis (`row_bases` of the projection) is taken on the first read of
-    `basis_rows` or `rank`.  A submodule built from basis rows is a
+    basis (`orthonormal_rows` of the projection) is taken on the first read
+    of `basis_rows` or `rank`.  A submodule built from basis rows is a
     projection by construction and keeps the rows its own SVD found.
     """
 
@@ -334,8 +340,7 @@ class Submodule:
     @property
     def basis_rows(self) -> np.ndarray:
         if self._basis_rows is None:
-            (self._basis_rows,) = row_bases(self.projection.matrix[None])
-            self._basis_rows.setflags(write=False)
+            self._basis_rows = orthonormal_rows(self.projection.matrix)
         return self._basis_rows
 
     @property
@@ -345,7 +350,6 @@ class Submodule:
     @classmethod
     def from_basis_rows(cls, rows, n: int, d: int) -> "Submodule":
         rows = orthonormal_rows(rows)
-        rows.setflags(write=False)
         projection = ModuleOperator(rows.conj().T @ rows, n, d)  # zero for no rows
         return cls.__new__(cls)._adopt(projection, rows)
 

@@ -63,13 +63,15 @@ def spectral_norms(blocks) -> np.ndarray:
 
 
 def norms_within(residuals, bounds) -> np.ndarray:
-    """||r_k||_2 <= bound_k for each matrix of a complex stack.
+    """||r_k||_2 <= bound_k for each matrix of a complex stack, or for one.
 
-    ||r||_2 <= ||r||_F, so spectral norms are taken only when some
-    residual fails the Frobenius screen.
+    ||r||_F / sqrt(k) <= ||r||_2 <= ||r||_F, k = min(rows, cols), so spectral
+    norms are taken only where neither Frobenius screen decides.
     """
     parts = np.ascontiguousarray(residuals, dtype=np.complex128).view(np.float64)
-    within = np.sum(parts * parts, axis=(-2, -1)) <= bounds * bounds
-    if within.all():
-        return within
-    return spectral_norms(residuals) <= bounds
+    squares = np.sum(parts * parts, axis=(-2, -1))
+    within = np.asarray(squares <= bounds * bounds)
+    if not within.all():
+        unsure = ~within & (squares <= min(residuals.shape[-2:]) * (bounds * bounds))
+        within[unsure] = spectral_norms(residuals[unsure]) <= np.broadcast_to(bounds, squares.shape)[unsure]
+    return within

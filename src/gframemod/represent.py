@@ -110,7 +110,8 @@ def solve_representation(frame: GFusionFrame,
     if len(frame) < 2:
         raise DegenerateSpan("representation needs at least two family members")
     convention = _check_convention(convention or frame.index_convention)
-    span = Submodule.from_basis_rows(np.vstack(frame.bases), frame.n, frame.d)
+    vh, mask = frame.row_basis
+    span = Submodule.from_basis_rows(vh[mask], frame.n, frame.d)
     if span.rank == 0:
         raise DegenerateSpan("span of the submodule family has rank zero")
     lhs, rhs, x = _shift_solve(frame.operators, _constraint_pairs(len(frame), convention))
@@ -141,7 +142,7 @@ def verify_hypotheses(frame: GFusionFrame) -> bool:
     # the image of N_k is the range of P_k Y_k, its rank relative to its own
     # top singular value: any nonzero multiple of an action fixing N_k does too
     images = np.linalg.svd(frame.projections @ frame.operators, compute_uv=False)
-    return bool(np.array_equal(rank(images, HYPOTHESIS_TOL), [b.shape[0] for b in frame.bases]))
+    return bool(np.array_equal(rank(images, HYPOTHESIS_TOL), frame.row_basis[1].sum(1)))
 
 
 def _span_operator(rep: RepresentationResult):
@@ -167,12 +168,12 @@ def _kernel_row_basis(frame: GFusionFrame):
     whose rows all satisfy y M = 0 for that stacked matrix M.  Those rows
     are the orthogonal complement of M's column space, so the thin basis Q
     of that column space (at most n*d columns) describes the kernel:
-    y = z - (z Q) Q^H projects any z into it.
+    y = z - (z Q) Q^H projects any z into it; returns V, mask, Q and ||M||.
     """
-    basis_list = frame.bases
-    m_syn = np.vstack([rows @ y.conj().T for rows, y in zip(basis_list, frame.operators)])
+    vh, mask = frame.row_basis
+    m_syn = (vh @ frame.operators.conj().swapaxes(1, 2))[mask]
     u, s, _ = np.linalg.svd(m_syn, full_matrices=False)
-    return basis_list, m_syn, u[:, :rank(s, INVERT_TOL)], float(s[0]) if s.size else 0.0
+    return vh, mask, u[:, :rank(s, INVERT_TOL)], float(s[0]) if s.size else 0.0
 
 
 def _kernel_samples(frame: GFusionFrame, q, count: int, seed: int, r=None, unit=True):
@@ -207,15 +208,12 @@ def sample_synthesis_kernel(frame: GFusionFrame, count: int, seed: int = 0):
     Returns fewer than `count` sequences only when the kernel is trivial
     (then it returns an empty list).
     """
-    basis_list, _, q, _ = _kernel_row_basis(frame)
+    vh, mask, q, _ = _kernel_row_basis(frame)
     if count == 0 or q.shape[0] == q.shape[1]:
         return []
-    y = np.concatenate([y for _, _, y in _kernel_samples(frame, q, count, seed)])
-    terms = np.empty((count, len(frame), frame.d, frame.n * frame.d), dtype=np.complex128)
-    offsets = np.cumsum([0] + [rows.shape[0] for rows in basis_list])
-    for xi, rows in enumerate(basis_list):
-        terms[:, xi] = y[..., offsets[xi]:offsets[xi + 1]] @ rows
-    return [ModuleSequence._like(sample, frame) for sample in terms]
+    pad = np.zeros((count, frame.d) + mask.shape, dtype=np.complex128)  # 0 past each rank
+    pad[..., mask] = np.concatenate([y for _, _, y in _kernel_samples(frame, q, count, seed)])
+    return [ModuleSequence._like(sample, frame) for sample in pad.swapaxes(1, 2) @ vh]
 
 
 def kernel_invariance(frame: GFusionFrame, convention: str, seed: int = 0):
@@ -228,30 +226,33 @@ def kernel_invariance(frame: GFusionFrame, convention: str, seed: int = 0):
     submodule by more than MEMBERSHIP_TOL times the sample's unit norm.
 
     No sample's terms are formed: term xi moves to slot t = xi - 1, so the
-    images of row coordinates y are y M' (block xi of M' is B_xi Y_t^H) and
-    its leaks y_xi B_xi (I - P_t); the linear shift drops term 0.  A sample
-    of `_kernel_samples` is y = z P / ||z P||, so its image is z R / ||z P||
-    with R = P M' = M' - Q (Q^H M'), formed once and streamed beside Q.  The
-    unit-norm y is formed only where some leak block is nonzero.
+    images of row coordinates y are y M' (M' = (V Y_t^H)[mask]) and its leaks
+    y_xi K_xi (K = V - V P_t); the linear shift drops term 0.  A sample of
+    `_kernel_samples` is y = z P / ||z P||, so its image is z R / ||z P|| with
+    R = P M' = M' - Q (Q^H M'), formed once and streamed beside Q; y is
+    formed only where some K_xi is nonzero.
     """
-    basis_list, _, q, top = _kernel_row_basis(frame)
-    total, rank_q = q.shape
-    if total == rank_q:
+    vh, mask, q, top = _kernel_row_basis(frame)
+    if q.shape[0] == q.shape[1]:
         return 0, 0.0, True, ["synthesis kernel is trivial; the invariance check is vacuous"]
-    offsets = np.cumsum([0] + [rows.shape[0] for rows in basis_list])
-    shifted = np.zeros((total, frame.n * frame.d), dtype=np.complex128)
-    leaks = []  # (slot, K_xi) wherever K_xi is nonzero; none on full submodules
-    for xi in range(0 if _check_convention(convention) == "cyclic" else 1, len(frame)):
-        rows, slot = basis_list[xi], slice(offsets[xi], offsets[xi + 1])
-        shifted[slot] = rows @ frame.operators[xi - 1].conj().T
-        if (leak := rows - rows @ frame.projections[xi - 1]).any():
-            leaks.append((slot, leak))
+    prev = np.roll(np.arange(len(frame)), 1)
+    shifted = vh @ frame.operators[prev].conj().swapaxes(1, 2)
+    leaks = vh - vh @ frame.projections[prev]
+    if _check_convention(convention) == "linear":
+        shifted[0] = leaks[0] = 0.0
+    shifted = shifted[mask]
+    leaking = leaks.any(axis=(1, 2))  # none on full submodules
+    leaks, leak_rows, coordinates = leaks[leaking], mask[leaking], np.repeat(leaking, mask.sum(1))
     defect = 0.0
     for zr, norms, y in _kernel_samples(frame, q, KERNEL_SAMPLES, seed,
-                                        shifted - q @ (q.conj().T @ shifted), bool(leaks)):
-        if not all(norms_within(y[..., slot] @ leak, MEMBERSHIP_TOL).all() for slot, leak in leaks):
-            return (KERNEL_SAMPLES, math.inf, False,
-                    ["a shifted kernel element leaves the submodule family"])
+                                        shifted - q @ (q.conj().T @ shifted), leaks.size > 0):
+        if leaks.size:  # the leaking members' coordinates, one GEMM per member
+            pad = np.zeros((len(y) * frame.d,) + leak_rows.shape, dtype=np.complex128)
+            pad[:, leak_rows] = y[..., coordinates].reshape(len(pad), -1)
+            images = (pad.swapaxes(0, 1) @ leaks).reshape(len(leaks), len(y), frame.d, -1)
+            if not norms_within(images, MEMBERSHIP_TOL).all():
+                return (KERNEL_SAMPLES, math.inf, False,
+                        ["a shifted kernel element leaves the submodule family"])
         defect = max(defect, float((spectral_norms(zr) / norms).max()))
     defect /= max(top, 1e-300)
     return KERNEL_SAMPLES, defect, defect <= REPRESENT_TOL, []
@@ -360,15 +361,15 @@ def tightness_contradiction_certificate(frame: GFusionFrame, rep: Representation
     norm_bounds_ok = all(1.0 - tol <= v <= bound + tol for v in (norm_t, norm_t_inv))
     isometry_ok = abs(norm_t - 1.0) <= tol and abs(norm_t_inv - 1.0) <= tol
 
-    term_norms = tuple(spectral_norms(f.flat @ frame.operators).tolist())
-    base = term_norms[0]
+    term_norms = spectral_norms(f.flat @ frame.operators)
+    base = float(term_norms[0])
     f_norm = f.norm()
     size = tol * f_norm * frame.max_operator_norm()  # the scale of every term norm
     degenerate = base <= size
     return TightnessCertificate(
         norm_T=norm_t, norm_T_inverse=norm_t_inv, isometry_ok=isometry_ok,
-        norm_bounds_ok=norm_bounds_ok, term_norms=term_norms,
-        constant_norms_ok=all(abs(v - base) <= size for v in term_norms),
+        norm_bounds_ok=norm_bounds_ok, term_norms=tuple(term_norms.tolist()),
+        constant_norms_ok=bool((np.abs(term_norms - base) <= size).all()),
         degenerate=degenerate,
         window=None if degenerate else divergence_window(upper, f_norm, base),
         ratio=None if degenerate else upper * (f_norm / base) ** 2, upper_bound=upper,

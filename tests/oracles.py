@@ -202,8 +202,8 @@ def term_stack_kernel_check(frame, convention: str, seed: int, samples: int = 10
     from gframemod.numerics import MEMBERSHIP_TOL, REPRESENT_TOL, spectral_norms
     from gframemod.represent import _kernel_row_basis
 
-    kernel_basis = _kernel_row_basis(frame)
-    basis_list, _, q, _ = kernel_basis
+    _, _, q, top = _kernel_row_basis(frame)
+    basis_list = [sub.basis_rows for sub in frame.submodules()]
     sizes = [rows.shape[0] for rows in basis_list]
     total = sum(sizes)
     if total == q.shape[1]:
@@ -229,7 +229,7 @@ def term_stack_kernel_check(frame, convention: str, seed: int, samples: int = 10
     if not contained(moved, frame.projections[targets], MEMBERSHIP_TOL).all():
         return samples, math.inf, False
     images = np.tensordot(moved, frame.operators[targets].conj(), axes=([1, 3], [0, 2]))
-    defect = float(spectral_norms(images).max()) / max(kernel_basis[3], 1e-300)
+    defect = float(spectral_norms(images).max()) / max(top, 1e-300)
     return samples, defect, defect <= REPRESENT_TOL
 
 

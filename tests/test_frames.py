@@ -202,24 +202,35 @@ def test_bases_and_norms_are_factored_once_on_first_use(monkeypatch, document):
     _counting(monkeypatch, frames, "row_bases", calls)
     _counting(monkeypatch, np.linalg, "norm", calls)
     frame = load_frame(CORPUS / document)
-    assert calls == [] and frame._bases == [None] and frame._norms is None
+    assert calls == [] and frame._row_basis == [None] and frame._norms is None
     # the lazy results are the eager formulas' bit for bit, and read-only
-    bases = frame.bases
-    eager = row_bases(frame.projections)
-    assert len(bases) == len(eager) == len(frame)
-    for lazy, basis in zip(bases, eager):
-        assert lazy.shape == basis.shape and lazy.tobytes() == basis.tobytes()
-        assert not lazy.flags.writeable
+    pair = frame.row_basis
+    vh, mask = pair
+    eager_vh, eager_mask = row_bases(frame.projections)
+    # V is cut to the largest rank: no row is zero in every member
+    assert vh.shape == (len(frame), mask.sum(1).max(), frame.n * frame.d)
+    assert mask.shape == vh.shape[:2]
+    assert vh.tobytes() == eager_vh.tobytes() and np.array_equal(mask, eager_mask)
+    assert not vh.flags.writeable and not mask.flags.writeable
     norms = frame._operator_norms
     assert norms.tobytes() == np.linalg.norm(frame.operators, 2, axis=(1, 2)).tobytes()
     assert not norms.flags.writeable
     assert calls == ["row_bases", "norm", "norm"]  # the last is the reference's
     # later reads reuse them
     calls.clear()
-    assert frame.bases is bases and frame._operator_norms is norms
+    assert frame.row_basis is pair and frame._operator_norms is norms
     assert frame.max_operator_norm() == float(norms.max())
-    assert all(s.basis_rows is basis for s, basis in zip(frame.submodules(), bases))
+    subs = frame.submodules()
     assert calls == []
+    # the packed rows are the per-member bases stacked, bit for bit, and
+    # each submodule reads its rows from the packed array, read-only
+    one_by_one = [Submodule(ModuleOperator(q, frame.n, frame.d)).basis_rows for q in frame.projections]
+    assert vh[mask].tobytes() == np.vstack(one_by_one).tobytes()
+    assert mask.sum(1).tolist() == [rows.shape[0] for rows in one_by_one]
+    assert not vh[~mask].any()
+    for sub, rows in zip(subs, one_by_one):
+        assert sub.basis_rows.tobytes() == rows.tobytes() and np.shares_memory(sub.basis_rows, vh)
+        assert not sub.basis_rows.flags.writeable
 
 
 def test_derived_frames_share_the_row_bases():
@@ -230,9 +241,9 @@ def test_derived_frames_share_the_row_bases():
         # derived before the parent reads them: one SVD serves every frame
         scaled, dual = frame.scaled(2.0), canonical_dual(frame)
         assert calls == []
-        bases = dual.bases
-        assert scaled.bases is bases and frame.bases is bases
-        assert frame.scaled(3.0).bases is bases and canonical_dual(scaled).bases is bases
+        pair = dual.row_basis
+        assert scaled.row_basis is pair and frame.row_basis is pair
+        assert frame.scaled(3.0).row_basis is pair and canonical_dual(scaled).row_basis is pair
         assert calls == ["row_bases"]
     # the norms are each frame's own
     np.testing.assert_allclose(scaled._operator_norms, 2.0 * frame._operator_norms, rtol=1e-14)

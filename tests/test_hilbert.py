@@ -248,7 +248,9 @@ def test_submodule_stack_names_the_first_failing_element(rng, k, defect, problem
         GFusionFrame.from_stacks(stack, np.zeros_like(stack), 2, 2)
     with pytest.raises(ValueError, match=f"^projection is not {problem} within"):
         Submodule(ModuleOperator(stack[k], 2, 2))
-    assert projection_fault(stack)[0] == k and len(row_bases(stack)) == 4
+    assert projection_fault(stack)[0] == k
+    vh, mask = row_bases(stack)  # one basis per element, failing or not
+    assert vh.shape == (4, mask.sum(1).max(), 4) == mask.shape + (4,) and not vh[~mask].any()
 
 
 def test_projection_check_takes_spectral_norms_past_the_screen():
@@ -267,8 +269,9 @@ def test_projection_check_takes_spectral_norms_past_the_screen():
 def test_a_submodule_factors_its_projection_on_first_read(rng, monkeypatch):
     # construction checks the projection and takes no SVD; from_basis_rows
     # keeps the rows its own SVD found as the read-only row basis, and a
-    # submodule built from a projection takes row_bases of it once, on the
-    # first read of basis_rows or rank
+    # submodule built from a projection takes orthonormal_rows of it once,
+    # on the first read of basis_rows or rank: the rows of the packed
+    # row_bases pair of that projection, bit for bit
     svds = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda a, *x, **k: svds.append(np.shape(a)) or svd(a, *x, **k))
@@ -287,12 +290,14 @@ def test_a_submodule_factors_its_projection_on_first_read(rng, monkeypatch):
         np.testing.assert_allclose(basis.conj().T @ basis, sub.projection.matrix, atol=1e-15)
         svds.clear()
         again = Submodule(sub.projection)
-        assert again.rank == r and svds == [(1, n * d, n * d)]
-        np.testing.assert_array_equal(again.basis_rows, row_bases(sub.projection.matrix[None])[0])
+        assert again.rank == r and svds == [(n * d, n * d)]
+        vh, mask = row_bases(sub.projection.matrix[None])
+        assert again.basis_rows.tobytes() == vh[mask].tobytes() and mask.sum() == r
+        assert not again.basis_rows.flags.writeable
     svds.clear()
     full = Submodule.full(n, d)
     assert svds == []
-    assert full.rank == n * d and svds == [(1, n * d, n * d)]
+    assert full.rank == n * d and svds == [(n * d, n * d)]
 
 
 def test_orthogonal_complementation(rng):

@@ -6,6 +6,7 @@ import ast
 import importlib
 import inspect
 import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -37,7 +38,8 @@ from gframemod.frames import (
     synthesis,
 )
 from gframemod.hilbert import ModuleOperator, ModuleVector, Submodule, null_combinations, right_shift
-from gframemod.numerics import FACTOR_TOL, rank, spectral_norms
+from gframemod import numerics
+from gframemod.numerics import FACTOR_TOL, norms_within, rank, spectral_norms
 from gframemod.perturb import PerturbationParams, check_perturbation_inequality
 from gframemod.represent import (
     kernel_invariance,
@@ -135,6 +137,46 @@ def test_spectral_norms_of_subnormal_blocks_are_exact(tiny):
         warnings.simplefilter("error")
         assert spectral_norms(blocks).tolist() == [tiny, tiny]
         assert spectral_norms(row).tolist() == [tiny]
+
+
+def _residual_stacks(rng):
+    """Seeded complex stacks of several shapes whose blocks have random
+    ranks, so that ||r||_2 spans the band from ||r||_F / sqrt(k) to ||r||_F,
+    k = min(rows, cols).  No k is 4, where a bound of 2 ||r||_F / sqrt(k)
+    would tie with the spectral norm of a rank-one block."""
+    for rows, cols in ((1, 6), (3, 5), (5, 5), (6, 2)):
+        k = min(rows, cols)
+        left = rng.standard_normal((60, rows, k)) + 1j * rng.standard_normal((60, rows, k))
+        right = rng.standard_normal((60, k, cols)) + 1j * rng.standard_normal((60, k, cols))
+        left *= (np.arange(k) < rng.integers(1, k + 1, size=60)[:, None])[:, None, :]
+        yield k, left @ right
+
+
+@pytest.mark.parametrize("ratio", [0.5, 0.99, 1.01, 2.0, "1.01*sqrt(k)"])
+def test_norms_within_screens_from_both_sides(monkeypatch, ratio):
+    # the verdicts are the spectral norms' for a stack against per-block and
+    # scalar bounds and for single 2-D residuals, with the bounds scaled
+    # from ||r||_2 and from ||r||_F / sqrt(k), the low end of the band
+    taken = []
+    monkeypatch.setattr(numerics, "spectral_norms", lambda r: taken.append(len(r)) or spectral_norms(r))
+    for k, stack in _residual_stacks(np.random.default_rng(2)):
+        factor = 1.01 * math.sqrt(k) if ratio == "1.01*sqrt(k)" else ratio
+        exact = spectral_norms(stack)
+        floor = np.linalg.norm(stack, axis=(1, 2)) / math.sqrt(k)
+        for bounds in (factor * exact, factor * floor):
+            for bound in (bounds, float(np.median(bounds))):
+                assert np.array_equal(norms_within(stack, bound), exact <= bound)
+            single = [norms_within(r, b) for r, b in zip(stack, bounds)]
+            assert all(v.shape == () for v in single)
+            assert [bool(v) for v in single] == (exact <= bounds).tolist()
+        # below the band every block fails and above it every block passes
+        # on its Frobenius norm alone
+        taken.clear()
+        verdicts = norms_within(stack, factor * floor)
+        if factor < 1.0 or factor > math.sqrt(k):
+            assert sum(taken) == 0 and verdicts.tolist() == [factor > 1.0] * len(stack)
+        else:
+            assert 0 < sum(taken) <= len(stack)
 
 
 def test_a_family_with_subnormal_members_is_analysed_without_warnings(tmp_path):

@@ -1,9 +1,11 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from gframemod import frames, represent
 from gframemod.exceptions import (
     DegenerateSpan,
     HypothesisViolation,
@@ -484,13 +486,15 @@ def test_reference_cases_cover_leaks_and_partial_chunks():
     leaving = names["random-2-2-6-cyclic"]
     assert kernel_invariance(leaving, "cyclic")[1] == math.inf
     graded = names["graded-linear"]
-    leak = graded.bases[2] - graded.bases[2] @ graded.projections[1]
+    rows = graded.submodules()[2].basis_rows
+    leak = rows - rows @ graded.projections[1]
     assert leak.any() and math.isfinite(kernel_invariance(graded, "linear")[1])
     # (4, 4, 64) and (16, 4, 4) draw their samples in several chunks, the
     # last one partial
     for key in ("orbit-4-4-64-cyclic", "orbit-16-4-4-cyclic"):
         frame = names[key]
-        chunk = KERNEL_CHUNK_BYTES // (16 * frame.d * sum(b.shape[0] for b in frame.bases))
+        total = sum(sub.basis_rows.shape[0] for sub in frame.submodules())
+        chunk = KERNEL_CHUNK_BYTES // (16 * frame.d * total)
         assert 1 < chunk < KERNEL_SAMPLES and KERNEL_SAMPLES % chunk
 
 
@@ -507,7 +511,8 @@ def test_the_line_frame_has_a_one_dimensional_kernel():
 
 def test_the_masked_frame_leaks_only_outside_its_kernel():
     frame = dict(_reference_cases())["masked-linear"]
-    leak = frame.bases[2] - frame.bases[2] @ frame.projections[1]
+    rows = frame.submodules()[2].basis_rows
+    leak = rows - rows @ frame.projections[1]
     assert np.linalg.norm(leak, 2) > 0.5
     membership, defect = oracles.exact_kernel_shift_defects(frame)
     assert membership < 1e-12 and defect > 0.1
@@ -553,6 +558,47 @@ def test_kernel_check_memory_is_linear_in_m():
         finally:
             tracemalloc.stop()
     assert peaks[1] / peaks[0] < 2.5
+
+
+def _line_events(files, run):
+    """The number of line events in the source files `files` while `run()`
+    executes."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename in files else None
+
+    sys.settrace(calls)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return count
+
+
+@pytest.mark.parametrize("convention", ["linear", "cyclic"])
+@pytest.mark.parametrize("make", [unitary_orbit_frame, random_family_frame], ids=["orbit", "leaking"])
+def test_the_shift_checks_run_no_python_line_per_member(make, convention):
+    # the same lines run at m = 4 and m = 64: the packed row basis leaves no
+    # Python loop over members in the solve, the hypotheses, the kernel
+    # check or the kernel samples, on full submodules and on leaking ones
+    files = {represent.__file__, frames.__file__}
+    counts = []
+    for m in (4, 64):
+        frame = GFusionFrame(make(2, 2, m, seed=1).elements, convention)
+
+        def run():
+            solve_representation(frame)
+            verify_hypotheses(frame)
+            kernel_invariance(frame, convention)
+            sample_synthesis_kernel(frame, 5, seed=1)
+        counts.append(_line_events(files, run))
+    assert counts[0] == counts[1] > 0
 
 
 # ---------------------------------------------------------------------------
