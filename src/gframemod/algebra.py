@@ -33,23 +33,17 @@ def _hermitian(x, bounds) -> np.ndarray:
 
 
 def psd_leq(u, v, tol: float = HERMITIAN_TOL) -> bool:
-    """u <= v in the PSD order on Hermitian elements.
+    """u <= v in the PSD order on Hermitian elements, judged at the scale
+    max(||u||, ||v||) on the Hermitian part of v - u alone: the gap's
+    anti-Hermitian part may reach twice the bound.
 
-    Non-Hermitian operands are an error, not False; silently symmetrizing
-    would mask bugs upstream.
+    Non-Hermitian operands are an error (NonHermitian), not False; silently
+    symmetrizing would mask bugs upstream.
     """
-    return bool(psd_leq_stack(as_algebra_element(u), as_algebra_element(v), tol))
-
-
-def psd_leq_stack(u, v, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """psd_leq pair by pair over two stacks of elements, with one batched
-    eigvalsh; a non-Hermitian element in either stack raises NonHermitian.
-    Each pair is judged at the scale max(||u||, ||v||), on the Hermitian part
-    of v - u alone: the gap's anti-Hermitian part may reach twice the bound."""
+    u, v = as_algebra_element(u), as_algebra_element(v)
     scale = np.maximum(spectral_norms(u), spectral_norms(v))
     for side, x in (("left", u), ("right", v)):
-        if not np.all(_hermitian(x, tol * scale)):
+        if not _hermitian(x, tol * scale):
             raise NonHermitian(f"{side} operand of psd_leq is not Hermitian within {tol}")
     gap = v - u
-    lo = np.linalg.eigvalsh((gap + gap.conj().swapaxes(-1, -2)) / 2.0)[..., 0]
-    return lo >= -tol * scale
+    return bool(np.linalg.eigvalsh((gap + gap.conj().T) / 2.0)[0] >= -tol * scale)

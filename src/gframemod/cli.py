@@ -106,13 +106,6 @@ def _reporting(compute):
     return command
 
 
-def _merge(caveats: list, extra) -> None:
-    """Append each caveat of `extra` that `caveats` lacks."""
-    for caveat in extra:
-        if caveat not in caveats:
-            caveats.append(caveat)
-
-
 @_reporting
 def _cmd_analyze(args, seed, sha):
     frame = load_frame(args.frame, sha)
@@ -160,7 +153,7 @@ def _cmd_represent(args, seed, sha):
             "defect": check.kernel_defect if math.isfinite(check.kernel_defect) else None,
             "ok": check.kernel_ok,
         }
-        _merge(caveats, check.caveats)
+        caveats = list(check.caveats)  # the convention's caveat, then the kernel check's
         failed = failed or not (check.lower_ok and check.upper_ok and check.kernel_ok)
     if args.tight_certificate:
         f = load_vector(args.vector, sha)
@@ -220,7 +213,7 @@ def _cmd_perturb(args, seed, sha):
         "bounds_contained": checked.bounds_contained,
         "sample_failures": checked.sample_failures,
     }
-    _merge(caveats, checked.caveats)
+    caveats = list(checked.caveats)  # the inequality's, then the interpretation's
     transfer_failed = False
     try:
         transferred = independence_transfer(frame, perturbed, verdict)

@@ -38,7 +38,7 @@ class NotAFrame(GFrameError):
 
 
 class NonpositiveWeight(GFrameError):
-    """Fusion-frame weights must be strictly positive."""
+    """Fusion-frame weights must be positive and finite."""
 
 
 class DegenerateSpan(GFrameError):

@@ -9,7 +9,6 @@ from .exceptions import InvalidDimensions, NotAFrame
 from .frames import GFusionFrame, frame_bounds, fusion_frame
 from .hilbert import ModuleOperator, ModuleVector, Submodule
 
-KINDS = ("fusion", "dilation", "unitary-orbit", "random")
 RANDOM_FRAME_ATTEMPTS = 64  # seeds random_frame tries before it gives up
 
 
@@ -157,10 +156,13 @@ def random_frame(n: int, d: int, m: int, seed: int = 0, max_cond: float = 1e8) -
     raise NotAFrame(f"no acceptable random frame found in {RANDOM_FRAME_ATTEMPTS} attempts")
 
 
+_GENERATORS = {"fusion": fusion_decomposition_frame, "dilation": dilation_frame,
+               "unitary-orbit": unitary_orbit_frame, "random": random_family_frame}
+KINDS = tuple(_GENERATORS)  # the CLI generator's --kind choices, in this order
+
+
 def generate(kind: str, n: int, d: int, m: int, seed: int = 0) -> GFusionFrame:
     """Dispatch used by the CLI generator."""
-    generators = {"fusion": fusion_decomposition_frame, "dilation": dilation_frame,
-                  "unitary-orbit": unitary_orbit_frame, "random": random_family_frame}
-    if kind not in generators:
+    if kind not in _GENERATORS:
         raise InvalidDimensions(f"unknown family kind {kind!r}; choose from {KINDS}")
-    return generators[kind](n, d, m, seed)
+    return _GENERATORS[kind](n, d, m, seed)

@@ -66,17 +66,20 @@ class GFusionFrame:
     """Ordered family {(N_xi, Y_xi)} with a linear or cyclic index convention.
 
     The frame is its stacks: `operators` and `projections` hold the
-    flattened Y_xi and P_{N_xi} as read-only (m, n*d, n*d) arrays.  They are
-    stacked and validated once, when the frame is built; `elements` and
-    `submodules()` build the per-element objects on demand.  Three facts are
-    factored on first use and kept read-only: `row_basis`, the packed row
-    bases of the N_xi (one batched SVD of the projections, whether the frame
-    was loaded or built from Submodule objects, whose own bases it does not
-    read; shared with every frame built from this one's submodules, as
-    `scaled` and the dual are); the spectral norms ||Y_xi||
-    (`_operator_norms`); and the frame operator S, which a frame built from
-    another forms anew.  So the bounds and the dual take no SVD of the
-    stacks, and neither does writing the frame out.
+    flattened Y_xi and P_{N_xi} as read-only (m, n*d, n*d) arrays, stacked
+    once.  The range of each Y_xi is checked against N_xi where data enters,
+    in `GFusionFrame(pairs)` and `from_stacks`; `scaled`, the dual and
+    `fusion_frame` skip it, as c Y_xi, Y_xi S^-1 and w P_xi have ranges in
+    N_xi by construction.  `elements` and `submodules()` build the
+    per-element objects on demand.  Three facts are factored on first use
+    and kept read-only: `row_basis`, the packed row bases of the N_xi (one
+    batched SVD of the projections, whether the frame was loaded or built
+    from Submodule objects, whose own bases it does not read; shared with
+    every frame built from this one's submodules, as `scaled` and the dual
+    are); the spectral norms ||Y_xi|| (`_operator_norms`); and the frame
+    operator S, which a frame built from another forms anew.  So the bounds
+    and the dual take no SVD of the stacks, and neither does writing the
+    frame out.
     """
 
     __slots__ = ("index_convention", "n", "d", "operators", "projections", "_row_basis",
@@ -90,6 +93,7 @@ class GFusionFrame:
         n, d = _common_shape([part for element in elements for part in element], "frame element")
         self._adopt(np.stack([sub.projection.matrix for sub, _ in elements]),
                     np.stack([op.matrix for _, op in elements]), [None], n, d, index_convention)
+        self._check_containment()
 
     @classmethod
     def from_stacks(cls, projections, operators, n: int, d: int,
@@ -104,25 +108,15 @@ class GFusionFrame:
         fault = projection_fault(projections)
         if fault is not None:
             raise ValueError("element %d: %s" % fault)
-        return cls.__new__(cls)._adopt(projections, operators, [None], n, d, index_convention)
+        frame = cls.__new__(cls)._adopt(projections, operators, [None], n, d, index_convention)
+        return frame._check_containment()
 
     def _adopt(self, projections, operators, row_basis, n, d, index_convention) -> "GFusionFrame":
-        """Check the range of every Y_k against N_k and keep the stacks: the
-        path every frame is built by.  `row_basis` is a one-item list, shared
-        by the frames of one projection stack, that holds their read-only
-        packed row basis, or None until it is first read."""
+        """Keep the stacks, unchecked: the path every frame is built by.
+        `row_basis` is a one-item list, shared by the frames of one
+        projection stack, that holds their read-only packed row basis, or
+        None until it is first read."""
         self.operators, self._norms = operators, None
-        # the range of Y_k lies in N_k when every row of Y_k is a member.  A
-        # row's norm is at most ||Y_k||, so a pass against the largest is a
-        # pass against CONTAINMENT_TOL ||Y_k||; the norms are taken on a fail
-        rows = spectral_norms(operators[:, :, None, :]).max(axis=1)
-        if not contained(operators, projections, CONTAINMENT_TOL * rows).all():
-            bounds = CONTAINMENT_TOL * self._operator_norms
-            outside = np.flatnonzero(~contained(operators, projections, bounds))
-            if outside.size:
-                raise MembershipViolation(
-                    f"element {outside[0]}: operator range is not contained in its submodule"
-                )
         operators.setflags(write=False)
         projections.setflags(write=False)
         self.projections = projections
@@ -130,6 +124,21 @@ class GFusionFrame:
         self._frame_operator = None
         self.index_convention = _check_convention(index_convention)
         self.n, self.d = n, d
+        return self
+
+    def _check_containment(self) -> "GFusionFrame":
+        """Raise MembershipViolation, naming the first element, unless every
+        row of each Y_k, and so its range, lies in N_k within CONTAINMENT_TOL
+        ||Y_k||.  A row's norm is at most ||Y_k||, so a pass against the
+        largest row is a pass; the norms ||Y_k|| are taken on a fail."""
+        rows = spectral_norms(self.operators[:, :, None, :]).max(axis=1)
+        if not contained(self.operators, self.projections, CONTAINMENT_TOL * rows).all():
+            bounds = CONTAINMENT_TOL * self._operator_norms
+            outside = np.flatnonzero(~contained(self.operators, self.projections, bounds))
+            if outside.size:
+                raise MembershipViolation(
+                    f"element {outside[0]}: operator range is not contained in its submodule"
+                )
         return self
 
     def _with_operators(self, operators) -> "GFusionFrame":
@@ -173,7 +182,9 @@ class GFusionFrame:
         return float(self._operator_norms.max())
 
     def scaled(self, scalar) -> "GFusionFrame":
-        """Same submodules, every operator multiplied by `scalar`."""
+        """Same submodules, every operator multiplied by a finite `scalar`."""
+        if not np.isfinite(complex(scalar)):
+            raise ValueError(f"scale factor must be finite, got {scalar}")
         return self._with_operators(self.operators * complex(scalar))
 
     def __repr__(self):
@@ -275,26 +286,30 @@ def residual_verified(residual: float) -> bool:
     return residual <= DUAL_TOL
 
 
+def _check_shapes(frame: GFusionFrame, other: GFusionFrame):
+    if len(frame) != len(other):
+        raise LengthMismatch("families have different lengths")
+    if (frame.n, frame.d) != (other.n, other.d):
+        raise DimensionMismatch("families have different (n, d)")
+
+
 def reconstruction_residual(frame: GFusionFrame, dual: GFusionFrame) -> float:
     """Operator norm of sum_xi Y_xi^* G_xi - Id (the mixed frame matrix is
     the identity for a true dual)."""
-    if len(frame) != len(dual):
-        raise LengthMismatch("frame and dual have different lengths")
-    if (frame.n, frame.d) != (dual.n, dual.d):
-        raise DimensionMismatch("frame and dual shapes differ")
+    _check_shapes(frame, dual)
     mixed = gram_sum(dual.operators, frame.operators)
     return float(np.linalg.norm(mixed - np.eye(frame.n * frame.d), 2))
 
 
 def fusion_frame(submodules, weights) -> GFusionFrame:
-    """The classical specialization Y_xi = v_xi P_{N_xi}, v_xi > 0; linear indexing."""
+    """The classical specialization Y_xi = v_xi P_{N_xi}, v_xi positive and finite; linear indexing."""
     submodules = list(submodules)
     weights = [float(w) for w in weights]
     if len(submodules) != len(weights):
         raise LengthMismatch("one weight per submodule is required")
     for w in weights:
-        if w <= 0.0:
-            raise NonpositiveWeight(f"weights must be positive, got {w}")
+        if not 0.0 < w < np.inf:
+            raise NonpositiveWeight(f"weights must be positive and finite, got {w}")
     n, d = _common_shape(submodules, "frame element")
     projections = np.stack([s.projection.matrix for s in submodules])
     operators = projections * np.array(weights, dtype=complex)[:, None, None]

@@ -46,12 +46,10 @@ import numpy as np
 
 from .exceptions import (
     BaseNotIndependent,
-    DimensionMismatch,
     InequalityNotVerified,
     InvalidDimensions,
-    LengthMismatch,
 )
-from .frames import GFusionFrame, frame_bounds, frame_operator
+from .frames import GFusionFrame, _check_shapes, frame_bounds, frame_operator
 from .hilbert import ModuleVector, gram_sum, null_combinations
 from .numerics import (
     BOUNDS_TOL,
@@ -130,13 +128,6 @@ class PerturbationVerdict:
     sample_failures: Optional[int] = None
     caveats: tuple = ()
     certificate: Optional[FactorCertificate] = None  # None: a sampled verdict
-
-
-def _check_shapes(frame: GFusionFrame, perturbed: GFusionFrame):
-    if len(frame) != len(perturbed):
-        raise LengthMismatch("families have different lengths")
-    if (frame.n, frame.d) != (perturbed.n, perturbed.d):
-        raise DimensionMismatch("families have different (n, d)")
 
 
 def _sides(combine, terms: np.ndarray, terms_hat: np.ndarray, params: PerturbationParams):

@@ -171,7 +171,8 @@ def _kernel_row_basis(frame: GFusionFrame):
     y = z - (z Q) Q^H projects any z into it; returns V, mask, Q and ||M||.
     """
     vh, mask = frame.row_basis
-    m_syn = (vh @ frame.operators.conj().swapaxes(1, 2))[mask]
+    m_syn = vh.conj() @ frame.operators.swapaxes(1, 2)  # conj(V Y^H): Y is not copied
+    m_syn = np.conjugate(m_syn, out=m_syn)[mask]
     u, s, _ = np.linalg.svd(m_syn, full_matrices=False)
     return vh, mask, u[:, :rank(s, INVERT_TOL)], float(s[0]) if s.size else 0.0
 
@@ -235,9 +236,10 @@ def kernel_invariance(frame: GFusionFrame, convention: str, seed: int = 0):
     vh, mask, q, top = _kernel_row_basis(frame)
     if q.shape[0] == q.shape[1]:
         return 0, 0.0, True, ["synthesis kernel is trivial; the invariance check is vacuous"]
-    prev = np.roll(np.arange(len(frame)), 1)
-    shifted = vh @ frame.operators[prev].conj().swapaxes(1, 2)
-    leaks = vh - vh @ frame.projections[prev]
+    ahead = np.roll(vh, -1, axis=0)  # V of member t + 1 beside Y_t and P_t, rolled back after
+    shifted = ahead.conj() @ frame.operators.swapaxes(1, 2)
+    shifted = np.roll(np.conjugate(shifted, out=shifted), 1, axis=0)
+    leaks = vh - np.roll(ahead @ frame.projections, 1, axis=0)
     if _check_convention(convention) == "linear":
         shifted[0] = leaks[0] = 0.0
     shifted = shifted[mask]

@@ -106,3 +106,25 @@ def test_a_nudged_copy_moves_each_member_inside_its_submodule():
     assert np.all((sizes > 1e-4) & (sizes < 1e-2))
     assert np.abs(change @ frame.projections - change).max() < 1e-14
     assert byte_sweep._nudged(doc, 1e-3, 1) == byte_sweep._nudged(doc, 1e-3, 1)
+
+
+def test_a_rounded_copy_keeps_the_given_significant_digits():
+    doc = json.loads(dumps_canonical(frame_to_document(generate("random", 2, 2, 4, seed=296))))
+    rounded = byte_sweep._rounded(doc, 9)
+    frame, copy = (document_to_frame(d) for d in (doc, rounded))
+    for old, new in zip(_parts(doc), _parts(rounded)):
+        assert new == float(f"{old:.9g}") and abs(new - old) <= 5e-9 * abs(old)
+    assert byte_sweep._rounded(rounded, 9) == rounded
+    assert rounded["metadata"] == doc["metadata"] and rounded["n"] == doc["n"]
+    # each member moves by rounding alone and stays well inside its submodule
+    change = np.abs(copy.operators - frame.operators).max()
+    assert 0.0 < change < 1e-8
+    outside = copy.operators - copy.operators @ copy.projections
+    assert np.all(np.linalg.norm(outside, 2, axis=(1, 2))
+                  <= 1e-9 * np.linalg.norm(copy.operators, 2, axis=(1, 2)) * 2)
+
+
+def _parts(doc: dict) -> list:
+    """Every real and imaginary part of the document's matrices, in order."""
+    return [part for el in doc["elements"] for key in ("projection", "operator")
+            for row in el[key] for entry in row for part in entry]

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,9 @@ from gframemod.hilbert import (
     sequence_inner_product,
     submodule_from_generators,
 )
-from gframemod.serialize import load_frame
+from gframemod.cli import main
+from gframemod.numerics import CONTAINMENT_TOL
+from gframemod.serialize import dumps_canonical, frame_to_document, load_frame
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -160,6 +163,19 @@ def test_fusion_frame_rejects_nonpositive_weights():
         fusion_frame([p0, p1], [1.0, 0.0])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_scalars_are_rejected_where_they_enter(value):
+    # no containment check runs on a derived frame, so these would build
+    # NaN frames silently
+    p0, p1 = _orthogonal_pair()
+    with pytest.raises(NonpositiveWeight, match="^weights must be positive and finite, got "):
+        fusion_frame([p0, p1], [1.0, value])
+    frame = fusion_frame([p0, p1], [1.0, 2.0])
+    for scalar in (value, complex(1.0, value)):
+        with pytest.raises(ValueError, match="^scale factor must be finite, got "):
+            frame.scaled(scalar)
+
+
 def test_frame_rejects_range_violation():
     p0, _ = _orthogonal_pair()
     off_range = ModuleOperator(np.diag([0.0, 1.0]).astype(complex), 2, 1)
@@ -173,6 +189,53 @@ def test_violation_names_the_first_offending_element():
     off_range = ModuleOperator(np.diag([0.0, 1.0]).astype(complex), 2, 1)
     with pytest.raises(MembershipViolation, match="element 1:"):
         GFusionFrame([(p0, inside), (p0, off_range), (p1, inside)])
+
+
+def _magnifying_frame():
+    """n=2, d=2: (full, Id), then (a rank-2 submodule N, Y) with Y = G P
+    plus 1e-9 ||G P|| x w, w a unit row outside N and x a unit column that
+    (G P)^H annihilates.  S^-1 x = x while S^-1 shrinks G P by its squared
+    singular values, so the dual's member 1 carries a relative defect many
+    times Y's."""
+    rng = np.random.default_rng(7)
+    basis = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0].T
+    plane = Submodule.from_basis_rows(basis[:2], 2, 2)
+    inside = 4.0 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    inside = inside @ plane.projection.matrix
+    column = np.linalg.svd(inside)[0][:, -1:]  # (G P)^H x = 0
+    y = inside + 1e-9 * np.linalg.norm(inside, 2) * column @ basis[3:]
+    full = Submodule.full(2, 2)
+    return GFusionFrame([(full, full.projection), (plane, ModuleOperator(y, 2, 2))])
+
+
+def test_a_dual_inherits_the_containment_of_its_frame(tmp_path, capsys):
+    frame = _magnifying_frame()
+    dual = canonical_dual(frame)
+    assert verify_dual(frame, dual)
+    # the dual's member 1 is outside CONTAINMENT_TOL ||G_1|| by rounding, and
+    # a second check of the dual would reject what the frame's accepted
+    norms = np.linalg.norm(dual.operators, 2, axis=(1, 2))
+    assert not frames.contained(dual.operators, dual.projections, CONTAINMENT_TOL * norms)[1]
+    path = tmp_path / "magnified.json"
+    path.write_text(dumps_canonical(frame_to_document(frame)))
+    assert main(["analyze", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["dual"]["verified"] is True
+
+
+def test_containment_is_checked_where_data_enters(monkeypatch):
+    calls = []
+    _counting(monkeypatch, frames, "contained", calls)
+    frame = load_frame(CORPUS / "unitary_orbit_m4.json")  # from_stacks
+    assert calls
+    p0, p1 = _orthogonal_pair()
+    calls.clear()
+    GFusionFrame([(p0, p0.projection), (p1, p1.projection)])
+    assert calls
+    calls.clear()
+    canonical_dual(frame)
+    frame.scaled(2.0)
+    fusion_frame([p0, p1], [1.0, 2.0])
+    assert calls == []
 
 
 def test_stacks_match_the_elements():

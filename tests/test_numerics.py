@@ -87,9 +87,9 @@ def test_the_lint_sees_code_and_skips_comments_and_docstrings(tmp_path):
 # the lint: no verdict takes a tolerance argument
 
 # the tolerance parameters a caller may set; the rest of the API gates each
-# verdict with its named constant.  `rank` and `psd_leq_stack` are the rules
-# themselves, applied at several tolerances.
-TOLERANCE_PARAMETERS = {"psd_leq", "synthesis", "rank", "psd_leq_stack"}
+# verdict with its named constant.  `rank` is the rule itself, applied at
+# several tolerances.
+TOLERANCE_PARAMETERS = {"psd_leq", "synthesis", "rank"}
 
 
 def _public_callables():

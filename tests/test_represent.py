@@ -546,6 +546,36 @@ def test_kernel_check_peak_stays_below_one_term_stack():
     assert peaks[1] / peaks[0] < 1.6
 
 
+def _rank_one_family(n, d, m, seed):
+    """m random operators, each projected onto a random line: V has one row
+    per member, so the (m, n*d, n*d) operator stack dwarfs it."""
+    rng = np.random.default_rng(seed)
+    nd = n * d
+    lines = [random_unitary(rng, nd)[:1] for _ in range(m)]
+    projections = np.stack([line.conj().T @ line for line in lines])
+    gauss = rng.standard_normal((m, nd, nd)) + 1j * rng.standard_normal((m, nd, nd))
+    return GFusionFrame.from_stacks(projections, gauss @ projections, n, d, "cyclic")
+
+
+def test_the_kernel_basis_copies_no_operator_stack():
+    # M = conj(conj(V) Y^T), conjugated in place: no conjugated copy of the
+    # 4 MB (64, 64, 64) stack Y, whose copy set the peak at 4.06 MB
+    frame = _rank_one_family(16, 4, 64, seed=1)
+    vh, mask = frame.row_basis
+    assert vh.shape == (64, 1, 64) and frame.operators.nbytes == 1 << 22
+    tracemalloc.start()
+    try:
+        _, _, q, top = _kernel_row_basis(frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # Q and ||M|| are those of the product with the conjugated copy, bit for bit
+    u, s, _ = np.linalg.svd((vh @ frame.operators.conj().swapaxes(1, 2))[mask],
+                            full_matrices=False)
+    assert top == s[0] and q.shape == (64, 64) and q.tobytes() == u.tobytes()
+
+
 def test_kernel_check_memory_is_linear_in_m():
     peaks = []
     for m in (64, 128):

@@ -70,6 +70,12 @@ Invocations:
   sequence at the worst sample's row turns it positive, so the per-row
   maximizer decides the verdict; and the same pair once more with
   `--beta BETA`, so that the maximizer also runs with beta > 0;
+* every command above on the seed-ROUNDED_SEED `random` document at
+  n = d = 2, m = 4 with every entry rounded to ROUNDED_DIGITS significant
+  digits, as a document typed by hand would be: each member stays within
+  CONTAINMENT_TOL of its submodule, and its canonical dual, at B/A = 68,
+  carries a defect beyond it, so a containment check of derived frames
+  would show;
 * the parser's help, usage and error output (`PARSER_INVOCATIONS`, at
   `COLUMNS=80`): no arguments, `-h` and every `<command> -h`, an unknown
   command, an abbreviated one, a flag before the command, an unknown flag,
@@ -80,7 +86,7 @@ The kinds, the (n, d, m) sizes and the perturbation size are read from
 `perfbench/workloads.py`, so the sweep covers what the benchmark runs.
 Two invocations run at once.
 
-Derived documents (pairs, scaled and nudged copies, vectors) are built
+Derived documents (pairs, scaled, nudged and rounded copies, vectors) are built
 with the standard library from the JSON lists, so the sweep imports no
 numpy.
 """
@@ -120,6 +126,7 @@ ETA = _WORKLOADS.ETA
 BETA = 0.05  # the corpus pass pairs also run with beta > 0
 MAXIMIZER_ETA = 0.05  # the nudged random pair passes its samples and fails at the maximizer
 SEEDS = (1, 2)
+ROUNDED_SEED, ROUNDED_DIGITS = 296, 9  # a rounded random document whose dual magnifies the rounding
 LARGE_M = 1024  # members of the large documents, at n = d = 2
 LARGE_KINDS = ("unitary-orbit", "dilation")
 JOBS = 2
@@ -178,6 +185,15 @@ def _nudged(doc: dict, size: float, seed: int) -> dict:
         elements.append({"projection": el["projection"],
                          "operator": [[[z.real, z.imag] for z in row] for row in operator]})
     return dict(doc, elements=elements)
+
+
+def _rounded(doc: dict, digits: int) -> dict:
+    """The frame document with every projection and operator entry rounded
+    to `digits` significant digits."""
+    def matrix(rows):
+        return [[[float(f"{part:.{digits}g}") for part in entry] for entry in row] for row in rows]
+    return dict(doc, elements=[{key: matrix(rows) for key, rows in el.items()}
+                               for el in doc["elements"]])
 
 
 def _unit_vector(n: int, d: int) -> dict:
@@ -264,6 +280,13 @@ def plan(old_src: str, work: str) -> list:
             nudged = _write_json(base[:-5] + "-nudged.json", _nudged(json.load(handle), 1e-3, 1))
         pair = ["perturb", base, nudged, "--eta", str(MAXIMIZER_ETA)]
         invocations += [(pair, None), ([*pair, "--beta", str(BETA)], None)]
+    base = os.path.join(work, f"gen_random_s{ROUNDED_SEED}.json")
+    if run(old_src, ["gen", "--kind", "random", "--n", "2", "--d", "2", "--m", "4", "--seed",
+                     str(ROUNDED_SEED), base], base)[0] == 0:
+        with open(base, encoding="utf-8") as handle:
+            rounded = _write_json(base[:-5] + f"-rounded{ROUNDED_DIGITS}.json",
+                                  _rounded(json.load(handle), ROUNDED_DIGITS))
+        invocations += [(argv, None) for argv in frame_invocations(rounded, work, corpus_vector)]
     for n, d, m in SIZES:
         vector = _write_json(os.path.join(work, f"vector_n{n}_d{d}.json"), _unit_vector(n, d))
         for kind in KINDS:
