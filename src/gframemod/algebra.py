@@ -12,7 +12,7 @@ operands are multiplied by c > 0.
 import numpy as np
 
 from .exceptions import NonHermitian
-from .numerics import HERMITIAN_TOL, norms_within, spectral_norms
+from .numerics import HERMITIAN_TOL, hermitian_within, spectral_norms
 
 
 def as_algebra_element(u) -> np.ndarray:
@@ -27,11 +27,6 @@ def adjoint(u) -> np.ndarray:
     return as_algebra_element(u).conj().T
 
 
-def _hermitian(x, bounds) -> np.ndarray:
-    """||x - x^H||_2 <= bound for each element of a stack."""
-    return norms_within(x - x.conj().swapaxes(-1, -2), bounds)
-
-
 def psd_leq(u, v, tol: float = HERMITIAN_TOL) -> bool:
     """u <= v in the PSD order on Hermitian elements, judged at the scale
     max(||u||, ||v||) on the Hermitian part of v - u alone: the gap's
@@ -43,7 +38,7 @@ def psd_leq(u, v, tol: float = HERMITIAN_TOL) -> bool:
     u, v = as_algebra_element(u), as_algebra_element(v)
     scale = np.maximum(spectral_norms(u), spectral_norms(v))
     for side, x in (("left", u), ("right", v)):
-        if not _hermitian(x, tol * scale):
+        if not hermitian_within(x, tol * scale):
             raise NonHermitian(f"{side} operand of psd_leq is not Hermitian within {tol}")
     gap = v - u
     return bool(np.linalg.eigvalsh((gap + gap.conj().T) / 2.0)[0] >= -tol * scale)

@@ -41,13 +41,12 @@ from .perturb import (
     verify_perturbed_frame,
 )
 from .represent import (
+    CAVEATS,
     check_representation_bounds,
     independence_analysis,
     solve_representation,
     span_invariance,
     tightness_contradiction_certificate,
-    CYCLIC_CAVEAT,
-    LINEAR_CAVEAT,
 )
 from .serialize import (
     FORMAT_VERSION,
@@ -130,7 +129,7 @@ def _cmd_represent(args, seed, sha):
                          else "--vector requires --tight-certificate")
     frame = load_frame(args.frame, sha)
     rep = solve_representation(frame, args.convention)
-    caveats = [CYCLIC_CAVEAT if rep.convention == "cyclic" else LINEAR_CAVEAT]
+    caveats = [CAVEATS[rep.convention]]
     results = {
         "convention": rep.convention,
         "residual": rep.residual,

@@ -23,7 +23,7 @@ orthogonal projection onto V applied on the right.
 import numpy as np
 
 from .exceptions import DimensionMismatch, MembershipViolation
-from .numerics import MEMBERSHIP_TOL, PROJECTION_TOL, RANK_TOL, norms_within, rank
+from .numerics import MEMBERSHIP_TOL, PROJECTION_TOL, RANK_TOL, hermitian_within, norms_within, rank
 
 CONVENTIONS = ("linear", "cyclic")
 
@@ -32,6 +32,14 @@ def _check_convention(convention: str) -> str:
     if convention not in CONVENTIONS:
         raise ValueError(f"index convention must be one of {CONVENTIONS}, got {convention!r}")
     return convention
+
+
+def shift_pairs(m: int, convention: str):
+    """The right shift on m slots as (k, b): slot i < k takes term b[i] and
+    the slots from k on are empty.  Under `cyclic`, k = m and term 0 wraps
+    into slot m - 1; under `linear`, k = m - 1 and term 0 drops out."""
+    k = m if _check_convention(convention) == "cyclic" else m - 1
+    return k, (np.arange(k) + 1) % m
 
 
 def _common_shape(items, what: str):
@@ -288,7 +296,7 @@ def projection_fault(stack):
     """The (index, problem) of the first matrix q of a stack that is not
     self-adjoint or not idempotent within PROJECTION_TOL in spectral norm
     (a projection has no scale), or None when every one is a projection."""
-    adjoint_ok = norms_within(stack - stack.conj().swapaxes(-1, -2), PROJECTION_TOL)
+    adjoint_ok = hermitian_within(stack, PROJECTION_TOL)
     idempotent_ok = norms_within(stack @ stack - stack, PROJECTION_TOL)
     bad = np.flatnonzero(~(adjoint_ok & idempotent_ok))
     if not bad.size:
@@ -445,16 +453,16 @@ def sequence_inner_product(f: ModuleSequence, g: ModuleSequence) -> np.ndarray:
 
 
 def right_shift(seq: ModuleSequence) -> ModuleSequence:
-    """The sequence whose term xi is the input's term xi+1.
-
-    Cyclic convention rotates; linear drops the leading term and appends a
-    zero.  When target submodules are attached, a shifted term that leaves
-    its new target by more than MEMBERSHIP_TOL times the sequence norm
-    raises MembershipViolation.  The scale is the sequence's, not the
-    term's own, so a term that is rounding noise passes.
+    """The sequence whose term xi is the input's term xi+1, slot by slot as
+    `shift_pairs` maps them: cyclic rotates, linear drops the leading term
+    and leaves the last slot zero.  When target submodules are attached, a
+    shifted term that leaves its new target by more than MEMBERSHIP_TOL
+    times the sequence norm raises MembershipViolation.  The scale is the
+    sequence's, not the term's own, so a term that is rounding noise passes.
     """
-    wrapped = seq.flats[:1] if seq.index_convention == "cyclic" else np.zeros_like(seq.flats[:1])
-    shifted = np.concatenate((seq.flats[1:], wrapped))
+    k, b = shift_pairs(len(seq), seq.index_convention)
+    shifted = np.zeros_like(seq.flats)
+    shifted[:k] = seq.flats[b]
     if seq.projections is not None:
         inside = contained(shifted, seq.projections, MEMBERSHIP_TOL * seq.norm())
         if not inside.all():

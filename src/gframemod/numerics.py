@@ -75,3 +75,8 @@ def norms_within(residuals, bounds) -> np.ndarray:
         unsure = ~within & (squares <= min(residuals.shape[-2:]) * (bounds * bounds))
         within[unsure] = spectral_norms(residuals[unsure]) <= np.broadcast_to(bounds, squares.shape)[unsure]
     return within
+
+
+def hermitian_within(x, bounds) -> np.ndarray:
+    """||x - x^H||_2 <= bound for each matrix of a stack."""
+    return norms_within(x - x.conj().swapaxes(-1, -2), bounds)

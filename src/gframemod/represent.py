@@ -20,7 +20,6 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import _hermitian
 from .exceptions import (
     DegenerateSpan,
     DimensionMismatch,
@@ -29,7 +28,7 @@ from .exceptions import (
     NotRepresentable,
     NotTight,
 )
-from .frames import GFusionFrame, frame_bounds
+from .frames import GFusionFrame, _check_shapes, frame_bounds
 from .hilbert import (
     ModuleOperator,
     ModuleSequence,
@@ -38,6 +37,7 @@ from .hilbert import (
     _check_convention,
     gram_sum,
     null_combinations,
+    shift_pairs,
 )
 from .numerics import (
     HYPOTHESIS_TOL,
@@ -48,6 +48,7 @@ from .numerics import (
     REPRESENT_TOL,
     SNAP_TOL,
     _first_tied,
+    hermitian_within,
     norms_within,
     rank,
     spectral_norms,
@@ -55,27 +56,20 @@ from .numerics import (
 
 KERNEL_SAMPLES = 100  # seeded synthesis-kernel elements the invariance check draws
 KERNEL_CHUNK_BYTES = 1 << 20  # kernel coordinates drawn at a time, bounding the check's memory
-LINEAR_CAVEAT = (
-    "linear index window: the shift constraint stops at the window edge, so "
-    "conclusions stated for two-sided families hold only up to boundary terms"
-)
-CYCLIC_CAVEAT = (
-    "cyclic index convention: the family is treated as shift-periodic, the "
-    "faithful finite model of a shift-invariant family"
-)
+CAVEATS = {  # the caveat every report of a convention carries
+    "linear": "linear index window: the shift constraint stops at the window edge, so "
+              "conclusions stated for two-sided families hold only up to boundary terms",
+    "cyclic": "cyclic index convention: the family is treated as shift-periodic, the "
+              "faithful finite model of a shift-invariant family",
+}
 
 
-def _constraint_pairs(m: int, convention: str):
-    """Index arrays (a, b) of the constraints T Y_a = Y_b."""
-    a = np.arange(m if convention == "cyclic" else m - 1)
-    return a, (a + 1) % m
-
-
-def _shift_solve(mats, pairs):
-    """The two sides of mats[a] X = mats[b] stacked over the index pairs
-    (a, b), and the minimal-norm least-squares X from one pinv of the left
-    side."""
-    lhs, rhs = mats[pairs[0]], mats[pairs[1]]
+def _shift_solve(mats, convention: str):
+    """The two sides of mats[i] X = mats[b[i]] stacked over the slots i < k of
+    the right shift (k, b) of `convention`, and the minimal-norm least-squares
+    X from one pinv of the left side."""
+    k, b = shift_pairs(len(mats), convention)
+    lhs, rhs = mats[:k], mats[b]
     nd = mats.shape[-1]
     return lhs, rhs, np.linalg.pinv(lhs.reshape(-1, nd), rcond=RANK_TOL) @ rhs.reshape(-1, nd)
 
@@ -114,7 +108,7 @@ def solve_representation(frame: GFusionFrame,
     span = Submodule.from_basis_rows(vh[mask], frame.n, frame.d)
     if span.rank == 0:
         raise DegenerateSpan("span of the submodule family has rank zero")
-    lhs, rhs, x = _shift_solve(frame.operators, _constraint_pairs(len(frame), convention))
+    lhs, rhs, x = _shift_solve(frame.operators, convention)
     q = span.projection.matrix
     x = q @ x @ q  # pin T to the span; the minimal-norm solution lives there
     difference = lhs @ x - rhs
@@ -137,7 +131,7 @@ def verify_hypotheses(frame: GFusionFrame) -> bool:
     Y_xi restricted to N_xi.  Self-adjointness is one batched norm test,
     the ranks one batched SVD.
     """
-    if not _hermitian(frame.operators, HYPOTHESIS_TOL * frame._operator_norms).all():
+    if not hermitian_within(frame.operators, HYPOTHESIS_TOL * frame._operator_norms).all():
         return False
     # the image of N_k is the range of P_k Y_k, its rank relative to its own
     # top singular value: any nonzero multiple of an action fixing N_k does too
@@ -226,35 +220,39 @@ def kernel_invariance(frame: GFusionFrame, convention: str, seed: int = 0):
     defect is inf, and the check fails, when a shifted term leaves its new
     submodule by more than MEMBERSHIP_TOL times the sample's unit norm.
 
-    No sample's terms are formed: term xi moves to slot t = xi - 1, so the
-    images of row coordinates y are y M' (M' = (V Y_t^H)[mask]) and its leaks
-    y_xi K_xi (K = V - V P_t); the linear shift drops term 0.  A sample of
+    No sample's terms are formed: slot t < k takes term xi = b[t] of the
+    right shift (k, b) of `shift_pairs`, so the images of row coordinates y
+    are y M' (block xi of M' is (V_xi Y_t^H)[mask], zero for a dropped term)
+    and its leaks y_xi K_xi (K_xi = V_xi - V_xi P_t).  A sample of
     `_kernel_samples` is y = z P / ||z P||, so its image is z R / ||z P|| with
     R = P M' = M' - Q (Q^H M'), formed once and streamed beside Q; y is
-    formed only where some K_xi is nonzero.
+    formed only where some K_xi is nonzero, and its leaks are screened a
+    group of members at a time, each group's images no larger than z.
     """
     vh, mask, q, top = _kernel_row_basis(frame)
     if q.shape[0] == q.shape[1]:
         return 0, 0.0, True, ["synthesis kernel is trivial; the invariance check is vacuous"]
-    ahead = np.roll(vh, -1, axis=0)  # V of member t + 1 beside Y_t and P_t, rolled back after
-    shifted = ahead.conj() @ frame.operators.swapaxes(1, 2)
-    shifted = np.roll(np.conjugate(shifted, out=shifted), 1, axis=0)
-    leaks = vh - np.roll(ahead @ frame.projections, 1, axis=0)
-    if _check_convention(convention) == "linear":
-        shifted[0] = leaks[0] = 0.0
+    k, b = shift_pairs(len(frame), convention)
+    ahead = vh[b]  # V of the term each slot t takes, beside Y_t and P_t
+    shifted, leaks = np.zeros_like(vh), np.zeros_like(vh)  # zero for a dropped term
+    shifted[b] = np.conjugate(ahead.conj() @ frame.operators[:k].swapaxes(1, 2))
+    leaks[b] = ahead - ahead @ frame.projections[:k]
     shifted = shifted[mask]
     leaking = leaks.any(axis=(1, 2))  # none on full submodules
     leaks, leak_rows, coordinates = leaks[leaking], mask[leaking], np.repeat(leaking, mask.sum(1))
+    group = max(1, q.shape[0] // vh.shape[-1])  # leaking members per screen: images within z's size
     defect = 0.0
     for zr, norms, y in _kernel_samples(frame, q, KERNEL_SAMPLES, seed,
                                         shifted - q @ (q.conj().T @ shifted), leaks.size > 0):
         if leaks.size:  # the leaking members' coordinates, one GEMM per member
             pad = np.zeros((len(y) * frame.d,) + leak_rows.shape, dtype=np.complex128)
             pad[:, leak_rows] = y[..., coordinates].reshape(len(pad), -1)
-            images = (pad.swapaxes(0, 1) @ leaks).reshape(len(leaks), len(y), frame.d, -1)
-            if not norms_within(images, MEMBERSHIP_TOL).all():
-                return (KERNEL_SAMPLES, math.inf, False,
-                        ["a shifted kernel element leaves the submodule family"])
+            for start in range(0, len(leaks), group):
+                images = pad.swapaxes(0, 1)[start:start + group] @ leaks[start:start + group]
+                images = images.reshape(len(images), len(y), frame.d, -1)
+                if not norms_within(images, MEMBERSHIP_TOL).all():
+                    return (KERNEL_SAMPLES, math.inf, False,
+                            ["a shifted kernel element leaves the submodule family"])
         defect = max(defect, float((spectral_norms(zr) / norms).max()))
     defect /= max(top, 1e-300)
     return KERNEL_SAMPLES, defect, defect <= REPRESENT_TOL, []
@@ -289,7 +287,7 @@ def check_representation_bounds(frame: GFusionFrame, rep: RepresentationResult,
     _require_representable(rep)
     lower, upper = frame_bounds(frame)
     bound_upper = math.sqrt(upper / lower)
-    caveats = [CYCLIC_CAVEAT if rep.convention == "cyclic" else LINEAR_CAVEAT]
+    caveats = [CAVEATS[rep.convention]]
     kernel_samples, kernel_defect, kernel_ok, kernel_caveats = kernel_invariance(
         frame, rep.convention, seed)
     caveats.extend(kernel_caveats)
@@ -469,7 +467,7 @@ def solve_adjoint_shift_extension(frame: GFusionFrame) -> ModuleOperator:
     index pairs of the frame's convention (the adjoint counterpart of the
     shift solve)."""
     adjoints = frame.operators.conj().swapaxes(1, 2)
-    _, _, x = _shift_solve(adjoints, _constraint_pairs(len(frame), frame.index_convention))
+    _, _, x = _shift_solve(adjoints, frame.index_convention)
     return ModuleOperator(x, frame.n, frame.d)
 
 
@@ -485,22 +483,20 @@ def verify_shift_reconstruction_identity(frame: GFusionFrame, dual: GFusionFrame
     raises HypothesisViolation when it fails; the dual is taken as given,
     so a mismatched dual simply makes the identity evaluate false.
     """
-    m = len(frame)
-    if len(dual) != m or (frame.n, frame.d) != (dual.n, dual.d):
-        raise HypothesisViolation("frame and dual must have equal lengths and shape")
-    a, b = _constraint_pairs(m, frame.index_convention)
-    if not 0 <= j < len(a):
-        raise ValueError(f"j must lie in [0, {len(a) - 1}] for the "
+    _check_shapes(frame, dual)
+    k, b = shift_pairs(len(frame), frame.index_convention)
+    if not 0 <= j < k:
+        raise ValueError(f"j must lie in [0, {k - 1}] for the "
                          f"{frame.index_convention} convention")
     mats = frame.operators
     adjoints = mats.conj().swapaxes(1, 2)
     bound = REPRESENT_TOL * frame.max_operator_norm()
-    defects = spectral_norms(adjoints[a] @ extension_T.matrix - adjoints[b])
+    defects = spectral_norms(adjoints[:k] @ extension_T.matrix - adjoints[b])
     bad = np.flatnonzero(defects > bound)
     if bad.size:
-        k = bad[0]
+        i = bad[0]
         raise HypothesisViolation(
-            f"extension does not map adjoint {a[k]} to adjoint {b[k]} (defect {defects[k]:.3e})"
+            f"extension does not map adjoint {i} to adjoint {b[i]} (defect {defects[i]:.3e})"
         )
-    d_mat = gram_sum(dual.operators[a], mats[b])
-    return float(np.linalg.norm(mats[j] @ d_mat - mats[(j + 1) % m], 2)) <= bound
+    d_mat = gram_sum(dual.operators[:k], mats[b])
+    return float(np.linalg.norm(mats[j] @ d_mat - mats[b[j]], 2)) <= bound

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from gframemod.exceptions import DimensionMismatch, MembershipViolation
 from gframemod.frames import GFusionFrame
 from gframemod.hilbert import (
+    CONVENTIONS,
     ModuleOperator,
     ModuleSequence,
     ModuleVector,
@@ -20,6 +24,7 @@ from gframemod.hilbert import (
     projection_fault,
     right_shift,
     row_bases,
+    shift_pairs,
     span_of_submodules,
     submodule_from_generators,
 )
@@ -27,6 +32,7 @@ from gframemod.numerics import MEMBERSHIP_TOL, PROJECTION_TOL, spectral_norms
 
 import oracles
 
+SRC = Path(__file__).resolve().parent.parent / "src" / "gframemod"
 
 def random_vector(rng, n, d):
     return ModuleVector(rng.standard_normal((d, n * d)) + 1j * rng.standard_normal((d, n * d)), n, d)
@@ -359,6 +365,58 @@ def test_right_shift_linear_drops_and_pads(rng):
     np.testing.assert_array_equal(shifted.terms[0].flat, terms[1].flat)
     np.testing.assert_array_equal(shifted.terms[1].flat, terms[2].flat)
     assert shifted.terms[2].norm() == 0.0
+
+
+@pytest.mark.parametrize("m,convention,k,b", [
+    (1, "cyclic", 1, [0]), (2, "cyclic", 2, [1, 0]), (3, "cyclic", 3, [1, 2, 0]),
+    (1, "linear", 0, []), (2, "linear", 1, [1]), (3, "linear", 2, [1, 2]),
+])
+def test_shift_pairs_of_both_conventions(m, convention, k, b):
+    found_k, found_b = shift_pairs(m, convention)
+    assert (found_k, found_b.tolist()) == (k, b)
+
+
+def test_shift_pairs_refuses_an_unknown_convention():
+    with pytest.raises(ValueError, match="index convention must be one of"):
+        shift_pairs(3, "periodic")
+
+
+def convention_comparisons(src: Path) -> list:
+    """(file, innermost def, line) of every comparison in the source files
+    with the literal "linear" or "cyclic", alone or in a literal tuple, list
+    or set, on either side."""
+    found = []
+
+    def names_a_convention(node):
+        items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return any(isinstance(x, ast.Constant) and x.value in CONVENTIONS for x in items)
+
+    def visit(node, owner, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Compare) and any(
+                    map(names_a_convention, [child.left, *child.comparators])):
+                found.append((name, owner, child.lineno))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else owner
+            visit(child, inner, name)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), None, path.name)
+    return found
+
+
+def test_every_convention_comparison_lies_in_shift_pairs():
+    # the right shift's index map is defined once; everything else reads it
+    assert [site[:2] for site in convention_comparisons(SRC)] == [("hilbert.py", "shift_pairs")]
+
+
+def test_the_convention_lint_sees_comparisons_and_skips_other_uses(tmp_path):
+    (tmp_path / "sample.py").write_text(
+        'def f(c):\n'
+        '    g(c, "linear")\n'
+        '    x = "cyclic" if c == "cyclic" else None\n'
+        '    return c in ("linear", "other") or "linear" != c or c == CONVENTIONS[0]\n')
+    assert convention_comparisons(tmp_path) == [("sample.py", "f", 3), ("sample.py", "f", 4),
+                                                ("sample.py", "f", 4)]
 
 
 def test_right_shift_membership_violation():

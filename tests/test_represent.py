@@ -8,7 +8,9 @@ import pytest
 from gframemod import frames, represent
 from gframemod.exceptions import (
     DegenerateSpan,
+    DimensionMismatch,
     HypothesisViolation,
+    LengthMismatch,
     MembershipViolation,
     NotInvertible,
     NotRepresentable,
@@ -26,12 +28,14 @@ from gframemod.families import (
     random_vector,
     unitary_orbit_frame,
 )
-from gframemod.frames import GFusionFrame, frame_bounds, fusion_frame, synthesis
+from gframemod.frames import GFusionFrame, analysis, frame_bounds, fusion_frame, synthesis
 from gframemod.hilbert import (
+    CONVENTIONS,
     ModuleOperator,
     ModuleVector,
     Submodule,
     right_shift,
+    shift_pairs,
     submodule_from_generators,
 )
 from gframemod.numerics import HYPOTHESIS_TOL, TIE_TOL, _first_tied
@@ -576,6 +580,23 @@ def test_the_kernel_basis_copies_no_operator_stack():
     assert top == s[0] and q.shape == (64, 64) and q.tobytes() == u.tobytes()
 
 
+def test_the_leak_test_holds_its_images_a_group_of_members_at_a_time():
+    """Every member of a rank-one cyclic family leaks, so the check forms
+    the images y_xi K_xi of each chunk.  All 128 members at once made an
+    image stack n*d = 32 times the chunk, 53 MB; screened in groups of
+    sum rank // (n*d) members, each group's images are no larger than z."""
+    frame = _rank_one_family(8, 4, 128, seed=1)
+    frame.row_basis
+    tracemalloc.start()
+    try:
+        result = kernel_invariance(frame, "cyclic")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result[:3] == (KERNEL_SAMPLES, math.inf, False)
+    assert peak < 8 << 20
+
+
 def test_kernel_check_memory_is_linear_in_m():
     peaks = []
     for m in (64, 128):
@@ -809,6 +830,45 @@ def test_mismatched_dual_fails_shift_identity():
     swapped = GFusionFrame(elements, dual.index_convention)
     ext = solve_adjoint_shift_extension(frame)
     assert not verify_shift_reconstruction_identity(frame, swapped, ext, j=0)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+@pytest.mark.parametrize("make,representable", [
+    (unitary_orbit_frame, lambda m: {"linear"} | ({"cyclic"} if m % 2 == 0 else set())),
+    (dilation_frame, lambda m: {"linear"}),
+], ids=["orbit", "dilation"])
+def test_right_shift_of_an_analysis_is_its_product_with_t(make, representable, m):
+    """T Y_xi = Y_{xi+1} read on the analysis of a vector f: under every
+    convention that represents the family, slot i < k of the right shift
+    of {f Y_xi} is f Y_i T, and the slots from k on are exactly 0.  The
+    orbit of a self-adjoint unitary alternates, so only an even one wraps."""
+    base = make(2, 2, m, seed=m)
+    f = random_vector(np.random.default_rng(m), 2, 2)
+    checked = set()
+    for convention in CONVENTIONS:
+        frame = GFusionFrame(base.elements, convention)
+        rep = solve_representation(frame)
+        if not rep.is_representable():
+            continue
+        k, _ = shift_pairs(m, convention)
+        seq = analysis(frame, f)
+        shifted = right_shift(seq).flats
+        scale = 1e-12 * f.norm() * frame.max_operator_norm()
+        np.testing.assert_allclose(shifted[:k], seq.flats[:k] @ rep.operator_T.matrix, rtol=0, atol=scale)
+        assert not shifted[k:].any()
+        checked.add(convention)
+    assert checked == representable(m)
+
+
+def test_shift_identity_refuses_a_dual_of_another_shape_as_a_shape_error():
+    frame = unitary_orbit_frame(2, 2, 4, seed=21)
+    extension = solve_adjoint_shift_extension(frame)
+    with pytest.raises(LengthMismatch, match="families have different lengths"):
+        verify_shift_reconstruction_identity(
+            frame, canonical_dual(unitary_orbit_frame(2, 2, 3, seed=21)), extension, j=0)
+    with pytest.raises(DimensionMismatch, match=r"families have different \(n, d\)"):
+        verify_shift_reconstruction_identity(
+            frame, canonical_dual(unitary_orbit_frame(4, 1, 4, seed=21)), extension, j=0)
 
 
 def test_wrong_extension_raises():
