@@ -246,7 +246,7 @@ def _cmd_independence(args, seed, sha):
     frame = load_frame(args.frame, sha)
     report_data = independence_analysis(frame)
     # only a dependency is checked against T, so only a dependent family solves for it
-    if report_data.verdict == "dependent" and len(frame) >= 2:
+    if report_data.verdict == "dependent":
         try:
             rep = solve_representation(frame)
         except DegenerateSpan:

@@ -26,7 +26,9 @@ from .hilbert import (
     ModuleVector,
     Submodule,
     _check_convention,
+    _check_shapes,
     _common_shape,
+    applied,
     contained,
     gram_sum,
     projection_fault,
@@ -227,7 +229,7 @@ def analysis(frame: GFusionFrame, f: ModuleVector) -> ModuleSequence:
     """f |-> {Y_xi f}; each term lies in N_xi by range containment."""
     if (f.n, f.d) != (frame.n, frame.d):
         raise DimensionMismatch("vector shape does not match the frame")
-    return ModuleSequence._like(f.flat @ frame.operators, frame)
+    return ModuleSequence._like(applied(f.flat, frame.operators), frame)
 
 
 def synthesis(frame: GFusionFrame, seq: ModuleSequence,
@@ -242,10 +244,7 @@ def synthesis(frame: GFusionFrame, seq: ModuleSequence,
     is not judged against its own size.  Pass membership_tol=None to skip
     the check.
     """
-    if len(seq) != len(frame):
-        raise LengthMismatch(f"sequence has {len(seq)} terms, frame has {len(frame)}")
-    if (seq.n, seq.d) != (frame.n, frame.d):
-        raise DimensionMismatch("sequence shape does not match the frame")
+    _check_shapes(frame, seq)
     if membership_tol is not None:
         scale = seq.norm() / np.sqrt(frame_bounds(frame).lower)  # bounds ||f||
         inside = contained(seq.flats, frame.projections,
@@ -284,13 +283,6 @@ def verify_dual(frame: GFusionFrame, dual: GFusionFrame) -> bool:
 def residual_verified(residual: float) -> bool:
     """verify_dual's test on a reconstruction residual already in hand."""
     return residual <= DUAL_TOL
-
-
-def _check_shapes(frame: GFusionFrame, other: GFusionFrame):
-    if len(frame) != len(other):
-        raise LengthMismatch("families have different lengths")
-    if (frame.n, frame.d) != (other.n, other.d):
-        raise DimensionMismatch("families have different (n, d)")
 
 
 def reconstruction_residual(frame: GFusionFrame, dual: GFusionFrame) -> float:

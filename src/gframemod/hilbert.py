@@ -22,7 +22,7 @@ orthogonal projection onto V applied on the right.
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, MembershipViolation
+from .exceptions import DimensionMismatch, LengthMismatch, MembershipViolation
 from .numerics import MEMBERSHIP_TOL, PROJECTION_TOL, RANK_TOL, hermitian_within, norms_within, rank
 
 CONVENTIONS = ("linear", "cyclic")
@@ -40,6 +40,14 @@ def shift_pairs(m: int, convention: str):
     into slot m - 1; under `linear`, k = m - 1 and term 0 drops out."""
     k = m if _check_convention(convention) == "cyclic" else m - 1
     return k, (np.arange(k) + 1) % m
+
+
+def _check_shapes(family, other):
+    """LengthMismatch or DimensionMismatch unless two families or sequences agree."""
+    if len(family) != len(other):
+        raise LengthMismatch("families have different lengths")
+    if (family.n, family.d) != (other.n, other.d):
+        raise DimensionMismatch("families have different (n, d)")
 
 
 def _common_shape(items, what: str):
@@ -173,12 +181,23 @@ def operator_adjoint(op: ModuleOperator) -> ModuleOperator:
     return ModuleOperator(op.matrix.conj().T, op.n, op.d)
 
 
+def _unfolded(stack) -> np.ndarray:
+    """The unfolding [S_0 | ... | S_{m-1}], (r, m*c), of a stack of shape (m, r, c)."""
+    return stack.transpose(1, 0, 2).reshape(stack.shape[1], -1)
+
+
 def gram_sum(a, b) -> np.ndarray:
     """sum_k A_k B_k^H over stacks of shape (m, r, c) and (m, r', c), as one
-    GEMM A' B'^H over the unfoldings A' = [A_0 | ... | A_{m-1}], (r, m*c)."""
-    m, _, c = a.shape
-    a, b = (x.transpose(1, 0, 2).reshape(x.shape[1], m * c) for x in (a, b))
-    return a @ b.conj().T
+    GEMM A' B'^H over the unfoldings A' = [A_0 | ... | A_{m-1}]."""
+    return _unfolded(a) @ _unfolded(b).conj().T
+
+
+def applied(rows, stack) -> np.ndarray:
+    """rows @ S_k for every member of an (m, c, c') stack, shape (m, *rows.shape[:-1], c'),
+    as one GEMM of the rows read as (-1, c) against the unfolding [S_0 | ... | S_{m-1}]."""
+    m, c, out = stack.shape
+    products = rows.reshape(-1, c) @ _unfolded(stack)
+    return np.moveaxis(products.reshape(*rows.shape[:-1], m, out), -2, 0)
 
 
 _ROWS_EACH_END = 8  # rows null_combinations keeps of the last pivots, and of the first
@@ -410,7 +429,7 @@ class ModuleSequence:
         if submodules is not None:
             submodules = list(submodules)
             if len(submodules) != len(terms):
-                raise DimensionMismatch("one target submodule per term is required")
+                raise LengthMismatch("one target submodule per term is required")
             if any((sub.n, sub.d) != (self.n, self.d) for sub in submodules):
                 raise DimensionMismatch("target submodules and terms of different shape")
             self.projections = np.stack([s.projection.matrix for s in submodules])
@@ -445,10 +464,7 @@ class ModuleSequence:
 
 def sequence_inner_product(f: ModuleSequence, g: ModuleSequence) -> np.ndarray:
     """sum_xi <f_xi, g_xi>, the A-valued l2 inner product."""
-    if len(f) != len(g):
-        raise DimensionMismatch("sequences of different length")
-    if (f.n, f.d) != (g.n, g.d):
-        raise DimensionMismatch("module vectors of different shape")
+    _check_shapes(f, g)
     return gram_sum(f.flats, g.flats)
 
 

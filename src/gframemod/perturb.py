@@ -49,8 +49,8 @@ from .exceptions import (
     InequalityNotVerified,
     InvalidDimensions,
 )
-from .frames import GFusionFrame, _check_shapes, frame_bounds, frame_operator
-from .hilbert import ModuleVector, gram_sum, null_combinations
+from .frames import GFusionFrame, frame_bounds, frame_operator
+from .hilbert import ModuleVector, _check_shapes, applied, gram_sum, null_combinations
 from .numerics import (
     BOUNDS_TOL,
     FACTOR_TOL,
@@ -244,8 +244,8 @@ def _factor_certificate(frame, perturbed, params: PerturbationParams, size: floa
 def _witness(frame, perturbed, params, alpha, row, r: int = 0) -> InequalityWitness:
     """The witness of sequence `alpha` and unit row `row` (in row r), phase-fixed."""
     alpha, row = _phase_fixed(alpha), _phase_fixed(row)
-    lhs, rhs = _batch_margins(alpha[None], row @ frame.operators[:, None],
-                              row @ perturbed.operators[:, None], params)
+    lhs, rhs = _batch_margins(alpha[None], applied(row[None], frame.operators),
+                              applied(row[None], perturbed.operators), params)
     block = np.zeros((frame.d, frame.n * frame.d), dtype=np.complex128)
     block[r] = row
     return InequalityWitness(alpha, ModuleVector(block, frame.n, frame.d),
@@ -284,29 +284,22 @@ def check_perturbation_inequality(frame: GFusionFrame, perturbed: GFusionFrame,
     draw = rng.standard_normal((n_vectors, 2, frame.d, frame.n * frame.d))  # real part first
     rows = draw[:, 0] + 1j * draw[:, 1]
     rows /= np.maximum(np.linalg.norm(rows, axis=2), 1e-300)[:, :, None]
-
-    def applied(batch):
-        """The terms f Y_xi and f Yhat_xi of a batch of vectors, each of
-        shape (m, vectors, d, n*d)."""
-        return tuple(rows[None, batch] @ family.operators[:, None]
-                     for family in (frame, perturbed))
-
     normalized = np.empty((n_vectors, frame.d, n_sequences))
     # each combination product, and each batch's terms, holds at most
     # _BATCH entries, or one vector's
     step = max(1, _BATCH // (n_sequences * frame.d * frame.n * frame.d))
     for v in range(0, n_vectors, step):
-        batch = slice(v, v + step)
-        terms, terms_hat = applied(batch)
-        normalized[batch] = _normalized_margins(alphas, terms[:, :, :, None],
-                                                terms_hat[:, :, :, None], params, size, True)
+        terms, terms_hat = (applied(rows[v:v + step, :, None], family.operators)
+                            for family in (frame, perturbed))
+        normalized[v:v + step] = _normalized_margins(alphas, terms, terms_hat, params, size, True)
     margin = float(normalized.max())
     ties = normalized >= margin - TIE_TOL * abs(margin)
     v, r, k = np.unravel_index(np.argmax(ties), ties.shape)
     alpha = np.eye(1, m, k, dtype=np.complex128)[0] if k < m else alphas[k - m]
     row = rows[v, r]
     if margin <= MARGIN_TOL:
-        terms, terms_hat = (t[:, 0, r] for t in applied(slice(v, v + 1)))
+        terms, terms_hat = (applied(rows[v], family.operators)[:, r]
+                            for family in (frame, perturbed))
         best = _worst_coefficients(terms, terms_hat, params)
         refined = float(_normalized_margins(best[None], terms[:, None], terms_hat[:, None],
                                             params, size)[0])

@@ -22,19 +22,19 @@ import numpy as np
 
 from .exceptions import (
     DegenerateSpan,
-    DimensionMismatch,
     HypothesisViolation,
     NotInvertible,
     NotRepresentable,
     NotTight,
 )
-from .frames import GFusionFrame, _check_shapes, frame_bounds
+from .frames import GFusionFrame, analysis, frame_bounds
 from .hilbert import (
     ModuleOperator,
     ModuleSequence,
     ModuleVector,
     Submodule,
     _check_convention,
+    _check_shapes,
     gram_sum,
     null_combinations,
     shift_pairs,
@@ -227,7 +227,8 @@ def kernel_invariance(frame: GFusionFrame, convention: str, seed: int = 0):
     `_kernel_samples` is y = z P / ||z P||, so its image is z R / ||z P|| with
     R = P M' = M' - Q (Q^H M'), formed once and streamed beside Q; y is
     formed only where some K_xi is nonzero, and its leaks are screened a
-    group of members at a time, each group's images no larger than z.
+    group of members at a time, each group's coordinates and images no
+    larger than z.
     """
     vh, mask, q, top = _kernel_row_basis(frame)
     if q.shape[0] == q.shape[1]:
@@ -238,21 +239,20 @@ def kernel_invariance(frame: GFusionFrame, convention: str, seed: int = 0):
     shifted[b] = np.conjugate(ahead.conj() @ frame.operators[:k].swapaxes(1, 2))
     leaks[b] = ahead - ahead @ frame.projections[:k]
     shifted = shifted[mask]
-    leaking = leaks.any(axis=(1, 2))  # none on full submodules
-    leaks, leak_rows, coordinates = leaks[leaking], mask[leaking], np.repeat(leaking, mask.sum(1))
+    leaking = np.flatnonzero(leaks.any(axis=(1, 2)))  # none on full submodules
+    owner = np.repeat(np.arange(len(frame)), mask.sum(1))  # the member of each coordinate
     group = max(1, q.shape[0] // vh.shape[-1])  # leaking members per screen: images within z's size
     defect = 0.0
     for zr, norms, y in _kernel_samples(frame, q, KERNEL_SAMPLES, seed,
-                                        shifted - q @ (q.conj().T @ shifted), leaks.size > 0):
-        if leaks.size:  # the leaking members' coordinates, one GEMM per member
-            pad = np.zeros((len(y) * frame.d,) + leak_rows.shape, dtype=np.complex128)
-            pad[:, leak_rows] = y[..., coordinates].reshape(len(pad), -1)
-            for start in range(0, len(leaks), group):
-                images = pad.swapaxes(0, 1)[start:start + group] @ leaks[start:start + group]
-                images = images.reshape(len(images), len(y), frame.d, -1)
-                if not norms_within(images, MEMBERSHIP_TOL).all():
-                    return (KERNEL_SAMPLES, math.inf, False,
-                            ["a shifted kernel element leaves the submodule family"])
+                                        shifted - q @ (q.conj().T @ shifted), leaking.size > 0):
+        for start in range(0, leaking.size, group):  # one GEMM per leaking member
+            part = leaking[start:start + group]
+            pad = np.zeros((len(y) * frame.d, part.size, mask.shape[1]), dtype=np.complex128)
+            pad[:, mask[part]] = y[..., np.isin(owner, part)].reshape(len(pad), -1)
+            images = (pad.swapaxes(0, 1) @ leaks[part]).reshape(part.size, len(y), frame.d, -1)
+            if not norms_within(images, MEMBERSHIP_TOL).all():
+                return (KERNEL_SAMPLES, math.inf, False,
+                        ["a shifted kernel element leaves the submodule family"])
         defect = max(defect, float((spectral_norms(zr) / norms).max()))
     defect /= max(top, 1e-300)
     return KERNEL_SAMPLES, defect, defect <= REPRESENT_TOL, []
@@ -345,8 +345,7 @@ class TightnessCertificate:
 
 def tightness_contradiction_certificate(frame: GFusionFrame, rep: RepresentationResult,
                                         f: ModuleVector) -> TightnessCertificate:
-    if (f.n, f.d) != (frame.n, frame.d):
-        raise DimensionMismatch("vector shape does not match the frame")
+    term_norms = spectral_norms(analysis(frame, f).flats)
     lower, upper = bounds = frame_bounds(frame)
     if not bounds.tight:
         raise NotTight("certificate requires a tight frame")
@@ -361,7 +360,6 @@ def tightness_contradiction_certificate(frame: GFusionFrame, rep: Representation
     norm_bounds_ok = all(1.0 - tol <= v <= bound + tol for v in (norm_t, norm_t_inv))
     isometry_ok = abs(norm_t - 1.0) <= tol and abs(norm_t_inv - 1.0) <= tol
 
-    term_norms = spectral_norms(f.flat @ frame.operators)
     base = float(term_norms[0])
     f_norm = f.norm()
     size = tol * f_norm * frame.max_operator_norm()  # the scale of every term norm

@@ -5,14 +5,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gframemod.exceptions import DimensionMismatch, MembershipViolation
-from gframemod.frames import GFusionFrame
+from gframemod.exceptions import DimensionMismatch, LengthMismatch, MembershipViolation
+from gframemod.families import random_frame
+from gframemod.frames import (
+    GFusionFrame,
+    analysis,
+    reconstruction_residual,
+    synthesis,
+    verify_dual,
+)
 from gframemod.hilbert import (
     CONVENTIONS,
     ModuleOperator,
     ModuleSequence,
     ModuleVector,
     Submodule,
+    applied,
     apply,
     compose,
     contained,
@@ -24,11 +32,19 @@ from gframemod.hilbert import (
     projection_fault,
     right_shift,
     row_bases,
+    sequence_inner_product,
     shift_pairs,
     span_of_submodules,
     submodule_from_generators,
 )
 from gframemod.numerics import MEMBERSHIP_TOL, PROJECTION_TOL, spectral_norms
+from gframemod.perturb import (
+    PerturbationParams,
+    check_perturbation_inequality,
+    independence_transfer,
+    verify_perturbed_frame,
+)
+from gframemod.represent import solve_adjoint_shift_extension, verify_shift_reconstruction_identity
 
 import oracles
 
@@ -434,6 +450,64 @@ def test_sequence_rejects_targets_of_another_shape(n, d):
     terms = [ModuleVector(np.array([[1.0 + 0j, 0.0]]), 2, 1)] * 2
     with pytest.raises(DimensionMismatch, match="target submodules and terms of different shape"):
         ModuleSequence(terms, "linear", [Submodule.full(n, d)] * 2)
+
+
+def test_sequence_refuses_one_target_too_few_as_a_length_error():
+    terms = [ModuleVector(np.array([[1.0 + 0j, 0.0]]), 2, 1)] * 3
+    with pytest.raises(LengthMismatch, match="one target submodule per term is required"):
+        ModuleSequence(terms, "cyclic", [Submodule.full(2, 1)] * 2)
+
+
+# ---------------------------------------------------------------------------
+# operands of the two-family statements: one length and one (n, d)
+
+
+def _analysis_of(frame):
+    """The analysis sequence of an all-ones vector of the frame's shape."""
+    return analysis(frame, ModuleVector(np.ones((frame.d, frame.n * frame.d)), frame.n, frame.d))
+
+
+_PARAMS = PerturbationParams(0.1, 0.0)
+
+TWO_FAMILY_ENTRY_POINTS = {
+    "synthesis": lambda frame, other: synthesis(frame, _analysis_of(other)),
+    "sequence_inner_product":
+        lambda frame, other: sequence_inner_product(_analysis_of(frame), _analysis_of(other)),
+    "reconstruction_residual": reconstruction_residual,
+    "verify_dual": verify_dual,
+    "verify_shift_reconstruction_identity": lambda frame, other: verify_shift_reconstruction_identity(
+        frame, other, solve_adjoint_shift_extension(frame), 0),
+    "check_perturbation_inequality":
+        lambda frame, other: check_perturbation_inequality(frame, other, _PARAMS),
+    "verify_perturbed_frame": lambda frame, other: verify_perturbed_frame(
+        frame, other, _PARAMS, check_perturbation_inequality(frame, frame, _PARAMS)),
+    "independence_transfer": lambda frame, other: independence_transfer(
+        frame, other, check_perturbation_inequality(frame, frame, _PARAMS)),
+}
+
+
+@pytest.mark.parametrize("name", TWO_FAMILY_ENTRY_POINTS)
+def test_two_family_operand_mismatches(name):
+    """Every length mismatch raises LengthMismatch and every (n, d) mismatch
+    DimensionMismatch, whether the operands are frames or sequences; the
+    other (n, d) keeps n*d, so no array shape tells them apart."""
+    call = TWO_FAMILY_ENTRY_POINTS[name]
+    frame = random_frame(2, 1, 3, seed=7)
+    with pytest.raises(LengthMismatch, match="^families have different lengths$"):
+        call(frame, random_frame(2, 1, 2, seed=7))
+    with pytest.raises(DimensionMismatch, match=r"^families have different \(n, d\)$"):
+        call(frame, random_frame(1, 2, 3, seed=7))
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 4), (3, 2, 4)], ids=["row", "block", "batch"])
+def test_applied_is_the_product_of_the_rows_with_every_member(shape):
+    rng = np.random.default_rng(11)
+    stack = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+    rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = applied(rows, stack)
+    assert got.shape == (5, *shape)
+    for k, member in enumerate(stack):
+        np.testing.assert_allclose(got[k], rows @ member, rtol=0, atol=1e-13 * np.abs(rows).sum())
 
 
 def test_right_shift_keeps_synthesis_kernel_linear_window(rng):

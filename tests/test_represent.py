@@ -597,6 +597,27 @@ def test_the_leak_test_holds_its_images_a_group_of_members_at_a_time():
     assert peak < 8 << 20
 
 
+def test_the_leak_test_pads_each_group_from_its_own_coordinates():
+    """Member 0 on the whole module and 127 rank-one members, every one
+    leaking: one zero pad for all leaking members, sized by the largest
+    rank, held 33.1 MiB; each group's pad, from its own coordinates alone,
+    is no larger than z, and the peak is 10.1 MiB."""
+    rank_one = _rank_one_family(8, 4, 128, seed=1)
+    projections, operators = rank_one.projections.copy(), rank_one.operators.copy()
+    projections[0] = np.eye(32)
+    operators[0] = np.random.default_rng(2).standard_normal((32, 32))
+    frame = GFusionFrame.from_stacks(projections, operators, 8, 4, "cyclic")
+    assert frame.row_basis[1].sum() == 32 + 127
+    tracemalloc.start()
+    try:
+        result = kernel_invariance(frame, "cyclic")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result[:3] == (KERNEL_SAMPLES, math.inf, False)
+    assert peak < 16 << 20
+
+
 def test_kernel_check_memory_is_linear_in_m():
     peaks = []
     for m in (64, 128):
