@@ -7,7 +7,7 @@ import numpy as np
 
 from .exceptions import InvalidDimensions, NotAFrame
 from .frames import GFusionFrame, frame_bounds, fusion_frame
-from .hilbert import ModuleOperator, ModuleVector, Submodule
+from .hilbert import ModuleOperator, ModuleVector, Submodule, row_bases
 
 RANDOM_FRAME_ATTEMPTS = 64  # seeds random_frame tries before it gives up
 
@@ -20,17 +20,27 @@ def _validate(n: int, d: int, m: int):
                                 "stack, larger than any array on this platform")
 
 
+def _gaussian(re, im) -> np.ndarray:
+    """Standard complex Gaussian entries from two real normal draws."""
+    return (re + 1j * im) / np.sqrt(2.0)
+
+
 def random_complex(rng, rows: int, cols: int) -> np.ndarray:
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+    return _gaussian(rng.standard_normal((rows, cols)), rng.standard_normal((rows, cols)))
+
+
+def _haar(z) -> np.ndarray:
+    """Haar-distributed unitaries from a (stack of) complex Gaussian square
+    matrices: QR with the phase fix of Mezzadri, Notices AMS 54 (2007)."""
+    q, r = np.linalg.qr(z)
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    phases /= np.abs(phases)
+    return q * phases[..., None, :]
 
 
 def random_unitary(rng, k: int) -> np.ndarray:
     """Haar-distributed unitary (QR with the standard phase fix)."""
-    z = random_complex(rng, k, k)
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+    return _haar(random_complex(rng, k, k))
 
 
 def _signed_eigenbasis(rng, k: int):
@@ -113,24 +123,43 @@ def commuting_orbit_frame(n: int, d: int, m: int, seed: int = 0) -> GFusionFrame
     return _full_frame(operators, n, d, "cyclic")
 
 
-def _random_elements(rng, n: int, d: int, count: int) -> list:
-    """`count` seeded dense operators, each projected into a random submodule."""
+def _random_elements(rng, n: int, d: int, count: int):
+    """`count` seeded dense operators, each projected into a random
+    submodule, as the stacks (projections, operators).
+
+    Member k draws its rank r_k, then four (nd, nd) normal blocks: the real
+    and imaginary parts of a Gaussian whose Haar unitary's first r_k
+    conjugate columns are the submodule's basis rows, and of the dense
+    operator.  The draw loop makes only those two RNG calls per member; one
+    batched QR, one SVD of the basis rows per distinct rank and one batched
+    product follow it, with the arrays of a member-by-member loop."""
     nd = n * d
-    elements = []
-    for _ in range(count):
-        rank = int(rng.integers(1, nd + 1))
-        basis = random_unitary(rng, nd).conj().T[:rank]
-        sub = Submodule.from_basis_rows(basis, n, d)
-        op = random_complex(rng, nd, nd) @ sub.projection.matrix
-        elements.append((sub, ModuleOperator(op, n, d)))
-    return elements
+    ranks = np.empty(count, dtype=np.intp)
+    normals = np.empty((count, 4, nd, nd))
+    for k in range(count):
+        ranks[k] = rng.integers(1, nd + 1)
+        rng.standard_normal(out=normals[k])
+    rows = _haar(_gaussian(normals[:, 0], normals[:, 1])).conj().transpose(0, 2, 1)
+    projections = np.empty((count, nd, nd), dtype=np.complex128)
+    for r in np.flatnonzero(np.bincount(ranks)):  # np.unique costs a fresh process 16 ms
+        members = np.flatnonzero(ranks == r)
+        basis, _ = row_bases(rows[members, :r])
+        projections[members] = basis.conj().transpose(0, 2, 1) @ basis
+    return projections, _gaussian(normals[:, 2], normals[:, 3]) @ projections
+
+
+def _stacked_frame(projections, operators, n: int, d: int) -> GFusionFrame:
+    """The linear frame of two stacks, with the containment check of
+    `GFusionFrame(pairs)`; the projections are ones by construction."""
+    frame = GFusionFrame.__new__(GFusionFrame)._adopt(projections, operators, [None], n, d, "linear")
+    return frame._check_containment()
 
 
 def random_family_frame(n: int, d: int, m: int, seed: int = 0) -> GFusionFrame:
     """Seeded dense operators projected into random submodules; may fail the
     frame inequality (that is a legitimate outcome for analysis commands)."""
     _validate(n, d, m)
-    return GFusionFrame(_random_elements(np.random.default_rng(seed), n, d, m), "linear")
+    return _stacked_frame(*_random_elements(np.random.default_rng(seed), n, d, m), n, d)
 
 
 def random_frame(n: int, d: int, m: int, seed: int = 0, max_cond: float = 1e8) -> GFusionFrame:
@@ -142,11 +171,13 @@ def random_frame(n: int, d: int, m: int, seed: int = 0, max_cond: float = 1e8) -
     """
     _validate(n, d, m)
     nd = n * d
-    full = Submodule.full(n, d)
+    full = np.eye(nd, dtype=np.complex128)[None]
     for attempt in range(RANDOM_FRAME_ATTEMPTS):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
-        elements = [(full, ModuleOperator(random_complex(rng, nd, nd), n, d))]
-        frame = GFusionFrame(elements + _random_elements(rng, n, d, m - 1), "linear")
+        first = random_complex(rng, nd, nd)[None]
+        projections, operators = _random_elements(rng, n, d, m - 1)
+        frame = _stacked_frame(np.concatenate((full, projections)),
+                               np.concatenate((first, operators)), n, d)
         try:
             lower, upper = frame_bounds(frame)
         except NotAFrame:

@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from gframemod.numerics import RANK_TOL
+
 
 def stacked_flatten(vec) -> np.ndarray:
     """(n*d) x d matrix stacking the transposed components."""
@@ -394,3 +396,41 @@ def dyadic_family(nd: int, m: int, rng) -> np.ndarray:
             member = np.zeros((nd, nd), dtype=np.complex128)
         members.append(member)
     return np.stack(members)
+
+
+def reference_random_stacks(rng, nd: int, count: int):
+    """The per-member loop the random generator used to run, kept as a
+    reference for its batched form: each member draws its rank, a Haar
+    unitary (QR with the phase fix) whose first rank conjugate columns span
+    its submodule, and a dense operator projected into that submodule.
+    Returns the stacks (projections, operators), both (count, nd, nd)."""
+    projections = np.zeros((count, nd, nd), dtype=np.complex128)
+    operators = np.zeros((count, nd, nd), dtype=np.complex128)
+    for k in range(count):
+        rank = int(rng.integers(1, nd + 1))
+        z = (rng.standard_normal((nd, nd)) + 1j * rng.standard_normal((nd, nd))) / np.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        phases = np.diag(r).copy()
+        phases /= np.abs(phases)
+        _, s, vh = np.linalg.svd((q * phases).conj().T[:rank], full_matrices=False)
+        rows = vh[:np.count_nonzero(s > RANK_TOL * s[0])]
+        projections[k] = rows.conj().T @ rows
+        g = (rng.standard_normal((nd, nd)) + 1j * rng.standard_normal((nd, nd))) / np.sqrt(2.0)
+        operators[k] = g @ projections[k]
+    return projections, operators
+
+
+def reference_random_frame_stacks(nd: int, m: int, seed: int, max_cond: float = 1e8):
+    """The stacks of the first seeded attempt whose family is a frame with
+    B / A <= max_cond: a dense operator on the whole module, then m - 1
+    members of `reference_random_stacks`."""
+    for attempt in range(64):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
+        first = (rng.standard_normal((nd, nd)) + 1j * rng.standard_normal((nd, nd))) / np.sqrt(2.0)
+        projections, operators = reference_random_stacks(rng, nd, m - 1)
+        projections = np.concatenate((np.eye(nd, dtype=np.complex128)[None], projections))
+        operators = np.concatenate((first[None], operators))
+        eigs = np.linalg.eigvalsh(np.einsum("kji,kjl->il", operators.conj(), operators))
+        if eigs[0] > RANK_TOL * eigs[-1] and eigs[-1] / eigs[0] <= max_cond:
+            return projections, operators
+    raise AssertionError("no attempt gave a frame")

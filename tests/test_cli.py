@@ -22,6 +22,7 @@ from gframemod.serialize import dumps_canonical, frame_to_document, load_frame, 
 
 import oracles
 from test_perturb import _near_dependent_pair
+from test_represent import _line_events
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -796,21 +797,71 @@ def test_analyze_factors_only_the_frame_operator(tmp_path, monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_gen_factors_no_submodule_it_only_writes(tmp_path, monkeypatch, kind):
-    # the only SVDs of gen are those of orthonormal_rows, which builds a
-    # submodule from basis rows; no projection it writes is factored again
-    linalg, rows = [], []
+    # the only SVDs of gen factor basis rows: the input of orthonormal_rows,
+    # once per fusion part, or of row_bases, once per distinct rank of a
+    # random family; no projection it writes is factored again.  A
+    # one-member full-rank group has a projection's shape, so the SVDs are
+    # told apart by their inputs
+    linalg, rows, factored = [], [], []
     _recording_linalg(monkeypatch, linalg)
-    orthonormal_rows = hilbert.orthonormal_rows
-    monkeypatch.setattr(hilbert, "orthonormal_rows", lambda x: rows.append(x) or orthonormal_rows(x))
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *x, **k: factored.append(a) or svd(a, *x, **k))
+    for module, name in ((hilbert, "orthonormal_rows"), (families, "row_bases")):
+        monkeypatch.setattr(module, name, lambda x, _f=getattr(module, name): rows.append(x) or _f(x))
     n, d = 8, 8  # a fusion decomposition needs m <= n*d
     for m in (4, 64):
+        traces = np.trace(families.generate(kind, n, d, m, 1).projections, axis1=1, axis2=2).real
         linalg.clear()
         rows.clear()
+        factored.clear()
         _gen(tmp_path, kind, n, d, m, 1)
-        svds = [shape for name, shape in linalg if name == "svd"]
-        assert (1, n * d, n * d) not in svds
-        assert len(svds) == len(rows) == (m if kind in ("fusion", "random") else 0)
+        ranks = len(set(np.rint(traces).tolist()))
+        assert len(factored) == len(rows) == {"fusion": m, "random": ranks}.get(kind, 0)
+        assert all(any(a is x for x in rows) for a in factored)
+        for x in rows:  # orthonormal rows, no projection
+            assert np.abs(x @ x.conj().swapaxes(-1, -2) - np.eye(x.shape[-2])).max() <= 1e-12
         assert {name for name, _ in linalg} <= {"svd", "qr"}
+
+
+RANDOM_REFERENCE_SIZES = [(1, 1, 5), (2, 2, 1), (2, 2, 40), (2, 2, 4), (4, 4, 64), (16, 4, 4)]
+
+
+@pytest.mark.parametrize("n, d, m", RANDOM_REFERENCE_SIZES, ids=str)
+def test_the_random_generators_match_the_per_member_reference(n, d, m):
+    # n*d = 1, one member, every rank 1..n*d present, and the benchmark sizes
+    if (n, d, m) == (2, 2, 40):
+        ranks = np.trace(families.random_family_frame(n, d, m, seed=3).projections, axis1=1, axis2=2)
+        assert set(np.rint(ranks.real).tolist()) == {1.0, 2.0, 3.0, 4.0}
+    for seed in (0, 3):
+        for frame, (projections, operators) in (
+                (families.random_family_frame(n, d, m, seed=seed),
+                 oracles.reference_random_stacks(np.random.default_rng(seed), n * d, m)),
+                (families.random_frame(n, d, m, seed=seed),
+                 oracles.reference_random_frame_stacks(n * d, m, seed))):
+            assert frame.projections.tobytes() == projections.tobytes()
+            assert frame.operators.tobytes() == operators.tobytes()
+
+
+@pytest.mark.parametrize("n, d, m", [(2, 2, 4), (4, 4, 64)], ids=str)
+def test_gen_random_writes_the_reference_family(tmp_path, n, d, m):
+    projections, operators = oracles.reference_random_stacks(np.random.default_rng(1), n * d, m)
+    metadata = {"kind": "random", "seed": "1", "format": cli.FORMAT_VERSION,
+                "generator": f"gframemod {cli.__version__}"}
+    frame = GFusionFrame.from_stacks(projections, operators, n, d, "linear")
+    text = _gen(tmp_path, "random", n, d, m, 1).read_text()
+    assert text == dumps_canonical(frame_to_document(frame, metadata))
+
+
+def test_the_random_generator_runs_no_python_line_per_member_past_its_draws():
+    # at n*d = 2 both sizes draw both ranks, so the batched algebra runs the
+    # same lines, and only the draw loop's three lines per member grow with m
+    counts = []
+    for m in (64, 128):
+        ranks = np.trace(families.random_family_frame(2, 1, m, seed=1).projections, axis1=1, axis2=2)
+        assert set(np.rint(ranks.real).tolist()) == {1.0, 2.0}
+        counts.append(_line_events({families.__file__},
+                                   lambda: families.random_family_frame(2, 1, m, seed=1)))
+    assert 0 < counts[1] - counts[0] <= 3 * 64
 
 
 @pytest.mark.parametrize("command, kind", [("represent", "unitary-orbit"), ("represent", "fusion"),
