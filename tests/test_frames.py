@@ -463,3 +463,10 @@ def test_verify_dual():
     assert not verify_dual(frame, frame)  # non-Parseval frame is not its own dual
     parseval = fusion_frame(list(_orthogonal_pair()), [1.0, 1.0])
     assert verify_dual(parseval, parseval)
+
+
+def test_verify_dual_length_mismatch():
+    frame = random_frame(2, 1, 3, seed=17)
+    other = random_frame(2, 1, 2, seed=17)
+    with pytest.raises(LengthMismatch):
+        verify_dual(frame, other)

@@ -8,8 +8,10 @@ from gframemod import perturb
 from gframemod.algebra import psd_leq
 from gframemod.exceptions import (
     BaseNotIndependent,
+    DimensionMismatch,
     InequalityNotVerified,
     InvalidDimensions,
+    LengthMismatch,
     NotAFrame,
 )
 from gframemod.families import (
@@ -799,6 +801,20 @@ def test_margin_invariant_under_unitary_conjugation():
     terms = [f_rot.flat @ fr.operators for fr in (conjugate(frame), conjugate(perturbed))]
     batch = perturb._batch_margins(alpha[None], *terms, params)
     assert [float(side[0]) for side in batch] == pytest.approx([lhs2, rhs2], rel=1e-10)
+
+
+def test_length_mismatch():
+    a = random_frame(2, 1, 3, seed=13)
+    b = random_frame(2, 1, 2, seed=13)
+    with pytest.raises(LengthMismatch):
+        check_perturbation_inequality(a, b, PerturbationParams(0.1, 0.1))
+
+
+def test_shape_mismatch_is_a_dimension_mismatch():
+    a = random_frame(2, 1, 3, seed=13)
+    b = random_frame(1, 2, 3, seed=13)  # the same n*d
+    with pytest.raises(DimensionMismatch, match=r"different \(n, d\)"):
+        check_perturbation_inequality(a, b, PerturbationParams(0.1, 0.1))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ import pytest
 from gframemod import frames, represent
 from gframemod.exceptions import (
     DegenerateSpan,
+    DimensionMismatch,
     HypothesisViolation,
+    LengthMismatch,
     MembershipViolation,
     NotInvertible,
     NotRepresentable,
@@ -877,6 +879,17 @@ def test_right_shift_of_an_analysis_is_its_product_with_t(make, representable, m
         assert not shifted[k:].any()
         checked.add(convention)
     assert checked == representable(m)
+
+
+def test_shift_identity_refuses_a_dual_of_another_shape_as_a_shape_error():
+    frame = unitary_orbit_frame(2, 2, 4, seed=21)
+    extension = solve_adjoint_shift_extension(frame)
+    with pytest.raises(LengthMismatch, match="families have different lengths"):
+        verify_shift_reconstruction_identity(
+            frame, canonical_dual(unitary_orbit_frame(2, 2, 3, seed=21)), extension, j=0)
+    with pytest.raises(DimensionMismatch, match=r"families have different \(n, d\)"):
+        verify_shift_reconstruction_identity(
+            frame, canonical_dual(unitary_orbit_frame(4, 1, 4, seed=21)), extension, j=0)
 
 
 def test_wrong_extension_raises():
