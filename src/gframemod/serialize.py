@@ -6,7 +6,9 @@ round-trip IEEE doubles exactly), so serialize(parse(x)) == x byte for byte
 on canonical input and repeated runs produce identical files.
 
 Complex matrices are arrays of rows, each entry a two-element [re, im]
-array.  A frame document is
+array.  A list of exactly two numbers, such as an entry, is written on one
+line as `[a, b]`; every other list puts one item on each line.  The reader
+accepts any JSON layout.  A frame document is
 
     { "d": int, "n": int, "index_convention": "linear"|"cyclic",
       "elements": [ { "projection": matrix, "operator": matrix }, ... ],
@@ -77,6 +79,14 @@ def _write(obj, out, indent, written):
         if not obj:
             out.append("[]")
             return
+        if len(obj) == 2 and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                                 for v in obj):
+            out.append("[")
+            _write(obj[0], out, indent, written)
+            out.append(", ")
+            _write(obj[1], out, indent, written)
+            out.append("]")
+            return
         out.append("[\n")
         for k, item in enumerate(obj):
             out.append(pad + "  ")
@@ -122,7 +132,7 @@ def _matrix_template(rows: int, cols: int, indent: int) -> str:
     """The generic writer's layout of a rows x cols matrix at `indent`,
     with a %.17g slot for every real and imaginary part."""
     pad = "  " * indent
-    entry = f"[\n{pad}      %.17g,\n{pad}      %.17g\n{pad}    ]"
+    entry = "[%.17g, %.17g]"
     row = f"[\n{pad}    " + f",\n{pad}    ".join([entry] * cols) + f"\n{pad}  ]"
     return f"[\n{pad}  " + f",\n{pad}  ".join([row] * rows) + f"\n{pad}]"
 

@@ -98,6 +98,22 @@ def test_the_summary_counts_large_float_moves_apart(monkeypatch, capsys):
                          "0 of them structurally, 1 with a large float move")
 
 
+def test_a_difference_of_layout_alone_is_marked_as_such(monkeypatch, capsys):
+    outputs = {("old", "a"): b'{"x": [\n  1.0,\n  0\n]}', ("new", "a"): b'{"x": [1.0, 0]}',
+               ("old", "b"): b'{"x": [1.0, 0]}', ("new", "b"): b'{"x": [1.00, 0]}'}
+    monkeypatch.setattr(byte_sweep, "plan", lambda old_src, work: [(["a"], None), (["b"], None)])
+    monkeypatch.setattr(byte_sweep, "run", lambda src, argv, written, threads=1:
+                        (0, outputs[src, argv[0]], b"", None))
+    assert byte_sweep.main(["old", "new"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    # the whitespace move is layout only; a number written another way is not
+    assert lines[:3] == ["DIFFERS (stdout; exit 0 -> 0): a", "    layout only (same JSON value)",
+                         "DIFFERS (stdout; exit 0 -> 0): b"]
+    assert lines[3] == "    float: stdout:x[] (1 differ, at most 0 ulp)"
+    assert lines[-1] == ("byte sweep: 2 invocations, 0 identical, 2 differ, "
+                         "0 of them structurally, 0 with a large float move")
+
+
 def test_a_nudged_copy_moves_each_member_inside_its_submodule():
     doc = json.loads(dumps_canonical(frame_to_document(generate("random", 2, 2, 4, seed=1))))
     frame, nudged = (document_to_frame(d) for d in (doc, byte_sweep._nudged(doc, 1e-3, 1)))

@@ -27,6 +27,7 @@ from gframemod.serialize import (
     document_to_frame,
     document_to_vector,
     dumps_canonical,
+    frame_to_document,
     load_frame,
     load_vector,
     vector_to_document,
@@ -95,6 +96,23 @@ def test_accepted_documents_parse_as_the_standard_library_reads_them(accepted):
         sha = hashlib.sha256()
         LOADERS[kind][0](path, sha)
         assert sha.hexdigest() == hashlib.sha256(raw).hexdigest(), path
+
+
+def test_a_document_in_the_earlier_layout_loads_as_its_rewrite_does(tmp_path):
+    # the corpus orbit is in the earlier layout, each number of an [re, im]
+    # entry on its own line; the writer puts an entry on one line, and only
+    # the digest tells the two files apart
+    rewritten = tmp_path / "orbit.json"
+    rewritten.write_text(dumps_canonical(json.loads(ORBIT.read_text())))
+    assert rewritten.stat().st_size < ORBIT.stat().st_size
+    assert json.loads(rewritten.read_text()) == json.loads(ORBIT.read_text())
+    shas = [hashlib.sha256(), hashlib.sha256()]
+    loaded = [_bits(load_frame(path, sha)) for path, sha in zip((ORBIT, rewritten), shas)]
+    assert loaded[0] == loaded[1]
+    assert shas[0].hexdigest() != shas[1].hexdigest()
+    frame = load_frame(ORBIT)
+    metadata = json.loads(ORBIT.read_text())["metadata"]
+    assert dumps_canonical(frame_to_document(frame, metadata)) == rewritten.read_text()
 
 
 # ---------------------------------------------------------------------------

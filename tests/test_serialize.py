@@ -85,6 +85,55 @@ def test_array_writer_rejects_non_finite_values():
             dumps_canonical({"m": matrix})
 
 
+def test_a_matrix_at_indent_1_writes_each_entry_on_one_line():
+    matrix = np.array([[1.0 + 0.5j, -0.0 - 2.0j], [1 / 3, 5e-324 - 1e100j]])
+    golden = ('{\n'
+              '  "m": [\n'
+              '    [\n'
+              '      [1, 0.5],\n'
+              '      [0, -2]\n'
+              '    ],\n'
+              '    [\n'
+              '      [0.33333333333333331, 0],\n'
+              '      [4.9406564584124654e-324, -1e+100]\n'
+              '    ]\n'
+              '  ]\n'
+              '}\n')
+    assert dumps_canonical({"m": matrix}) == golden
+    assert dumps_canonical({"m": matrix_to_json(matrix)}) == golden
+
+
+def test_a_report_list_of_pairs_writes_each_pair_on_one_line():
+    report = {"coefficients": [[1.0, 0.0], [-0.5, 0.25]], "pair": [3, -0.0]}
+    golden = ('{\n'
+              '  "coefficients": [\n'
+              '    [1, 0],\n'
+              '    [-0.5, 0.25]\n'
+              '  ],\n'
+              '  "pair": [3, 0]\n'
+              '}\n')
+    assert dumps_canonical(report) == golden
+
+
+def test_a_pair_of_numpy_floats_writes_as_a_pair_of_floats():
+    values = [[0.1, -0.0], [1e-300, 2.0]]
+    as_numpy = [[np.float64(v) for v in pair] for pair in values]
+    assert dumps_canonical({"x": as_numpy}) == dumps_canonical({"x": values})
+    assert dumps_canonical((np.float64(0.1), 2)) == "[0.10000000000000001, 2]\n"
+
+
+def test_other_lists_keep_one_item_per_line():
+    # booleans are not numbers; lists of 1 or 3 numbers and mixed pairs
+    # are not pairs of numbers
+    for obj, text in [([True, False], "[\n  true,\n  false\n]\n"),
+                      ([1.0, True], "[\n  1,\n  true\n]\n"),
+                      ([1.0], "[\n  1\n]\n"),
+                      ([1, 2, 3], "[\n  1,\n  2,\n  3\n]\n"),
+                      ([1.0, None], "[\n  1,\n  null\n]\n"),
+                      ([[1.0, 0.0], "x"], '[\n  [1, 0],\n  "x"\n]\n')]:
+        assert dumps_canonical(obj) == text, obj
+
+
 def _list_written(obj) -> str:
     """What the list writer prints for `obj` (its matrices as nested lists)."""
     return dumps_canonical(json.loads(dumps_canonical(obj)))

@@ -26,6 +26,10 @@ differences are listed once per path with list indices dropped
   units in the last place, such as rounding noise printed as a value;
 * float: any other number, with its distance in units in the last place.
 
+An invocation whose differing outputs parse to equal JSON values, numbers
+compared as written, lists no key path; it is marked `layout only (same
+JSON value)`: only whitespace moved.
+
 The summary line counts the invocations with a structural difference and
 those with a large float move.
 
@@ -435,6 +439,8 @@ def main(argv=None) -> int:
                  if a != b]
         shown = " ".join(os.path.relpath(a, work) if a.startswith(work) else a for a in argv)
         print(f"DIFFERS ({', '.join(parts)}; exit {old[0]} -> {new[0]}): {shown}")
+        if not differences:
+            print("    layout only (same JSON value)")
         floats = {}
         for kind, key, detail in differences:
             if kind == "structural":
