@@ -42,7 +42,8 @@ class NonpositiveWeight(GFrameError):
 
 
 class DegenerateSpan(GFrameError):
-    """span of the submodule family has rank zero."""
+    """The family is too small for a shift statement: fewer than two
+    members to represent, no slot in its shift, or a span of rank zero."""
 
 
 class HypothesisViolation(GFrameError):

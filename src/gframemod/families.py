@@ -148,18 +148,11 @@ def _random_elements(rng, n: int, d: int, count: int):
     return projections, _gaussian(normals[:, 2], normals[:, 3]) @ projections
 
 
-def _stacked_frame(projections, operators, n: int, d: int) -> GFusionFrame:
-    """The linear frame of two stacks, with the containment check of
-    `GFusionFrame(pairs)`; the projections are ones by construction."""
-    frame = GFusionFrame.__new__(GFusionFrame)._adopt(projections, operators, [None], n, d, "linear")
-    return frame._check_containment()
-
-
 def random_family_frame(n: int, d: int, m: int, seed: int = 0) -> GFusionFrame:
     """Seeded dense operators projected into random submodules; may fail the
     frame inequality (that is a legitimate outcome for analysis commands)."""
     _validate(n, d, m)
-    return _stacked_frame(*_random_elements(np.random.default_rng(seed), n, d, m), n, d)
+    return GFusionFrame.from_stacks(*_random_elements(np.random.default_rng(seed), n, d, m), n, d)
 
 
 def random_frame(n: int, d: int, m: int, seed: int = 0, max_cond: float = 1e8) -> GFusionFrame:
@@ -176,8 +169,8 @@ def random_frame(n: int, d: int, m: int, seed: int = 0, max_cond: float = 1e8) -
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
         first = random_complex(rng, nd, nd)[None]
         projections, operators = _random_elements(rng, n, d, m - 1)
-        frame = _stacked_frame(np.concatenate((full, projections)),
-                               np.concatenate((first, operators)), n, d)
+        frame = GFusionFrame.from_stacks(np.concatenate((full, projections)),
+                                         np.concatenate((first, operators)), n, d)
         try:
             lower, upper = frame_bounds(frame)
         except NotAFrame:

@@ -70,8 +70,8 @@ class GFusionFrame:
     The frame is its stacks: `operators` and `projections` hold the
     flattened Y_xi and P_{N_xi} as read-only (m, n*d, n*d) arrays, stacked
     once.  The range of each Y_xi is checked against N_xi where data enters,
-    in `GFusionFrame(pairs)`, `from_stacks` and the random generators'
-    stacks; `scaled`, the dual and `fusion_frame` skip it, as c Y_xi,
+    in `GFusionFrame(pairs)` and `from_stacks`, which the random generators
+    call; `scaled`, the dual and `fusion_frame` skip it, as c Y_xi,
     Y_xi S^-1 and w P_xi have ranges in N_xi by construction.  `elements` and `submodules()` build the
     per-element objects on demand.  Three facts are factored on first use
     and kept read-only: `row_basis`, the packed row bases of the N_xi (one

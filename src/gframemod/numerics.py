@@ -14,7 +14,7 @@ RANK_TOL = 1e-10  # x the top singular value (top eigenvalue of S; m max ||Y|| f
 INVERT_TOL = 1e-12  # x the top singular value: S or T singular; synthesis-range and window ranks
 PROJECTION_TOL = 1e-8  # x 1: ||Q - Q^H|| and ||Q^2 - Q|| of a projection
 CONTAINMENT_TOL = 1e-8  # x ||Y_k||: ||Y_k P_k - Y_k||, the range of Y_k inside N_k; synthesis's default
-MEMBERSHIP_TOL = 1e-10  # x ||seq|| (||f|| for one vector, 1 for a unit kernel sample): ||t - t P|| of a term t
+MEMBERSHIP_TOL = 1e-10  # x ||seq|| (||f|| for one vector), 1 for orthonormal rows t: ||t - t P|| of a term t
 HERMITIAN_TOL = 1e-9  # x the operands' max(||u||, ||v||): Hermitian and PSD-order tests
 HYPOTHESIS_TOL = 1e-9  # x ||Y_k||, and Y_k's top singular value on N_k for its rank: verify_hypotheses
 TIGHT_TOL = 1e-9  # x 1: the gap (B - A) / B

@@ -35,6 +35,7 @@ from .hilbert import (
     Submodule,
     _check_convention,
     _check_shapes,
+    contained,
     gram_sum,
     null_combinations,
     shift_pairs,
@@ -49,7 +50,6 @@ from .numerics import (
     SNAP_TOL,
     _first_tied,
     hermitian_within,
-    norms_within,
     rank,
     spectral_norms,
 )
@@ -67,8 +67,10 @@ CAVEATS = {  # the caveat every report of a convention carries
 def _shift_solve(mats, convention: str):
     """The two sides of mats[i] X = mats[b[i]] stacked over the slots i < k of
     the right shift (k, b) of `convention`, and the minimal-norm least-squares
-    X from one pinv of the left side."""
+    X from one pinv of the left side; DegenerateSpan when there is no slot."""
     k, b = shift_pairs(len(mats), convention)
+    if k == 0:
+        raise DegenerateSpan(f"the {convention} shift of one member has no slot")
     lhs, rhs = mats[:k], mats[b]
     nd = mats.shape[-1]
     return lhs, rhs, np.linalg.pinv(lhs.reshape(-1, nd), rcond=RANK_TOL) @ rhs.reshape(-1, nd)
@@ -171,15 +173,15 @@ def _kernel_row_basis(frame: GFusionFrame):
     return vh, mask, u[:, :rank(s, INVERT_TOL)], float(s[0]) if s.size else 0.0
 
 
-def _kernel_samples(frame: GFusionFrame, q, count: int, seed: int, r=None, unit=True):
-    """Seeded unit-norm kernel rows y = z P / ||z P||, P = I - Q Q^H, with q
-    the range basis Q from `_kernel_row_basis`.  The standard complex
-    normals z are drawn as consecutive (c, d, Sigma rank) chunks of one
-    stream, c set by KERNEL_CHUNK_BYTES; chunking does not change the
-    numbers drawn.  Each chunk takes one product z [Q | R] and yields
-    (z R, ||z P||, y), with y formed only when `unit` is set.  ||z P||^2 is
-    the top eigenvalue of the d x d Gram z z^H - (z Q)(z Q)^H; the basis
-    rows are orthonormal, so it is also the sample's sequence norm."""
+def _kernel_samples(frame: GFusionFrame, q, count: int, seed: int, r=None):
+    """Seeded kernel rows y = z P / ||z P||, P = I - Q Q^H, with q the range
+    basis Q from `_kernel_row_basis`, in the parts (z, z Q, z R, ||z P||).
+    The standard complex normals z are drawn as consecutive (c, d, Sigma
+    rank) chunks of one stream, c set by KERNEL_CHUNK_BYTES; chunking does
+    not change the numbers drawn.  Each chunk takes one product z [Q | R].
+    ||z P||^2 is the top eigenvalue of the d x d Gram z z^H - (z Q)(z Q)^H;
+    the basis rows are orthonormal, so it is also the sample's sequence
+    norm."""
     total, rank_q = q.shape
     q_r = q if r is None else np.concatenate([q, r], axis=1)
     rng = np.random.default_rng(seed)
@@ -193,8 +195,7 @@ def _kernel_samples(frame: GFusionFrame, q, count: int, seed: int, r=None, unit=
         # power-of-two scaling that R's magnitudes need in `spectral_norms`
         gram = z @ z.conj().swapaxes(-1, -2) - zq @ zq.conj().swapaxes(-1, -2)
         norms = np.maximum(np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0)), 1e-300)
-        y = (z - zq @ q.conj().T) / norms[:, None, None] if unit else None
-        yield w[..., rank_q:], norms, y
+        yield z, zq, w[..., rank_q:], norms
 
 
 def sample_synthesis_kernel(frame: GFusionFrame, count: int, seed: int = 0):
@@ -207,52 +208,44 @@ def sample_synthesis_kernel(frame: GFusionFrame, count: int, seed: int = 0):
     if count == 0 or q.shape[0] == q.shape[1]:
         return []
     pad = np.zeros((count, frame.d) + mask.shape, dtype=np.complex128)  # 0 past each rank
-    pad[..., mask] = np.concatenate([y for _, _, y in _kernel_samples(frame, q, count, seed)])
+    pad[..., mask] = np.concatenate([(z - zq @ q.conj().T) / norms[:, None, None]
+                                     for z, zq, _, norms in _kernel_samples(frame, q, count, seed)])
     return [ModuleSequence._like(sample, frame) for sample in pad.swapaxes(1, 2) @ vh]
 
 
 def kernel_invariance(frame: GFusionFrame, convention: str, seed: int = 0):
-    """Sampled invariance of the synthesis kernel under the right shift of
-    `convention` at KERNEL_SAMPLES elements: (drawn, defect, ok, caveats).
+    """Invariance of the synthesis kernel under the right shift of
+    `convention`: (drawn, defect, ok, caveats).
 
-    The defect is the largest synthesis norm of a shifted unit-norm kernel
-    sample over ||M||, and the check passes at or below REPRESENT_TOL; the
-    defect is inf, and the check fails, when a shifted term leaves its new
-    submodule by more than MEMBERSHIP_TOL times the sample's unit norm.
+    Slot t < k of the right shift (k, b) of `shift_pairs` takes term
+    xi = b[t].  Under the hypotheses that `check_representation_bounds`,
+    the one caller, enforces first, Y_t T = Y_xi with Y self-adjoint gives
+    Y_xi = T^H Y_t, so N_xi lies in N_t: a shifted kernel element leaves the
+    family only where the rows V_xi fail ||V_xi - V_xi P_t|| <=
+    MEMBERSHIP_TOL, an exact test made before any sample is drawn, and then
+    the defect is inf.
 
-    No sample's terms are formed: slot t < k takes term xi = b[t] of the
-    right shift (k, b) of `shift_pairs`, so the images of row coordinates y
-    are y M' (block xi of M' is (V_xi Y_t^H)[mask], zero for a dropped term)
-    and its leaks y_xi K_xi (K_xi = V_xi - V_xi P_t).  A sample of
-    `_kernel_samples` is y = z P / ||z P||, so its image is z R / ||z P|| with
-    R = P M' = M' - Q (Q^H M'), formed once and streamed beside Q; y is
-    formed only where some K_xi is nonzero, and its leaks are screened a
-    group of members at a time, each group's coordinates and images no
-    larger than z.
+    Otherwise the defect is the largest synthesis norm of a shifted
+    unit-norm sample, over KERNEL_SAMPLES, divided by ||M||; the check
+    passes at or below REPRESENT_TOL.  The image of kernel rows y is y M'
+    (block xi of M' is (V_xi Y_t^H)[mask], zero for a dropped term), and
+    that of a sample y = z P / ||z P|| of `_kernel_samples` is z R / ||z P||,
+    R = P M' = M' - Q (Q^H M'), formed once and streamed beside Q.
     """
     vh, mask, q, top = _kernel_row_basis(frame)
     if q.shape[0] == q.shape[1]:
         return 0, 0.0, True, ["synthesis kernel is trivial; the invariance check is vacuous"]
     k, b = shift_pairs(len(frame), convention)
     ahead = vh[b]  # V of the term each slot t takes, beside Y_t and P_t
-    shifted, leaks = np.zeros_like(vh), np.zeros_like(vh)  # zero for a dropped term
+    if not contained(ahead, frame.projections[:k], MEMBERSHIP_TOL).all():
+        return (KERNEL_SAMPLES, math.inf, False,
+                ["a shifted kernel element leaves the submodule family"])
+    shifted = np.zeros_like(vh)  # zero for a dropped term
     shifted[b] = np.conjugate(ahead.conj() @ frame.operators[:k].swapaxes(1, 2))
-    leaks[b] = ahead - ahead @ frame.projections[:k]
     shifted = shifted[mask]
-    leaking = np.flatnonzero(leaks.any(axis=(1, 2)))  # none on full submodules
-    owner = np.repeat(np.arange(len(frame)), mask.sum(1))  # the member of each coordinate
-    group = max(1, q.shape[0] // vh.shape[-1])  # leaking members per screen: images within z's size
     defect = 0.0
-    for zr, norms, y in _kernel_samples(frame, q, KERNEL_SAMPLES, seed,
-                                        shifted - q @ (q.conj().T @ shifted), leaking.size > 0):
-        for start in range(0, leaking.size, group):  # one GEMM per leaking member
-            part = leaking[start:start + group]
-            pad = np.zeros((len(y) * frame.d, part.size, mask.shape[1]), dtype=np.complex128)
-            pad[:, mask[part]] = y[..., np.isin(owner, part)].reshape(len(pad), -1)
-            images = (pad.swapaxes(0, 1) @ leaks[part]).reshape(part.size, len(y), frame.d, -1)
-            if not norms_within(images, MEMBERSHIP_TOL).all():
-                return (KERNEL_SAMPLES, math.inf, False,
-                        ["a shifted kernel element leaves the submodule family"])
+    for _, _, zr, norms in _kernel_samples(frame, q, KERNEL_SAMPLES, seed,
+                                           shifted - q @ (q.conj().T @ shifted)):
         defect = max(defect, float((spectral_norms(zr) / norms).max()))
     defect /= max(top, 1e-300)
     return KERNEL_SAMPLES, defect, defect <= REPRESENT_TOL, []
@@ -483,6 +476,8 @@ def verify_shift_reconstruction_identity(frame: GFusionFrame, dual: GFusionFrame
     """
     _check_shapes(frame, dual)
     k, b = shift_pairs(len(frame), frame.index_convention)
+    if k == 0:
+        raise DegenerateSpan(f"the {frame.index_convention} shift of one member has no slot")
     if not 0 <= j < k:
         raise ValueError(f"j must lie in [0, {k - 1}] for the "
                          f"{frame.index_convention} convention")
