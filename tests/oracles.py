@@ -194,7 +194,10 @@ def term_stack_kernel_check(frame, convention: str, seed: int, samples: int = 10
     """The term-stack kernel-invariance check the library used to run, kept
     as the reference for its row-coordinate version: every sample's terms
     as one (samples, m, d, n*d) stack, shifted, tested for membership with
-    `contained` and synthesized with one tensordot.
+    `contained` and synthesized with one tensordot.  Like the library, it
+    first asks whether each submodule N_j lies in N_target of the slot it
+    shifts into, here from the projections, ||P_j (I - P_target)||_2, and
+    reads inf where one does not.
 
     Returns (drawn, defect, ok) like `represent.kernel_invariance`.
     """
@@ -210,6 +213,11 @@ def term_stack_kernel_check(frame, convention: str, seed: int, samples: int = 10
     total = sum(sizes)
     if total == q.shape[1]:
         return 0, 0.0, True
+    nd = frame.n * frame.d
+    projs = frame.projections
+    for j, target in _shift_slots(len(frame), _check_convention(convention)):
+        if np.linalg.norm(projs[j] @ (np.eye(nd) - projs[target]), 2) > MEMBERSHIP_TOL:
+            return samples, math.inf, False
     rng = np.random.default_rng(seed)
     y = rng.standard_normal((samples, frame.d, total, 2)).view(np.complex128)[..., 0]
     y -= (y @ q) @ q.conj().T

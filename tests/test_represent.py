@@ -459,15 +459,7 @@ def _reference_cases():
     return cases
 
 
-def _sampled_cases():
-    """The reference cases less masked-linear: its submodules do not nest
-    under the shift, so the exact membership test reports inf where the
-    samples found no leak (`test_the_masked_frame_fails_nesting_and_hypotheses`)."""
-    return [pytest.param(frame, id=name) for name, frame in _reference_cases()
-            if name != "masked-linear"]
-
-
-@pytest.mark.parametrize("frame", _sampled_cases())
+@pytest.mark.parametrize("frame", [pytest.param(frame, id=name) for name, frame in _reference_cases()])
 def test_kernel_check_matches_the_term_stack_reference(frame):
     drawn, defect, ok, _ = kernel_invariance(frame, frame.index_convention, seed=3)
     ref_drawn, ref_defect, ref_ok = oracles.term_stack_kernel_check(
@@ -481,7 +473,7 @@ def test_kernel_check_matches_the_term_stack_reference(frame):
         assert defect == pytest.approx(ref_defect, rel=1e-12, abs=1e-14)
 
 
-@pytest.mark.parametrize("frame", _sampled_cases())
+@pytest.mark.parametrize("frame", [pytest.param(frame, id=name) for name, frame in _reference_cases()])
 def test_the_returned_kernel_samples_reproduce_the_check(frame):
     # one seeded stream: the samples that sample_synthesis_kernel returns,
     # shifted and synthesised, give the check's defect, or leave the family
@@ -490,7 +482,13 @@ def test_the_returned_kernel_samples_reproduce_the_check(frame):
     seqs = sample_synthesis_kernel(frame, KERNEL_SAMPLES, seed=3)
     assert len(seqs) == drawn == KERNEL_SAMPLES
     if math.isinf(defect):
-        with pytest.raises(MembershipViolation):
+        # inf is the nesting verdict; the samples, being kernel elements,
+        # leave the family exactly where some kernel element leaves
+        if oracles.exact_kernel_shift_defects(frame)[0] > 1e-12:
+            with pytest.raises(MembershipViolation):
+                for seq in seqs:
+                    right_shift(seq)
+        else:
             for seq in seqs:
                 right_shift(seq)
         return
@@ -527,16 +525,20 @@ def test_the_line_frame_has_a_one_dimensional_kernel():
     assert kernel_invariance(names["line-2-2-cyclic"], "cyclic")[1] == math.inf
 
 
-def test_the_masked_frame_fails_nesting_and_hypotheses():
-    # member 2's submodule is not nested in member 1's line, so the exact
-    # membership test reports a leak although no kernel element leaves;
-    # Y_0 = P_A does not fix the whole module, so the bound check, the one
-    # caller, refuses the frame before it asks
-    frame = _masked_frame("linear")
+def test_the_masked_frame_leaks_only_outside_its_kernel():
+    # member 2's submodule is not nested in member 1's line, yet no kernel
+    # element leaves; outside the hypotheses the exact membership test
+    # cannot see that and reports a leak, and Y_0 = P_A does not fix the
+    # whole module, so the bound check, the one caller, refuses the frame
+    frame = dict(_reference_cases())["masked-linear"]
+    rows = frame.submodules()[2].basis_rows
+    leak = rows - rows @ frame.projections[1]
+    assert np.linalg.norm(leak, 2) > 0.5
+    membership, defect = oracles.exact_kernel_shift_defects(frame)
+    assert membership < 1e-12 and defect > 0.1
     drawn, defect, ok, caveats = kernel_invariance(frame, "linear", seed=3)
     assert (drawn, defect, ok) == (KERNEL_SAMPLES, math.inf, False)
     assert caveats == ["a shifted kernel element leaves the submodule family"]
-    assert oracles.exact_kernel_shift_defects(frame)[0] < 1e-12
     with pytest.raises(HypothesisViolation):
         check_representation_bounds(frame, solve_representation(frame))
 
