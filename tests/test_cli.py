@@ -1153,3 +1153,91 @@ def test_only_a_dependent_family_reaches_the_solve(tmp_path, capsys, monkeypatch
     assert run(["independence", CORPUS / "dilation_m3.json"]) == 2
     assert capsys.readouterr().err.endswith(
         "gframemod: error: linear algebra failed: SVD did not converge\n")
+
+
+# ---------------------------------------------------------------------------
+# the C allocator
+
+# a fresh process: generate a dense random (16, 4, 4) document, about
+# 1.84 MB, and print for each of four `analyze` calls on it its minor page
+# faults beside the pages of the arenas that Python's small-object allocator
+# mapped meanwhile.  That allocator maps its arenas itself, outside malloc,
+# and may unmap and map one again on every call.
+_ANALYZE_FAULTS = """
+import os, re, resource, sys, tempfile
+from gframemod.cli import main
+
+def arena_pages():
+    with tempfile.TemporaryFile() as stats:
+        saved = os.dup(2)
+        os.dup2(stats.fileno(), 2)
+        try:
+            sys._debugmallocstats()
+        finally:
+            os.dup2(saved, 2)
+            os.close(saved)
+        stats.seek(0)
+        text = stats.read().decode().replace(",", "")
+    mapped = re.search(r"# arenas allocated total *= *(\\d+)", text).group(1)
+    size = re.search(r"(\\d+) bytes/arena", text).group(1)
+    return int(mapped) * int(size) // resource.getpagesize()
+
+doc, out = (os.path.join(sys.argv[1], name) for name in ("random.json", "report.json"))
+assert main(["gen", "--kind", "random", "--n", "16", "--d", "4", "--m", "4", doc]) == 0
+for _ in range(4):
+    arenas = arena_pages()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(["analyze", doc, "--output", out]) == 0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    print(faults, arena_pages() - arenas)
+"""
+
+
+@pytest.mark.skipif(getattr(cli._libc(), "mallopt", None) is None
+                    or not hasattr(sys, "_debugmallocstats"),
+                    reason="the C library has no mallopt, or Python no arena count")
+def test_repeated_reads_keep_the_heap_they_faulted_in(tmp_path):
+    """glibc's default hands the parse buffer back to the kernel after each
+    command, and the next one faults it in again: 800-1000 minor faults per
+    call on this document.  With the heap kept, a warm call takes fewer than
+    100 besides those of Python's own new arenas."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    env.pop("PYTHONMALLOC", None)
+    proc = subprocess.run([sys.executable, "-c", _ANALYZE_FAULTS, str(tmp_path)],
+                          capture_output=True, text=True, env=env, check=True)
+    calls = [tuple(map(int, line.split())) for line in proc.stdout.splitlines()]
+    assert len(calls) == 4
+    assert all(faults - arenas < 100 for faults, arenas in calls[2:]), calls
+
+
+class _Refusing:
+    """A C library whose mallopt refuses every value, recording the calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 0
+
+
+@pytest.mark.parametrize("libc", [None, object(), _Refusing()],
+                         ids=["none", "no-mallopt", "refuses"])
+def test_reports_do_not_depend_on_the_allocator(tmp_path, monkeypatch, libc):
+    # the setting is a no-op where the C library cannot take it, and the
+    # reports keep their bytes
+    argv = ["represent", CORPUS / "dilation_m3.json", "--check-theorem21"]
+    run([*argv, "--output", tmp_path / "kept.json"])
+    monkeypatch.setattr(cli, "_libc", lambda: libc)
+    cli._keep_heap.cache_clear()
+    try:
+        for name in ("first.json", "second.json"):
+            run([*argv, "--output", tmp_path / name])
+    finally:
+        cli._keep_heap.cache_clear()
+    kept = (tmp_path / "kept.json").read_bytes()
+    assert (tmp_path / "first.json").read_bytes() == kept
+    assert (tmp_path / "second.json").read_bytes() == kept
+    if isinstance(libc, _Refusing):  # asked once per process, on the first call
+        assert libc.calls == [(-3, cli.MMAP_THRESHOLD), (-2, cli.TOP_PAD)]

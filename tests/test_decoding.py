@@ -18,7 +18,7 @@ import tempfile
 import numpy as np
 import orjson
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gframemod.cli import main
 from gframemod.exceptions import ParseError
@@ -338,8 +338,10 @@ def test_every_integer_up_to_1e30_decodes_to_the_same_bits(k):
 # ---------------------------------------------------------------------------
 # corrupted documents under every reading command
 
+# the last two have a length, 2 as a pair does, but are not lists
 _CORRUPT_VALUES = {"true": True, "string": "1.0", "null": None, "nested list": [[1.0, 0.0]],
-                   "10**400": 10**400, "NaN": float("nan")}
+                   "10**400": 10**400, "NaN": float("nan"),
+                   "two-key object": {"re": 1.0, "im": 0.0}, "two characters": "10"}
 _READING_COMMANDS = (["analyze"], ["independence"], ["represent", "--check-theorem21"],
                      ["perturb"])
 
@@ -363,6 +365,10 @@ def _corrupted(corruption: str, element: int, matrix: str, at: tuple) -> dict:
 
 
 @settings(max_examples=100, deadline=None)
+@example(corruption="two-key object", element=1, matrix="operator", at=(1, 2),
+         perturbed_first=False)  # in place of an entry, whose length is also 2
+@example(corruption="two characters", element=2, matrix="projection", at=(0, 3),
+         perturbed_first=True)
 @given(corruption=st.sampled_from([*_CORRUPT_VALUES, "dropped row", "extra key"]),
        element=st.integers(0, 3), matrix=st.sampled_from(["projection", "operator"]),
        at=st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple),

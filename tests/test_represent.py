@@ -683,12 +683,12 @@ def test_the_kernel_basis_copies_no_operator_stack():
 
 
 def test_the_leak_test_holds_its_images_a_group_of_members_at_a_time():
-    """Every member of a rank-one cyclic family leaks, so the check forms
-    the images y_xi K_xi of each chunk.  All 128 members at once made an
-    image stack n*d = 32 times the chunk, 53 MB; screened in groups of
-    sum rank // (n*d) members, each group's images are no larger than z."""
+    """Every member of a rank-one cyclic family leaks, so the nesting test
+    on the packed row bases V returns inf before any sample is drawn.  It
+    holds a few stacks the size of V, (m, r_max, n*d), and the SVD of M,
+    which is as large when every rank is one: 4.1 V, 0.25 MiB."""
     frame = _rank_one_family(8, 4, 128, seed=1)
-    frame.row_basis
+    vh = frame.row_basis[0]
     tracemalloc.start()
     try:
         result = kernel_invariance(frame, "cyclic")
@@ -696,20 +696,21 @@ def test_the_leak_test_holds_its_images_a_group_of_members_at_a_time():
     finally:
         tracemalloc.stop()
     assert result[:3] == (KERNEL_SAMPLES, math.inf, False)
-    assert peak < 8 << 20
+    assert peak < 5 * vh.nbytes
 
 
 def test_the_leak_test_pads_each_group_from_its_own_coordinates():
     """Member 0 on the whole module and 127 rank-one members, every one
-    leaking: one zero pad for all leaking members, sized by the largest
-    rank, held 33.1 MiB; each group's pad, from its own coordinates alone,
-    is no larger than z, and the peak is 10.1 MiB."""
+    leaking: V is padded to the largest rank, (128, 32, 32), 2 MiB.  The
+    nesting test returns inf before any sample is drawn, holding a few
+    stacks the size of V at a time: 3.0 V, 6.08 MiB."""
     rank_one = _rank_one_family(8, 4, 128, seed=1)
     projections, operators = rank_one.projections.copy(), rank_one.operators.copy()
     projections[0] = np.eye(32)
     operators[0] = np.random.default_rng(2).standard_normal((32, 32))
     frame = GFusionFrame.from_stacks(projections, operators, 8, 4, "cyclic")
-    assert frame.row_basis[1].sum() == 32 + 127
+    vh, mask = frame.row_basis
+    assert mask.sum() == 32 + 127
     tracemalloc.start()
     try:
         result = kernel_invariance(frame, "cyclic")
@@ -717,7 +718,7 @@ def test_the_leak_test_pads_each_group_from_its_own_coordinates():
     finally:
         tracemalloc.stop()
     assert result[:3] == (KERNEL_SAMPLES, math.inf, False)
-    assert peak < 16 << 20
+    assert peak < 4 * vh.nbytes
 
 
 def test_kernel_check_memory_is_linear_in_m():

@@ -7,8 +7,10 @@ criterion names and the benchmark does not trace, and a defaulted
 parameter that no call in `src/` or in a criterion sets.  No public
 function or method keeps a parameter that its body never reads.  One
 function, the document loader in `serialize`, sets the cyclic garbage
-collector's process-wide state.  The packages that the library imports from outside
-the standard library are exactly its declared dependencies."""
+collector's process-wide state, and one, which only `cli.main` calls, sets
+the C library's allocator.  No module calls the numpy functions that import
+`numpy.ma`.  The packages that the library imports from outside the standard
+library are exactly its declared dependencies."""
 
 import ast
 import inspect
@@ -337,6 +339,95 @@ def test_the_collector_lint_sees_every_spelling(tmp_path):
                                    "class C:\n"
                                    "    pause = gc.disable\n")
     assert gc_setters(tmp_path) == [("a", None), ("a", None), ("a", "f"), ("a", "C")]
+
+
+# the C library's functions that set its allocator's process-wide state
+ALLOCATOR_SETTERS = {"mallopt", "malloc_trim"}
+
+
+def holders(src: Path, names) -> list:
+    """The (module, top-level def) pairs, module level first, that name one
+    of `names` as a name, an attribute, an imported name or a whole string,
+    in the modules under `src`."""
+    found = set()
+    for path in src.rglob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name) and node.id in names
+                        or isinstance(node, ast.Attribute) and node.attr in names
+                        or isinstance(node, ast.alias) and node.name in names
+                        or isinstance(node, ast.Constant) and node.value in names):
+                    found.add((path.stem, getattr(top, "name", None)))
+    return sorted(found, key=lambda pair: (pair[0], pair[1] or ""))
+
+
+def test_only_main_sets_the_allocator():
+    # one function touches the allocator, and only the entry point calls it
+    assert holders(SRC, ALLOCATOR_SETTERS) == [("cli", "_keep_heap")]
+    assert holders(SRC, {"_keep_heap"}) == [("cli", "main")]
+
+
+def test_the_allocator_lint_sees_every_spelling(tmp_path):
+    (tmp_path / "a.py").write_text('"""mallopt in a docstring"""\n'
+                                   "import ctypes\n"
+                                   "from libc import malloc_trim\n"
+                                   "def f():\n"
+                                   "    ctypes.CDLL(None).mallopt(-3, 1 << 25)\n"
+                                   "def g(libc):\n"
+                                   "    return getattr(libc, 'mallopt')\n"
+                                   "def h(mallopt):\n"
+                                   "    mallopt(-2, 0)\n"
+                                   "class C:\n"
+                                   "    trim = malloc_trim\n"
+                                   "def untouched(libc):\n"
+                                   "    return libc.malloc_usable_size, 'mallopt(-2, 0)'\n")
+    assert holders(tmp_path, ALLOCATOR_SETTERS) == [
+        ("a", None), ("a", "C"), ("a", "f"), ("a", "g"), ("a", "h")]
+
+
+# numpy functions whose first call in a process imports `numpy.ma`, and
+# `numpy.ma` itself: 16-17 ms and 1.4-1.9 MB of peak RSS in a fresh process
+# (numpy 2.4.6), which the set-up time of a small document would show.
+# `np.bincount` and `np.isin` import nothing.
+NUMPY_MA = {"ma", "unique", "unique_values", "union1d", "intersect1d", "setdiff1d",
+            "setxor1d"}
+
+
+def numpy_ma_uses(src: Path) -> list:
+    """(module, line) of every use of a `NUMPY_MA` name through `np` or
+    `numpy`, and of every import of one or of `numpy.ma`, under `src`."""
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in NUMPY_MA
+                    and isinstance(node.value, ast.Name) and node.value.id in {"np", "numpy"}
+                    or isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                        node.module.startswith("numpy.ma") or node.module == "numpy"
+                        and {alias.name for alias in node.names} & (NUMPY_MA | {"*"}))
+                    or isinstance(node, ast.Import) and any(
+                        alias.name.startswith("numpy.ma") for alias in node.names)):
+                found.append((path.stem, node.lineno))
+    return found
+
+
+def test_no_module_imports_numpy_ma():
+    assert numpy_ma_uses(SRC) == []
+
+
+def test_the_numpy_ma_lint_sees_every_spelling(tmp_path):
+    (tmp_path / "a.py").write_text('"""np.unique in a docstring"""\n'
+                                   "import numpy as np\n"
+                                   "import numpy.ma\n"
+                                   "from numpy import unique\n"
+                                   "from numpy.ma import masked_array\n"
+                                   "def f(x):\n"
+                                   "    return np.unique(x), numpy.union1d(x, x)\n"
+                                   "def g(x):\n"
+                                   "    return np.ma.masked_invalid(x)\n"
+                                   "def untouched(x, unique):\n"
+                                   "    return np.bincount(x), np.isin(x, x), x.unique\n")
+    assert numpy_ma_uses(tmp_path) == [("a", 3), ("a", 4), ("a", 5), ("a", 7), ("a", 7),
+                                       ("a", 9)]
 
 
 def _imported_packages(src: Path) -> set:
