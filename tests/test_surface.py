@@ -393,6 +393,10 @@ NUMPY_MA = {"ma", "unique", "unique_values", "union1d", "intersect1d", "setdiff1
             "setxor1d"}
 
 
+def _in_numpy_ma(module: str) -> bool:
+    return module == "numpy.ma" or module.startswith("numpy.ma.")
+
+
 def numpy_ma_uses(src: Path) -> list:
     """(module, line) of every use of a `NUMPY_MA` name through `np` or
     `numpy`, and of every import of one or of `numpy.ma`, under `src`."""
@@ -402,10 +406,10 @@ def numpy_ma_uses(src: Path) -> list:
             if (isinstance(node, ast.Attribute) and node.attr in NUMPY_MA
                     and isinstance(node.value, ast.Name) and node.value.id in {"np", "numpy"}
                     or isinstance(node, ast.ImportFrom) and node.level == 0 and (
-                        node.module.startswith("numpy.ma") or node.module == "numpy"
+                        _in_numpy_ma(node.module) or node.module == "numpy"
                         and {alias.name for alias in node.names} & (NUMPY_MA | {"*"}))
                     or isinstance(node, ast.Import) and any(
-                        alias.name.startswith("numpy.ma") for alias in node.names)):
+                        _in_numpy_ma(alias.name) for alias in node.names)):
                 found.append((path.stem, node.lineno))
     return found
 
@@ -419,11 +423,12 @@ def test_the_numpy_ma_lint_sees_every_spelling(tmp_path):
                                    "import numpy as np\n"
                                    "import numpy.ma\n"
                                    "from numpy import unique\n"
-                                   "from numpy.ma import masked_array\n"
+                                   "from numpy.ma.core import masked_array\n"
                                    "def f(x):\n"
                                    "    return np.unique(x), numpy.union1d(x, x)\n"
                                    "def g(x):\n"
                                    "    return np.ma.masked_invalid(x)\n"
+                                   "import numpy.matlib\n"
                                    "def untouched(x, unique):\n"
                                    "    return np.bincount(x), np.isin(x, x), x.unique\n")
     assert numpy_ma_uses(tmp_path) == [("a", 3), ("a", 4), ("a", 5), ("a", 7), ("a", 7),
