@@ -12,7 +12,7 @@ operands are multiplied by c > 0.
 import numpy as np
 
 from .exceptions import NonHermitian
-from .numerics import HERMITIAN_TOL, hermitian_within, spectral_norms
+from .numerics import HERMITIAN_TOL, at_least, hermitian_within, spectral_norms, threshold
 
 
 def as_algebra_element(u) -> np.ndarray:
@@ -38,7 +38,7 @@ def psd_leq(u, v, tol: float = HERMITIAN_TOL) -> bool:
     u, v = as_algebra_element(u), as_algebra_element(v)
     scale = np.maximum(spectral_norms(u), spectral_norms(v))
     for side, x in (("left", u), ("right", v)):
-        if not hermitian_within(x, tol * scale):
+        if not hermitian_within(x, threshold(tol, scale)):
             raise NonHermitian(f"{side} operand of psd_leq is not Hermitian within {tol}")
     gap = v - u
-    return bool(np.linalg.eigvalsh((gap + gap.conj().T) / 2.0)[0] >= -tol * scale)
+    return bool(at_least(np.linalg.eigvalsh((gap + gap.conj().T) / 2.0)[0], 0.0, tol, scale))

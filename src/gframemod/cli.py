@@ -29,8 +29,9 @@ from .exceptions import (
     ParseError,
 )
 from .families import KINDS, generate
-from .frames import canonical_dual, frame_bounds, reconstruction_residual, residual_verified
+from .frames import canonical_dual, frame_bounds, reconstruction_residual
 from .hilbert import CONVENTIONS
+from .numerics import DUAL_TOL, at_most
 from .perturb import (
     DEFAULT_SEQ_SAMPLES,
     HAT_HAT,
@@ -145,7 +146,7 @@ def _cmd_analyze(args, seed, sha):
     bounds = frame_bounds(frame)
     dual = canonical_dual(frame)
     residual = reconstruction_residual(frame, dual)
-    verified = residual_verified(residual)
+    verified = at_most(residual, 0.0, DUAL_TOL)
     results = {
         "bounds": {"lower": bounds.lower, "upper": bounds.upper},
         "condition_number": bounds.upper / bounds.lower,
@@ -264,6 +265,8 @@ def _cmd_perturb(args, seed, sha):
 
 def _cmd_gen(args) -> int:
     seed = _resolve_seed(args)
+    if min(args.n, args.d, args.m) < 1:
+        raise ParseError(f"n, d, m must be positive, got ({args.n}, {args.d}, {args.m})")
     frame = generate(args.kind, args.n, args.d, args.m, seed)
     metadata = {
         "kind": args.kind,

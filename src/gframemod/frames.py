@@ -39,8 +39,10 @@ from .numerics import (
     DUAL_TOL,
     INVERT_TOL,
     TIGHT_TOL,
+    at_most,
     rank,
     spectral_norms,
+    threshold,
 )
 
 
@@ -61,7 +63,7 @@ class FrameBounds(NamedTuple):
     @property
     def tight(self) -> bool:
         """The bounds agree to relative gap TIGHT_TOL."""
-        return self.gap <= TIGHT_TOL
+        return at_most(self.gap, 0.0, TIGHT_TOL)
 
 
 class GFusionFrame:
@@ -134,8 +136,8 @@ class GFusionFrame:
         ||Y_k||.  A row's norm is at most ||Y_k||, so a pass against the
         largest row is a pass; the norms ||Y_k|| are taken on a fail."""
         rows = spectral_norms(self.operators[:, :, None, :]).max(axis=1)
-        if not contained(self.operators, self.projections, CONTAINMENT_TOL * rows).all():
-            bounds = CONTAINMENT_TOL * self._operator_norms
+        if not contained(self.operators, self.projections, threshold(CONTAINMENT_TOL, rows)).all():
+            bounds = threshold(CONTAINMENT_TOL, self._operator_norms)
             outside = np.flatnonzero(~contained(self.operators, self.projections, bounds))
             if outside.size:
                 raise MembershipViolation(
@@ -248,7 +250,7 @@ def synthesis(frame: GFusionFrame, seq: ModuleSequence,
     if membership_tol is not None:
         scale = seq.norm() / np.sqrt(frame_bounds(frame).lower)  # bounds ||f||
         inside = contained(seq.flats, frame.projections,
-                           membership_tol * scale * frame._operator_norms)
+                           threshold(membership_tol, scale) * frame._operator_norms)
         if not inside.all():
             raise MembershipViolation(f"sequence term {np.argmin(inside)} is not in its submodule")
     return ModuleVector(gram_sum(seq.flats, frame.operators), frame.n, frame.d)
@@ -277,12 +279,7 @@ def verify_dual(frame: GFusionFrame, dual: GFusionFrame) -> bool:
     mixed frame matrix, and the module norm is attained on a rank-one row
     block, so sup ||f M - f|| / ||f|| is the operator norm of M - Id.
     """
-    return residual_verified(reconstruction_residual(frame, dual))
-
-
-def residual_verified(residual: float) -> bool:
-    """verify_dual's test on a reconstruction residual already in hand."""
-    return residual <= DUAL_TOL
+    return at_most(reconstruction_residual(frame, dual), 0.0, DUAL_TOL)
 
 
 def reconstruction_residual(frame: GFusionFrame, dual: GFusionFrame) -> float:

@@ -23,7 +23,8 @@ orthogonal projection onto V applied on the right.
 import numpy as np
 
 from .exceptions import DimensionMismatch, LengthMismatch, MembershipViolation
-from .numerics import MEMBERSHIP_TOL, PROJECTION_TOL, RANK_TOL, hermitian_within, norms_within, rank
+from .numerics import (MEMBERSHIP_TOL, PROJECTION_TOL, RANK_TOL, at_most, hermitian_within, norms_within,
+                       rank, threshold)
 
 CONVENTIONS = ("linear", "cyclic")
 
@@ -212,7 +213,7 @@ def _basic_members(unit, count: int) -> np.ndarray:
     first `lead` columns span the first `lead` coordinates; past the first
     small diagonal entry, each further basic member costs one Gram-Schmidt
     step over the remaining columns."""
-    small = np.flatnonzero(np.abs(np.diagonal(unit)[:count]) <= RANK_TOL)
+    small = np.flatnonzero(at_most(np.abs(np.diagonal(unit)[:count]), 0.0, RANK_TOL))
     lead = int(small[0]) if small.size else count
     basic = list(range(lead))
     residual = unit[lead:, lead:].copy()
@@ -220,7 +221,7 @@ def _basic_members(unit, count: int) -> np.ndarray:
     while len(basic) < count:
         part = residual[:, start:]
         lengths = np.sqrt((part.real ** 2 + part.imag ** 2).sum(axis=0))
-        far = np.flatnonzero(lengths > RANK_TOL)
+        far = np.flatnonzero(~at_most(lengths, 0.0, RANK_TOL))
         if not far.size:
             break
         j = start + int(far[0])
@@ -315,8 +316,8 @@ def projection_fault(stack):
     """The (index, problem) of the first matrix q of a stack that is not
     self-adjoint or not idempotent within PROJECTION_TOL in spectral norm
     (a projection has no scale), or None when every one is a projection."""
-    adjoint_ok = hermitian_within(stack, PROJECTION_TOL)
-    idempotent_ok = norms_within(stack @ stack - stack, PROJECTION_TOL)
+    adjoint_ok = hermitian_within(stack, threshold(PROJECTION_TOL))
+    idempotent_ok = norms_within(stack @ stack - stack, threshold(PROJECTION_TOL))
     bad = np.flatnonzero(~(adjoint_ok & idempotent_ok))
     if not bad.size:
         return None
@@ -386,7 +387,7 @@ class Submodule:
 
     def contains(self, f: ModuleVector) -> bool:
         """||f - f P||_2 <= MEMBERSHIP_TOL * ||f||."""
-        return bool(contained(f.flat, self.projection.matrix, MEMBERSHIP_TOL * f.norm()))
+        return bool(contained(f.flat, self.projection.matrix, threshold(MEMBERSHIP_TOL, f.norm())))
 
     def __repr__(self):
         return f"Submodule(rank={self.rank}, n={self.n}, d={self.d})"
@@ -480,7 +481,7 @@ def right_shift(seq: ModuleSequence) -> ModuleSequence:
     shifted = np.zeros_like(seq.flats)
     shifted[:k] = seq.flats[b]
     if seq.projections is not None:
-        inside = contained(shifted, seq.projections, MEMBERSHIP_TOL * seq.norm())
+        inside = contained(shifted, seq.projections, threshold(MEMBERSHIP_TOL, seq.norm()))
         if not inside.all():
             raise MembershipViolation(f"shifted term {np.argmin(inside)} leaves its target submodule")
     return ModuleSequence._like(shifted, seq)

@@ -1,5 +1,5 @@
 """Tolerance policy: every threshold a verdict is compared against, and the
-rules that apply them.
+rules that apply them; no other module multiplies or compares a tolerance.
 
 Each tolerance multiplies the scale named in its comment.  Scales grow with
 the data (a norm, a largest singular value, a bound) or are 1 for
@@ -29,6 +29,27 @@ TIE_TOL = 1e-12  # x |worst margin|: perturbation witnesses this close tie; x th
 BOUNDS_TOL = 1e-8  # x the derived upper bound: empirical bounds inside the derived ones
 
 
+def threshold(tol: float, scale=1.0):
+    """tol x scale: a tolerance at its scale."""
+    return tol * scale
+
+
+def at_most(value, bound, tol: float, scale=1.0):
+    """value <= bound + tol x scale, elementwise."""
+    return value <= bound + tol * scale
+
+
+def at_least(value, bound, tol: float, scale=1.0):
+    """value >= bound - tol x scale, elementwise."""
+    return value >= bound - tol * scale
+
+
+def tied(values, top):
+    """values >= (1 - TIE_TOL) x top, elementwise: the values tied with the
+    largest, top, so close that rounding could reorder them."""
+    return values >= (1.0 - TIE_TOL) * top
+
+
 def rank(s, tol: float = RANK_TOL):
     """Number of singular values above tol times the largest, along the last
     axis of a (stack of) descending spectra; a zero matrix has rank 0."""
@@ -38,7 +59,7 @@ def rank(s, tol: float = RANK_TOL):
 def _first_tied(values) -> int:
     """Index of the first value at least (1 - TIE_TOL) times the largest: a
     choice among near-equal values that rounding cannot flip."""
-    return int(np.argmax(values >= (1.0 - TIE_TOL) * values.max()))
+    return int(np.argmax(tied(values, values.max())))
 
 
 def spectral_norms(blocks) -> np.ndarray:

@@ -58,8 +58,11 @@ from .numerics import (
     RANK_TOL,
     TIE_TOL,
     _first_tied,
+    at_least,
+    at_most,
     rank,
     spectral_norms,
+    tied,
 )
 from .represent import _combination_norm, independence_analysis
 
@@ -217,10 +220,10 @@ def _factor_certificate(frame, perturbed, params: PerturbationParams, size: floa
     w = v - perturbed.operators.reshape(-1, nd)
     c, _, r, _ = np.linalg.lstsq(v, w, rcond=RANK_TOL)  # V^+ W, inside R
     residual = float(np.linalg.norm(v @ c - w, 2)) / max(size, 1e-300)
-    if r == 0 or not residual <= FACTOR_TOL:
+    if r == 0 or not at_most(residual, 0.0, FACTOR_TOL):
         return None
     left, sigma, _ = np.linalg.svd(c)
-    holds = bool(sigma[0] <= params.eta + MARGIN_TOL)
+    holds = bool(at_most(sigma[0], params.eta, MARGIN_TOL))
     if not (holds or params.beta == 0.0):
         return None
     # x, a unit row of the top left singular subspace of C, attains ||C||; so
@@ -229,14 +232,14 @@ def _factor_certificate(frame, perturbed, params: PerturbationParams, size: floa
     # left singular vectors), j the first largest diagonal entry of P, so no
     # turn of the tied basis moves a bit of x; ties are within TIE_TOL
     k = _first_tied(frame._operator_norms)
-    untied = left[:, sigma < (1.0 - TIE_TOL) * sigma[0]]
+    untied = left[:, ~tied(sigma, sigma[0])]
     diagonal = 1.0 - (untied.real ** 2 + untied.imag ** 2).sum(axis=1)
     j = _first_tied(diagonal)
     x = -(untied[j] @ untied.conj().T)
     x[j] = diagonal[j]
     x /= np.linalg.norm(x)
     g = x @ np.linalg.pinv(frame.operators[k], rcond=RANK_TOL)
-    if not np.linalg.norm(g @ frame.operators[k] - x) <= FACTOR_TOL:
+    if not at_most(np.linalg.norm(g @ frame.operators[k] - x), 0.0, FACTOR_TOL):
         return None
     return holds, FactorCertificate(float(sigma[0]), residual, k), g / np.linalg.norm(g)
 
@@ -293,11 +296,11 @@ def check_perturbation_inequality(frame: GFusionFrame, perturbed: GFusionFrame,
                             for family in (frame, perturbed))
         normalized[v:v + step] = _normalized_margins(alphas, terms, terms_hat, params, size, True)
     margin = float(normalized.max())
-    ties = normalized >= margin - TIE_TOL * abs(margin)
+    ties = at_least(normalized, margin, TIE_TOL, abs(margin))
     v, r, k = np.unravel_index(np.argmax(ties), ties.shape)
     alpha = np.eye(1, m, k, dtype=np.complex128)[0] if k < m else alphas[k - m]
     row = rows[v, r]
-    if margin <= MARGIN_TOL:
+    if at_most(margin, 0.0, MARGIN_TOL):
         terms, terms_hat = (applied(rows[v], family.operators)[:, r]
                             for family in (frame, perturbed))
         best = _worst_coefficients(terms, terms_hat, params)
@@ -306,7 +309,7 @@ def check_perturbation_inequality(frame: GFusionFrame, perturbed: GFusionFrame,
         if refined > margin:
             alpha, margin = best, refined
     witness = _witness(frame, perturbed, params, alpha, row, r)
-    holds = margin <= MARGIN_TOL
+    holds = at_most(margin, 0.0, MARGIN_TOL)
     return PerturbationVerdict(
         params=params, inequality_holds=holds, witness=witness,
         n_sequences=n_sequences, n_vectors=n_vectors,
@@ -365,7 +368,7 @@ def verify_perturbed_frame(frame: GFusionFrame, perturbed: GFusionFrame,
     mid_h = (mid + mid.conj().T) / 2.0
     eigs = np.linalg.eigvalsh(mid_h)
     e_lo, e_hi = float(eigs[0]), float(eigs[-1])
-    contained = d_lo <= e_lo + BOUNDS_TOL * d_hi and e_hi <= d_hi + BOUNDS_TOL * d_hi
+    contained = at_most(d_lo, e_lo, BOUNDS_TOL, d_hi) and at_most(e_hi, d_hi, BOUNDS_TOL, d_hi)
 
     caveats = list(inequality.caveats)
     if interpretation == HAT_ORIGINAL:
@@ -400,7 +403,7 @@ def independence_transfer(frame: GFusionFrame, perturbed: GFusionFrame,
     report = independence_analysis(perturbed)
     if report.verdict == "independent":
         return True
-    if _combination_norm(frame, report.coefficients) > RANK_TOL * m:
+    if not at_most(_combination_norm(frame, report.coefficients), 0.0, RANK_TOL, m):
         raise InequalityNotVerified(
             "a null combination of the perturbed family fails to annihilate "
             "the base family; the sampled inequality pass was a miss"

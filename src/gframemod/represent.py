@@ -49,9 +49,12 @@ from .numerics import (
     REPRESENT_TOL,
     SNAP_TOL,
     _first_tied,
+    at_least,
+    at_most,
     hermitian_within,
     rank,
     spectral_norms,
+    threshold,
 )
 
 KERNEL_SAMPLES = 100  # seeded synthesis-kernel elements the invariance check draws
@@ -89,7 +92,7 @@ class RepresentationResult:
     scale: float  # max ||Y_xi||, the residual's natural reference
 
     def is_representable(self) -> bool:
-        return self.residual <= REPRESENT_TOL * max(self.scale, 1e-300)
+        return at_most(self.residual, 0.0, REPRESENT_TOL, max(self.scale, 1e-300))
 
 
 def _require_representable(rep: RepresentationResult):
@@ -133,7 +136,7 @@ def verify_hypotheses(frame: GFusionFrame) -> bool:
     Y_xi restricted to N_xi.  Self-adjointness is one batched norm test,
     the ranks one batched SVD.
     """
-    if not hermitian_within(frame.operators, HYPOTHESIS_TOL * frame._operator_norms).all():
+    if not hermitian_within(frame.operators, threshold(HYPOTHESIS_TOL, frame._operator_norms)).all():
         return False
     # the image of N_k is the range of P_k Y_k, its rank relative to its own
     # top singular value: any nonzero multiple of an action fixing N_k does too
@@ -237,7 +240,7 @@ def kernel_invariance(frame: GFusionFrame, convention: str, seed: int = 0):
         return 0, 0.0, True, ["synthesis kernel is trivial; the invariance check is vacuous"]
     k, b = shift_pairs(len(frame), convention)
     ahead = vh[b]  # V of the term each slot t takes, beside Y_t and P_t
-    if not contained(ahead, frame.projections[:k], MEMBERSHIP_TOL).all():
+    if not contained(ahead, frame.projections[:k], threshold(MEMBERSHIP_TOL)).all():
         return (KERNEL_SAMPLES, math.inf, False,
                 ["a shifted kernel element leaves the submodule family"])
     shifted = np.zeros_like(vh)  # zero for a dropped term
@@ -248,7 +251,7 @@ def kernel_invariance(frame: GFusionFrame, convention: str, seed: int = 0):
                                            shifted - q @ (q.conj().T @ shifted)):
         defect = max(defect, float((spectral_norms(zr) / norms).max()))
     defect /= max(top, 1e-300)
-    return KERNEL_SAMPLES, defect, defect <= REPRESENT_TOL, []
+    return KERNEL_SAMPLES, defect, at_most(defect, 0.0, REPRESENT_TOL), []
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +291,8 @@ def check_representation_bounds(frame: GFusionFrame, rep: RepresentationResult,
         norm_T=rep.norm_T,
         bound_lower=1.0,
         bound_upper=bound_upper,
-        lower_ok=rep.norm_T >= 1.0 - REPRESENT_TOL,
-        upper_ok=rep.norm_T <= bound_upper + REPRESENT_TOL,
+        lower_ok=at_least(rep.norm_T, 1.0, REPRESENT_TOL),
+        upper_ok=at_most(rep.norm_T, bound_upper, REPRESENT_TOL),
         kernel_samples=kernel_samples,
         kernel_defect=kernel_defect,
         kernel_ok=kernel_ok,
@@ -312,7 +315,7 @@ def divergence_window(upper_bound: float, vector_norm: float, term_norm: float) 
     """
     ratio = upper_bound * (vector_norm / term_norm) ** 2
     nearest = round(ratio)
-    if nearest > 0 and abs(ratio - nearest) <= SNAP_TOL * ratio:
+    if nearest > 0 and at_most(abs(ratio - nearest), 0.0, SNAP_TOL, ratio):
         return int(nearest)
     return int(math.ceil(ratio))
 
@@ -349,13 +352,13 @@ def tightness_contradiction_certificate(frame: GFusionFrame, rep: Representation
     norm_t = float(sing[0])
     norm_t_inv = 1.0 / float(sing[-1])
     bound = math.sqrt(upper / lower)
-    tol = REPRESENT_TOL
-    norm_bounds_ok = all(1.0 - tol <= v <= bound + tol for v in (norm_t, norm_t_inv))
-    isometry_ok = abs(norm_t - 1.0) <= tol and abs(norm_t_inv - 1.0) <= tol
+    norm_bounds_ok = all(at_least(v, 1.0, REPRESENT_TOL) and at_most(v, bound, REPRESENT_TOL)
+                         for v in (norm_t, norm_t_inv))
+    isometry_ok = all(at_most(abs(v - 1.0), 0.0, REPRESENT_TOL) for v in (norm_t, norm_t_inv))
 
     base = float(term_norms[0])
     f_norm = f.norm()
-    size = tol * f_norm * frame.max_operator_norm()  # the scale of every term norm
+    size = threshold(REPRESENT_TOL, f_norm) * frame.max_operator_norm()  # the scale of every term norm
     degenerate = base <= size
     return TightnessCertificate(
         norm_T=norm_t, norm_T_inverse=norm_t_inv, isometry_ok=isometry_ok,
@@ -426,7 +429,7 @@ def span_invariance(frame: GFusionFrame, delta,
     operator; None when `rep` does not represent the family."""
     if not rep.is_representable():
         return None
-    support = np.flatnonzero(np.abs(delta) > INVARIANCE_TOL)
+    support = np.flatnonzero(~at_most(np.abs(delta), 0.0, INVARIANCE_TOL))
     alpha, b = int(support[0]), int(support[-1])
     window = frame.operators[alpha:b + 1]
     u, sw, _ = np.linalg.svd(window.reshape(len(window), -1).T, full_matrices=False)
@@ -445,7 +448,7 @@ def span_invariance(frame: GFusionFrame, delta,
     return SpanInvariance(
         alpha=alpha, b=b, max_defect=defects[0],
         max_defect_inverse=defects[1] if len(defects) > 1 else None,
-        ok=all(v <= INVARIANCE_TOL for v in defects),
+        ok=all(at_most(v, 0.0, INVARIANCE_TOL) for v in defects),
     )
 
 
@@ -483,7 +486,7 @@ def verify_shift_reconstruction_identity(frame: GFusionFrame, dual: GFusionFrame
                          f"{frame.index_convention} convention")
     mats = frame.operators
     adjoints = mats.conj().swapaxes(1, 2)
-    bound = REPRESENT_TOL * frame.max_operator_norm()
+    bound = threshold(REPRESENT_TOL, frame.max_operator_norm())
     defects = spectral_norms(adjoints[:k] @ extension_T.matrix - adjoints[b])
     bad = np.flatnonzero(defects > bound)
     if bad.size:

@@ -462,12 +462,21 @@ def test_gen_kinds_parse_back(tmp_path, kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_gen_refuses_a_stack_no_array_can_hold(tmp_path, capsys, kind):
     # (4, 1e11, 1e11) complex entries are 6.4e23 bytes, past the platform's
-    # largest array: refused like a non-positive size, before any allocation
+    # largest array: a violated precondition, refused before any allocation
     out = tmp_path / "out.json"
     assert run(["gen", "--kind", kind, "--n", 10 ** 8, "--d", 1000, out]) == 2
     assert capsys.readouterr().err == (
         "gframemod: error: (100000000, 1000, 4) needs a complex (4, 100000000000, "
         "100000000000) stack, larger than any array on this platform\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n,d,m", [(-1, 1, 4), (2, 0, 4), (2, 1, 0)], ids=["n", "d", "m"])
+def test_gen_refuses_a_size_below_1_as_a_flag_error(tmp_path, capsys, n, d, m):
+    out = tmp_path / "out.json"
+    assert run(["gen", "--kind", "random", "--n", n, "--d", d, "--m", m, out]) == 1
+    assert capsys.readouterr() == ("", f"gframemod: error: n, d, m must be positive, got "
+                                       f"({n}, {d}, {m})\n")
     assert not out.exists()
 
 

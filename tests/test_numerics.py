@@ -84,12 +84,150 @@ def test_the_lint_sees_code_and_skips_comments_and_docstrings(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the lint: a tolerance meets its scale or a bound only inside numerics.py
+
+
+def _tolerance_name(node, bindings):
+    """The *_TOL constant that a name or attribute is, or is bound to, else None."""
+    if isinstance(node, ast.Attribute) and node.attr.endswith("_TOL"):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id if node.id.endswith("_TOL") else bindings.get(node.id)
+    return None
+
+
+def _plain_targets(assignment) -> list:
+    """The names an assignment binds when every target is a plain name, else []."""
+    targets = assignment.targets if isinstance(assignment, ast.Assign) else [assignment.target]
+    return [t.id for t in targets] if all(isinstance(t, ast.Name) for t in targets) else []
+
+
+def tolerance_bindings(tree) -> dict:
+    """{name: constant} of every plain name that a module binds to a *_TOL
+    constant, by an alias (`tol = X_TOL`, also through another alias) or as
+    a parameter default (`def f(tol=X_TOL)`)."""
+    bindings = {}
+    while True:
+        found = dict(bindings)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                constant = _tolerance_name(node.value, bindings)
+                if constant:
+                    found.update((name, constant) for name in _plain_targets(node))
+            elif isinstance(node, ast.arguments):
+                positional = [*node.posonlyargs, *node.args]
+                pairs = [*zip(positional[len(positional) - len(node.defaults):], node.defaults),
+                         *zip(node.kwonlyargs, node.kw_defaults)]
+                found.update((arg.arg, _tolerance_name(default, bindings)) for arg, default in pairs
+                             if default is not None and _tolerance_name(default, bindings))
+        if found == bindings:
+            return bindings
+        bindings = found
+
+
+def _is_none(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def _exempt(node, parent) -> bool:
+    """A tolerance may be a call's argument, the value bound to plain names
+    (the binding is tracked instead), a value formatted into a message, or
+    one side of an identity test against None."""
+    if isinstance(node.ctx, ast.Store):
+        return not isinstance(parent, ast.AugAssign)
+    return (isinstance(parent, ast.Call) and node is not parent.func
+            or isinstance(parent, (ast.keyword, ast.arguments, ast.FormattedValue))
+            or isinstance(parent, (ast.Assign, ast.AnnAssign)) and node is parent.value
+            and bool(_plain_targets(parent))
+            or isinstance(parent, ast.Compare)
+            and all(isinstance(op, (ast.Is, ast.IsNot)) for op in parent.ops)
+            and any(map(_is_none, [parent.left, *parent.comparators])))
+
+
+def tolerance_uses(src: Path) -> list:
+    """(file, line) of every line outside numerics.py where a *_TOL constant,
+    or a name bound to one, is compared, multiplied, negated or otherwise
+    used other than as `_exempt` allows."""
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        if path.name == "numerics.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bindings = tolerance_bindings(tree)
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        found.update((path.name, node.lineno) for node in ast.walk(tree)
+                     if _tolerance_name(node, bindings) and not _exempt(node, parents[node]))
+    return sorted(found)
+
+
+def test_every_tolerance_meets_its_scale_in_numerics():
+    assert tolerance_uses(SRC) == []
+
+
+def test_the_tolerance_lint_sees_every_spelling(tmp_path):
+    (tmp_path / "a.py").write_text(
+        '"""x <= RANK_TOL in a docstring"""\n'
+        "from .numerics import RANK_TOL, at_most\n"
+        "def f(x, tol=RANK_TOL, other=None):\n"  # a parameter default binds tol
+        "    if tol is None or other is not None:  # x * RANK_TOL in a comment\n"
+        "        return at_most(x, 0.0, tol, scale=numerics.RANK_TOL)\n"
+        "    return x <= tol\n"  # a comparison, through the default
+        "alias = numerics.DUAL_TOL\n"
+        "ok = 0.0 < x <= alias\n"  # a chained comparison, through the alias
+        "y = 2.0 * RANK_TOL\n"  # arithmetic
+        "z = g(-RANK_TOL)\n"  # unary minus inside a call's argument
+        "y += RANK_TOL\n"  # an augmented assignment
+        "message = f'within {RANK_TOL:.1e}, {other}'\n"
+        "def h(w=alias, other=1.0):\n"  # a default through the alias
+        "    other *= 2.0\n"
+        "    w *= 2.0\n"
+        "    return w, RANK_TOL\n")
+    assert tolerance_bindings(ast.parse((tmp_path / "a.py").read_text())) == {
+        "tol": "RANK_TOL", "alias": "DUAL_TOL", "w": "DUAL_TOL"}
+    assert tolerance_uses(tmp_path) == [("a.py", line) for line in (6, 8, 9, 10, 11, 15, 16)]
+
+
+def _readme_tolerances() -> dict:
+    """{name: value} of the rows of README's tolerance table."""
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index("### Tolerances"):text.index("## CLI")]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    return {name.strip().strip("`"): float(value) for name, value in rows}
+
+
+def _rule_arguments(src: Path) -> set:
+    """The *_TOL constants that some module other than numerics.py passes to
+    a function of numerics, by name or through a name bound to one."""
+    rules = {name for name, obj in vars(numerics).items()
+             if inspect.isfunction(obj) and obj.__module__ == numerics.__name__}
+    passed = set()
+    for path in src.glob("*.py"):
+        if path.name == "numerics.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bindings = tolerance_bindings(tree)
+        for call in ast.walk(tree):
+            if (isinstance(call, ast.Call)
+                    and getattr(call.func, "id", getattr(call.func, "attr", None)) in rules):
+                values = [*call.args, *(keyword.value for keyword in call.keywords)]
+                passed.update(filter(None, (_tolerance_name(v, bindings) for v in values)))
+    return passed
+
+
+def test_the_tolerance_table_names_every_constant_and_each_is_applied():
+    constants = {name: value for name, value in vars(numerics).items() if name.endswith("_TOL")}
+    assert len(constants) == 16
+    assert _readme_tolerances() == constants
+    assert _rule_arguments(SRC) == set(constants)
+
+
+# ---------------------------------------------------------------------------
 # the lint: no verdict takes a tolerance argument
 
 # the tolerance parameters a caller may set; the rest of the API gates each
-# verdict with its named constant.  `rank` is the rule itself, applied at
-# several tolerances.
-TOLERANCE_PARAMETERS = {"psd_leq", "synthesis", "rank"}
+# verdict with its named constant.  `rank`, `threshold` and the comparisons
+# are the rules themselves, applied at every tolerance.
+TOLERANCE_PARAMETERS = {"psd_leq", "synthesis", "rank", "threshold", "at_most", "at_least"}
 
 
 def _public_callables():

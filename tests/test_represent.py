@@ -1017,3 +1017,53 @@ def test_wrong_extension_raises():
     dual = canonical_dual(frame)
     with pytest.raises(HypothesisViolation):
         verify_shift_reconstruction_identity(frame, dual, ModuleOperator.identity(2, 2), j=0)
+
+
+# ---------------------------------------------------------------------------
+# a metamorphic relation: rotating a cyclic family's index changes no verdict
+
+
+def _cyclic_families():
+    for path in sorted(CORPUS.glob("*.json")):
+        if json.loads(path.read_text()).get("index_convention") == "cyclic":
+            yield pytest.param(path, id=path.stem)
+    for n, d, m in ((1, 2, 2), (2, 1, 3), (2, 2, 4), (1, 3, 5), (2, 2, 6)):
+        for seed in range(3):
+            yield pytest.param((n, d, m, seed), id=f"orbit-{n}-{d}-{m}-seed{seed}")
+
+
+def _rotated(frame: GFusionFrame) -> GFusionFrame:
+    """The family whose slot k holds member k + 1, with its projection, and
+    whose last slot holds member 0."""
+    return GFusionFrame.from_stacks(np.roll(frame.projections, -1, axis=0),
+                                    np.roll(frame.operators, -1, axis=0),
+                                    frame.n, frame.d, frame.index_convention)
+
+
+def _shift_verdicts(frame: GFusionFrame):
+    """The bounds, the representation, Theorem 2.1's three verdicts (or the
+    class of the error that refuses the check) and the independence
+    verdict with the invariant span's dimension."""
+    bounds = frame_bounds(frame)
+    rep = solve_representation(frame)
+    try:
+        check = check_representation_bounds(frame, rep)
+        theorem = (check.lower_ok, check.upper_ok, check.kernel_ok)
+    except (HypothesisViolation, NotRepresentable) as exc:
+        theorem = type(exc)
+    report = independence_analysis(frame)
+    return bounds, rep, theorem, (report.verdict, report.invariant_span_dim)
+
+
+@pytest.mark.parametrize("source", _cyclic_families())
+def test_rotating_a_cyclic_index_changes_no_verdict(source):
+    frame = load_frame(source) if isinstance(source, Path) else unitary_orbit_frame(*source)
+    assert frame.index_convention == "cyclic"
+    bounds, rep, theorem, independence = _shift_verdicts(frame)
+    r_bounds, r_rep, r_theorem, r_independence = _shift_verdicts(_rotated(frame))
+    np.testing.assert_allclose(r_bounds, bounds, rtol=1e-12, atol=0.0)
+    assert r_bounds.tight == bounds.tight
+    assert r_rep.is_representable() == rep.is_representable()
+    assert abs(r_rep.norm_T - rep.norm_T) <= 1e-12 * max(1.0, rep.norm_T)
+    assert r_theorem == theorem
+    assert r_independence == independence
