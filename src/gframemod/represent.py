@@ -92,7 +92,7 @@ class RepresentationResult:
     scale: float  # max ||Y_xi||, the residual's natural reference
 
     def is_representable(self) -> bool:
-        return at_most(self.residual, 0.0, REPRESENT_TOL, max(self.scale, 1e-300))
+        return at_most(self.residual, 0.0, REPRESENT_TOL, self.scale)
 
 
 def _require_representable(rep: RepresentationResult):

@@ -25,6 +25,10 @@ sizes stop below 2**64 for both.  The cyclic collector is paused while a
 decoded document lives (see `_load`).  The writer formats each distinct
 matrix of a `dumps_canonical` call once (see `_write_matrix`).
 
+`load_frame` keeps a binary sidecar of each frame document it parses and
+reads the frame from it while the document's bytes stay the same (see
+`load_frame`); no report, exit code or message depends on it.
+
 `frame_to_document` and `vector_to_document` build the in-memory form of
 these documents for `dumps_canonical`: their matrices are complex ndarrays,
 which the canonical writer prints as the nested [re, im] lists above, so
@@ -35,9 +39,11 @@ them back with `json.loads(dumps_canonical(doc))`.
 import contextlib
 import functools
 import gc
+import hashlib
 import json
 import math
 import os
+import sys
 from itertools import chain
 
 import numpy as np
@@ -57,6 +63,13 @@ MAX_ABS_ENTRY = 1e100
 MIN_OPERATOR_SCALE = 1e-100
 # the types of a JSON number (bool, a subclass of int, is not one)
 _NUMBER_TYPES = {int, float}
+# a frame document's sidecar is CACHE_DIR/<file name>.frame in its directory
+CACHE_DIR = "__gframemod_cache__"
+# first field of a sidecar's header: change it whenever what a document
+# decodes to, or which documents are refused, changes
+CACHE_FORMAT = "gframemod-frame-1-" + sys.byteorder
+_HEADER_MAX = 256  # bytes; a header takes under 200
+_EMPTY_SHA256 = hashlib.sha256().digest()
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +161,20 @@ def write_atomic(path, text: str):
     """Write `text` to `path` through a new file beside it and one rename.
     A new file gets the mode `open(path, "w")` would give it (the kernel
     applies the umask to 0o666); an existing file keeps its own mode."""
+    _replace(path, [text.encode("utf-8")])
+
+
+def _replace(path, parts):
+    """`write_atomic` of the bytes `parts`, written one after another."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = os.path.join(directory, ".tmp-gframemod-" + os.urandom(8).hex())
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        with os.fdopen(fd, "wb") as handle:
             with contextlib.suppress(FileNotFoundError):  # a new file
                 os.chmod(handle.fileno(), os.stat(path).st_mode & 0o7777)
-            handle.write(text)
+            for part in parts:
+                handle.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -285,16 +304,23 @@ def document_to_frame(doc: dict) -> GFusionFrame:
         blocks += (entry["projection"], entry["operator"])
         names += (f"element {k} projection", f"element {k} operator")
     stack, peaks = _parse_matrices(blocks, (nd, nd), names)
-    largest = float(peaks[1::2].max())
+    # document order interleaves the two stacks; one copy separates them
+    stacks = stack.reshape(m, 2, nd, nd).swapaxes(0, 1).copy()
+    return _stacks_to_frame(stacks, float(peaks[1::2].max()), n, d, doc["index_convention"])
+
+
+def _stacks_to_frame(stacks, largest: float, n: int, d: int, convention: str) -> GFusionFrame:
+    """The frame of a (2, m, n*d, n*d) array holding the projection stack
+    and the operator stack, whose largest operator |re| or |im| is
+    `largest`; a ParseError when it is no valid frame."""
     if 0.0 < largest < MIN_OPERATOR_SCALE:
         raise ParseError(
             f"largest operator entry {largest:.3e} is below {MIN_OPERATOR_SCALE:.0e} in "
             "magnitude; the frame operator would underflow"
         )
-    # document order interleaves the two stacks; one copy separates them
-    projections, operators = stack.reshape(m, 2, nd, nd).swapaxes(0, 1).copy()
+    projections, operators = stacks
     try:
-        return GFusionFrame.from_stacks(projections, operators, n, d, doc["index_convention"])
+        return GFusionFrame.from_stacks(projections, operators, n, d, convention)
     except ValueError as exc:  # a projection fails; the message names its element
         raise ParseError(str(exc)) from exc
     except Exception as exc:
@@ -302,11 +328,100 @@ def document_to_frame(doc: dict) -> GFusionFrame:
 
 
 def load_frame(path, sha=None) -> GFusionFrame:
-    return _load(path, sha, document_to_frame)
+    """The frame of the document at `path`, read once; a hashlib object
+    `sha` is fed its bytes.
+
+    A frame parsed from a regular file is kept in a sidecar,
+    CACHE_DIR/<file name>.frame in the document's directory: one ASCII
+    header line (CACHE_FORMAT, the sha256 of the document's bytes and of
+    the body, n, d, m and the index convention), then the body, the raw
+    complex128 projection and operator stacks.  A later load whose document
+    bytes have that digest, and whose body has its digest, rebuilds the
+    frame from the body, through the same entry window and `from_stacks`
+    checks as a parse, and skips the JSON decoding.  A sidecar that is
+    missing, unreadable, stale, truncated, of another format or fails a
+    check is ignored, and the document is parsed and its sidecar written
+    anew; a directory that takes no sidecar keeps none.  So the frame, and
+    every error, is the parse's either way."""
+    # a sha256 fed nothing yet (a command's first document) has, once fed
+    # the document, the document's own digest, which then costs no second pass
+    own = sha is not None and sha.name == "sha256" and sha.digest() == _EMPTY_SHA256
+    raw = _read(path, sha)
+    sidecar = _sidecar_path(path)
+    if sidecar is None:
+        return _load(raw, path, document_to_frame)
+    source = (sha if own else hashlib.sha256(raw)).hexdigest()
+    frame = _cached_frame(sidecar, source)
+    if frame is None:
+        frame = _load(raw, path, document_to_frame)
+        _write_sidecar(sidecar, source, frame)
+    return frame
 
 
-def _load(path, sha, convert):
-    """`convert` of the document that `_load_json` reads from `path`, with
+def _sidecar_path(path):
+    """Where the sidecar of the document at `path` lives, or None when
+    `path` is no regular file (a pipe, a device), which keeps none."""
+    if not os.path.isfile(path):
+        return None
+    directory, name = os.path.split(os.fsdecode(path))
+    return os.path.join(directory, CACHE_DIR, name + ".frame")
+
+
+def _cached_frame(sidecar: str, source: str):
+    """The frame that `sidecar` keeps for a document whose sha256 is
+    `source`, or None when it keeps none that passes every check."""
+    try:
+        with open(sidecar, "rb") as handle:
+            header = handle.readline(_HEADER_MAX)
+            form, digest, body, *sizes, convention = header.decode("ascii").split()
+            if form != CACHE_FORMAT or digest != source or not header.endswith(b"\n"):
+                return None
+            n, d, m = map(int, sizes)
+            entries = 2 * m * (n * d) ** 2  # of the two stacks, 16 bytes each
+            if min(n, d, m) < 1 or os.fstat(handle.fileno()).st_size != len(header) + 16 * entries:
+                return None
+            stacks = np.empty((2, m, n * d, n * d), np.complex128)
+            if handle.readinto(stacks) != stacks.nbytes:
+                return None
+        if hashlib.sha256(stacks).hexdigest() != body:
+            return None
+        magnitudes = np.abs(stacks.view(np.float64))
+        if not (magnitudes <= MAX_ABS_ENTRY).all():  # false for NaN and infinities too
+            return None
+        return _stacks_to_frame(stacks, float(magnitudes[1].max()), n, d, convention)
+    except (OSError, ValueError, ParseError):  # UnicodeDecodeError is a ValueError
+        return None
+
+
+def _write_sidecar(sidecar: str, source: str, frame: GFusionFrame) -> None:
+    """Keep `frame` in `sidecar` for a document whose sha256 is `source`,
+    atomically; nothing when the directory takes no file."""
+    try:
+        with contextlib.suppress(FileExistsError):
+            os.mkdir(os.path.dirname(sidecar))
+        body = hashlib.sha256(frame.projections)
+        body.update(frame.operators)
+        header = (f"{CACHE_FORMAT} {source} {body.hexdigest()} {frame.n} {frame.d} {len(frame)} "
+                  f"{frame.index_convention}\n")
+        _replace(sidecar, [header.encode("ascii"), frame.projections, frame.operators])
+    except OSError:
+        pass
+
+
+def _read(path, sha) -> bytes:
+    """The bytes of `path`, read once; a hashlib object `sha` is fed them."""
+    try:
+        with open(path, "rb") as handle:
+            raw = handle.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    if sha is not None:
+        sha.update(raw)
+    return raw
+
+
+def _load(raw: bytes, path, convert):
+    """`convert` of the document that `_load_json` decodes from `raw`, with
     the cyclic garbage collector paused until the decoded tree is freed.
 
     The tree is fresh lists and dicts that hold only one another and
@@ -318,23 +433,15 @@ def _load(path, sha, convert):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return convert(_load_json(path, sha))
+        return convert(_load_json(raw, path))
     finally:
         if enabled:
             gc.enable()
 
 
-def _load_json(path, sha=None):
-    """Read `path` once and parse it.  When a hashlib object `sha` is given
-    it is fed the same bytes, so its digest describes exactly what was
-    parsed; `json` reads only what orjson refuses (see the module docstring)."""
-    try:
-        with open(path, "rb") as handle:
-            raw = handle.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    if sha is not None:
-        sha.update(raw)
+def _load_json(raw: bytes, path):
+    """The JSON value of `raw`, the bytes of `path`: `json` reads only what
+    orjson refuses (see the module docstring)."""
     try:
         return orjson.loads(raw)
     except orjson.JSONDecodeError:
@@ -374,4 +481,4 @@ def document_to_vector(doc: dict) -> ModuleVector:
 
 
 def load_vector(path, sha=None) -> ModuleVector:
-    return _load(path, sha, document_to_vector)
+    return _load(_read(path, sha), path, document_to_vector)

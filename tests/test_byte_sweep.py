@@ -114,6 +114,25 @@ def test_a_difference_of_layout_alone_is_marked_as_such(monkeypatch, capsys):
                          "0 of them structurally, 0 with a large float move")
 
 
+def test_the_warm_pass_names_a_rerun_that_differs(monkeypatch, capsys):
+    runs = []
+
+    def fake_run(src, argv, written, threads=1):
+        runs.append((src, argv[0]))
+        rerun = runs.count(("new", argv[0])) == 2
+        return 0, b'{"x": 1}', b"rerun\n" if rerun and argv[0] == "b" else b"", None
+
+    monkeypatch.setattr(byte_sweep, "plan", lambda old_src, work: [(["a"], None), (["b"], None)])
+    monkeypatch.setattr(byte_sweep, "run", fake_run)
+    assert byte_sweep.main(["old", "new"]) == 1
+    assert sorted(runs) == [("new", "a")] * 2 + [("new", "b")] * 2 + [("old", "a"), ("old", "b")]
+    assert capsys.readouterr().out.splitlines() == [
+        "WARM DIFFERS (stderr; exit 0 -> 0): b",
+        "warm pass: 2 invocations, 1 identical, 1 differ",
+        "byte sweep: 2 invocations, 2 identical, 0 differ, 0 of them structurally, "
+        "0 with a large float move"]
+
+
 def test_a_nudged_copy_moves_each_member_inside_its_submodule():
     doc = json.loads(dumps_canonical(frame_to_document(generate("random", 2, 2, 4, seed=1))))
     frame, nudged = (document_to_frame(d) for d in (doc, byte_sweep._nudged(doc, 1e-3, 1)))

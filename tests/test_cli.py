@@ -1171,10 +1171,13 @@ def test_only_a_dependent_family_reaches_the_solve(tmp_path, capsys, monkeypatch
 # 1.84 MB, and print for each of four `analyze` calls on it its minor page
 # faults beside the pages of the arenas that Python's small-object allocator
 # mapped meanwhile.  That allocator maps its arenas itself, outside malloc,
-# and may unmap and map one again on every call.
+# and may unmap and map one again on every call.  A regular file named like
+# the sidecar directory keeps every call on the parse path, whose buffer is
+# the heap under test.
 _ANALYZE_FAULTS = """
 import os, re, resource, sys, tempfile
 from gframemod.cli import main
+from gframemod.serialize import CACHE_DIR
 
 def arena_pages():
     with tempfile.TemporaryFile() as stats:
@@ -1192,6 +1195,7 @@ def arena_pages():
     return int(mapped) * int(size) // resource.getpagesize()
 
 doc, out = (os.path.join(sys.argv[1], name) for name in ("random.json", "report.json"))
+open(os.path.join(sys.argv[1], CACHE_DIR), "w").close()
 assert main(["gen", "--kind", "random", "--n", "16", "--d", "4", "--m", "4", doc]) == 0
 for _ in range(4):
     arenas = arena_pages()

@@ -407,6 +407,19 @@ def test_hypotheses_do_not_depend_on_the_scale():
     assert {verify_hypotheses(frame.scaled(c)) for c in (1e-12, 1e-6, 1.0, 1e6)} == {False}
 
 
+def test_representability_does_not_depend_on_a_scale_below_1e_300():
+    # member 3 turned by a phase off the orbit: relative residual 7.9e-5,
+    # which a floor of 1e-300 under the scale let pass from c = 1e-304 on
+    base = unitary_orbit_frame(2, 2, 4, seed=1)
+    operators = base.operators.copy()
+    operators[3] = operators[3] @ np.diag([np.exp(1e-4j), 1.0, 1.0, 1.0])
+    frame = GFusionFrame.from_stacks(base.projections.copy(), operators, base.n, base.d,
+                                     base.index_convention)
+    verdicts = [solve_representation(frame.scaled(c)).is_representable()
+                for c in (1.0, 1e-300, 1e-304, 1e-306, 5e-308)]
+    assert verdicts == [False] * 5
+
+
 @pytest.mark.parametrize("c", [1e-9, 1e-6, 1.0, 1e6])
 def test_shift_identity_verdicts_do_not_depend_on_the_scale(c):
     frame = unitary_orbit_frame(2, 2, 4, seed=21).scaled(c)

@@ -33,6 +33,15 @@ JSON value)`: only whitespace moved.
 The summary line counts the invocations with a structural difference and
 those with a large float move.
 
+A warm pass follows: every invocation runs once more under NEW_SRC, with
+the frame-document sidecars (`__gframemod_cache__/`) that the first pass
+left, and must repeat NEW_SRC's first-pass exit code, standard output,
+standard error and written document exactly.  Each invocation that does
+not is printed as `WARM DIFFERS`, and the pass's own summary line comes
+before the sweep's.  The corpus is copied into the scratch directory
+first, so that each corpus document's first read finds no sidecar and the
+repository gets none.
+
 Invocations:
 
 * every frame document under `corpus/`, under `analyze`, `independence`,
@@ -249,17 +258,19 @@ def plan(old_src: str, work: str) -> list:
     """(argv, written document path or None) of every invocation.  The
     documents the commands read are written once, by the old tree, here;
     the compared `gen` invocations write beside them."""
-    corpus_vector = os.path.join(CORPUS, "unit_vector_n2_d2.json")
-    frames = sorted(os.path.join(CORPUS, name) for name in os.listdir(CORPUS)
-                    if name.endswith(".json") and _is_frame(os.path.join(CORPUS, name)))
+    corpus = shutil.copytree(CORPUS, os.path.join(work, "corpus"),
+                             ignore=shutil.ignore_patterns("__gframemod_cache__"))
+    corpus_vector = os.path.join(corpus, "unit_vector_n2_d2.json")
+    frames = sorted(os.path.join(corpus, name) for name in os.listdir(corpus)
+                    if name.endswith(".json") and _is_frame(os.path.join(corpus, name)))
     invocations = [(argv, None) for argv in PARSER_INVOCATIONS]
     for path in frames:
         invocations += [(argv, None)
                         for argv in frame_invocations(path, work, corpus_vector, variants=True)]
-    orbit = os.path.join(CORPUS, "unitary_orbit_m4.json")
+    orbit = os.path.join(corpus, "unitary_orbit_m4.json")
     for samples in ("0", "-3"):
         invocations.append((["perturb", orbit, orbit, "--samples", samples], None))
-    lone = os.path.join(CORPUS, "single_submodule.json")
+    lone = os.path.join(corpus, "single_submodule.json")
     invocations += [(["represent", orbit, "--vector", corpus_vector], None),
                     (["represent", lone, "--tight-certificate"], None),
                     (["perturb", lone, lone, "--samples", "0"], None),
@@ -407,6 +418,15 @@ def _differences(old, new) -> list:
     return out
 
 
+def _headline(label: str, argv, old, new, work: str) -> str:
+    """One line naming the results that differ, the exit codes and the
+    invocation, with paths under `work` relative to it."""
+    parts = [name for name, a, b in zip(("exit code", "stdout", "stderr", "document"), old, new)
+             if a != b]
+    shown = " ".join(os.path.relpath(a, work) if a.startswith(work) else a for a in argv)
+    return f"{label} ({', '.join(parts)}; exit {old[0]} -> {new[0]}): {shown}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src", help="the reference tree's src/ directory")
@@ -423,8 +443,13 @@ def main(argv=None) -> int:
             return (argv, run(args.old_src, argv, written),
                     run(args.new_src, argv, written, args.threads))
 
+        def again(item):
+            argv, written = item
+            return run(args.new_src, argv, written, args.threads)
+
         with ThreadPoolExecutor(max_workers=JOBS) as pool:
             results = list(pool.map(compare, invocations))
+            warm = list(pool.map(again, invocations))
     finally:
         shutil.rmtree(work, ignore_errors=True)
     differing = structural = large = 0
@@ -435,10 +460,7 @@ def main(argv=None) -> int:
         differences = _differences(old, new)
         structural += any(kind == "structural" for kind, _, _ in differences)
         large += any(kind == "large float" for kind, _, _ in differences)
-        parts = [name for name, a, b in zip(("exit code", "stdout", "stderr", "document"), old, new)
-                 if a != b]
-        shown = " ".join(os.path.relpath(a, work) if a.startswith(work) else a for a in argv)
-        print(f"DIFFERS ({', '.join(parts)}; exit {old[0]} -> {new[0]}): {shown}")
+        print(_headline("DIFFERS", argv, old, new, work))
         if not differences:
             print("    layout only (same JSON value)")
         floats = {}
@@ -449,10 +471,17 @@ def main(argv=None) -> int:
                 floats.setdefault((kind, re.sub(r"\[\d+\]", "[]", key)), []).append(detail)
         for (kind, key), ulps in floats.items():
             print(f"    {kind}: {key} ({len(ulps)} differ, at most {max(ulps)} ulp)")
+    warm_differing = 0
+    for (argv, _, new), repeat in zip(results, warm):
+        if repeat != new:
+            warm_differing += 1
+            print(_headline("WARM DIFFERS", argv, new, repeat, work))
+    print(f"warm pass: {len(warm)} invocations, {len(warm) - warm_differing} identical, "
+          f"{warm_differing} differ")
     print(f"byte sweep: {len(results)} invocations, {len(results) - differing} identical, "
           f"{differing} differ, {structural} of them structurally, {large} with a large float "
           f"move")
-    return 1 if differing else 0
+    return 1 if differing or warm_differing else 0
 
 
 if __name__ == "__main__":
