@@ -15,7 +15,6 @@ import dataclasses
 import functools
 import hashlib
 import math
-import os
 import sys
 
 from numpy.linalg import LinAlgError
@@ -62,14 +61,15 @@ from .serialize import (
 
 
 # glibc's allocator, set once per process by `main` (mallopt, malloc.h).
-# orjson parses a document into one buffer as large as its text, 1.85 MB for
-# a dense random (16, 4, 4) document.  By default glibc hands the freed
-# buffer back to the kernel after every command, and the next command faults
-# it in again page by page: about 800 minor faults per parse, and 5.3 ms
-# against 4.2 ms with the heap kept (one BLAS thread).  With both values, a
-# command of the benchmark's cycles takes at most a few faults after one warm
-# cycle, against 400-1700 on dense-operators.  Either value alone takes more
-# faults than the defaults at one end of the size ladder.
+# Commands free blocks of a few MB: `gen`'s 1.85 MB text of a dense random
+# (16, 4, 4) document, the temporaries of an analysis, orjson's buffer when a
+# document is parsed.  By default glibc hands them back to the kernel after
+# every command, and the next command faults them in again page by page:
+# where `gen` alternates with reads of the dense documents, up to 750 minor
+# faults per warm `gen` and 190 per warm `analyze`, 800 per parse.  With both
+# values a warm command takes at most a few, and dense-operators' `analyze`
+# and `gen` run 3-4 ms faster.  Either value alone takes more faults than the
+# defaults at one end of the size ladder.
 _M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3
 MMAP_THRESHOLD = 32 << 20  # blocks below it come from the heap; glibc's own dynamic ceiling
 TOP_PAD = 64 << 20  # heap that a trim leaves mapped at the top
@@ -95,17 +95,10 @@ def _keep_heap() -> None:
 
 
 def _resolve_seed(args) -> int:
-    """--seed, else $GFRAMEMOD_SEED, else 0; a negative seed is a ParseError."""
-    seed, source = args.seed, "--seed"
-    if seed is None:
-        seed, source = os.environ.get("GFRAMEMOD_SEED", "0"), "GFRAMEMOD_SEED"
-        try:
-            seed = int(seed)
-        except ValueError as exc:
-            raise ParseError(f"GFRAMEMOD_SEED must be an integer, got {seed!r}") from exc
-    if seed < 0:
-        raise ParseError(f"{source} must be a non-negative integer, got {seed}")
-    return seed
+    """--seed; a negative seed is a ParseError."""
+    if args.seed < 0:
+        raise ParseError(f"--seed must be a non-negative integer, got {args.seed}")
+    return args.seed
 
 
 def _write(path, text: str) -> None:
@@ -311,8 +304,7 @@ def _cmd_independence(args, seed, sha):
 def _add_common(p) -> None:
     p.add_argument("--output", default=None,
                    help="write the JSON report to this path instead of stdout")
-    p.add_argument("--seed", type=int, default=None,
-                   help="sampling seed (default: $GFRAMEMOD_SEED, then 0)")
+    p.add_argument("--seed", type=int, default=0, help="sampling seed (default: 0)")
 
 
 def _add_analyze(p) -> None:
@@ -355,8 +347,7 @@ def _add_gen(p) -> None:
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--m", type=int, default=4)
-    p.add_argument("--seed", type=int, default=None,
-                   help="generation seed (default: $GFRAMEMOD_SEED, then 0)")
+    p.add_argument("--seed", type=int, default=0, help="generation seed (default: 0)")
     p.add_argument("out_path")
     p.set_defaults(func=_cmd_gen)
 

@@ -70,13 +70,20 @@ CAVEATS = {  # the caveat every report of a convention carries
 def _shift_solve(mats, convention: str):
     """The two sides of mats[i] X = mats[b[i]] stacked over the slots i < k of
     the right shift (k, b) of `convention`, and the minimal-norm least-squares
-    X from one pinv of the left side; DegenerateSpan when there is no slot."""
+    X from one pinv of the left side; DegenerateSpan when there is no slot.
+
+    The pinv runs on the stack scaled by 2^-e, 2^(e-1) <= its largest |re|
+    or |im| < 2^e, so that no 1/s overflows on a subnormal stack; a common
+    power of two leaves X exact (see `spectral_norms`)."""
     k, b = shift_pairs(len(mats), convention)
     if k == 0:
         raise DegenerateSpan(f"the {convention} shift of one member has no slot")
-    lhs, rhs = mats[:k], mats[b]
+    parts = np.ascontiguousarray(mats).view(np.float64)
+    _, e = np.frexp(np.abs(parts).max())
+    scaled = np.ldexp(parts, -e).view(np.complex128)
     nd = mats.shape[-1]
-    return lhs, rhs, np.linalg.pinv(lhs.reshape(-1, nd), rcond=RANK_TOL) @ rhs.reshape(-1, nd)
+    x = np.linalg.pinv(scaled[:k].reshape(-1, nd), rcond=RANK_TOL) @ scaled[b].reshape(-1, nd)
+    return mats[:k], mats[b], x
 
 
 @dataclass(frozen=True)

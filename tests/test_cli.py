@@ -123,9 +123,8 @@ _FRESH = {}  # argv -> (exit code, stdout, stderr) of a `python -m gframemod.cli
 
 def _fresh_process(argv):
     if tuple(argv) not in _FRESH:
-        env = {k: v for k, v in os.environ.items() if k != "GFRAMEMOD_SEED"}
-        env.update(PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
-                   OPENBLAS_NUM_THREADS="1", COLUMNS="80")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+               "OPENBLAS_NUM_THREADS": "1", "COLUMNS": "80"}
         proc = subprocess.run([sys.executable, "-m", "gframemod.cli", *argv],
                               capture_output=True, text=True, env=env, check=False)
         _FRESH[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr)
@@ -138,7 +137,6 @@ def test_help_and_errors_leave_the_shared_parser_as_a_fresh_process_has_it(
     # this process runs a report, the invocation and the report again, all on
     # the one parser; each call answers as a process of its own does
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv("GFRAMEMOD_SEED", raising=False)
     report = ["analyze", str(CORPUS / "unitary_orbit_m4.json")]
     for call in (report, argv, report):
         code = main(call)
@@ -610,14 +608,6 @@ def test_report_carries_seed_and_digest(tmp_path):
     assert set(report) == {"command", "version", "seed", "inputs_digest", "results", "caveats"}
 
 
-def test_env_seed_is_honored(tmp_path, monkeypatch):
-    monkeypatch.setenv("GFRAMEMOD_SEED", "17")
-    _, report = run_report(["analyze", CORPUS / "fusion_parseval_m2.json"], tmp_path)
-    assert report["seed"] == 17
-    monkeypatch.setenv("GFRAMEMOD_SEED", "not-an-int")
-    assert run(["analyze", CORPUS / "fusion_parseval_m2.json"]) == 1
-
-
 _ORBIT = CORPUS / "unitary_orbit_m4.json"
 _SEEDED = {
     "analyze": ["analyze", _ORBIT],
@@ -648,15 +638,26 @@ def test_a_negative_seed_exits_1_for_every_generator(tmp_path, capsys, kind):
                                        "integer, got -5\n")
 
 
-def test_a_negative_env_seed_exits_1_with_a_message(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GFRAMEMOD_SEED", "-1")
-    for argv in _SEEDED.values():
-        assert run([*argv[:-1], tmp_path / "out.json"] if argv[0] == "gen" else argv) == 1
-        assert capsys.readouterr() == ("", "gframemod: error: GFRAMEMOD_SEED must be a "
-                                           "non-negative integer, got -1\n")
-    assert not (tmp_path / "out.json").exists()
-    # --seed still takes precedence over the environment
-    assert run([*_SEEDED["represent"], "--seed", 3, "--output", tmp_path / "r.json"]) == 0
+@pytest.mark.parametrize("command", sorted(_SEEDED))
+def test_no_environment_variable_sets_the_seed(tmp_path, capsys, monkeypatch, command):
+    # --seed alone sets the seed: GFRAMEMOD_SEED, whatever it holds, changes
+    # no byte, message or exit code
+    monkeypatch.chdir(tmp_path)
+    argv = _SEEDED[command] if command == "gen" else [*_SEEDED[command], "--output", "out.json"]
+    out = tmp_path / "out.json"
+
+    def outcome():
+        code = run(argv)
+        written = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return code, written, capsys.readouterr()
+
+    monkeypatch.delenv("GFRAMEMOD_SEED", raising=False)
+    unset = outcome()
+    assert unset[0] == 0 and unset[1] is not None
+    for value in ("17", "-1", "not-an-int"):
+        monkeypatch.setenv("GFRAMEMOD_SEED", value)
+        assert outcome() == unset, value
 
 
 def test_stdout_report_when_no_output(capsys):
@@ -1167,14 +1168,20 @@ def test_only_a_dependent_family_reaches_the_solve(tmp_path, capsys, monkeypatch
 # ---------------------------------------------------------------------------
 # the C allocator
 
-# a fresh process: generate a dense random (16, 4, 4) document, about
-# 1.84 MB, and print for each of four `analyze` calls on it its minor page
-# faults beside the pages of the arenas that Python's small-object allocator
-# mapped meanwhile.  That allocator maps its arenas itself, outside malloc,
-# and may unmap and map one again on every call.  A regular file named like
-# the sidecar directory keeps every call on the parse path, whose buffer is
-# the heap under test.
-_ANALYZE_FAULTS = """
+# a fresh process that prints, for each command it runs through `main`, its
+# minor page faults beside the pages of the arenas that Python's
+# small-object allocator mapped meanwhile.  That allocator maps its arenas
+# itself, outside malloc, and may unmap and map one again on every call.
+# Its cases:
+# - "parse": generate a dense random (16, 4, 4) document, about 1.84 MB,
+#   and run four `analyze` calls on it.  A regular file named like the
+#   sidecar directory keeps every call on the parse path, whose buffer is
+#   the heap under test;
+# - "alternate": three cycles of `gen`, `analyze`, `independence` and
+#   `represent` over the benchmark's dense (16, 4, 4) kinds.  The reads come
+#   from sidecars; the heap under test is `gen`'s multi-MB text between the
+#   analysis temporaries.
+_HEAP_FAULTS = """
 import os, re, resource, sys, tempfile
 from gframemod.cli import main
 from gframemod.serialize import CACHE_DIR
@@ -1194,34 +1201,57 @@ def arena_pages():
     size = re.search(r"(\\d+) bytes/arena", text).group(1)
     return int(mapped) * int(size) // resource.getpagesize()
 
-doc, out = (os.path.join(sys.argv[1], name) for name in ("random.json", "report.json"))
-open(os.path.join(sys.argv[1], CACHE_DIR), "w").close()
-assert main(["gen", "--kind", "random", "--n", "16", "--d", "4", "--m", "4", doc]) == 0
-for _ in range(4):
+work, case = sys.argv[1:]
+out = os.path.join(work, "report.json")
+
+def gen(kind):
+    doc = os.path.join(work, kind + ".json")
+    return doc, ["gen", "--kind", kind, "--n", "16", "--d", "4", "--m", "4", doc]
+
+if case == "parse":
+    open(os.path.join(work, CACHE_DIR), "w").close()
+    doc, argv = gen("random")
+    assert main(argv) == 0
+    calls = [["analyze", doc, "--output", out]] * 4
+else:
+    calls = []
+    for kind in ("fusion", "unitary-orbit", "random"):
+        doc, argv = gen(kind)
+        calls += [argv, *([command, doc, "--output", out]
+                          for command in ("analyze", "independence", "represent"))]
+    calls *= 3
+for argv in calls:
     arenas = arena_pages()
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    assert main(["analyze", doc, "--output", out]) == 0
+    assert main(argv) == 0, argv
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     print(faults, arena_pages() - arenas)
 """
+_HEAP_CASES = {"parse": (4, 2), "alternate": (36, 12)}  # case: (calls, first warm call)
 
 
 @pytest.mark.skipif(getattr(cli._libc(), "mallopt", None) is None
                     or not hasattr(sys, "_debugmallocstats"),
                     reason="the C library has no mallopt, or Python no arena count")
 def test_repeated_reads_keep_the_heap_they_faulted_in(tmp_path):
-    """glibc's default hands the parse buffer back to the kernel after each
-    command, and the next one faults it in again: 800-1000 minor faults per
-    call on this document.  With the heap kept, a warm call takes fewer than
-    100 besides those of Python's own new arenas."""
+    """glibc's default hands freed blocks of a few MB back to the kernel
+    after each command, and the next one faults them in again: 800-1000
+    minor faults per parse of the dense document, and up to 750 per warm
+    `gen` and 190 per warm `analyze` where `gen` alternates with reads from
+    sidecars.
+    With the heap kept, a warm call takes fewer than 100 besides those of
+    Python's own new arenas."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
            "OPENBLAS_NUM_THREADS": "1"}
     env.pop("PYTHONMALLOC", None)
-    proc = subprocess.run([sys.executable, "-c", _ANALYZE_FAULTS, str(tmp_path)],
-                          capture_output=True, text=True, env=env, check=True)
-    calls = [tuple(map(int, line.split())) for line in proc.stdout.splitlines()]
-    assert len(calls) == 4
-    assert all(faults - arenas < 100 for faults, arenas in calls[2:]), calls
+    for case, (count, warm) in _HEAP_CASES.items():
+        work = tmp_path / case
+        work.mkdir()
+        proc = subprocess.run([sys.executable, "-c", _HEAP_FAULTS, str(work), case],
+                              capture_output=True, text=True, env=env, check=True)
+        calls = [tuple(map(int, line.split())) for line in proc.stdout.splitlines()]
+        assert len(calls) == count, case
+        assert all(faults - arenas < 100 for faults, arenas in calls[warm:]), (case, calls)
 
 
 class _Refusing:

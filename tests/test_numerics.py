@@ -322,9 +322,8 @@ def test_a_family_with_subnormal_members_is_analysed_without_warnings(tmp_path):
     # long before k = 1500; every command of its document exits 0 in a
     # process that turns warnings into errors
     doc = tmp_path / "dilation.json"
-    env = {k: v for k, v in os.environ.items() if k != "GFRAMEMOD_SEED"}
-    env.update(PYTHONPATH=str(Path(gframemod.__file__).resolve().parents[1]),
-               OPENBLAS_NUM_THREADS="1")
+    env = {**os.environ, "PYTHONPATH": str(Path(gframemod.__file__).resolve().parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
     for argv in (["gen", "--kind", "dilation", "--n", "1", "--d", "1", "--m", "1500", str(doc)],
                  ["analyze", str(doc)], ["independence", str(doc)]):
         proc = subprocess.run([sys.executable, "-W", "error", "-m", "gframemod.cli", *argv],
@@ -418,6 +417,27 @@ def test_representability_does_not_depend_on_a_scale_below_1e_300():
     verdicts = [solve_representation(frame.scaled(c)).is_representable()
                 for c in (1.0, 1e-300, 1e-304, 1e-306, 5e-308)]
     assert verdicts == [False] * 5
+
+
+_SOLVED = {
+    "orbit": lambda: unitary_orbit_frame(2, 2, 4, seed=1),
+    "dilation": lambda: dilation_frame(2, 2, 4, seed=1),
+    "random": lambda: random_frame(2, 1, 3, seed=1),
+}
+
+
+@pytest.mark.parametrize("c", [1e-305, 1e-309])
+@pytest.mark.parametrize("family", sorted(_SOLVED))
+def test_a_subnormal_family_solves_as_at_unit_scale(family, c):
+    # below the smallest normal double an unscaled pinv overflows in 1/s;
+    # the solve runs on the stack scaled by a power of two instead
+    frame = _SOLVED[family]()
+    unit = solve_representation(frame)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = solve_representation(frame.scaled(c))
+    assert rep.is_representable() == unit.is_representable()
+    assert rep.norm_T == pytest.approx(unit.norm_T, rel=1e-12)
 
 
 @pytest.mark.parametrize("c", [1e-9, 1e-6, 1.0, 1e6])

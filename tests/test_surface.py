@@ -8,9 +8,10 @@ parameter that no call in `src/` or in a criterion sets.  No public
 function or method keeps a parameter that its body never reads.  One
 function, the document loader in `serialize`, sets the cyclic garbage
 collector's process-wide state, and one, which only `cli.main` calls, sets
-the C library's allocator.  No module calls the numpy functions that import
-`numpy.ma`.  The packages that the library imports from outside the standard
-library are exactly its declared dependencies."""
+the C library's allocator.  No module reads an environment variable, so
+flags and documents alone decide a report.  No module calls the numpy
+functions that import `numpy.ma`.  The packages that the library imports
+from outside the standard library are exactly its declared dependencies."""
 
 import ast
 import inspect
@@ -365,6 +366,12 @@ def test_only_main_sets_the_allocator():
     # one function touches the allocator, and only the entry point calls it
     assert holders(SRC, ALLOCATOR_SETTERS) == [("cli", "_keep_heap")]
     assert holders(SRC, {"_keep_heap"}) == [("cli", "main")]
+
+
+def test_no_module_reads_the_environment():
+    # os.environ, os.environb, os.getenv and os.getenvb, in any spelling
+    # that the allocator lint sees
+    assert holders(SRC, {"environ", "environb", "getenv", "getenvb"}) == []
 
 
 def test_the_allocator_lint_sees_every_spelling(tmp_path):

@@ -158,8 +158,7 @@ PARSER_INVOCATIONS = (
 def run(src: str, argv, out_path=None, threads: int = 1):
     """(exit code, stdout, stderr, written bytes) of one invocation, with
     BLAS on `threads` threads."""
-    env = {k: v for k, v in os.environ.items() if k != "GFRAMEMOD_SEED"}
-    env.update(ENV, PYTHONPATH=src)
+    env = {**os.environ, **ENV, "PYTHONPATH": src}
     env.update((name, str(threads)) for name in THREAD_VARIABLES)
     if out_path and os.path.exists(out_path):
         os.unlink(out_path)
