@@ -24,7 +24,7 @@ import numpy as np
 
 from .exceptions import DimensionMismatch, LengthMismatch, MembershipViolation
 from .numerics import (MEMBERSHIP_TOL, PROJECTION_TOL, RANK_TOL, at_most, hermitian_within, norms_within,
-                       rank, threshold)
+                       rank, threshold, unit_scaled)
 
 CONVENTIONS = ("linear", "cyclic")
 
@@ -246,9 +246,9 @@ def null_combinations(stack):
     moves it.  The rows run from the last pivot down, and the last row is
     the dependency among members 0 .. b with b smallest.
 
-    One thin QR of the (nd)^2 x m stack leaves an R factor with the same
-    singular values and column distances, from which the rank is counted
-    and the basic members found.  X = R_B^+ R writes each member in the
+    One thin QR of the `unit_scaled` (nd)^2 x m stack leaves an R factor
+    with the same singular values and column distances, from which the rank
+    is counted and the basic members found.  X = R_B^+ R writes each member in the
     basic ones B, so the prefix 0 .. b spans the row space of X_b, the
     columns 0 .. b of X with echelon zeros, and the row of pivot b is
     e_b - X_b^H (X_b X_b^H)^-1 x_b, normalised; X_b holds the identity at
@@ -256,7 +256,7 @@ def null_combinations(stack):
     formed.  An all-zero stack has rank 0 and its rows are the e_b.
     """
     m = stack.shape[0]
-    tri = np.linalg.qr(stack.reshape(m, -1).T, mode="r")
+    tri = np.linalg.qr(unit_scaled(stack)[0].reshape(m, -1).T, mode="r")
     # entries within eps of the largest are the QR's rounding; as zeros they
     # move no singular value by more than sqrt(tri.size) eps max |R|, far
     # below RANK_TOL, and let the SVD split them off

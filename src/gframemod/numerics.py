@@ -6,6 +6,9 @@ the data (a norm, a largest singular value, a bound) or are 1 for
 quantities that have none, so multiplying a whole family by c > 0 changes
 no verdict.  There is no absolute floor such as `tol * (1 + x)`: a floor
 lets a small family pass checks that the same family fails at unit scale.
+The scale rule lives here too, so no other module calls frexp or ldexp or
+floors a divisor: `unit_scaled` prescales by a power of two, and `relative`
+divides by a scale that may be 0.
 """
 
 import numpy as np
@@ -62,22 +65,28 @@ def _first_tied(values) -> int:
     return int(np.argmax(tied(values, values.max())))
 
 
-def spectral_norms(blocks) -> np.ndarray:
-    """Largest singular value of each matrix in a stack: a row's Euclidean
-    norm, else the root of the top eigenvalue of its row Gram (r x r).
+def unit_scaled(x, axis=None):
+    """(x 2^-e, e), 2^(e-1) <= the largest |re| or |im| of x over `axis` < 2^e
+    (e = 0 for 0): no square over- or underflows, and a power of two scales
+    exactly.  ldexp never forms 2^-e, which overflows for a subnormal x."""
+    x = np.ascontiguousarray(x, dtype=np.result_type(x, np.float64))
+    _, e = np.frexp(np.abs(x.view(np.float64)).max(axis=axis, keepdims=True))
+    return np.ldexp(x.view(np.float64), -e).view(x.dtype), e.squeeze(axis)
 
-    Each matrix is first scaled by 2^-e, 2^(e-1) <= its largest |re| or |im|
-    < 2^e, so no square over- or underflows; a power of two scales exactly.
-    ldexp scales the parts without forming 2^-e, which overflows when the
-    largest part is subnormal.
-    """
-    parts = np.ascontiguousarray(blocks, dtype=np.complex128).view(np.float64)
-    _, e = np.frexp(np.abs(parts).max(axis=(-2, -1)))
-    parts = np.ldexp(parts, -e[..., None, None])
+
+def relative(value, scale):
+    """value / scale, elementwise, and 0 where scale is 0."""
+    return np.divide(value, scale, out=np.zeros(np.broadcast(value, scale).shape), where=scale != 0)
+
+
+def spectral_norms(blocks) -> np.ndarray:
+    """Largest singular value of each matrix in a stack, on the `unit_scaled`
+    matrix: a row's Euclidean norm, else the root of its Gram's top eigenvalue."""
+    scaled, e = unit_scaled(np.asarray(blocks, dtype=np.complex128), axis=(-2, -1))
     if blocks.shape[-2] == 1:
-        norms = np.sqrt(np.einsum("...i,...i->...", parts[..., 0, :], parts[..., 0, :]))
+        parts = scaled.view(np.float64)[..., 0, :]
+        norms = np.sqrt(np.einsum("...i,...i->...", parts, parts))
     else:
-        scaled = parts.view(np.complex128)
         gram = scaled @ scaled.conj().swapaxes(-1, -2)
         norms = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
     return np.ldexp(norms, e)
@@ -87,14 +96,15 @@ def norms_within(residuals, bounds) -> np.ndarray:
     """||r_k||_2 <= bound_k for each matrix of a complex stack, or for one.
 
     ||r||_F / sqrt(k) <= ||r||_2 <= ||r||_F, k = min(rows, cols), so spectral
-    norms are taken only where neither Frobenius screen decides.
+    norms are taken only where neither screen, on the `unit_scaled` r, decides.
     """
-    parts = np.ascontiguousarray(residuals, dtype=np.complex128).view(np.float64)
-    squares = np.sum(parts * parts, axis=(-2, -1))
-    within = np.asarray(squares <= bounds * bounds)
+    scaled, e = unit_scaled(residuals, axis=(-2, -1))
+    parts = scaled.view(np.float64)
+    frobenius = np.ldexp(np.sqrt(np.einsum("...ij,...ij->...", parts, parts)), e)
+    within = np.asarray(frobenius <= bounds)
     if not within.all():
-        unsure = ~within & (squares <= min(residuals.shape[-2:]) * (bounds * bounds))
-        within[unsure] = spectral_norms(residuals[unsure]) <= np.broadcast_to(bounds, squares.shape)[unsure]
+        unsure = ~within & (frobenius <= np.sqrt(min(residuals.shape[-2:])) * bounds)
+        within[unsure] = spectral_norms(residuals[unsure]) <= np.broadcast_to(bounds, frobenius.shape)[unsure]
     return within
 
 

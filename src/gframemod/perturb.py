@@ -61,6 +61,7 @@ from .numerics import (
     at_least,
     at_most,
     rank,
+    relative,
     spectral_norms,
     tied,
 )
@@ -187,7 +188,7 @@ def _normalized_margins(alphas, terms, terms_hat, params: PerturbationParams, si
         basis_lhs, basis_rhs = _sides(lambda x: x, terms, terms_hat, params)
         lhs, rhs = np.concatenate((basis_lhs, lhs)), np.concatenate((basis_rhs, rhs))
         weights = np.concatenate((np.ones(terms.shape[0]), weights))
-    return np.moveaxis(lhs - rhs, 0, -1) / np.maximum(weights * size, 1e-300)
+    return relative(np.moveaxis(lhs - rhs, 0, -1), weights * size)
 
 
 def _worst_coefficients(terms: np.ndarray, terms_hat: np.ndarray, params: PerturbationParams):
@@ -207,7 +208,7 @@ def _worst_coefficients(terms: np.ndarray, terms_hat: np.ndarray, params: Pertur
 def _phase_fixed(z: np.ndarray) -> np.ndarray:
     """z turned by the phase that makes its first largest-modulus entry > 0."""
     j = int(np.argmax(np.abs(z)))
-    out = z * (np.conj(z[j]) / max(abs(z[j]), 1e-300))
+    out = z * (np.conj(z[j]) / abs(z[j]))
     out[j] = abs(z[j])
     return out
 
@@ -219,7 +220,7 @@ def _factor_certificate(frame, perturbed, params: PerturbationParams, size: floa
     v = frame.operators.reshape(-1, nd)
     w = v - perturbed.operators.reshape(-1, nd)
     c, _, r, _ = np.linalg.lstsq(v, w, rcond=RANK_TOL)  # V^+ W, inside R
-    residual = float(np.linalg.norm(v @ c - w, 2)) / max(size, 1e-300)
+    residual = float(relative(np.linalg.norm(v @ c - w, 2), size))
     if r == 0 or not at_most(residual, 0.0, FACTOR_TOL):
         return None
     left, sigma, _ = np.linalg.svd(c)
@@ -286,7 +287,7 @@ def check_perturbation_inequality(frame: GFusionFrame, perturbed: GFusionFrame,
     n_sequences = m + alphas.shape[0]  # the standard basis first
     draw = rng.standard_normal((n_vectors, 2, frame.d, frame.n * frame.d))  # real part first
     rows = draw[:, 0] + 1j * draw[:, 1]
-    rows /= np.maximum(np.linalg.norm(rows, axis=2), 1e-300)[:, :, None]
+    rows /= np.linalg.norm(rows, axis=2)[:, :, None]
     normalized = np.empty((n_vectors, frame.d, n_sequences))
     # each combination product, and each batch's terms, holds at most
     # _BATCH entries, or one vector's

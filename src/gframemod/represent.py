@@ -53,8 +53,10 @@ from .numerics import (
     at_most,
     hermitian_within,
     rank,
+    relative,
     spectral_norms,
     threshold,
+    unit_scaled,
 )
 
 KERNEL_SAMPLES = 100  # seeded synthesis-kernel elements the invariance check draws
@@ -70,18 +72,12 @@ CAVEATS = {  # the caveat every report of a convention carries
 def _shift_solve(mats, convention: str):
     """The two sides of mats[i] X = mats[b[i]] stacked over the slots i < k of
     the right shift (k, b) of `convention`, and the minimal-norm least-squares
-    X from one pinv of the left side; DegenerateSpan when there is no slot.
-
-    The pinv runs on the stack scaled by 2^-e, 2^(e-1) <= its largest |re|
-    or |im| < 2^e, so that no 1/s overflows on a subnormal stack; a common
-    power of two leaves X exact (see `spectral_norms`)."""
+    X from one pinv of the `unit_scaled` left side, so that no 1/s overflows
+    on a subnormal stack; DegenerateSpan when there is no slot."""
     k, b = shift_pairs(len(mats), convention)
     if k == 0:
         raise DegenerateSpan(f"the {convention} shift of one member has no slot")
-    parts = np.ascontiguousarray(mats).view(np.float64)
-    _, e = np.frexp(np.abs(parts).max())
-    scaled = np.ldexp(parts, -e).view(np.complex128)
-    nd = mats.shape[-1]
+    scaled, nd = unit_scaled(mats)[0], mats.shape[-1]
     x = np.linalg.pinv(scaled[:k].reshape(-1, nd), rcond=RANK_TOL) @ scaled[b].reshape(-1, nd)
     return mats[:k], mats[b], x
 
@@ -201,10 +197,9 @@ def _kernel_samples(frame: GFusionFrame, q, count: int, seed: int, r=None):
         z = z.view(np.complex128)[..., 0]
         w = (z.reshape(-1, total) @ q_r).reshape(len(z), frame.d, -1)
         zq = w[..., :rank_q]
-        # z is standard normal and Q orthonormal, so no Gram here needs the
-        # power-of-two scaling that R's magnitudes need in `spectral_norms`
+        # z is standard normal and Q orthonormal: no Gram needs `unit_scaled`, no norm is 0
         gram = z @ z.conj().swapaxes(-1, -2) - zq @ zq.conj().swapaxes(-1, -2)
-        norms = np.maximum(np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0)), 1e-300)
+        norms = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
         yield z, zq, w[..., rank_q:], norms
 
 
@@ -257,7 +252,7 @@ def kernel_invariance(frame: GFusionFrame, convention: str, seed: int = 0):
     for _, _, zr, norms in _kernel_samples(frame, q, KERNEL_SAMPLES, seed,
                                            shifted - q @ (q.conj().T @ shifted)):
         defect = max(defect, float((spectral_norms(zr) / norms).max()))
-    defect /= max(top, 1e-300)
+    defect /= top
     return KERNEL_SAMPLES, defect, at_most(defect, 0.0, REPRESENT_TOL), []
 
 
@@ -423,9 +418,11 @@ def independence_analysis(frame: GFusionFrame,
 
 def _combination_norm(frame: GFusionFrame, delta) -> float:
     """||sum_k delta_k Y_k||_2 / max ||Y_k||, the relative norm of a
-    combination of the members."""
-    scale = max(frame.max_operator_norm(), 1e-300)
-    return float(np.linalg.norm(np.einsum("k,kij->ij", delta, frame.operators), 2)) / scale
+    combination of the members, on the `unit_scaled` members: a combination
+    that cancels to below the smallest normal double keeps its digits."""
+    scaled = unit_scaled(frame.operators)[0]
+    return float(relative(np.linalg.norm(np.einsum("k,kij->ij", delta, scaled), 2),
+                          np.linalg.norm(scaled[np.argmax(frame._operator_norms)], 2)))
 
 
 def span_invariance(frame: GFusionFrame, delta,
@@ -450,8 +447,8 @@ def span_invariance(frame: GFusionFrame, delta,
     for op in candidates:
         w = (window @ op).reshape(len(window), -1).T  # one column per member
         resid = w - basis @ (basis.conj().T @ w)
-        defects.append(float(np.max(np.linalg.norm(resid, axis=0)
-                                    / np.maximum(np.linalg.norm(w, axis=0), 1e-300))))
+        defects.append(float(np.max(relative(np.linalg.norm(resid, axis=0),
+                                             np.linalg.norm(w, axis=0)))))
     return SpanInvariance(
         alpha=alpha, b=b, max_defect=defects[0],
         max_defect_inverse=defects[1] if len(defects) > 1 else None,

@@ -1,6 +1,8 @@
 """Tolerance policy: `numerics` is the only home of tolerance literals, no
 verdict takes a tolerance argument, and no verdict changes when a whole
-family is multiplied by c > 0."""
+family is multiplied by c > 0.  No module of `src/` writes a number below
+the smallest document entry, 1e-100: a divisor is never floored, and a
+ratio to a scale that may be 0 goes through `numerics.relative`."""
 
 import ast
 import importlib
@@ -24,6 +26,7 @@ from gframemod.exceptions import HypothesisViolation, MembershipViolation
 from gframemod.families import (
     KINDS,
     dilation_frame,
+    generate,
     random_family_frame,
     random_frame,
     random_unitary,
@@ -42,6 +45,7 @@ from gframemod import numerics
 from gframemod.numerics import FACTOR_TOL, norms_within, rank, spectral_norms
 from gframemod.perturb import PerturbationParams, check_perturbation_inequality
 from gframemod.represent import (
+    independence_analysis,
     kernel_invariance,
     solve_adjoint_shift_extension,
     solve_representation,
@@ -60,18 +64,31 @@ SCALES = (1e-30, 1e-12, 1e-6, 1.0, 1e6, 1e30)
 # the lint: tolerance literals live in numerics.py only
 
 
-def tolerance_literals(path: Path) -> list:
-    """(line, text) of every number token between 1e-13 and 1e-7 in a
-    source file; comments and docstrings are not number tokens."""
+def tolerance_literals(path: Path, low: float = 1e-13, high: float = 1e-7) -> list:
+    """(line, text) of every number token whose magnitude lies between low
+    and high in a source file; comments and docstrings are not number
+    tokens."""
     with open(path, "rb") as handle:
         return [(tok.start[0], tok.string) for tok in tokenize.tokenize(handle.readline)
                 if tok.type == tokenize.NUMBER
-                and 1e-13 <= abs(ast.literal_eval(tok.string)) <= 1e-7]
+                and low <= abs(ast.literal_eval(tok.string)) <= high]
 
 
 def test_tolerance_literals_live_in_numerics_only():
     found = {path.name: tolerance_literals(path) for path in sorted(SRC.glob("*.py"))
              if path.name != "numerics.py"}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+# nonzero magnitudes below the smallest document entry (MIN_OPERATOR_SCALE,
+# exactly 1e-100)
+BELOW_ENTRIES = (math.ulp(0.0), math.nextafter(1e-100, 0.0))
+
+
+def test_no_module_writes_a_number_below_the_smallest_entry():
+    # a floor such as max(x, 1e-300) under a divisor moves a verdict once
+    # the family is scaled below it
+    found = {path.name: tolerance_literals(path, *BELOW_ENTRIES) for path in sorted(SRC.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
@@ -81,6 +98,7 @@ def test_the_lint_sees_code_and_skips_comments_and_docstrings(tmp_path):
                     'x = 2.5e-9  # 1e-8 in a comment\n'
                     'y = 1e-300 + 1e-6 + 10_000 + 1j\n')
     assert tolerance_literals(path) == [(2, "2.5e-9")]
+    assert tolerance_literals(path, *BELOW_ENTRIES) == [(3, "1e-300")]
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +411,7 @@ def test_kernel_invariance_does_not_depend_on_the_scale():
     assert results[2][1] == pytest.approx(results[1][1], rel=1e-9)
 
 
-@pytest.mark.parametrize("c", [1e-12, 1e-9, 1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("c", [1e-300, 1e-170, 1e-12, 1e-9, 1e-6, 1.0, 1e6, 1e170, 1e300])
 def test_range_outside_its_submodule_is_rejected_at_every_scale(c):
     line = Submodule(ModuleOperator(np.diag([1.0, 0.0]).astype(complex), 2, 1))
     off = ModuleOperator(c * np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), 2, 1)
@@ -438,6 +456,39 @@ def test_a_subnormal_family_solves_as_at_unit_scale(family, c):
         rep = solve_representation(frame.scaled(c))
     assert rep.is_representable() == unit.is_representable()
     assert rep.norm_T == pytest.approx(unit.norm_T, rel=1e-12)
+
+
+def _scale_facts(kind: str, seed: int, k: int):
+    """(verdicts, floats) of the (2, 2, 4) family of `kind` and `seed` times
+    2^k, entered through `from_stacks`, against the seed + 1 family at the
+    same scale: the floats are ||T||, the null combination's relative norm
+    and the perturbation witness's margin over 2^k."""
+    def entered(s):
+        f = generate(kind, 2, 2, 4, s).scaled(2.0 ** k)
+        return GFusionFrame.from_stacks(f.projections.copy(), f.operators.copy(), f.n, f.d,
+                                        f.index_convention)
+
+    frame, other = entered(seed), entered(seed + 1)
+    rep = solve_representation(frame)
+    report = independence_analysis(frame, rep)
+    verdict = check_perturbation_inequality(frame, other, PerturbationParams(0.1, 0.0),
+                                            seq_samples=32, vec_samples=8)
+    return ((verify_hypotheses(frame), rep.is_representable(), report.verdict,
+             report.invariant_span_dim, verdict.inequality_holds),
+            (rep.norm_T, report.null_combination_norm, verdict.witness.margin / 2.0 ** k))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("kind", KINDS)
+def test_verdicts_are_exact_under_power_of_two_scaling(kind, seed):
+    # a power of two scales exactly, so from 2^-1000 to 2^500 every verdict
+    # is the unit family's and every float agrees to rounding; a divisor
+    # floored at 1e-300 or a square that underflows breaks this below 2^-500
+    unit_verdicts, unit_floats = _scale_facts(kind, seed, 0)
+    for k in (-1000, -600, -300, 300, 500):
+        verdicts, floats = _scale_facts(kind, seed, k)
+        assert verdicts == unit_verdicts, k
+        assert floats == pytest.approx(unit_floats, rel=1e-12, abs=0.0), k
 
 
 @pytest.mark.parametrize("c", [1e-9, 1e-6, 1.0, 1e6])

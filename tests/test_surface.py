@@ -9,9 +9,11 @@ function or method keeps a parameter that its body never reads.  One
 function, the document loader in `serialize`, sets the cyclic garbage
 collector's process-wide state, and one, which only `cli.main` calls, sets
 the C library's allocator.  No module reads an environment variable, so
-flags and documents alone decide a report.  No module calls the numpy
-functions that import `numpy.ma`.  The packages that the library imports
-from outside the standard library are exactly its declared dependencies."""
+flags and documents alone decide a report.  Only `numerics` names `frexp`
+or `ldexp`, so the power-of-two prescale has one home.  No module calls the
+numpy functions that import `numpy.ma`.  The packages that the library
+imports from outside the standard library are exactly its declared
+dependencies."""
 
 import ast
 import inspect
@@ -372,6 +374,12 @@ def test_no_module_reads_the_environment():
     # os.environ, os.environb, os.getenv and os.getenvb, in any spelling
     # that the allocator lint sees
     assert holders(SRC, {"environ", "environb", "getenv", "getenvb"}) == []
+
+
+def test_only_numerics_scales_by_a_power_of_two():
+    # `numerics.unit_scaled` is the one prescale; frexp and ldexp in any
+    # spelling that the allocator lint sees
+    assert {module for module, _ in holders(SRC, {"frexp", "ldexp"})} == {"numerics"}
 
 
 def test_the_allocator_lint_sees_every_spelling(tmp_path):
